@@ -3,21 +3,31 @@
 //! The build environment has no network access, so the workspace vendors a
 //! minimal serialization framework with the same *surface* the code uses —
 //! `#[derive(Serialize, Deserialize)]`, `serde::Serialize`,
-//! `serde::de::DeserializeOwned` — but a much simpler data model: values
-//! serialize into an owned [`Value`] tree, and deserialize back out of
-//! one. `serde_json` (also vendored) renders that tree as JSON. Enum
-//! representation follows serde's externally-tagged default (`"Variant"`
-//! for unit variants, `{"Variant": payload}` otherwise), so the JSON
-//! artifacts look like upstream serde's.
+//! `serde::de::DeserializeOwned` — but a much simpler data model: JSON is
+//! the only format. [`Serialize`] writes JSON tokens straight into a
+//! [`Serializer`], compact or pretty, and [`Deserialize`] reads from a
+//! [`Deserializer`], a pull parser over the borrowed input text; no
+//! intermediate tree is built either way. `serde_json` (also vendored)
+//! holds the entry points. [`Value`] is an owned JSON document for code
+//! that builds or inspects records by hand. Enum representation follows
+//! serde's externally-tagged default (`"Variant"` for unit variants,
+//! `{"Variant": payload}` otherwise), so the JSON artifacts look like
+//! upstream serde's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use serde_derive::{Deserialize, Serialize};
 
+pub mod de;
+pub mod ser;
+
+pub use de::Deserializer;
+pub use ser::Serializer;
+
 use std::fmt;
 
-/// The intermediate tree every value serializes through.
+/// An owned JSON document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -111,63 +121,34 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types that can serialize themselves into a [`Value`].
+/// Types that can write themselves as JSON.
 pub trait Serialize {
-    /// The value tree for `self`.
-    fn serialize(&self) -> Value;
+    /// Writes `self` into `out`.
+    fn serialize(&self, out: &mut Serializer);
 }
 
-/// Types that can reconstruct themselves from a [`Value`].
+/// Types that can read themselves from JSON.
 pub trait Deserialize: Sized {
-    /// Parses `self` out of a value tree.
+    /// Reads one value of this type from `de`.
     ///
     /// # Errors
     ///
-    /// Returns an error when the tree's shape does not match.
-    fn deserialize(v: &Value) -> Result<Self, Error>;
+    /// Returns an error when the input is not JSON of this type's shape.
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error>;
 }
 
-pub mod de {
-    //! Deserialization traits (upstream-path compatibility).
-
-    pub use crate::{Deserialize, Error};
-
-    /// Owned deserialization — with this stand-in's lifetime-free model,
-    /// simply an alias bound for [`Deserialize`].
-    pub trait DeserializeOwned: Deserialize {}
-    impl<T: Deserialize> DeserializeOwned for T {}
-}
-
-pub mod ser {
-    //! Serialization traits (upstream-path compatibility).
-
-    pub use crate::{Error, Serialize};
-}
-
-/// Looks up a required field in a map's entries (used by derived code).
-///
-/// # Errors
-///
-/// Returns an error naming the missing field.
-pub fn get_field<'a>(entries: &'a [(String, Value)], key: &str) -> Result<&'a Value, Error> {
-    entries
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| Error::custom(format!("missing field `{key}`")))
-}
-
-macro_rules! impl_signed {
-    ($($t:ty),*) => {$(
+macro_rules! impl_integer {
+    ($wide:ident, $as:ident: $($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                Value::Int(*self as i64)
+            fn serialize(&self, out: &mut Serializer) {
+                out.$wide(*self as $wide);
             }
         }
         impl Deserialize for $t {
-            fn deserialize(v: &Value) -> Result<Self, Error> {
-                let raw = v
-                    .as_i64()
+            fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+                let raw = de
+                    .number()?
+                    .$as()
                     .ok_or_else(|| Error::custom(concat!("expected ", stringify!($t))))?;
                 <$t>::try_from(raw).map_err(Error::custom)
             }
@@ -175,97 +156,74 @@ macro_rules! impl_signed {
     )*};
 }
 
-macro_rules! impl_unsigned {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                Value::UInt(*self as u64)
-            }
-        }
-        impl Deserialize for $t {
-            fn deserialize(v: &Value) -> Result<Self, Error> {
-                let raw = v
-                    .as_u64()
-                    .ok_or_else(|| Error::custom(concat!("expected ", stringify!($t))))?;
-                <$t>::try_from(raw).map_err(Error::custom)
-            }
-        }
-    )*};
-}
-
-impl_signed!(i8, i16, i32, i64, isize);
-impl_unsigned!(u8, u16, u32, u64, usize);
+impl_integer!(i64, as_i64: i8, i16, i32, i64, isize);
+impl_integer!(u64, as_u64: u8, u16, u32, u64, usize);
 
 impl Serialize for bool {
-    fn serialize(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, out: &mut Serializer) {
+        out.bool(*self);
     }
 }
 
 impl Deserialize for bool {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(Error::custom("expected bool")),
-        }
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        de.bool()
     }
 }
 
 impl Serialize for f64 {
-    fn serialize(&self) -> Value {
-        Value::Float(*self)
+    fn serialize(&self, out: &mut Serializer) {
+        out.f64(*self);
     }
 }
 
 impl Deserialize for f64 {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        v.as_f64().ok_or_else(|| Error::custom("expected number"))
-    }
-}
-
-impl Serialize for f32 {
-    fn serialize(&self) -> Value {
-        Value::Float(f64::from(*self))
-    }
-}
-
-impl Deserialize for f32 {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        v.as_f64()
-            .map(|f| f as f32)
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        de.number()?
+            .as_f64()
             .ok_or_else(|| Error::custom("expected number"))
     }
 }
 
-impl Serialize for String {
-    fn serialize(&self) -> Value {
-        Value::Str(self.clone())
+impl Serialize for f32 {
+    fn serialize(&self, out: &mut Serializer) {
+        out.f64(f64::from(*self));
     }
 }
 
-impl Deserialize for String {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        v.as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| Error::custom("expected string"))
+impl Deserialize for f32 {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        f64::deserialize(de).map(|f| f as f32)
     }
 }
 
 impl Serialize for str {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_owned())
+    fn serialize(&self, out: &mut Serializer) {
+        out.str(self);
+    }
+}
+
+impl Serialize for String {
+    fn serialize(&self, out: &mut Serializer) {
+        out.str(self);
+    }
+}
+
+impl Deserialize for String {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        de.str().map(std::borrow::Cow::into_owned)
     }
 }
 
 impl Serialize for char {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, out: &mut Serializer) {
+        out.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
 impl Deserialize for char {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        let s = v.as_str().ok_or_else(|| Error::custom("expected char"))?;
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        let s = de.str()?;
         let mut chars = s.chars();
         match (chars.next(), chars.next()) {
             (Some(c), None) => Ok(c),
@@ -275,82 +233,94 @@ impl Deserialize for char {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+    fn serialize(&self, out: &mut Serializer) {
+        (**self).serialize(out);
     }
 }
 
-impl<T: Serialize> Serialize for Box<T> {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+impl<T: Serialize + ?Sized> Serialize for Box<T> {
+    fn serialize(&self, out: &mut Serializer) {
+        (**self).serialize(out);
     }
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        T::deserialize(v).map(Box::new)
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        T::deserialize(de).map(Box::new)
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn serialize(&self) -> Value {
+    fn serialize(&self, out: &mut Serializer) {
         match self {
-            None => Value::Null,
-            Some(v) => v.serialize(),
+            None => out.null(),
+            Some(v) => v.serialize(out),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::deserialize(other).map(Some),
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        if de.null()? {
+            Ok(None)
+        } else {
+            T::deserialize(de).map(Some)
         }
     }
 }
 
+impl<T: Serialize> Serialize for [T] {
+    fn serialize(&self, out: &mut Serializer) {
+        let mut seq = out.seq();
+        for item in self {
+            seq.element(item);
+        }
+        seq.end();
+    }
+}
+
 impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize).collect())
+    fn serialize(&self, out: &mut Serializer) {
+        self.as_slice().serialize(out);
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        v.as_seq()
-            .ok_or_else(|| Error::custom("expected sequence"))?
-            .iter()
-            .map(T::deserialize)
-            .collect()
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        let mut seq = de.seq()?;
+        let mut items = Vec::new();
+        while let Some(item) = seq.element()? {
+            items.push(item);
+        }
+        Ok(items)
     }
 }
 
 impl<T: Serialize> Serialize for std::collections::VecDeque<T> {
-    fn serialize(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize).collect())
+    fn serialize(&self, out: &mut Serializer) {
+        let mut seq = out.seq();
+        for item in self {
+            seq.element(item);
+        }
+        seq.end();
     }
 }
 
 impl<T: Deserialize> Deserialize for std::collections::VecDeque<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        v.as_seq()
-            .ok_or_else(|| Error::custom("expected sequence"))?
-            .iter()
-            .map(T::deserialize)
-            .collect()
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        Vec::deserialize(de).map(Into::into)
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn serialize(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize).collect())
+    fn serialize(&self, out: &mut Serializer) {
+        self.as_slice().serialize(out);
     }
 }
 
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        let items: Vec<T> = Vec::deserialize(v)?;
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        let items: Vec<T> = Vec::deserialize(de)?;
         items
             .try_into()
             .map_err(|_| Error::custom(format!("expected {N}-element sequence")))
@@ -360,25 +330,19 @@ impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
 macro_rules! impl_tuple {
     ($(($($name:ident $idx:tt),+);)*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn serialize(&self) -> Value {
-                Value::Seq(vec![$(self.$idx.serialize()),+])
+            fn serialize(&self, out: &mut Serializer) {
+                let mut seq = out.seq();
+                $(seq.element(&self.$idx);)+
+                seq.end();
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn deserialize(v: &Value) -> Result<Self, Error> {
-                let seq = v.as_seq().ok_or_else(|| Error::custom("expected tuple"))?;
-                let mut it = seq.iter();
+            fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+                let mut seq = de.seq()?;
                 let out = ($(
-                    {
-                        let _ = $idx;
-                        $name::deserialize(
-                            it.next().ok_or_else(|| Error::custom("tuple too short"))?,
-                        )?
-                    },
+                    seq.element::<$name>()?.ok_or_else(|| Error::custom("tuple too short"))?,
                 )+);
-                if it.next().is_some() {
-                    return Err(Error::custom("tuple too long"));
-                }
+                seq.end()?;
                 Ok(out)
             }
         }
@@ -393,55 +357,45 @@ impl_tuple! {
 }
 
 impl Serialize for Value {
-    fn serialize(&self) -> Value {
-        self.clone()
+    fn serialize(&self, out: &mut Serializer) {
+        match self {
+            Value::Null => out.null(),
+            Value::Bool(b) => out.bool(*b),
+            Value::Int(i) => out.i64(*i),
+            Value::UInt(u) => out.u64(*u),
+            Value::Float(f) => out.f64(*f),
+            Value::Str(s) => out.str(s),
+            Value::Seq(items) => items.serialize(out),
+            Value::Map(entries) => {
+                let mut map = out.map();
+                for (k, v) in entries {
+                    map.field(k, v);
+                }
+                map.end();
+            }
+        }
     }
 }
 
 impl Deserialize for Value {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn primitives_roundtrip() {
-        assert_eq!(i32::deserialize(&(-7i32).serialize()), Ok(-7));
-        assert_eq!(u32::deserialize(&u32::MAX.serialize()), Ok(u32::MAX));
-        assert_eq!(bool::deserialize(&true.serialize()), Ok(true));
-        assert_eq!(
-            String::deserialize(&"hi".to_string().serialize()),
-            Ok("hi".to_string())
-        );
-    }
-
-    #[test]
-    fn range_errors_are_caught() {
-        assert!(u8::deserialize(&Value::UInt(300)).is_err());
-        assert!(u32::deserialize(&Value::Int(-1)).is_err());
-        assert!(i64::deserialize(&Value::Str("x".into())).is_err());
-    }
-
-    #[test]
-    fn containers_roundtrip() {
-        let v = vec![1i32, -2, 3];
-        assert_eq!(Vec::<i32>::deserialize(&v.serialize()), Ok(v));
-        let arr = [5u32, 6, 7, 8];
-        assert_eq!(<[u32; 4]>::deserialize(&arr.serialize()), Ok(arr));
-        let opt: Option<i32> = None;
-        assert_eq!(Option::<i32>::deserialize(&opt.serialize()), Ok(None));
-        let tup = (1i32, "a".to_string());
-        assert_eq!(<(i32, String)>::deserialize(&tup.serialize()), Ok(tup));
-    }
-
-    #[test]
-    fn get_field_reports_missing() {
-        let m = vec![("a".to_string(), Value::Int(1))];
-        assert!(get_field(&m, "a").is_ok());
-        assert!(get_field(&m, "b").is_err());
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, Error> {
+        Ok(match de.peek()? {
+            b'n' => {
+                de.null()?;
+                Value::Null
+            }
+            b't' | b'f' => Value::Bool(de.bool()?),
+            b'"' => Value::Str(de.str()?.into_owned()),
+            b'[' => Value::Seq(Vec::deserialize(de)?),
+            b'{' => {
+                let mut map = de.map()?;
+                let mut entries = Vec::new();
+                while let Some(key) = map.key()? {
+                    entries.push((key.into_owned(), map.value()?));
+                }
+                Value::Map(entries)
+            }
+            _ => de.number()?,
+        })
     }
 }

@@ -238,59 +238,49 @@ fn impl_header(item: &Item, bound: &str) -> (String, String) {
     }
 }
 
+/// `f0, f1, …` — the bindings of an `arity`-field tuple payload.
+fn binders(arity: usize) -> String {
+    (0..arity).map(|i| format!("f{i}, ")).collect()
+}
+
+/// Structs write a map keyed by field name, tuple structs a sequence (a
+/// one-field tuple struct writes its field alone), and enum variants are
+/// externally tagged: `"Unit"` or `{"Variant": payload}`, where a payload
+/// of several fields is a sequence. Keys and tags are string literals.
 fn gen_serialize(item: &Item) -> String {
     let (impl_generics, ty) = impl_header(item, "::serde::Serialize");
+    let name = &item.name;
     let body = match &item.kind {
         Kind::NamedStruct(fields) => {
-            let pushes: String = fields
+            let writes: String = fields
                 .iter()
-                .map(|f| {
-                    format!(
-                        "entries.push(({f:?}.to_string(), \
-                         ::serde::Serialize::serialize(&self.{f})));\n"
-                    )
-                })
+                .map(|f| format!("map.field({f:?}, &self.{f});\n"))
                 .collect();
-            format!(
-                "let mut entries: Vec<(String, ::serde::Value)> = Vec::new();\n\
-                 {pushes}::serde::Value::Map(entries)"
-            )
+            format!("let mut map = out.map();\n{writes}map.end();")
         }
+        Kind::TupleStruct(1) => "::serde::Serialize::serialize(&self.0, out);".to_string(),
         Kind::TupleStruct(arity) => {
-            let items: Vec<String> = (0..*arity)
-                .map(|i| format!("::serde::Serialize::serialize(&self.{i})"))
-                .collect();
-            if *arity == 1 {
-                items[0].clone()
-            } else {
-                format!("::serde::Value::Seq(vec![{}])", items.join(", "))
-            }
+            let fields: String = (0..*arity).map(|i| format!("&self.{i}, ")).collect();
+            format!("::serde::Serialize::serialize(&({fields}), out);")
         }
         Kind::Enum(variants) => {
-            let name = &item.name;
             let arms: String = variants
                 .iter()
                 .map(|v| {
                     let vn = &v.name;
-                    match v.arity {
-                        0 => format!("{name}::{vn} => ::serde::Value::Str({vn:?}.to_string()),\n"),
-                        1 => format!(
-                            "{name}::{vn}(f0) => ::serde::Value::Map(vec![({vn:?}.to_string(), \
-                             ::serde::Serialize::serialize(f0))]),\n"
-                        ),
-                        n => {
-                            let binders: Vec<String> = (0..n).map(|i| format!("f{i}")).collect();
-                            let items: Vec<String> = binders
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::serialize({b})"))
-                                .collect();
-                            format!(
-                                "{name}::{vn}({}) => ::serde::Value::Map(vec![({vn:?}.to_string(), \
-                                 ::serde::Value::Seq(vec![{}]))]),\n",
-                                binders.join(", "),
-                                items.join(", ")
-                            )
-                        }
+                    let b = binders(v.arity);
+                    let payload = if v.arity == 1 {
+                        "f0".to_string()
+                    } else {
+                        format!("&({b})")
+                    };
+                    if v.arity == 0 {
+                        format!("{name}::{vn} => out.str({vn:?}),\n")
+                    } else {
+                        format!(
+                            "{name}::{vn}({b}) => {{\nlet mut map = out.map();\n\
+                             map.field({vn:?}, {payload});\nmap.end();\n}}\n"
+                        )
                     }
                 })
                 .collect();
@@ -299,104 +289,97 @@ fn gen_serialize(item: &Item) -> String {
     };
     format!(
         "impl{impl_generics} ::serde::Serialize for {ty} {{\n\
-             fn serialize(&self) -> ::serde::Value {{\n{body}\n}}\n\
+             fn serialize(&self, out: &mut ::serde::Serializer) {{\n{body}\n}}\n\
          }}\n"
     )
 }
 
+/// The reader for [`gen_serialize`]'s layout. Struct fields match by name
+/// in any order: unknown keys are skipped, the first occurrence of a key
+/// wins, and a missing field is an error.
 fn gen_deserialize(item: &Item) -> String {
     let (impl_generics, ty) = impl_header(item, "::serde::Deserialize");
     let name = &item.name;
     let body = match &item.kind {
         Kind::NamedStruct(fields) => {
+            let slots: String = (0..fields.len())
+                .map(|i| format!("let mut f{i} = None;\n"))
+                .collect();
+            let arms: String = fields
+                .iter()
+                .enumerate()
+                .map(|(i, f)| format!("{f:?} if f{i}.is_none() => f{i} = Some(map.value()?),\n"))
+                .collect();
             let inits: String = fields
                 .iter()
-                .map(|f| {
-                    format!(
-                        "{f}: ::serde::Deserialize::deserialize(\
-                         ::serde::get_field(entries, {f:?})?)?,\n"
-                    )
+                .enumerate()
+                .map(|(i, f)| {
+                    let missing = format!("missing field `{f}`");
+                    format!("{f}: f{i}.ok_or_else(|| ::serde::Error::custom({missing:?}))?,\n")
                 })
                 .collect();
             format!(
-                "let entries = value.as_map().ok_or_else(|| \
-                 ::serde::Error::custom(concat!(\"expected map for \", {name:?})))?;\n\
+                "{slots}let mut map = de.map()?;\n\
+                 while let Some(key) = map.key()? {{\n\
+                     match &*key {{\n{arms}_ => map.skip_value()?,\n}}\n\
+                 }}\n\
                  Ok({name} {{\n{inits}}})"
             )
         }
+        Kind::TupleStruct(1) => format!("Ok({name}(::serde::Deserialize::deserialize(de)?))"),
         Kind::TupleStruct(arity) => {
-            if *arity == 1 {
-                format!("Ok({name}(::serde::Deserialize::deserialize(value)?))")
-            } else {
-                let inits: Vec<String> = (0..*arity)
-                    .map(|i| {
-                        format!(
-                            "::serde::Deserialize::deserialize(seq.get({i}).ok_or_else(|| \
-                             ::serde::Error::custom(\"sequence too short\"))?)?"
-                        )
-                    })
-                    .collect();
-                format!(
-                    "let seq = value.as_seq().ok_or_else(|| \
-                     ::serde::Error::custom(concat!(\"expected sequence for \", {name:?})))?;\n\
-                     Ok({name}({}))",
-                    inits.join(", ")
-                )
-            }
+            let b = binders(*arity);
+            format!("let ({b}) = ::serde::Deserialize::deserialize(de)?;\nOk({name}({b}))")
         }
         Kind::Enum(variants) => {
+            let unrecognized =
+                format!("::serde::Error::custom(\"unrecognized variant for {name}\")");
             let unit_arms: String = variants
                 .iter()
                 .filter(|v| v.arity == 0)
-                .map(|v| {
-                    let vn = &v.name;
-                    format!("{vn:?} => return Ok({name}::{vn}),\n")
-                })
+                .map(|v| format!("{vn:?} => Ok({name}::{vn}),\n", vn = v.name))
                 .collect();
             let payload_arms: String = variants
                 .iter()
                 .filter(|v| v.arity > 0)
                 .map(|v| {
                     let vn = &v.name;
+                    let b = binders(v.arity);
                     if v.arity == 1 {
-                        format!(
-                            "{vn:?} => return Ok({name}::{vn}(\
-                             ::serde::Deserialize::deserialize(payload)?)),\n"
-                        )
+                        format!("Some({vn:?}) => {name}::{vn}(map.value()?),\n")
                     } else {
-                        let inits: Vec<String> = (0..v.arity)
-                            .map(|i| {
-                                format!(
-                                    "::serde::Deserialize::deserialize(seq.get({i}).ok_or_else(|| \
-                                     ::serde::Error::custom(\"variant payload too short\"))?)?"
-                                )
-                            })
-                            .collect();
-                        format!(
-                            "{vn:?} => {{\nlet seq = payload.as_seq().ok_or_else(|| \
-                             ::serde::Error::custom(\"expected sequence payload\"))?;\n\
-                             return Ok({name}::{vn}({}));\n}}\n",
-                            inits.join(", ")
-                        )
+                        format!("Some({vn:?}) => {{\nlet ({b}) = map.value()?;\n{name}::{vn}({b})\n}}\n")
                     }
                 })
                 .collect();
-            format!(
-                "if let Some(tag) = value.as_str() {{\n\
-                     match tag {{\n{unit_arms}_ => {{}}\n}}\n\
-                 }}\n\
-                 if let Some(entries) = value.as_map() {{\n\
-                     if let [(tag, payload)] = entries {{\n\
-                         match tag.as_str() {{\n{payload_arms}_ => {{}}\n}}\n\
-                     }}\n\
-                 }}\n\
-                 Err(::serde::Error::custom(concat!(\"unrecognized variant for \", {name:?})))"
-            )
+            let mut body = String::new();
+            if !unit_arms.is_empty() {
+                body += &format!(
+                    "if de.peek()? == b'\"' {{\n\
+                         return match &*de.str()? {{\n{unit_arms}_ => Err({unrecognized}),\n}};\n\
+                     }}\n"
+                );
+            }
+            if payload_arms.is_empty() {
+                body += &format!("Err({unrecognized})");
+            } else {
+                body += &format!(
+                    "let mut map = de.map()?;\n\
+                     let value = match map.key()?.as_deref() {{\n\
+                         {payload_arms}_ => return Err({unrecognized}),\n\
+                     }};\n\
+                     match map.key()? {{\n\
+                         None => Ok(value),\n\
+                         Some(_) => Err({unrecognized}),\n\
+                     }}"
+                );
+            }
+            body
         }
     };
     format!(
         "impl{impl_generics} ::serde::Deserialize for {ty} {{\n\
-             fn deserialize(value: &::serde::Value) -> Result<Self, ::serde::Error> {{\n\
+             fn deserialize(de: &mut ::serde::Deserializer<'_>) -> Result<Self, ::serde::Error> {{\n\
                  {body}\n\
              }}\n\
          }}\n"

@@ -1,377 +1,38 @@
-//! Offline stand-in for `serde_json`: JSON text over the vendored
-//! [`serde::Value`] tree model. Supports everything the workspace
-//! round-trips — objects, arrays, strings, numbers, booleans, null.
+//! Offline stand-in for `serde_json`: the text entry points over the
+//! vendored serde's streaming JSON writer and pull parser. Supports
+//! everything the workspace round-trips — objects, arrays, strings,
+//! numbers, booleans, null.
 
-use serde::{Error, Serialize, Value};
-use std::fmt::Write as _;
+use serde::de::DeserializeOwned;
+use serde::{Deserializer, Error, Serialize, Serializer};
 
 /// Serializes a value to its compact JSON representation.
-pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.serialize());
-    Ok(out)
+pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+    let mut out = Serializer::compact();
+    value.serialize(&mut out);
+    Ok(out.into_string())
 }
 
 /// Serializes a value to human-readable, two-space-indented JSON.
-pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value_pretty(&mut out, &value.serialize(), 0);
-    Ok(out)
+pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+    let mut out = Serializer::pretty();
+    value.serialize(&mut out);
+    Ok(out.into_string())
 }
 
-/// Parses JSON text and deserializes the result.
-pub fn from_str<T: serde::de::DeserializeOwned>(s: &str) -> Result<T, Error> {
-    let value = parse_value(s)?;
-    T::deserialize(&value)
-}
-
-// ---------------------------------------------------------------------------
-// Writer
-
-fn write_value(out: &mut String, v: &Value) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Value::UInt(u) => {
-            let _ = write!(out, "{u}");
-        }
-        Value::Float(f) => write_f64(out, *f),
-        Value::Str(s) => write_json_string(out, s),
-        Value::Seq(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(out, item);
-            }
-            out.push(']');
-        }
-        Value::Map(entries) => {
-            out.push('{');
-            for (i, (k, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_json_string(out, k);
-                out.push(':');
-                write_value(out, item);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn write_value_pretty(out: &mut String, v: &Value, indent: usize) {
-    match v {
-        Value::Seq(items) if !items.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                push_indent(out, indent + 1);
-                write_value_pretty(out, item, indent + 1);
-            }
-            out.push('\n');
-            push_indent(out, indent);
-            out.push(']');
-        }
-        Value::Map(entries) if !entries.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                push_indent(out, indent + 1);
-                write_json_string(out, k);
-                out.push_str(": ");
-                write_value_pretty(out, item, indent + 1);
-            }
-            out.push('\n');
-            push_indent(out, indent);
-            out.push('}');
-        }
-        other => write_value(out, other),
-    }
-}
-
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-fn write_f64(out: &mut String, f: f64) {
-    if f.is_nan() || f.is_infinite() {
-        out.push_str("null"); // JSON has no non-finite numbers.
-    } else if f == f.trunc() && f.abs() < 1e15 {
-        let _ = write!(out, "{f:.1}");
-    } else {
-        let _ = write!(out, "{f}");
-    }
-}
-
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---------------------------------------------------------------------------
-// Parser (recursive descent over chars)
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::custom("trailing characters after JSON value"));
-    }
-    Ok(v)
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, Error> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| Error::custom("unexpected end of JSON input"))
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::custom(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn eat_keyword(&mut self, word: &str) -> Result<(), Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(Error::custom(format!(
-                "invalid literal at byte {}",
-                self.pos
-            )))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek()? {
-            b'n' => {
-                self.eat_keyword("null")?;
-                Ok(Value::Null)
-            }
-            b't' => {
-                self.eat_keyword("true")?;
-                Ok(Value::Bool(true))
-            }
-            b'f' => {
-                self.eat_keyword("false")?;
-                Ok(Value::Bool(false))
-            }
-            b'"' => Ok(Value::Str(self.string()?)),
-            b'[' => self.array(),
-            b'{' => self.object(),
-            _ => self.number(),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Value::Seq(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Seq(items));
-                }
-                _ => return Err(Error::custom("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Value::Map(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            entries.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Value::Map(entries));
-                }
-                _ => return Err(Error::custom("expected `,` or `}` in object")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err(Error::custom("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err(Error::custom("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::custom("truncated \\u escape"))?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::custom("invalid \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::custom("invalid \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::custom("invalid \\u code point"))?,
-                            );
-                        }
-                        _ => return Err(Error::custom("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Re-decode multi-byte UTF-8 sequences from the source.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    let end = start + width;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| Error::custom("truncated UTF-8 sequence"))?;
-                    out.push_str(
-                        std::str::from_utf8(chunk)
-                            .map_err(|_| Error::custom("invalid UTF-8 in string"))?,
-                    );
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number"))?;
-        if text.is_empty() || text == "-" {
-            return Err(Error::custom(format!("expected number at byte {start}")));
-        }
-        if !is_float {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Int(i));
-            }
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::UInt(u));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| Error::custom(format!("invalid number `{text}`")))
-    }
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
+/// Parses JSON text into a value.
+pub fn from_str<T: DeserializeOwned>(s: &str) -> Result<T, Error> {
+    let mut de = Deserializer::new(s);
+    let value = T::deserialize(&mut de)?;
+    de.end()?;
+    Ok(value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::de::MAX_DEPTH;
+    use serde::{Deserialize, Value};
 
     #[test]
     fn roundtrip_scalars() {
@@ -380,7 +41,24 @@ mod tests {
         assert_eq!(to_string(&true).unwrap(), "true");
         assert!(!from_str::<bool>("false").unwrap());
         assert_eq!(to_string(&-7i64).unwrap(), "-7");
+        assert_eq!(to_string(&i64::MIN).unwrap(), "-9223372036854775808");
+        assert_eq!(from_str::<i64>("-9223372036854775808").unwrap(), i64::MIN);
+        assert_eq!(to_string(&u64::MAX).unwrap(), "18446744073709551615");
+        assert_eq!(from_str::<u64>("18446744073709551615").unwrap(), u64::MAX);
         assert_eq!(from_str::<f64>("1.5").unwrap(), 1.5);
+        assert_eq!(from_str::<f64>("2").unwrap(), 2.0);
+        assert_eq!(from_str::<char>("\"é\"").unwrap(), 'é');
+    }
+
+    #[test]
+    fn range_and_type_errors_are_caught() {
+        assert!(from_str::<u8>("300").is_err());
+        assert!(from_str::<u32>("-1").is_err());
+        assert!(from_str::<u32>("1.0").is_err());
+        assert!(from_str::<i64>("\"x\"").is_err());
+        assert!(from_str::<f64>("null").is_err());
+        assert!(from_str::<bool>("nul").is_err());
+        assert!(from_str::<char>("\"ab\"").is_err());
     }
 
     #[test]
@@ -389,6 +67,20 @@ mod tests {
         let json = to_string(&v).unwrap();
         assert_eq!(json, "[1,2,3]");
         assert_eq!(from_str::<Vec<u32>>(&json).unwrap(), v);
+        assert_eq!(to_string(v.as_slice()).unwrap(), json);
+
+        let arr = [5u32, 6, 7, 8];
+        assert_eq!(
+            from_str::<[u32; 4]>(&to_string(&arr).unwrap()).unwrap(),
+            arr
+        );
+        assert!(from_str::<[u32; 4]>("[1,2,3]").is_err());
+
+        let tup = (1i32, "a".to_string());
+        assert_eq!(to_string(&tup).unwrap(), r#"[1,"a"]"#);
+        assert_eq!(from_str::<(i32, String)>(r#"[1,"a"]"#).unwrap(), tup);
+        assert!(from_str::<(i32, String)>("[1]").is_err());
+        assert!(from_str::<(i32, String)>(r#"[1,"a",2]"#).is_err());
 
         let opt: Option<String> = Some("hi \"there\"\n".to_string());
         let json = to_string(&opt).unwrap();
@@ -400,16 +92,126 @@ mod tests {
     }
 
     #[test]
+    fn strings_escape_and_unescape() {
+        let s = "q\"b\\n\nr\rt\t\u{1}é✓".to_string();
+        let json = to_string(&s).unwrap();
+        assert_eq!(json, r#""q\"b\\n\nr\rt\t\u0001é✓""#);
+        assert_eq!(from_str::<String>(&json).unwrap(), s);
+        assert_eq!(
+            from_str::<String>(r#""\/\b\féx""#).unwrap(),
+            "/\u{8}\u{c}éx"
+        );
+        assert!(from_str::<String>(r#""\ud800""#).is_err());
+        assert!(from_str::<String>(r#""\q""#).is_err());
+        assert!(from_str::<String>(r#""abc"#).is_err());
+    }
+
+    #[test]
     fn parses_whitespace_and_nesting() {
         let v: Vec<Vec<i32>> = from_str(" [ [1, 2] , [ ] , [3] ] ").unwrap();
         assert_eq!(v, vec![vec![1, 2], vec![], vec![3]]);
+        assert!(from_str::<Vec<i32>>("[1,]").is_err());
+        assert!(from_str::<Vec<i32>>("[,1]").is_err());
+        assert!(from_str::<Vec<i32>>("[1 2]").is_err());
+        assert!(from_str::<Vec<i32>>("[1] x").is_err());
     }
 
     #[test]
     fn pretty_output_parses_back() {
-        let v = vec![vec![1u32], vec![2, 3]];
+        let v = vec![vec![1u32], vec![2, 3], vec![]];
         let pretty = to_string_pretty(&v).unwrap();
-        assert!(pretty.contains('\n'));
+        assert_eq!(
+            pretty,
+            "[\n  [\n    1\n  ],\n  [\n    2,\n    3\n  ],\n  []\n]"
+        );
         assert_eq!(from_str::<Vec<Vec<u32>>>(&pretty).unwrap(), v);
+    }
+
+    #[test]
+    fn value_roundtrips_any_document() {
+        let text = r#"{"a":[1,-2,18446744073709551615,2.5,null,true,"s"],"b":{},"c":[]}"#;
+        let v: Value = from_str(text).unwrap();
+        assert_eq!(v.as_map().unwrap().len(), 3);
+        assert_eq!(to_string(&v).unwrap(), text);
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Point {
+        x: i32,
+        y: Option<u8>,
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Pair(i32, String);
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Wrapper<T>(T);
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    enum Shape {
+        Empty,
+        Dot(Point),
+        Segment(Point, Point),
+    }
+
+    #[test]
+    fn derived_shapes_roundtrip() {
+        let shapes = vec![
+            Shape::Empty,
+            Shape::Dot(Point { x: 1, y: None }),
+            Shape::Segment(Point { x: -1, y: Some(2) }, Point { x: 3, y: Some(4) }),
+        ];
+        let json = to_string(&shapes).unwrap();
+        assert_eq!(
+            json,
+            r#"["Empty",{"Dot":{"x":1,"y":null}},{"Segment":[{"x":-1,"y":2},{"x":3,"y":4}]}]"#
+        );
+        assert_eq!(from_str::<Vec<Shape>>(&json).unwrap(), shapes);
+
+        let pair = Pair(7, "p".to_string());
+        assert_eq!(to_string(&pair).unwrap(), r#"[7,"p"]"#);
+        assert_eq!(from_str::<Pair>(r#"[7,"p"]"#).unwrap(), pair);
+        assert_eq!(to_string(&Wrapper(5u8)).unwrap(), "5");
+        assert_eq!(from_str::<Wrapper<u8>>("5").unwrap(), Wrapper(5));
+    }
+
+    #[test]
+    fn derived_structs_match_fields_by_name() {
+        // Any order; unknown keys skipped; the first occurrence wins.
+        let p: Point = from_str(r#"{"y":3,"junk":[{"deep":[]}],"x":-4,"x":9,"y":"bad"}"#).unwrap();
+        assert_eq!(p, Point { x: -4, y: Some(3) });
+        let err = from_str::<Point>(r#"{"y":null}"#).unwrap_err();
+        assert_eq!(err.to_string(), "missing field `x`");
+        assert!(from_str::<Point>(r#"{"x":1,"x":}"#).is_err());
+        assert!(from_str::<Point>(r#"{"x":1,}"#).is_err());
+        assert!(from_str::<Point>("[1]").is_err());
+    }
+
+    #[test]
+    fn derived_enums_reject_unknown_and_malformed_tags() {
+        for bad in [
+            r#""Nope""#,
+            r#""Dot""#,
+            r#"{"Empty":null}"#,
+            r#"{"Dot":{"x":1,"y":null},"Empty":null}"#,
+            "{}",
+            "3",
+        ] {
+            assert!(from_str::<Shape>(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_cap_is_an_error() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nested deeper"), "{err}");
+        // Far past any stack: still an error, not an overflow.
+        let deep = "{\"a\":".repeat(100_000);
+        let err = from_str::<Value>(&deep).unwrap_err();
+        assert!(err.to_string().contains("nested deeper"), "{err}");
+        let err = from_str::<Point>(&format!(r#"{{"junk":{},"x":1}}"#, nested(200))).unwrap_err();
+        assert!(err.to_string().contains("nested deeper"), "{err}");
     }
 }

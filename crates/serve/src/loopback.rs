@@ -63,7 +63,7 @@ impl LoopbackClient {
 
 /// Encodes a request batch exactly as [`LoopbackClient::send`] does.
 pub fn encode(batch: &[Request]) -> String {
-    serde_json::to_string(&batch.to_vec())
+    serde_json::to_string(batch)
         // emr-lint: allow(A1, "every Request variant derives Serialize; failure here means the wire types themselves are broken")
         .unwrap_or_else(|e| panic!("unserializable request batch: {e:?}"))
 }
