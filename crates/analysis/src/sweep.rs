@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use emr_core::{BuildProfile, Scenario};
-use emr_fault::{inject, FaultSet, ReachMap, Workspace};
+use emr_fault::{inject, FaultSet, ReachMap};
 use emr_mesh::{Coord, Mesh};
 
 use crate::stats::Summary;
@@ -249,10 +249,8 @@ where
             .map(|_| {
                 let (inject, measure, items, next) = (&inject, &measure, &items, &next);
                 scope.spawn(move || {
-                    // One scratch workspace per worker: every trial's
-                    // block formation (and lazy maps, via the thread-local
-                    // fallback) reuses these buffers.
-                    let mut ws = Workspace::new();
+                    // Each worker is its own thread, so every trial's
+                    // maps reuse that thread's scratch workspace.
                     let mut done: Vec<(usize, Vec<Summary>)> = Vec::new();
                     loop {
                         let index = next.fetch_add(1, Ordering::Relaxed);
@@ -262,14 +260,8 @@ where
                         let mut sums = vec![Summary::new(); series.len()];
                         for t in item.first_trial..item.first_trial + item.trials {
                             let mut gen_rng = generation_rng(cfg.seed, item.k, t);
-                            let (scenario, source, dest) = generate_trial(
-                                mesh,
-                                item.k,
-                                profile,
-                                inject,
-                                &mut gen_rng,
-                                &mut ws,
-                            );
+                            let (scenario, source, dest) =
+                                generate_trial(mesh, item.k, profile, inject, &mut gen_rng);
                             let input = TrialInput::new(&scenario, source, dest);
                             let mut measure_rng = measurement_rng(cfg.seed, item.k, t);
                             let samples = measure(&input, &mut measure_rng);
@@ -327,14 +319,13 @@ where
 }
 
 /// Generates one trial exactly as §5 prescribes, with a pluggable fault
-/// injector and a reusable scratch workspace.
+/// injector.
 fn generate_trial<G>(
     mesh: Mesh,
     k: usize,
     profile: BuildProfile,
     inject: &G,
     rng: &mut StdRng,
-    ws: &mut Workspace,
 ) -> (Scenario, Coord, Coord)
 where
     G: Fn(Mesh, usize, Coord, &mut StdRng) -> FaultSet,
@@ -342,7 +333,7 @@ where
     let source = mesh.center();
     let scenario = loop {
         let faults = inject(mesh, k, source, rng);
-        let sc = Scenario::build_profiled_with(faults, profile, ws);
+        let sc = Scenario::build_profiled(faults, profile);
         // The paper assumes the source is outside every faulty block.
         if !sc.blocks().is_blocked(source) {
             break sc;
@@ -491,10 +482,8 @@ mod tests {
     fn trial_generation_respects_invariants() {
         let mesh = Mesh::square(30);
         let mut rng = StdRng::seed_from_u64(3);
-        let mut ws = Workspace::new();
         for k in [0usize, 5, 25] {
-            let (sc, s, d) =
-                generate_trial(mesh, k, BuildProfile::SCALAR, &uniform, &mut rng, &mut ws);
+            let (sc, s, d) = generate_trial(mesh, k, BuildProfile::SCALAR, &uniform, &mut rng);
             assert_eq!(s, mesh.center());
             assert!(!sc.blocks().is_blocked(s));
             assert!(!sc.blocks().is_blocked(d));

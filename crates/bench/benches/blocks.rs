@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use emr_fault::{inject, BlockMap, FaultSet, MccMap, MccType, Workspace};
+use emr_fault::{inject, BlockMap, FaultSet, MccMap, MccType};
 use emr_mesh::Mesh;
 
 fn fault_sets() -> Vec<(usize, FaultSet)> {
@@ -21,15 +21,13 @@ fn fault_sets() -> Vec<(usize, FaultSet)> {
 
 fn bench_blocks(c: &mut Criterion) {
     let sets = fault_sets();
-    // One scratch workspace for the whole run, as the sweep workers use it.
-    let mut ws = Workspace::new();
     let mut group = c.benchmark_group("block_construction");
     for (k, faults) in &sets {
         group.bench_with_input(BenchmarkId::new("definition1", k), faults, |b, f| {
-            b.iter(|| BlockMap::build_with(f, &mut ws));
+            b.iter(|| BlockMap::build(f));
         });
         group.bench_with_input(BenchmarkId::new("mcc_type_one", k), faults, |b, f| {
-            b.iter(|| MccMap::build_with(f, MccType::One, &mut ws));
+            b.iter(|| MccMap::build(f, MccType::One));
         });
     }
     group.finish();
@@ -39,14 +37,13 @@ fn bench_blocks(c: &mut Criterion) {
 /// default (bit-parallel) constructors above stays visible in one report.
 fn bench_scalar_builds(c: &mut Criterion) {
     let sets = fault_sets();
-    let mut ws = Workspace::new();
     let mut group = c.benchmark_group("block_construction_scalar");
     for (k, faults) in &sets {
         group.bench_with_input(BenchmarkId::new("definition1", k), faults, |b, f| {
-            b.iter(|| BlockMap::build_scalar_with(f, &mut ws));
+            b.iter(|| BlockMap::build_scalar(f));
         });
         group.bench_with_input(BenchmarkId::new("mcc_type_one", k), faults, |b, f| {
-            b.iter(|| MccMap::build_scalar_with(f, MccType::One, &mut ws));
+            b.iter(|| MccMap::build_scalar(f, MccType::One));
         });
     }
     group.finish();

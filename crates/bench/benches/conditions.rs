@@ -8,7 +8,7 @@ use rand::SeedableRng;
 
 use emr_core::conditions::{self, PivotPolicy, SegmentSize};
 use emr_core::{Model, Scenario};
-use emr_fault::{inject, reach, Workspace};
+use emr_fault::{inject, reach};
 use emr_mesh::{Coord, Mesh};
 
 fn bench_conditions(c: &mut Criterion) {
@@ -47,11 +47,8 @@ fn bench_conditions(c: &mut Criterion) {
         b.iter(|| conditions::strategy4(&view, s, d))
     });
     // The global-information baseline the paper's conditions avoid.
-    let mut ws = Workspace::new();
     group.bench_function("wang_oracle_dp", |b| {
-        b.iter(|| {
-            reach::minimal_path_exists_with(&mesh, s, d, |c| view.is_obstacle(c, s, d), &mut ws)
-        })
+        b.iter(|| reach::minimal_path_exists(&mesh, s, d, |c| view.is_obstacle(c, s, d)))
     });
     group.finish();
 }

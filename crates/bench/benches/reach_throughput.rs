@@ -12,9 +12,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use emr_fault::reach::minimal_path_exists_with;
-use emr_fault::reach_bits::{minimal_path_exists_bits_with, ReachMap};
-use emr_fault::{inject, FaultSet, Workspace};
+use emr_fault::reach::minimal_path_exists;
+use emr_fault::reach_bits::{minimal_path_exists_bits, ReachMap};
+use emr_fault::{inject, FaultSet};
 use emr_mesh::{Coord, Mesh};
 
 /// One scenario per mesh size: faults equal to the side length (the
@@ -37,7 +37,6 @@ fn scenarios() -> Vec<(i32, Mesh, Coord, FaultSet, Vec<Coord>)> {
 
 fn bench_reach(c: &mut Criterion) {
     let scenarios = scenarios();
-    let mut ws = Workspace::new();
     let mut group = c.benchmark_group("reach_throughput");
     for (n, mesh, source, faults, dests) in &scenarios {
         let blocked = |c: Coord| faults.is_faulty(c);
@@ -46,7 +45,7 @@ fn bench_reach(c: &mut Criterion) {
             b.iter(|| {
                 let d = dests[i % dests.len()];
                 i += 1;
-                minimal_path_exists_with(mesh, *source, d, blocked, &mut ws)
+                minimal_path_exists(mesh, *source, d, blocked)
             });
         });
         group.bench_with_input(BenchmarkId::new("bits_pair", n), n, |b, _| {
@@ -54,11 +53,11 @@ fn bench_reach(c: &mut Criterion) {
             b.iter(|| {
                 let d = dests[i % dests.len()];
                 i += 1;
-                minimal_path_exists_bits_with(mesh, *source, d, blocked, &mut ws)
+                minimal_path_exists_bits(mesh, *source, d, blocked)
             });
         });
         group.bench_with_input(BenchmarkId::new("reach_map_build", n), n, |b, _| {
-            b.iter(|| ReachMap::from_source_with(mesh, *source, blocked, &mut ws));
+            b.iter(|| ReachMap::from_source(mesh, *source, blocked));
         });
     }
     group.finish();

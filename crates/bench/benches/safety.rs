@@ -6,13 +6,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use emr_core::{BoundaryMap, SafetyMap, Scenario};
-use emr_fault::{inject, Workspace};
+use emr_fault::inject;
 use emr_mesh::{Grid, Mesh};
 
 fn bench_safety(c: &mut Criterion) {
     let mesh = Mesh::square(200);
-    // One scratch workspace for the whole run, as the sweep workers use it.
-    let mut ws = Workspace::new();
     let mut group = c.benchmark_group("information_model");
     for k in [50usize, 200] {
         let mut rng = StdRng::seed_from_u64(k as u64);
@@ -20,7 +18,7 @@ fn bench_safety(c: &mut Criterion) {
         let scenario = Scenario::build(faults.clone());
         let blocked = Grid::from_fn(mesh, |c| scenario.blocks().is_blocked(c));
         group.bench_with_input(BenchmarkId::new("safety_map", k), &blocked, |b, g| {
-            b.iter(|| SafetyMap::compute_with(g, &mut ws));
+            b.iter(|| SafetyMap::compute(g));
         });
         let rects = scenario.blocks().rects();
         group.bench_with_input(
@@ -31,7 +29,7 @@ fn bench_safety(c: &mut Criterion) {
             },
         );
         group.bench_with_input(BenchmarkId::new("scenario_build", k), &faults, |b, f| {
-            b.iter(|| Scenario::build_with(f.clone(), &mut ws));
+            b.iter(|| Scenario::build(f.clone()));
         });
     }
     group.finish();

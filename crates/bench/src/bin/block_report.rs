@@ -22,7 +22,7 @@ use rand::SeedableRng;
 use serde::Serialize;
 
 use emr_core::SafetyMap;
-use emr_fault::{inject, BlockMap, MccMap, MccType, Workspace};
+use emr_fault::{inject, BlockMap, MccMap, MccType};
 use emr_mesh::{Grid, Mesh};
 
 /// One kernel's scalar-vs-bits comparison at one mesh size.
@@ -76,30 +76,30 @@ fn time_mean(mut f: impl FnMut(), min_secs: f64) -> f64 {
     }
 }
 
-fn measure_size(n: i32, seed: u64, min_secs: f64, ws: &mut Workspace) -> SizeRecord {
+fn measure_size(n: i32, seed: u64, min_secs: f64) -> SizeRecord {
     let mesh = Mesh::square(n);
     let mut rng = StdRng::seed_from_u64(seed ^ u64::try_from(n).unwrap_or(0));
     let faults = inject::uniform(mesh, n as usize, &[], &mut rng);
 
     // Cross-check before timing: every bit kernel must equal its scalar
     // ground truth on this input.
-    let blocks = BlockMap::build_with(&faults, ws);
+    let blocks = BlockMap::build(&faults);
     assert_eq!(
         blocks,
-        BlockMap::build_scalar_with(&faults, ws),
+        BlockMap::build_scalar(&faults),
         "block bits diverged (n={n})"
     );
     for ty in MccType::ALL {
         assert_eq!(
-            MccMap::build_with(&faults, ty, ws),
-            MccMap::build_scalar_with(&faults, ty, ws),
+            MccMap::build(&faults, ty),
+            MccMap::build_scalar(&faults, ty),
             "MCC {ty:?} bits diverged (n={n})"
         );
     }
     let blocked = Grid::from_fn(mesh, |c| blocks.is_blocked(c));
     assert_eq!(
-        SafetyMap::compute_packed_with(blocks.packed(), ws),
-        SafetyMap::compute_with(&blocked, ws),
+        SafetyMap::compute_packed(blocks.packed()),
+        SafetyMap::compute(&blocked),
         "safety bits diverged (n={n})"
     );
 
@@ -115,13 +115,13 @@ fn measure_size(n: i32, seed: u64, min_secs: f64, ws: &mut Workspace) -> SizeRec
 
     let scalar = time_mean(
         || {
-            black_box(BlockMap::build_scalar_with(&faults, ws));
+            black_box(BlockMap::build_scalar(&faults));
         },
         min_secs,
     );
     let bits = time_mean(
         || {
-            black_box(BlockMap::build_with(&faults, ws));
+            black_box(BlockMap::build(&faults));
         },
         min_secs,
     );
@@ -130,13 +130,13 @@ fn measure_size(n: i32, seed: u64, min_secs: f64, ws: &mut Workspace) -> SizeRec
     for (name, ty) in [("mcc-one", MccType::One), ("mcc-two", MccType::Two)] {
         let scalar = time_mean(
             || {
-                black_box(MccMap::build_scalar_with(&faults, ty, ws));
+                black_box(MccMap::build_scalar(&faults, ty));
             },
             min_secs,
         );
         let bits = time_mean(
             || {
-                black_box(MccMap::build_with(&faults, ty, ws));
+                black_box(MccMap::build(&faults, ty));
             },
             min_secs,
         );
@@ -145,13 +145,13 @@ fn measure_size(n: i32, seed: u64, min_secs: f64, ws: &mut Workspace) -> SizeRec
 
     let scalar = time_mean(
         || {
-            black_box(SafetyMap::compute_with(&blocked, ws));
+            black_box(SafetyMap::compute(&blocked));
         },
         min_secs,
     );
     let bits = time_mean(
         || {
-            black_box(SafetyMap::compute_packed_with(blocks.packed(), ws));
+            black_box(SafetyMap::compute_packed(blocks.packed()));
         },
         min_secs,
     );
@@ -205,10 +205,9 @@ fn main() {
     } else {
         (&[64, 100, 200], 0.25)
     };
-    let mut ws = Workspace::new();
     let mut records = Vec::new();
     for &n in sizes {
-        let rec = measure_size(n, seed, min_secs, &mut ws);
+        let rec = measure_size(n, seed, min_secs);
         for k in &rec.kernels {
             eprintln!(
                 "{n}x{n} {}: scalar {:.3} ms, bits {:.3} ms ({:.1}x)",

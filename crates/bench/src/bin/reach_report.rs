@@ -20,9 +20,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use emr_fault::reach::minimal_path_exists_with;
-use emr_fault::reach_bits::{minimal_path_exists_bits_with, ReachMap};
-use emr_fault::{inject, Workspace};
+use emr_fault::inject;
+use emr_fault::reach::minimal_path_exists;
+use emr_fault::reach_bits::{minimal_path_exists_bits, ReachMap};
 use emr_mesh::{Coord, Mesh};
 
 /// One mesh size's comparison.
@@ -73,7 +73,7 @@ fn time_mean(mut f: impl FnMut(), min_secs: f64) -> f64 {
     }
 }
 
-fn measure_size(n: i32, seed: u64, min_secs: f64, ws: &mut Workspace) -> SizeRecord {
+fn measure_size(n: i32, seed: u64, min_secs: f64) -> SizeRecord {
     let mesh = Mesh::square(n);
     let source = mesh.center();
     let mut rng = StdRng::seed_from_u64(seed ^ u64::try_from(n).unwrap_or(0));
@@ -81,11 +81,11 @@ fn measure_size(n: i32, seed: u64, min_secs: f64, ws: &mut Workspace) -> SizeRec
     let blocked = |c: Coord| faults.is_faulty(c);
 
     // Cross-check before timing: all three oracles must agree everywhere.
-    let map = ReachMap::from_source_with(&mesh, source, blocked, ws);
+    let map = ReachMap::from_source(&mesh, source, blocked);
     let mut reference = 0usize;
     for d in mesh.nodes() {
-        let scalar = minimal_path_exists_with(&mesh, source, d, blocked, ws);
-        let bits = minimal_path_exists_bits_with(&mesh, source, d, blocked, ws);
+        let scalar = minimal_path_exists(&mesh, source, d, blocked);
+        let bits = minimal_path_exists_bits(&mesh, source, d, blocked);
         assert_eq!(scalar, bits, "bit-parallel diverged at {d} (n={n})");
         assert_eq!(scalar, map.reachable(d), "ReachMap diverged at {d} (n={n})");
         reference += usize::from(scalar);
@@ -98,7 +98,7 @@ fn measure_size(n: i32, seed: u64, min_secs: f64, ws: &mut Workspace) -> SizeRec
         || {
             count = mesh
                 .nodes()
-                .filter(|&d| minimal_path_exists_with(&mesh, source, d, blocked, ws))
+                .filter(|&d| minimal_path_exists(&mesh, source, d, blocked))
                 .count();
         },
         min_secs,
@@ -108,7 +108,7 @@ fn measure_size(n: i32, seed: u64, min_secs: f64, ws: &mut Workspace) -> SizeRec
         || {
             count = mesh
                 .nodes()
-                .filter(|&d| minimal_path_exists_bits_with(&mesh, source, d, blocked, ws))
+                .filter(|&d| minimal_path_exists_bits(&mesh, source, d, blocked))
                 .count();
         },
         min_secs,
@@ -116,7 +116,7 @@ fn measure_size(n: i32, seed: u64, min_secs: f64, ws: &mut Workspace) -> SizeRec
     assert_eq!(count, reference);
     let batched_pass = time_mean(
         || {
-            let map = ReachMap::from_source_with(&mesh, source, blocked, ws);
+            let map = ReachMap::from_source(&mesh, source, blocked);
             count = mesh.nodes().filter(|&d| map.reachable(d)).count();
         },
         min_secs,
@@ -176,10 +176,9 @@ fn main() {
     } else {
         (&[64, 100, 200], 0.25)
     };
-    let mut ws = Workspace::new();
     let mut records = Vec::new();
     for &n in sizes {
-        let rec = measure_size(n, seed, min_secs, &mut ws);
+        let rec = measure_size(n, seed, min_secs);
         eprintln!(
             "{n}x{n}: scalar {:.2} ms, bits {:.2} ms ({:.1}x), batched {:.3} ms ({:.1}x)",
             rec.scalar_pair_ms,

@@ -14,7 +14,7 @@
 //!
 //! * [`spec`] — single-seed scenario expansion (splitmix64 derivation),
 //! * [`oracles`] — the declarative oracle table ([`oracles::ORACLES`]),
-//! * [`shrink`] — greedy counterexample minimization,
+//! * [`mod@shrink`] — greedy counterexample minimization,
 //! * [`runner`] — the deterministic multi-threaded sweep,
 //! * [`report`] — JSON reports and repro files.
 //!

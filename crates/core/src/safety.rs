@@ -3,7 +3,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use emr_distsim::protocols::{esl, EslTuple};
-use emr_fault::workspace::{with_scratch, Workspace};
+use emr_fault::workspace::with_scratch;
 use emr_fault::{BlockMap, MccMap};
 use emr_mesh::{
     BitGrid, Coord, Direction, Dist, Frame, Grid, LaneIndex, MemBytes, Mesh, Rect, UNBOUNDED,
@@ -146,19 +146,16 @@ pub struct SafetyMap {
 }
 
 impl SafetyMap {
-    /// Computes the safety levels for an arbitrary obstacle grid.
+    /// Computes the safety levels for an arbitrary obstacle grid — the
+    /// scalar ESL sweep, kept as the ground truth the packed kernel is
+    /// tested against.
     pub fn compute(blocked: &Grid<bool>) -> SafetyMap {
-        with_scratch(|ws| SafetyMap::compute_with(blocked, ws))
-    }
-
-    /// [`SafetyMap::compute`] reusing a caller-owned scratch
-    /// [`Workspace`] for the directional-sweep tuple grid (the level map
-    /// itself is part of the result and always allocated).
-    pub fn compute_with(blocked: &Grid<bool>, ws: &mut Workspace) -> SafetyMap {
-        esl::compute_global_into(blocked, &mut ws.tuples);
-        SafetyMap {
-            repr: Repr::Dense(ws.tuples.map(|&t| SafetyLevel::from_tuple(t))),
-        }
+        with_scratch(|ws| {
+            esl::compute_global_into(blocked, &mut ws.tuples);
+            SafetyMap {
+                repr: Repr::Dense(ws.tuples.map(|&t| SafetyLevel::from_tuple(t))),
+            }
+        })
     }
 
     /// Computes the safety levels from a packed obstacle grid.
@@ -171,67 +168,60 @@ impl SafetyMap {
     /// N/S lanes reuse the same row kernel over a 64×64 bit-transposed
     /// copy of the grid. The scalar [`SafetyMap::compute`] stays the
     /// ground truth; the `safety-bits-matches-scalar` conform oracle and
-    /// the in-crate differential tests pin the equivalence.
+    /// the in-crate differential tests pin the equivalence. This is
+    /// [`SafetyMap::compute_packed_banded`] with one band.
     pub fn compute_packed(blocked: &BitGrid) -> SafetyMap {
-        with_scratch(|ws| SafetyMap::compute_packed_with(blocked, ws))
+        SafetyMap::compute_packed_banded(blocked, 1)
     }
 
-    /// [`SafetyMap::compute_packed`] reusing a caller-owned scratch
-    /// [`Workspace`] for the transposed obstacle plane.
-    // emr-lint: allow(A1, "workspace buffers are resized to the mesh at entry; every cursor stays inside them")
-    pub fn compute_packed_with(blocked: &BitGrid, ws: &mut Workspace) -> SafetyMap {
+    /// [`SafetyMap::compute_packed`] filling the dense level grid in
+    /// `bands` horizontal bands of whole rows on scoped threads; `bands`
+    /// is clamped to the mesh height.
+    ///
+    /// One band sweeps the packed rows, then the columns of a transposed
+    /// copy held in this thread's scratch workspace. With more bands,
+    /// each band is independent — East/West entries come straight off
+    /// its own packed rows, and North/South entries off per-column
+    /// cursors into a shared [`LaneIndex`] of the obstacles (a column's
+    /// nearest-obstacle distances need only the sorted obstacle rows of
+    /// that column, not the rows of other bands) — so the result is
+    /// bit-identical for every band count
+    /// (`banded_compute_matches_scalar_for_every_band_count` and the
+    /// `tiled-matches-scalar` conform oracle pin this).
+    // emr-lint: allow(A1, "scratch planes are resized to the mesh at entry and band bounds are clamped to it, so every cursor stays inside them")
+    pub fn compute_packed_banded(blocked: &BitGrid, bands: usize) -> SafetyMap {
         let mesh = blocked.mesh();
-        let mut levels = Grid::new(mesh, SafetyLevel::UNBOUNDED);
+        let height = usize::try_from(mesh.height()).unwrap_or(1);
+        let rows_per_band = height.div_ceil(bands.clamp(1, height));
         let width = usize::try_from(mesh.width()).unwrap_or(0);
-        {
+        let mut levels = Grid::new(mesh, SafetyLevel::UNBOUNDED);
+        if height.div_ceil(rows_per_band) == 1 {
             let slice = levels.as_mut_slice();
             for y in 0..mesh.height() {
                 let base = usize::try_from(y).unwrap_or(0) * width;
                 sweep_row_packed(blocked.row(y), &mut slice[base..base + width], true);
             }
-            let transposed = &mut ws.bits_a;
-            blocked.transpose_into(transposed);
-            for x in 0..mesh.width() {
-                let xi = usize::try_from(x).unwrap_or(0);
-                sweep_col_packed(transposed.row(x), slice, xi, width, true);
-            }
+            with_scratch(|ws| {
+                let transposed = &mut ws.bits_a;
+                blocked.transpose_into(transposed);
+                for x in 0..mesh.width() {
+                    let xi = usize::try_from(x).unwrap_or(0);
+                    sweep_col_packed(transposed.row(x), slice, xi, width, true);
+                }
+            });
+        } else {
+            let lanes = LaneIndex::from_packed(blocked);
+            std::thread::scope(|s| {
+                for (b, band) in levels
+                    .as_mut_slice()
+                    .chunks_mut(rows_per_band * width)
+                    .enumerate()
+                {
+                    let lanes = &lanes;
+                    s.spawn(move || fill_band(blocked, lanes, band, b * rows_per_band, width));
+                }
+            });
         }
-        SafetyMap {
-            repr: Repr::Dense(levels),
-        }
-    }
-
-    /// The banded form of [`SafetyMap::compute_packed`]: fills the dense
-    /// level grid in horizontal bands of whole rows on scoped threads.
-    ///
-    /// Bands are independent — East/West entries come straight off each
-    /// band's own packed rows, and North/South entries off per-column
-    /// cursors into a shared [`LaneIndex`] of the obstacles (a column's
-    /// nearest-obstacle distances need only the sorted obstacle rows of
-    /// that column, not the rows of other bands) — so the result is
-    /// bit-identical to the sequential kernel for every band count,
-    /// including 1 (`banded_compute_matches_scalar_for_every_band_count`
-    /// and the `tiled-matches-scalar` conform oracle pin this).
-    pub fn compute_packed_banded(blocked: &BitGrid, bands: usize) -> SafetyMap {
-        let mesh = blocked.mesh();
-        let height = usize::try_from(mesh.height()).unwrap_or(1);
-        let rows_per_band = height.div_ceil(bands.clamp(1, height));
-        if height.div_ceil(rows_per_band) == 1 {
-            return SafetyMap::compute_packed(blocked);
-        }
-        let lanes = LaneIndex::from_packed(blocked);
-        let width = usize::try_from(mesh.width()).unwrap_or(0);
-        let mut levels = Grid::new(mesh, SafetyLevel::UNBOUNDED);
-        std::thread::scope(|s| {
-            for (b, band) in levels
-                .as_mut_slice()
-                .chunks_mut(rows_per_band * width)
-                .enumerate()
-            {
-                let lanes = &lanes;
-                s.spawn(move || fill_band(blocked, lanes, band, b * rows_per_band, width));
-            }
-        });
         SafetyMap {
             repr: Repr::Dense(levels),
         }
@@ -255,22 +245,12 @@ impl SafetyMap {
 
     /// Computes the safety levels under the faulty-block model.
     pub fn for_blocks(blocks: &BlockMap) -> SafetyMap {
-        with_scratch(|ws| SafetyMap::for_blocks_with(blocks, ws))
-    }
-
-    /// [`SafetyMap::for_blocks`] on a scratch [`Workspace`].
-    pub fn for_blocks_with(blocks: &BlockMap, ws: &mut Workspace) -> SafetyMap {
-        SafetyMap::compute_packed_with(blocks.packed(), ws)
+        SafetyMap::compute_packed(blocks.packed())
     }
 
     /// Computes the safety levels under one MCC labeling.
     pub fn for_mcc(mcc: &MccMap) -> SafetyMap {
-        with_scratch(|ws| SafetyMap::for_mcc_with(mcc, ws))
-    }
-
-    /// [`SafetyMap::for_mcc`] on a scratch [`Workspace`].
-    pub fn for_mcc_with(mcc: &MccMap, ws: &mut Workspace) -> SafetyMap {
-        SafetyMap::compute_packed_with(mcc.packed(), ws)
+        SafetyMap::compute_packed(mcc.packed())
     }
 
     /// The mesh covered.
@@ -302,46 +282,16 @@ impl SafetyMap {
     /// membership change confined to `changed` it suffices to resweep the
     /// E/W lanes of the changed rows and the N/S lanes of the changed
     /// columns — `O((w + h) · diameter)` instead of a full `O(w · h)`
-    /// rebuild. The result is bit-identical to recomputing from scratch
-    /// (property-tested and oracle-checked in `emr-conform`).
-    ///
-    /// `is_blocked` must be the *post-change* obstacle predicate for the
-    /// whole mesh; `changed` must contain every node whose blocked status
-    /// flipped (extra area is harmless, just slower).
-    pub fn resweep_rect(&mut self, is_blocked: impl Fn(Coord) -> bool, changed: Rect) {
-        let mesh = self.mesh();
-        match &mut self.repr {
-            Repr::Dense(levels) => {
-                for dir in Direction::ALL {
-                    let (lo, hi) = if dir.is_horizontal() {
-                        (
-                            changed.y_min().max(0),
-                            changed.y_max().min(mesh.height() - 1),
-                        )
-                    } else {
-                        (
-                            changed.x_min().max(0),
-                            changed.x_max().min(mesh.width() - 1),
-                        )
-                    };
-                    for lane in lo..=hi {
-                        sweep_lane(levels, &is_blocked, dir, lane);
-                    }
-                }
-            }
-            Repr::Lean(lanes) => lanes.refresh_rect_with(is_blocked, clip_rect(changed, mesh)),
-        }
-    }
-
-    /// [`SafetyMap::resweep_rect`] from a packed obstacle grid: the E/W
-    /// lanes of the changed rows come straight off the packed rows, the
-    /// N/S lanes off per-column bit gathers — no predicate calls. The
-    /// lane kernels run in overwrite mode, explicitly restoring `∞` on
-    /// blocked nodes and cleared run tails, so the result is
-    /// bit-identical to a from-scratch [`SafetyMap::compute_packed`].
+    /// rebuild. The E/W lanes come straight off the packed rows, the N/S
+    /// lanes off per-column bit gathers — no predicate calls. The lane
+    /// kernels run in overwrite mode, explicitly restoring `∞` on blocked
+    /// nodes and cleared run tails, so the result is bit-identical to a
+    /// from-scratch [`SafetyMap::compute_packed`] (property-tested and
+    /// oracle-checked in `emr-conform`).
     ///
     /// `packed` must be the *post-change* obstacle grid for the whole
-    /// mesh; `changed` must contain every flipped node.
+    /// mesh; `changed` must contain every flipped node (extra area is
+    /// harmless, just slower).
     pub fn resweep_rect_packed(&mut self, packed: &BitGrid, changed: Rect) {
         let mesh = self.mesh();
         debug_assert_eq!(mesh, packed.mesh(), "packed grid covers another mesh");
@@ -402,8 +352,8 @@ impl MemBytes for SafetyMap {
     }
 }
 
-/// `rect` intersected with `mesh`'s bounds (the resweep entry points
-/// accept rects that overhang the mesh edge; the lane refreshes do not).
+/// `rect` intersected with `mesh`'s bounds (the resweep accepts rects
+/// that overhang the mesh edge; the lane refresh does not).
 fn clip_rect(rect: Rect, mesh: Mesh) -> Rect {
     Rect::new(
         rect.x_min().max(0),
@@ -446,50 +396,6 @@ fn lean_level(lanes: &LaneIndex, c: Coord) -> SafetyLevel {
         dists[Direction::South.index()] = y - col[ci - 1];
     }
     SafetyLevel { dists }
-}
-
-/// Recomputes the `dir` entries of one lane (a row for horizontal
-/// directions, a column for vertical ones), mirroring the walk order
-/// of `esl::compute_global_into`. Blocked nodes get their swept entry
-/// reset to `∞`, matching the full sweep, which never writes them and
-/// leaves the `ESL_DEFAULT` fill.
-fn sweep_lane(
-    levels: &mut Grid<SafetyLevel>,
-    is_blocked: &impl Fn(Coord) -> bool,
-    dir: Direction,
-    lane: i32,
-) {
-    let mesh = levels.mesh();
-    let horizontal = dir.is_horizontal();
-    let len = if horizontal {
-        mesh.width()
-    } else {
-        mesh.height()
-    };
-    let mut dist = UNBOUNDED;
-    for i in 0..len {
-        // Walk starting from the `dir` end of the lane.
-        let along = match dir {
-            Direction::East => mesh.width() - 1 - i,
-            Direction::West => i,
-            Direction::North => mesh.height() - 1 - i,
-            Direction::South => i,
-        };
-        let c = if horizontal {
-            Coord::new(along, lane)
-        } else {
-            Coord::new(lane, along)
-        };
-        if is_blocked(c) {
-            dist = 0;
-            levels[c].dists[dir.index()] = UNBOUNDED;
-        } else {
-            if dist != UNBOUNDED {
-                dist += 1;
-            }
-            levels[c].dists[dir.index()] = dist;
-        }
-    }
 }
 
 /// Fills one row band of the dense level grid for
@@ -713,29 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn resweep_matches_full_recompute() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        for (w, h) in [(8, 8), (1, 9), (11, 3)] {
-            let mesh = Mesh::new(w, h);
-            for seed in 0..10u64 {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut faults = FaultSet::new(mesh);
-                let mut blocks = BlockMap::build(&faults);
-                let mut map = SafetyMap::for_blocks(&blocks);
-                for _ in 0..(w * h / 5).clamp(2, 12) {
-                    let c = Coord::new(rng.gen_range(0..w), rng.gen_range(0..h));
-                    faults.insert(c);
-                    let rect = blocks.insert_fault(c);
-                    map.resweep_rect(|v| blocks.is_blocked(v), rect);
-                    let full = SafetyMap::for_blocks(&blocks);
-                    assert_eq!(map, full, "{w}x{h} seed {seed} after {c}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn packed_compute_matches_scalar() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -857,15 +740,12 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut blocks = BlockMap::build(&FaultSet::new(mesh));
                 let mut packed_swept = SafetyMap::compute_packed_lean(blocks.packed());
-                let mut pred_swept = SafetyMap::compute_packed_lean(blocks.packed());
                 for _ in 0..(w * h / 5).clamp(2, 10) {
                     let c = Coord::new(rng.gen_range(0..w), rng.gen_range(0..h));
                     let rect = blocks.insert_fault(c);
                     packed_swept.resweep_rect_packed(blocks.packed(), rect);
-                    pred_swept.resweep_rect(|v| blocks.is_blocked(v), rect);
                     let fresh = SafetyMap::compute_packed_lean(blocks.packed());
                     assert_eq!(packed_swept, fresh, "{w}x{h} seed {seed} after {c}");
-                    assert_eq!(pred_swept, fresh, "{w}x{h} seed {seed} after {c}");
                     // And the lean state agrees with the dense truth.
                     assert_eq!(packed_swept, SafetyMap::compute_packed(blocks.packed()));
                 }

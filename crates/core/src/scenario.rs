@@ -106,34 +106,13 @@ impl Scenario {
         Scenario::build_profiled(faults, profile)
     }
 
-    /// [`Scenario::build`] reusing a caller-owned scratch
-    /// [`emr_fault::Workspace`] for the eager block formation. The lazy
-    /// maps cannot borrow the workspace (they initialize at arbitrary
-    /// later call sites), so they fall back to the thread-local scratch.
-    pub fn build_with(faults: FaultSet, ws: &mut emr_fault::Workspace) -> Scenario {
-        let profile = BuildProfile::auto(faults.mesh());
-        Scenario::build_profiled_with(faults, profile, ws)
-    }
-
-    /// Decomposes a fault set under an explicit [`BuildProfile`].
+    /// Decomposes a fault set under an explicit [`BuildProfile`]. Every
+    /// map, eager or lazy, borrows the building thread's scratch
+    /// workspace.
     pub fn build_profiled(faults: FaultSet, profile: BuildProfile) -> Scenario {
-        emr_fault::workspace::with_scratch(|ws| Scenario::build_profiled_with(faults, profile, ws))
-    }
-
-    /// [`Scenario::build_profiled`] on a caller-owned scratch workspace.
-    pub fn build_profiled_with(
-        faults: FaultSet,
-        profile: BuildProfile,
-        ws: &mut emr_fault::Workspace,
-    ) -> Scenario {
-        let blocks = if profile.bands > 1 {
-            BlockMap::build_banded(&faults, profile.bands)
-        } else {
-            BlockMap::build_with(&faults, ws)
-        };
         Scenario {
+            blocks: BlockMap::build_banded(&faults, profile.bands),
             faults,
-            blocks,
             profile,
             mcc: [OnceLock::new(), OnceLock::new()],
             block_safety: OnceLock::new(),
@@ -150,10 +129,8 @@ impl Scenario {
     fn safety_for(&self, packed: &emr_mesh::BitGrid) -> SafetyMap {
         if self.profile.lean_safety {
             SafetyMap::compute_packed_lean(packed)
-        } else if self.profile.bands > 1 {
-            SafetyMap::compute_packed_banded(packed, self.profile.bands)
         } else {
-            SafetyMap::compute_packed(packed)
+            SafetyMap::compute_packed_banded(packed, self.profile.bands)
         }
     }
 
@@ -253,13 +230,8 @@ impl Scenario {
     /// The MCC decomposition for one labeling type (built on first use).
     // emr-lint: allow(A1, "mcc_index maps the two labeling types to 0 and 1, matching the two-slot arrays")
     pub fn mcc(&self, ty: MccType) -> &MccMap {
-        self.mcc[mcc_index(ty)].get_or_init(|| {
-            if self.profile.bands > 1 {
-                MccMap::build_banded(&self.faults, ty, self.profile.bands)
-            } else {
-                MccMap::build(&self.faults, ty)
-            }
-        })
+        self.mcc[mcc_index(ty)]
+            .get_or_init(|| MccMap::build_banded(&self.faults, ty, self.profile.bands))
     }
 
     /// A view of this scenario under one fault model; most conditions and

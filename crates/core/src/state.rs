@@ -11,7 +11,7 @@
 //!   disturbance ([`emr_fault::BlockMap::insert_fault`],
 //!   [`emr_fault::MccMap::insert_fault`]),
 //! * the safety maps resweep only the lanes crossing the changed
-//!   rectangles ([`crate::SafetyMap::resweep_rect`]),
+//!   rectangles ([`crate::SafetyMap::resweep_rect_packed`]),
 //! * boundary maps and per-pair routing decisions are cached under an
 //!   epoch tag and recomputed only when actually invalidated — unaffected
 //!   `(s, d)` work survives an epoch bump ([`DecisionCache`]).

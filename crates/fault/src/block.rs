@@ -95,34 +95,26 @@ impl BlockMap {
     /// faulty neighbors in different dimensions"). Off-mesh positions count
     /// as healthy.
     ///
-    /// Runs the word-parallel fix-point of [`crate::block_bits`]; the
+    /// Runs the word-parallel fix-point of the `block_bits` kernel; the
     /// scalar worklist survives as [`BlockMap::build_scalar`], the
     /// differential anchor (`conform` oracle `block-bits-matches-scalar`
-    /// pins the equivalence).
+    /// pins the equivalence). This is [`BlockMap::build_banded`] with one band.
     pub fn build(faults: &FaultSet) -> BlockMap {
-        with_scratch(|ws| BlockMap::build_with(faults, ws))
-    }
-
-    /// [`BlockMap::build`] reusing a caller-owned scratch [`Workspace`]
-    /// for the fix-point row buffers (the per-node state grid is part of
-    /// the returned map and always allocated).
-    pub fn build_with(faults: &FaultSet, ws: &mut Workspace) -> BlockMap {
-        let mut packed = faults.packed().clone();
-        block_bits::disable_fixpoint(&mut packed, &mut ws.row_open, &mut ws.row_cur);
-        BlockMap::decode(packed, faults)
+        BlockMap::build_banded(faults, 1)
     }
 
     /// [`BlockMap::build`] with the fix-point split into `bands`
     /// horizontal row bands relaxed on scoped threads — intra-mesh
     /// parallelism for giant meshes, where one build dominates a trial.
-    /// The result is bit-identical to [`BlockMap::build`] for every band
-    /// count (the fix-point is unique; see
-    /// `crate::block_bits::disable_fixpoint_banded` for the argument);
+    /// The result is bit-identical for every band count (the fix-point is
+    /// unique; see `block_bits::disable_fixpoint` for the argument);
     /// `bands` is clamped to the mesh height, and 1 band runs the
-    /// sequential kernel without spawning.
+    /// sequential sweep on this thread's scratch rows without spawning.
     pub fn build_banded(faults: &FaultSet, bands: usize) -> BlockMap {
         let mut packed = faults.packed().clone();
-        block_bits::disable_fixpoint_banded(&mut packed, bands);
+        with_scratch(|ws| {
+            block_bits::disable_fixpoint(&mut packed, bands, &mut ws.row_open, &mut ws.row_cur);
+        });
         BlockMap::decode(packed, faults)
     }
 
@@ -171,12 +163,6 @@ impl BlockMap {
     /// against. Produces a structurally identical map (same states, same
     /// blocks in the same order).
     pub fn build_scalar(faults: &FaultSet) -> BlockMap {
-        with_scratch(|ws| BlockMap::build_scalar_with(faults, ws))
-    }
-
-    /// [`BlockMap::build_scalar`] reusing a caller-owned scratch
-    /// [`Workspace`] for the worklist and component-extraction buffers.
-    pub fn build_scalar_with(faults: &FaultSet, ws: &mut Workspace) -> BlockMap {
         let mesh = faults.mesh();
         let mut state = Grid::from_fn(mesh, |c| {
             if faults.is_faulty(c) {
@@ -186,25 +172,28 @@ impl BlockMap {
             }
         });
 
-        // Worklist fix-point: whenever a node turns faulty/disabled its
-        // enabled neighbors become candidates.
-        let queue = &mut ws.queue;
-        queue.clear();
-        queue.extend(faults.iter().flat_map(|f| mesh.neighbors(f)));
-        while let Some(u) = queue.pop_front() {
-            if state[u] != NodeState::Enabled {
-                continue;
+        let blocks = with_scratch(|ws| {
+            // Worklist fix-point: whenever a node turns faulty/disabled
+            // its enabled neighbors become candidates.
+            let queue = &mut ws.queue;
+            queue.clear();
+            queue.extend(faults.iter().flat_map(|f| mesh.neighbors(f)));
+            while let Some(u) = queue.pop_front() {
+                if state[u] != NodeState::Enabled {
+                    continue;
+                }
+                let blocked = |c: Coord| state.get(c).is_some_and(|s| s.is_blocked());
+                let x_blocked =
+                    blocked(u.step(Direction::East)) || blocked(u.step(Direction::West));
+                let y_blocked =
+                    blocked(u.step(Direction::North)) || blocked(u.step(Direction::South));
+                if x_blocked && y_blocked {
+                    state[u] = NodeState::Disabled;
+                    queue.extend(mesh.neighbors(u));
+                }
             }
-            let blocked = |c: Coord| state.get(c).is_some_and(|s| s.is_blocked());
-            let x_blocked = blocked(u.step(Direction::East)) || blocked(u.step(Direction::West));
-            let y_blocked = blocked(u.step(Direction::North)) || blocked(u.step(Direction::South));
-            if x_blocked && y_blocked {
-                state[u] = NodeState::Disabled;
-                queue.extend(mesh.neighbors(u));
-            }
-        }
-
-        let blocks = extract_blocks(mesh, &state, ws);
+            extract_blocks(mesh, &state, ws)
+        });
         let packed = BitGrid::from_blocked(mesh, |c| state[c].is_blocked());
         let rects = blocks.iter().map(|b| b.rect).collect();
         let map = BlockMap {

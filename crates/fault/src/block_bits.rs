@@ -33,30 +33,6 @@ use emr_mesh::{BitGrid, Rect};
 
 use crate::reach_bits::{reach_row, reach_row_west, shift_east_row};
 
-/// Runs the Definition-1 disable fix-point on `cur` in place: on entry
-/// `cur` holds the faulty bits, on exit the blocked (faulty ∪ disabled)
-/// bits. `elig` and `seeds` are row-sized scratch buffers.
-pub(crate) fn disable_fixpoint(cur: &mut BitGrid, elig: &mut Vec<u64>, seeds: &mut Vec<u64>) {
-    let height = cur.mesh().height();
-    let wpr = cur.words_per_row();
-    elig.clear();
-    elig.resize(wpr, 0);
-    seeds.clear();
-    seeds.resize(wpr, 0);
-    let mut descending = false;
-    loop {
-        let mut changed = false;
-        for step in 0..height {
-            let y = if descending { height - 1 - step } else { step };
-            changed |= relax_row(cur, y, elig, seeds);
-        }
-        if !changed {
-            break;
-        }
-        descending = !descending;
-    }
-}
-
 /// One row relaxation of the fix-point; returns whether any bit turned on.
 fn relax_row(cur: &mut BitGrid, y: i32, elig: &mut [u64], seeds: &mut [u64]) -> bool {
     let height = cur.mesh().height();
@@ -99,9 +75,16 @@ fn relax_row(cur: &mut BitGrid, y: i32, elig: &mut [u64], seeds: &mut [u64]) -> 
     changed
 }
 
-/// The banded form of [`disable_fixpoint`]: splits the grid into
-/// horizontal bands of whole rows and relaxes the bands on scoped
-/// threads, exchanging frozen halo rows between rounds.
+/// Runs the Definition-1 disable fix-point on `cur` in place: on entry
+/// `cur` holds the faulty bits, on exit the blocked (faulty ∪ disabled)
+/// bits. `bands` is clamped to the mesh height.
+///
+/// One band sweeps the rows in alternating directions (ascending, then
+/// descending) until a full pass changes nothing, with `elig` and
+/// `seeds` as its row-sized scratch buffers. More bands split the grid
+/// into horizontal bands of whole rows relaxed on scoped threads,
+/// exchanging frozen halo rows between rounds (each band allocates its
+/// own row buffers).
 ///
 /// Each round copies every band's two out-of-band neighbor rows (the row
 /// just below and just above the band; off-mesh halos read as zero),
@@ -111,16 +94,35 @@ fn relax_row(cur: &mut BitGrid, y: i32, elig: &mut [u64], seeds: &mut [u64]) -> 
 /// stale halos are sound lower bounds (chaotic iteration of a monotone
 /// operator), and a round with no changes means every row is closed
 /// against its true neighbors — the unique least fix-point, bit-identical
-/// to [`disable_fixpoint`] and to the scalar worklist.
-pub(crate) fn disable_fixpoint_banded(cur: &mut BitGrid, bands: usize) {
+/// to the single-band sweep and to the scalar worklist.
+pub(crate) fn disable_fixpoint(
+    cur: &mut BitGrid,
+    bands: usize,
+    elig: &mut Vec<u64>,
+    seeds: &mut Vec<u64>,
+) {
     let height = cur.mesh().height() as usize;
     let wpr = cur.words_per_row();
     let rows_per_band = height.div_ceil(bands.clamp(1, height));
     let n_bands = height.div_ceil(rows_per_band);
     if n_bands == 1 {
-        let (mut elig, mut seeds) = (Vec::new(), Vec::new());
-        disable_fixpoint(cur, &mut elig, &mut seeds);
-        return;
+        let rows = cur.mesh().height();
+        elig.clear();
+        elig.resize(wpr, 0);
+        seeds.clear();
+        seeds.resize(wpr, 0);
+        let mut descending = false;
+        loop {
+            let mut changed = false;
+            for step in 0..rows {
+                let y = if descending { rows - 1 - step } else { step };
+                changed |= relax_row(cur, y, elig, seeds);
+            }
+            if !changed {
+                return;
+            }
+            descending = !descending;
+        }
     }
     // Frozen halo rows, refreshed once per round: band b reads its
     // below-neighbor from halo_lo and its above-neighbor from halo_hi.
@@ -166,7 +168,7 @@ pub(crate) fn disable_fixpoint_banded(cur: &mut BitGrid, bands: usize) {
 }
 
 /// Runs the local disable fix-point over one band of whole rows (the
-/// mirror of [`disable_fixpoint`]'s outer loop), reading out-of-band
+/// mirror of [`disable_fixpoint`]'s single-band loop), reading out-of-band
 /// vertical neighbors from the frozen `lo`/`hi` halo rows. Returns
 /// whether any bit turned on.
 fn band_fixpoint(band: &mut [u64], wpr: usize, lo: &[u64], hi: &[u64]) -> bool {

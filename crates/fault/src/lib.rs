@@ -58,4 +58,3 @@ pub use block::{BlockMap, FaultyBlock, NodeState};
 pub use fault_set::FaultSet;
 pub use mcc::{Mcc, MccMap, MccStatus, MccType};
 pub use reach_bits::ReachMap;
-pub use workspace::Workspace;

@@ -156,20 +156,28 @@ impl MccMap {
     /// fault-free, per the definition's literal reading; this keeps the
     /// labeling exact for minimal routing (property-tested against the
     /// monotone-reachability oracle).
-    /// Runs the word-parallel sweeps of [`crate::mcc_bits`]; the scalar
+    ///
+    /// Runs the word-parallel sweeps of the `mcc_bits` kernel; the scalar
     /// per-node sweep survives as [`MccMap::build_scalar`], the
     /// differential anchor (`conform` oracle `mcc-bits-matches-scalar`
-    /// pins the equivalence).
+    /// pins the equivalence). This is [`MccMap::build_banded`] with one
+    /// band.
     pub fn build(faults: &FaultSet, ty: MccType) -> MccMap {
-        with_scratch(|ws| MccMap::build_with(faults, ty, ws))
+        MccMap::build_banded(faults, ty, 1)
     }
 
-    /// [`MccMap::build`] reusing a caller-owned scratch [`Workspace`] for
-    /// the packed label planes and the component-extraction buffers.
-    pub fn build_with(faults: &FaultSet, ty: MccType, ws: &mut Workspace) -> MccMap {
+    /// [`MccMap::build`] with both label-plane sweeps split into `bands`
+    /// horizontal row bands relaxed on scoped threads — intra-mesh
+    /// parallelism for giant meshes. Bit-identical for every band count
+    /// (see `mcc_bits::label_plane` for the fix-point uniqueness
+    /// argument); `bands` is clamped to the mesh height, and 1 band runs
+    /// the sequential sweeps without spawning. The label planes, the
+    /// single-band row buffers, and the component-extraction buffers
+    /// come from this thread's scratch workspace.
+    pub fn build_banded(faults: &FaultSet, ty: MccType, bands: usize) -> MccMap {
         let mesh = faults.mesh();
         let (fwd, bwd) = type_dirs(ty);
-        let (status, useless, cant_reach, packed) = {
+        let (status, useless, cant_reach, packed, components) = with_scratch(|ws| {
             let Workspace {
                 bits_a,
                 bits_b,
@@ -177,53 +185,12 @@ impl MccMap {
                 row_cur,
                 ..
             } = ws;
-            mcc_bits::label_plane(faults.packed(), fwd, bits_a, row_open, row_cur);
-            mcc_bits::label_plane(faults.packed(), bwd, bits_b, row_open, row_cur);
-            decode_planes(faults, bits_a, bits_b)
-        };
-        let components = extract_components(mesh, &status, ws);
-        let rects = components.iter().map(|m| m.rect).collect();
-        MccMap {
-            mesh,
-            ty,
-            status,
-            packed,
-            components,
-            rects,
-            useless,
-            cant_reach,
-        }
-    }
-
-    /// [`MccMap::build`] with both label-plane sweeps split into `bands`
-    /// horizontal row bands relaxed on scoped threads — intra-mesh
-    /// parallelism for giant meshes. Bit-identical to [`MccMap::build`]
-    /// for every band count (see
-    /// `crate::mcc_bits::label_plane_banded` for the fix-point
-    /// uniqueness argument); `bands` is clamped to the mesh height, and
-    /// 1 band runs the sequential sweeps without spawning.
-    pub fn build_banded(faults: &FaultSet, ty: MccType, bands: usize) -> MccMap {
-        with_scratch(|ws| MccMap::build_banded_with(faults, ty, bands, ws))
-    }
-
-    /// [`MccMap::build_banded`] reusing a caller-owned scratch
-    /// [`Workspace`] for the packed label planes and the
-    /// component-extraction buffers.
-    pub fn build_banded_with(
-        faults: &FaultSet,
-        ty: MccType,
-        bands: usize,
-        ws: &mut Workspace,
-    ) -> MccMap {
-        let mesh = faults.mesh();
-        let (fwd, bwd) = type_dirs(ty);
-        let (status, useless, cant_reach, packed) = {
-            let Workspace { bits_a, bits_b, .. } = ws;
-            mcc_bits::label_plane_banded(faults.packed(), fwd, bits_a, bands);
-            mcc_bits::label_plane_banded(faults.packed(), bwd, bits_b, bands);
-            decode_planes(faults, bits_a, bits_b)
-        };
-        let components = extract_components(mesh, &status, ws);
+            mcc_bits::label_plane(faults.packed(), fwd, bits_a, bands, row_open, row_cur);
+            mcc_bits::label_plane(faults.packed(), bwd, bits_b, bands, row_open, row_cur);
+            let (status, useless, cant_reach, packed) = decode_planes(faults, bits_a, bits_b);
+            let components = extract_components(mesh, &status, ws);
+            (status, useless, cant_reach, packed, components)
+        });
         let rects = components.iter().map(|m| m.rect).collect();
         MccMap {
             mesh,
@@ -241,44 +208,37 @@ impl MccMap {
     /// [`MccMap::build`] is differentially tested against. Produces a
     /// structurally identical map.
     pub fn build_scalar(faults: &FaultSet, ty: MccType) -> MccMap {
-        with_scratch(|ws| MccMap::build_scalar_with(faults, ty, ws))
-    }
-
-    /// [`MccMap::build_scalar`] reusing a caller-owned scratch
-    /// [`Workspace`] for the three labeling planes and the
-    /// component-extraction buffers.
-    pub fn build_scalar_with(faults: &FaultSet, ty: MccType, ws: &mut Workspace) -> MccMap {
         let mesh = faults.mesh();
         let (fwd, bwd) = type_dirs(ty);
-
-        let Workspace {
-            mark_a: faulty,
-            mark_b: useless,
-            mark_c: cant_reach,
-            ..
-        } = ws;
-        faulty.reset(mesh, false);
-        for c in mesh.nodes() {
-            faulty[c] = faults.is_faulty(c);
-        }
-        sweep_label_into(mesh, faulty, fwd, useless);
-        sweep_label_into(mesh, faulty, bwd, cant_reach);
-
-        let status = Grid::from_fn(mesh, |c| {
-            if faulty[c] {
-                MccStatus::Faulty
-            } else if useless[c] {
-                MccStatus::Useless
-            } else if cant_reach[c] {
-                MccStatus::CantReach
-            } else {
-                MccStatus::FaultFree
+        let (status, useless, cant_reach, components) = with_scratch(|ws| {
+            let Workspace {
+                mark_a: faulty,
+                mark_b: useless,
+                mark_c: cant_reach,
+                ..
+            } = ws;
+            faulty.reset(mesh, false);
+            for c in mesh.nodes() {
+                faulty[c] = faults.is_faulty(c);
             }
-        });
+            sweep_label_into(mesh, faulty, fwd, useless);
+            sweep_label_into(mesh, faulty, bwd, cant_reach);
 
-        let useless_plane = ws.mark_b.clone();
-        let cant_reach_plane = ws.mark_c.clone();
-        let components = extract_components(mesh, &status, ws);
+            let status = Grid::from_fn(mesh, |c| {
+                if faulty[c] {
+                    MccStatus::Faulty
+                } else if useless[c] {
+                    MccStatus::Useless
+                } else if cant_reach[c] {
+                    MccStatus::CantReach
+                } else {
+                    MccStatus::FaultFree
+                }
+            });
+            let (useless, cant_reach) = (useless.clone(), cant_reach.clone());
+            let components = extract_components(mesh, &status, ws);
+            (status, useless, cant_reach, components)
+        });
         let packed = BitGrid::from_blocked(mesh, |c| status[c].is_blocked());
         let rects = components.iter().map(|m| m.rect).collect();
         MccMap {
@@ -288,8 +248,8 @@ impl MccMap {
             packed,
             components,
             rects,
-            useless: useless_plane,
-            cant_reach: cant_reach_plane,
+            useless,
+            cant_reach,
         }
     }
 

@@ -28,68 +28,14 @@ use emr_mesh::{BitGrid, Direction};
 use crate::reach_bits::{reach_row, reach_row_west, shift_east_row, shift_west_row};
 
 /// Computes one label plane into `out` (retargeted to `f`'s mesh).
-/// `dirs` holds exactly one vertical and one horizontal direction; `elig`
-/// and `seeds` are row-sized scratch buffers.
-// emr-lint: allow(A1, "word indices are bounded by words_per_row * height, the exact size of every plane buffer")
-pub(crate) fn label_plane(
-    f: &BitGrid,
-    dirs: [Direction; 2],
-    out: &mut BitGrid,
-    elig: &mut Vec<u64>,
-    seeds: &mut Vec<u64>,
-) {
-    let mesh = f.mesh();
-    out.reset(mesh);
-    let height = mesh.height();
-    let wpr = f.words_per_row();
-    elig.clear();
-    elig.resize(wpr, 0);
-    seeds.clear();
-    seeds.resize(wpr, 0);
-    // The vertical rule neighbor must be final before its dependent row:
-    // a North rule looks at y+1, so rows run top-down; South bottom-up.
-    let y_rev = dirs.contains(&Direction::North);
-    let h_east = dirs.contains(&Direction::East);
-    for yi in 0..height {
-        let y = if y_rev { height - 1 - yi } else { yi };
-        let yn = if y_rev { y + 1 } else { y - 1 };
-        if !(0..height).contains(&yn) {
-            continue; // off-mesh neighbors are fault-free: no labels
-        }
-        let frow = f.row(y);
-        // elig: not faulty, vertical neighbor faulty-or-labeled. `!frow`
-        // raises tail bits, but the neighbor rows' tails are zero.
-        for (i, e) in elig.iter_mut().enumerate() {
-            *e = !frow[i] & (f.row(yn)[i] | out.row(yn)[i]);
-        }
-        // seeds: the horizontal neighbor is faulty outright. Labeled
-        // horizontal neighbors are handled by the fill below.
-        if h_east {
-            shift_west_row(frow, seeds);
-        } else {
-            shift_east_row(frow, seeds);
-        }
-        let mut any = 0u64;
-        for (s, &e) in seeds.iter_mut().zip(elig.iter()) {
-            *s &= e;
-            any |= *s;
-        }
-        if any == 0 {
-            continue;
-        }
-        // Labels chain against the horizontal direction through elig runs.
-        if h_east {
-            reach_row_west(elig, seeds);
-        } else {
-            reach_row(elig, seeds);
-        }
-        out.row_mut(y).copy_from_slice(seeds);
-    }
-}
-
-/// The banded form of [`label_plane`]: splits `out` into horizontal
-/// bands of whole rows and labels the bands on scoped threads, repeating
-/// rounds with frozen halo rows until nothing changes.
+/// `dirs` holds exactly one vertical and one horizontal direction;
+/// `bands` is clamped to the mesh height.
+///
+/// One band sweeps the rows once in the plane's order, with `elig` and
+/// `seeds` as its row-sized scratch buffers. More bands split `out` into
+/// horizontal bands of whole rows labeled on scoped threads, repeating
+/// rounds with frozen halo rows until nothing changes (each band
+/// allocates its own row buffers).
 ///
 /// Each band sweeps its rows in the plane's order (Gauss–Seidel within
 /// the band: in-band dependency rows are already final this round) and
@@ -98,31 +44,75 @@ pub(crate) fn label_plane(
 /// grow between rounds (the rule is monotone in the neighbor row), so a
 /// round that changes nothing has every row equal to the rule applied to
 /// its true neighbor row: the unique fix-point, which induction along
-/// the sweep direction shows is exactly the single-pass [`label_plane`]
-/// result. Information crosses one band boundary per round, so at most
-/// `bands` rounds run. The skip-empty-seed shortcut stays sound under
+/// the sweep direction shows is exactly the single-band result.
+/// Information crosses one band boundary per round, so at most `bands`
+/// rounds run. The skip-empty-seed shortcut stays sound under
 /// re-relaxation because recomputed seeds are a superset of the stored
 /// row: empty seeds imply the stored row was empty too.
-// emr-lint: allow(A1, "band bounds come from row_bands_mut, so every halo and word offset stays inside the plane buffers")
-pub(crate) fn label_plane_banded(
+// emr-lint: allow(A1, "word indices are bounded by words_per_row * height, the exact size of every plane buffer, and band bounds come from row_bands_mut")
+pub(crate) fn label_plane(
     f: &BitGrid,
     dirs: [Direction; 2],
     out: &mut BitGrid,
     bands: usize,
+    elig: &mut Vec<u64>,
+    seeds: &mut Vec<u64>,
 ) {
     let mesh = f.mesh();
-    let height = mesh.height() as usize;
+    out.reset(mesh);
     let wpr = f.words_per_row();
+    // The vertical rule neighbor must be final before its dependent row:
+    // a North rule looks at y+1, so rows run top-down; South bottom-up.
+    let y_rev = dirs.contains(&Direction::North);
+    let h_east = dirs.contains(&Direction::East);
+    let height = mesh.height() as usize;
     let rows_per_band = height.div_ceil(bands.clamp(1, height));
     let n_bands = height.div_ceil(rows_per_band);
     if n_bands == 1 {
-        let (mut elig, mut seeds) = (Vec::new(), Vec::new());
-        label_plane(f, dirs, out, &mut elig, &mut seeds);
+        let rows = mesh.height();
+        elig.clear();
+        elig.resize(wpr, 0);
+        seeds.clear();
+        seeds.resize(wpr, 0);
+        for yi in 0..rows {
+            let y = if y_rev { rows - 1 - yi } else { yi };
+            let yn = if y_rev { y + 1 } else { y - 1 };
+            if !(0..rows).contains(&yn) {
+                continue; // off-mesh neighbors are fault-free: no labels
+            }
+            let frow = f.row(y);
+            // elig: not faulty, vertical neighbor faulty-or-labeled.
+            // `!frow` raises tail bits, but the neighbor rows' tails are
+            // zero.
+            for (i, e) in elig.iter_mut().enumerate() {
+                *e = !frow[i] & (f.row(yn)[i] | out.row(yn)[i]);
+            }
+            // seeds: the horizontal neighbor is faulty outright. Labeled
+            // horizontal neighbors are handled by the fill below.
+            if h_east {
+                shift_west_row(frow, seeds);
+            } else {
+                shift_east_row(frow, seeds);
+            }
+            let mut any = 0u64;
+            for (s, &e) in seeds.iter_mut().zip(elig.iter()) {
+                *s &= e;
+                any |= *s;
+            }
+            if any == 0 {
+                continue;
+            }
+            // Labels chain against the horizontal direction through elig
+            // runs.
+            if h_east {
+                reach_row_west(elig, seeds);
+            } else {
+                reach_row(elig, seeds);
+            }
+            out.row_mut(y).copy_from_slice(seeds);
+        }
         return;
     }
-    out.reset(mesh);
-    let y_rev = dirs.contains(&Direction::North);
-    let h_east = dirs.contains(&Direction::East);
     // One frozen dependency halo row per band per round.
     let mut halo = vec![0u64; n_bands * wpr];
     loop {
@@ -169,8 +159,9 @@ pub(crate) fn label_plane_banded(
 }
 
 /// One round of label relaxation over one band of whole rows; the
-/// per-row body mirrors [`label_plane`], with the out-of-band dependency
-/// row read from `halo`. Returns whether any row changed.
+/// per-row body mirrors [`label_plane`]'s single-band sweep, with the
+/// out-of-band dependency row read from `halo`. Returns whether any row
+/// changed.
 // emr-lint: allow(A1, "the band label loop only touches rows y0..y1 handed to it by the banded driver")
 fn label_band(
     f: &BitGrid,
@@ -249,6 +240,7 @@ mod tests {
             &f,
             [Direction::North, Direction::East],
             &mut out,
+            1,
             &mut a,
             &mut b,
         );
@@ -259,6 +251,7 @@ mod tests {
             &f,
             [Direction::North, Direction::West],
             &mut out,
+            1,
             &mut a,
             &mut b,
         );
@@ -279,6 +272,7 @@ mod tests {
             &f,
             [Direction::North, Direction::East],
             &mut out,
+            1,
             &mut a,
             &mut b,
         );
@@ -289,6 +283,7 @@ mod tests {
             &f,
             [Direction::South, Direction::West],
             &mut out,
+            1,
             &mut a,
             &mut b,
         );

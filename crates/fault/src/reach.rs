@@ -37,21 +37,11 @@ pub fn minimal_path_exists(
     d: Coord,
     blocked: impl Fn(Coord) -> bool,
 ) -> bool {
-    with_scratch(|ws| minimal_path_exists_with(mesh, s, d, blocked, ws))
-}
-
-/// [`minimal_path_exists`] reusing a caller-owned scratch [`Workspace`]
-/// for the DP table.
-pub fn minimal_path_exists_with(
-    mesh: &Mesh,
-    s: Coord,
-    d: Coord,
-    blocked: impl Fn(Coord) -> bool,
-    ws: &mut Workspace,
-) -> bool {
-    reach_table_into(mesh, s, d, &blocked, &mut ws.table).is_some_and(|frame| {
-        let rd = frame.to_rel(d);
-        ws.table[Coord::new(rd.x, rd.y)]
+    with_scratch(|ws| {
+        reach_table_into(mesh, s, d, &blocked, &mut ws.table).is_some_and(|frame| {
+            let rd = frame.to_rel(d);
+            ws.table[Coord::new(rd.x, rd.y)]
+        })
     })
 }
 
@@ -64,39 +54,30 @@ pub fn minimal_path(
     d: Coord,
     blocked: impl Fn(Coord) -> bool,
 ) -> Option<Path> {
-    with_scratch(|ws| minimal_path_with(mesh, s, d, blocked, ws))
-}
-
-/// [`minimal_path`] reusing a caller-owned scratch [`Workspace`] for the
-/// DP table (the returned [`Path`] is always freshly allocated).
-pub fn minimal_path_with(
-    mesh: &Mesh,
-    s: Coord,
-    d: Coord,
-    blocked: impl Fn(Coord) -> bool,
-    ws: &mut Workspace,
-) -> Option<Path> {
-    let frame = reach_table_into(mesh, s, d, &blocked, &mut ws.table)?;
-    let Workspace { table, rev, .. } = ws;
-    let rd = frame.to_rel(d);
-    if !table[rd] {
-        return None;
-    }
-    // Walk backwards from the destination through reachable predecessors,
-    // into the workspace buffer — only the returned Path allocates.
-    rev.clear();
-    rev.push(rd);
-    let mut cur = rd;
-    while cur != Coord::ORIGIN {
-        let west = Coord::new(cur.x - 1, cur.y);
-        cur = if cur.x > 0 && table[west] {
-            west
-        } else {
-            Coord::new(cur.x, cur.y - 1)
-        };
-        rev.push(cur);
-    }
-    Some(rev.iter().rev().map(|&c| frame.to_abs(c)).collect())
+    with_scratch(|ws| {
+        let frame = reach_table_into(mesh, s, d, &blocked, &mut ws.table)?;
+        let Workspace { table, rev, .. } = ws;
+        let rd = frame.to_rel(d);
+        if !table[rd] {
+            return None;
+        }
+        // Walk backwards from the destination through reachable
+        // predecessors, into the scratch buffer — only the returned Path
+        // allocates.
+        rev.clear();
+        rev.push(rd);
+        let mut cur = rd;
+        while cur != Coord::ORIGIN {
+            let west = Coord::new(cur.x - 1, cur.y);
+            cur = if cur.x > 0 && table[west] {
+                west
+            } else {
+                Coord::new(cur.x, cur.y - 1)
+            };
+            rev.push(cur);
+        }
+        Some(rev.iter().rev().map(|&c| frame.to_abs(c)).collect())
+    })
 }
 
 /// Forward DP over the normalized rectangle: `table[c]` says whether a

@@ -66,8 +66,8 @@ pub fn reach_row(open: &[u64], row: &mut [u64]) {
 /// words high to low, so the same adder carry chain applies; the carry
 /// now ripples from a word's bit 0 into the previous word's bit 63.
 ///
-/// Used by the construction kernels ([`crate::block_bits`],
-/// [`crate::mcc_bits`]) whose fills run in mesh coordinates rather than
+/// Used by the construction kernels (the `block_bits` and `mcc_bits`
+/// fix-points) whose fills run in mesh coordinates rather than
 /// the source-relative frames of the reach sweeps (those mirror the
 /// coordinates instead, keeping every fill eastward).
 pub fn reach_row_west(open: &[u64], row: &mut [u64]) {
@@ -157,13 +157,15 @@ pub fn minimal_path_exists_bits(
     d: Coord,
     blocked: impl Fn(Coord) -> bool,
 ) -> bool {
-    with_scratch(|ws| minimal_path_exists_bits_with(mesh, s, d, blocked, ws))
+    with_scratch(|ws| pair_bits(mesh, s, d, blocked, ws))
 }
 
-/// [`minimal_path_exists_bits`] reusing a caller-owned scratch
-/// [`Workspace`] for the packed rows.
+/// The body of [`minimal_path_exists_bits`] on this thread's scratch
+/// rows. A function rather than the `with_scratch` closure body: as a
+/// closure, the per-bit `blocked` loop compiled to slower code (about
+/// 10% on the serve reach span).
 // emr-lint: allow(A1, "frontier and obstacle rows share the packed width, so word offsets are always in range")
-pub fn minimal_path_exists_bits_with(
+fn pair_bits(
     mesh: &Mesh,
     s: Coord,
     d: Coord,
@@ -242,60 +244,23 @@ pub struct ReachMap {
 }
 
 impl ReachMap {
-    /// Builds the map with this thread's shared scratch workspace.
+    /// Builds the map for the obstacle predicate `blocked`, packing it
+    /// once (one closure call per node) into this thread's scratch grid;
+    /// the four sweeps then run purely on words.
     pub fn from_source(mesh: &Mesh, source: Coord, blocked: impl Fn(Coord) -> bool) -> ReachMap {
-        with_scratch(|ws| ReachMap::from_source_with(mesh, source, blocked, ws))
-    }
-
-    /// [`ReachMap::from_source`] reusing a caller-owned scratch
-    /// [`Workspace`] for the packed obstacle grid and DP rows.
-    pub fn from_source_with(
-        mesh: &Mesh,
-        source: Coord,
-        blocked: impl Fn(Coord) -> bool,
-        ws: &mut Workspace,
-    ) -> ReachMap {
-        let unit = Mesh::new(1, 1);
-        let mut map = ReachMap {
-            mesh: *mesh,
-            source,
-            live: false,
-            grids: [
-                BitGrid::new(unit),
-                BitGrid::new(unit),
-                BitGrid::new(unit),
-                BitGrid::new(unit),
-            ],
-        };
-        map.rebuild_with(mesh, source, blocked, ws);
-        map
-    }
-
-    /// Recomputes the map in place for a (possibly different) mesh,
-    /// source, and obstacle set, reusing this map's grid allocations.
-    pub fn rebuild_with(
-        &mut self,
-        mesh: &Mesh,
-        source: Coord,
-        blocked: impl Fn(Coord) -> bool,
-        ws: &mut Workspace,
-    ) {
-        self.mesh = *mesh;
-        self.source = source;
-        self.live = mesh.contains(source) && !blocked(source);
-        if !self.live {
-            return;
-        }
-        // Pack the obstacle predicate once (one closure call per node);
-        // the four sweeps below then run purely on words.
-        let Workspace {
-            packed,
-            row_open,
-            row_cur,
-            ..
-        } = ws;
-        packed.refill_from_blocked(*mesh, &blocked);
-        self.sweep(packed, row_open, row_cur);
+        let live = mesh.contains(source) && !blocked(source);
+        with_scratch(|ws| {
+            let Workspace {
+                packed,
+                row_open,
+                row_cur,
+                ..
+            } = ws;
+            if live {
+                packed.refill_from_blocked(*mesh, &blocked);
+            }
+            ReachMap::sweep(*mesh, source, live, packed, row_open, row_cur)
+        })
     }
 
     /// Builds the map from an already-packed obstacle grid — no per-node
@@ -303,85 +268,42 @@ impl ReachMap {
     /// This is the per-trial fast path: the sweep harness hands in
     /// [`crate::FaultSet::packed`] directly.
     pub fn from_packed(source: Coord, blocked: &BitGrid) -> ReachMap {
-        with_scratch(|ws| ReachMap::from_packed_with(source, blocked, ws))
-    }
-
-    /// [`ReachMap::from_packed`] reusing a caller-owned scratch
-    /// [`Workspace`] for the DP rows.
-    pub fn from_packed_with(source: Coord, blocked: &BitGrid, ws: &mut Workspace) -> ReachMap {
-        let unit = Mesh::new(1, 1);
-        let mut map = ReachMap {
-            mesh: blocked.mesh(),
-            source,
-            live: false,
-            grids: [
-                BitGrid::new(unit),
-                BitGrid::new(unit),
-                BitGrid::new(unit),
-                BitGrid::new(unit),
-            ],
-        };
-        map.rebuild_from_packed_with(source, blocked, ws);
-        map
-    }
-
-    /// The [`ReachMap::rebuild_with`] counterpart of
-    /// [`ReachMap::from_packed`]: recomputes in place from a packed
-    /// obstacle grid, reusing this map's allocations.
-    pub fn rebuild_from_packed_with(
-        &mut self,
-        source: Coord,
-        blocked: &BitGrid,
-        ws: &mut Workspace,
-    ) {
-        self.mesh = blocked.mesh();
-        self.source = source;
-        self.live = self.mesh.contains(source) && blocked.get(source) == Some(false);
-        if !self.live {
-            return;
-        }
-        self.sweep(blocked, &mut ws.row_open, &mut ws.row_cur);
-    }
-
-    fn sweep(&mut self, packed: &BitGrid, row_open: &mut Vec<u64>, row_cur: &mut Vec<u64>) {
-        for (grid, &q) in self.grids.iter_mut().zip(Quadrant::ALL.iter()) {
-            sweep_quadrant(grid, q, self.source, self.mesh, packed, row_open, row_cur);
-        }
-    }
-
-    /// [`ReachMap::from_packed`] with the four quadrant sweeps run on
-    /// scoped threads — intra-mesh parallelism for giant meshes. Each
-    /// sweep owns its quadrant grid and scratch rows, so the result is
-    /// bit-identical to the sequential build (the sweeps never share
-    /// state). The within-quadrant row recurrence is strictly sequential
-    /// (row `ry` seeds row `ry+1`'s carry chain), so quadrants — not row
-    /// bands — are the natural parallel grain here.
-    pub fn from_packed_parallel(source: Coord, blocked: &BitGrid) -> ReachMap {
         let mesh = blocked.mesh();
-        let unit = Mesh::new(1, 1);
-        let mut map = ReachMap {
+        let live = mesh.contains(source) && blocked.get(source) == Some(false);
+        with_scratch(|ws| {
+            ReachMap::sweep(
+                mesh,
+                source,
+                live,
+                blocked,
+                &mut ws.row_open,
+                &mut ws.row_cur,
+            )
+        })
+    }
+
+    /// Runs the four quadrant sweeps over `packed` when `live`; a dead
+    /// map keeps empty grids.
+    fn sweep(
+        mesh: Mesh,
+        source: Coord,
+        live: bool,
+        packed: &BitGrid,
+        row_open: &mut Vec<u64>,
+        row_cur: &mut Vec<u64>,
+    ) -> ReachMap {
+        let mut grids: [BitGrid; 4] = std::array::from_fn(|_| BitGrid::new(Mesh::new(1, 1)));
+        if live {
+            for (grid, &q) in grids.iter_mut().zip(Quadrant::ALL.iter()) {
+                sweep_quadrant(grid, q, source, mesh, packed, row_open, row_cur);
+            }
+        }
+        ReachMap {
             mesh,
             source,
-            live: mesh.contains(source) && blocked.get(source) == Some(false),
-            grids: [
-                BitGrid::new(unit),
-                BitGrid::new(unit),
-                BitGrid::new(unit),
-                BitGrid::new(unit),
-            ],
-        };
-        if !map.live {
-            return map;
+            live,
+            grids,
         }
-        std::thread::scope(|s| {
-            for (grid, &q) in map.grids.iter_mut().zip(Quadrant::ALL.iter()) {
-                s.spawn(move || {
-                    let (mut row_open, mut row_cur) = (Vec::new(), Vec::new());
-                    sweep_quadrant(grid, q, source, mesh, blocked, &mut row_open, &mut row_cur);
-                });
-            }
-        });
-        map
     }
 
     /// The source this map was built from.
@@ -616,32 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_is_bit_identical_to_sequential() {
-        use emr_mesh::BitGrid;
-        // Word-boundary widths, corner and center sources, and a blocked
-        // source; the parallel build must match from_packed exactly.
-        for (w, h) in [(9, 9), (130, 4), (65, 65), (1, 7), (70, 1)] {
-            let mesh = Mesh::new(w, h);
-            let packed = BitGrid::from_blocked(mesh, |c| (c.x * 13 + c.y * 7) % 5 == 0);
-            for s in [
-                Coord::new(w / 2, h / 2),
-                Coord::new(0, 0),
-                Coord::new(w - 1, h - 1),
-            ] {
-                let sequential = ReachMap::from_packed(s, &packed);
-                let parallel = ReachMap::from_packed_parallel(s, &packed);
-                assert_eq!(parallel.live, sequential.live, "{w}x{h} s={s}");
-                assert_eq!(parallel.grids, sequential.grids, "{w}x{h} s={s}");
-                assert_eq!(
-                    parallel.count_reachable(),
-                    sequential.count_reachable(),
-                    "{w}x{h} s={s}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn matches_scalar_on_clear_and_walled_meshes() {
         let mesh = Mesh::square(9);
         assert_matches_scalar(&mesh, mesh.center(), |_| false);
@@ -696,23 +592,5 @@ mod tests {
         let mesh = Mesh::new(13, 7);
         let map = ReachMap::from_source(&mesh, Coord::new(5, 3), |_| false);
         assert_eq!(map.count_reachable(), mesh.node_count());
-    }
-
-    #[test]
-    fn rebuild_reuses_map_across_meshes() {
-        let mut ws = Workspace::new();
-        let mesh_a = Mesh::square(8);
-        let blocked_a = |c: Coord| c.x == 3 && c.y < 6;
-        let mut map = ReachMap::from_source_with(&mesh_a, Coord::new(0, 0), blocked_a, &mut ws);
-        let mesh_b = Mesh::new(130, 4);
-        let blocked_b = |c: Coord| c.x == 100;
-        map.rebuild_with(&mesh_b, Coord::new(129, 3), blocked_b, &mut ws);
-        for d in mesh_b.nodes() {
-            assert_eq!(
-                map.reachable(d),
-                minimal_path_exists(&mesh_b, Coord::new(129, 3), d, blocked_b),
-                "d={d}"
-            );
-        }
     }
 }

@@ -2,15 +2,16 @@
 //!
 //! Building a [`crate::BlockMap`], an [`crate::MccMap`], or a
 //! reachability table allocates several transient grids and queues. One
-//! sweep trial does all of these; a full experiment does millions. A
-//! [`Workspace`] owns those transients so a worker thread can pay for
-//! them once and reuse them across trials via the `*_with` entry points
-//! ([`crate::BlockMap::build_with`], [`crate::MccMap::build_with`],
-//! [`crate::reach::minimal_path_exists_with`], …).
+//! sweep trial does all of these; a full experiment does millions. Each
+//! thread owns one [`Workspace`] holding those transients, and every
+//! construction kernel and reachability oracle (`BlockMap::build`,
+//! `MccMap::build_banded`, `reach::minimal_path_exists`,
+//! `ReachMap::from_packed`, …) borrows it through [`with_scratch`], so
+//! a thread pays for the buffers once and reuses them across calls. A
+//! sweep worker is one thread, so its trials share one workspace.
 //!
-//! The plain entry points (`build`, `minimal_path_exists`, …) stay
-//! allocation-free too: they borrow a thread-local workspace through
-//! [`with_scratch`], so existing call sites benefit without changes.
+//! The module is public only because `emr-core`'s safety sweeps borrow
+//! the same buffers; no public entry point takes a workspace argument.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -31,12 +32,11 @@ pub type LevelTuple = [Dist; 4];
 /// buffer is retargeted via [`Grid::reset`] on entry, which resizes on
 /// demand, so one workspace may serve meshes of differing (growing or
 /// shrinking) dimensions back to back. `workspace_survives_mesh_changes`
-/// is the regression test for that guarantee; new `*_with` entry points
-/// must reset every buffer they use before reading it.
+/// is the regression test for that guarantee; every kernel that borrows
+/// the workspace must reset each buffer it uses before reading it.
 ///
 /// The fields are public because the consumers span several crates
-/// (`emr-fault` itself, `emr-core`'s safety sweeps); callers other than
-/// the `*_with` implementations normally never touch them.
+/// (`emr-fault` itself, `emr-core`'s safety sweeps).
 #[derive(Debug)]
 pub struct Workspace {
     /// BFS / worklist queue for fix-points and component extraction.
@@ -64,13 +64,14 @@ pub struct Workspace {
     pub row_open: Vec<u64>,
     /// Packed reach-bits row carried between [`crate::reach_bits`] rows.
     pub row_cur: Vec<u64>,
-    /// Reverse back-walk buffer for [`crate::reach::minimal_path_with`].
+    /// Reverse back-walk buffer for [`crate::reach::minimal_path`].
     pub rev: Vec<Coord>,
 }
 
 impl Workspace {
-    /// Creates an empty workspace; buffers grow on first use.
-    pub fn new() -> Workspace {
+    /// Creates an empty workspace; buffers grow on first use. Private:
+    /// the only way to borrow one is [`with_scratch`].
+    fn new() -> Workspace {
         let unit = Mesh::new(1, 1);
         Workspace {
             queue: VecDeque::new(),
@@ -87,12 +88,6 @@ impl Workspace {
             row_cur: Vec::new(),
             rev: Vec::new(),
         }
-    }
-}
-
-impl Default for Workspace {
-    fn default() -> Workspace {
-        Workspace::new()
     }
 }
 
@@ -134,16 +129,18 @@ mod tests {
 
     #[test]
     fn workspace_survives_mesh_changes() {
-        use crate::reach::{minimal_path_exists, minimal_path_exists_with};
-        use crate::reach_bits::{minimal_path_exists_bits_with, ReachMap};
+        use crate::reach::{minimal_path, minimal_path_exists};
+        use crate::reach_bits::{minimal_path_exists_bits, ReachMap};
         use crate::{BlockMap, FaultSet, MccMap, MccType};
 
-        // One workspace, driven through every *_with entry point across
-        // growing, shrinking, and degenerate meshes. Each result must
-        // equal a fresh build — stale capacity or dimensions from the
-        // previous mesh must never leak through.
-        let mut ws = Workspace::new();
-        let shapes = [(4, 4), (9, 9), (1, 7), (6, 2), (13, 5)];
+        // Every entry point that borrows this thread's workspace, driven
+        // back to back across growing, shrinking, and degenerate meshes.
+        // Each result must equal an independent reference (a fresh
+        // workspace via a nested borrow, or a per-node recomputation) —
+        // stale capacity or dimensions from the previous mesh must never
+        // leak through.
+        let fresh = |f: &dyn Fn() -> bool| with_scratch(|_| f());
+        let shapes = [(4, 4), (9, 9), (1, 7), (6, 2), (13, 5), (70, 3), (2, 2)];
         for &(w, h) in &shapes {
             let mesh = Mesh::new(w, h);
             let faults = FaultSet::from_coords(
@@ -154,18 +151,22 @@ mod tests {
                     Coord::new(w - 1, h - 1),
                 ],
             );
-            let blocks = BlockMap::build_with(&faults, &mut ws);
-            assert_eq!(blocks, BlockMap::build(&faults), "{w}x{h} blocks");
+            let blocks = BlockMap::build(&faults);
             assert_eq!(
-                BlockMap::build_scalar_with(&faults, &mut ws),
+                with_scratch(|_| BlockMap::build(&faults)),
                 blocks,
-                "{w}x{h} scalar blocks"
+                "{w}x{h} blocks"
             );
+            assert_eq!(BlockMap::build_scalar(&faults), blocks, "{w}x{h} scalar");
             for ty in MccType::ALL {
-                let mcc = MccMap::build_with(&faults, ty, &mut ws);
-                assert_eq!(mcc, MccMap::build(&faults, ty), "{w}x{h} {ty:?}");
+                let mcc = MccMap::build(&faults, ty);
                 assert_eq!(
-                    MccMap::build_scalar_with(&faults, ty, &mut ws),
+                    with_scratch(|_| MccMap::build(&faults, ty)),
+                    mcc,
+                    "{w}x{h} {ty:?}"
+                );
+                assert_eq!(
+                    MccMap::build_scalar(&faults, ty),
                     mcc,
                     "{w}x{h} scalar {ty:?}"
                 );
@@ -173,24 +174,54 @@ mod tests {
             let s = Coord::new(0, h - 1);
             let d = Coord::new(w - 1, 0);
             let blocked = |c: Coord| faults.is_faulty(c);
+            let want = fresh(&|| minimal_path_exists(&mesh, s, d, blocked));
             assert_eq!(
-                minimal_path_exists_with(&mesh, s, d, blocked, &mut ws),
                 minimal_path_exists(&mesh, s, d, blocked),
+                want,
                 "{w}x{h} reach"
             );
             assert_eq!(
-                minimal_path_exists_bits_with(&mesh, s, d, blocked, &mut ws),
-                minimal_path_exists(&mesh, s, d, blocked),
+                minimal_path_exists_bits(&mesh, s, d, blocked),
+                want,
                 "{w}x{h} reach bits"
             );
-            let map = ReachMap::from_source_with(&mesh, s, blocked, &mut ws);
+            assert_eq!(
+                minimal_path(&mesh, s, d, blocked).is_some(),
+                want,
+                "{w}x{h} path"
+            );
+            let map = ReachMap::from_source(&mesh, s, blocked);
+            let packed = ReachMap::from_packed(s, faults.packed());
             for dest in mesh.nodes() {
-                assert_eq!(
-                    map.reachable(dest),
-                    minimal_path_exists(&mesh, s, dest, blocked),
-                    "{w}x{h} map {dest}"
-                );
+                let want = fresh(&|| minimal_path_exists(&mesh, s, dest, blocked));
+                assert_eq!(map.reachable(dest), want, "{w}x{h} map {dest}");
+                assert_eq!(packed.reachable(dest), want, "{w}x{h} packed {dest}");
             }
+        }
+    }
+
+    #[test]
+    fn reentrant_blocked_predicate_matches_plain_build() {
+        use crate::reach::minimal_path_exists;
+        use crate::reach_bits::ReachMap;
+
+        // A `blocked` predicate that itself consults the oracle runs while
+        // `from_source` holds this thread's workspace, so the inner call
+        // takes `with_scratch`'s fresh-workspace fallback. Nodes cut off
+        // from the corner by a wall count as blocked.
+        let mesh = Mesh::new(12, 9);
+        let wall = |c: Coord| c.x == 5 && c.y >= 2;
+        let corner = Coord::new(11, 8);
+        let blocked = |c: Coord| wall(c) || !minimal_path_exists(&mesh, c, corner, wall);
+        let grid = emr_mesh::Grid::from_fn(mesh, blocked);
+        let plain = |c: Coord| grid.get(c) == Some(&true);
+        for source in [Coord::new(0, 0), Coord::new(7, 1), Coord::new(3, 8)] {
+            let nested = ReachMap::from_source(&mesh, source, blocked);
+            let flat = ReachMap::from_source(&mesh, source, plain);
+            for d in mesh.nodes() {
+                assert_eq!(nested.reachable(d), flat.reachable(d), "{source} -> {d}");
+            }
+            assert!(nested.count_reachable() > 0 || plain(source), "{source}");
         }
     }
 }

@@ -93,7 +93,7 @@ impl CallGraph {
 
     /// Breadth-first closure from a set of root function indices,
     /// skipping test functions. Returns, for each reached function, the
-    /// root it was first discovered from (for "via <root>" reporting).
+    /// root it was first discovered from (for `via <root>` reporting).
     pub fn closure(&self, ws: &Workspace, roots: &[usize]) -> BTreeMap<usize, usize> {
         let mut via: BTreeMap<usize, usize> = BTreeMap::new();
         let mut queue: Vec<(usize, usize)> = roots.iter().map(|&r| (r, r)).collect();

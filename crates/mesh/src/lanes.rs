@@ -110,41 +110,6 @@ impl LaneIndex {
         }
     }
 
-    /// [`LaneIndex::refresh_rect`] from a membership predicate instead of
-    /// a packed grid, for callers that track obstacles behind an
-    /// `is_set(c)` view. `is_set` must be the *post-change* predicate for
-    /// the whole mesh.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rect` is not contained in the mesh.
-    pub fn refresh_rect_with(&mut self, is_set: impl Fn(Coord) -> bool, rect: Rect) {
-        assert!(
-            self.mesh.contains(Coord::new(rect.x_min(), rect.y_min()))
-                && self.mesh.contains(Coord::new(rect.x_max(), rect.y_max())),
-            "{rect:?} outside {:?}",
-            self.mesh
-        );
-        for y in rect.y_min()..=rect.y_max() {
-            let lane = &mut self.rows[y as usize];
-            lane.clear();
-            for x in 0..self.mesh.width() {
-                if is_set(Coord::new(x, y)) {
-                    lane.push(u32::try_from(x).unwrap_or(u32::MAX));
-                }
-            }
-        }
-        for x in rect.x_min()..=rect.x_max() {
-            let lane = &mut self.cols[x as usize];
-            lane.clear();
-            for y in 0..self.mesh.height() {
-                if is_set(Coord::new(x, y)) {
-                    lane.push(u32::try_from(y).unwrap_or(u32::MAX));
-                }
-            }
-        }
-    }
-
     /// The mesh this index covers.
     pub fn mesh(&self) -> Mesh {
         self.mesh
@@ -276,22 +241,6 @@ mod tests {
             }
         }
         lanes.refresh_rect(&packed, rect);
-        assert_eq!(lanes, LaneIndex::from_packed(&packed));
-    }
-
-    #[test]
-    fn refresh_rect_with_predicate_matches_packed_refresh() {
-        let mesh = Mesh::new(70, 30);
-        let mut packed = pattern(mesh);
-        let mut lanes = LaneIndex::from_packed(&packed);
-        let rect = Rect::new(60, 65, 3, 8);
-        for y in rect.y_min()..=rect.y_max() {
-            for x in rect.x_min()..=rect.x_max() {
-                let c = Coord::new(x, y);
-                packed.set(c, packed.get(c) != Some(true));
-            }
-        }
-        lanes.refresh_rect_with(|c| packed.get(c) == Some(true), rect);
         assert_eq!(lanes, LaneIndex::from_packed(&packed));
     }
 

@@ -243,10 +243,12 @@ impl DynamicRouter for AdaptiveRouter {
     }
 }
 
-/// Owned fault-aware dimension-order router: XY with a blocked-node
-/// check, usable as a [`DynamicRouter`] (unlike the view-borrowing
-/// [`crate::DimensionOrderRouter`]). The baseline the load sweep runs:
-/// it drops every packet whose L-path crosses a fault.
+/// Classic dimension-order (XY) routing: exhaust the X offset, then the
+/// Y offset, failing as soon as the next hop is blocked. Fault-oblivious
+/// apart from that check — the baseline that shows why the paper's
+/// machinery is needed, and the one the load sweep runs: it drops every
+/// packet whose L-path crosses a faulty block. Owns its blocked bits, so
+/// it also serves as a [`DynamicRouter`].
 #[derive(Debug, Clone)]
 pub struct XyRouter {
     mesh: Mesh,

@@ -556,6 +556,36 @@ mod tests {
     }
 
     #[test]
+    fn out_of_order_injection_matches_stepper() {
+        // Injection calls arrive out of cycle order, with ties: the
+        // stepper's sorted pending queue must release them in the same
+        // (cycle, call) order as the event calendar.
+        let mesh = Mesh::square(10);
+        let scenario = Scenario::build(FaultSet::new(mesh));
+        let view = scenario.view(Model::FaultBlock);
+        let boundary = scenario.boundary_map(Model::FaultBlock);
+        let mut stepper = NetSim::new(mesh, WuRouter::new(&view, &boundary));
+        let mut event = EventSim::new(mesh, WuRouter::new(&view, &boundary));
+        let calls = [
+            (30u64, 0),
+            (0, 1),
+            (12, 2),
+            (0, 3),
+            (30, 4),
+            (5, 5),
+            (12, 6),
+        ];
+        for (cycle, i) in calls {
+            let p = Packet::direct(Coord::new(i, 0), Coord::new(9, 9 - i));
+            stepper.inject(p.clone(), cycle);
+            EventSim::inject(&mut event, p, cycle);
+        }
+        let a = stepper.run_to_completion(1_000).unwrap();
+        assert_eq!(a, event.run_to_completion(1_000).unwrap());
+        assert_eq!(a.delivered, 7);
+    }
+
+    #[test]
     fn budget_error_matches_stepper() {
         let mesh = Mesh::square(10);
         let scenario = Scenario::build(FaultSet::new(mesh));

@@ -7,11 +7,10 @@
 //! function, and directed links carry one packet per cycle (virtual
 //! output queues, oldest-packet-first arbitration).
 //!
-//! * [`Router`] — the per-hop routing function interface, with three
-//!   implementations: [`WuRouter`] (the paper's protocol, driven by
-//!   boundary information via [`emr_core::route::wu_step`]),
-//!   [`DimensionOrderRouter`] (the classic fault-oblivious XY baseline)
-//!   and [`OracleRouter`] (global information),
+//! * [`Router`] — the per-hop routing function interface, implemented
+//!   by [`WuRouter`] (the paper's protocol, driven by boundary
+//!   information via [`emr_core::route::wu_step`]), [`OracleRouter`]
+//!   (global information), and the baselines below,
 //! * [`Workload`] — generated traffic: strategy-4 witness plans, plus
 //!   the saturation patterns ([`TrafficPattern`]: uniform / transpose /
 //!   hotspot) with offered-load injection schedules,
@@ -25,7 +24,9 @@
 //!   core that makes million-packet saturation runs finish in seconds,
 //! * [`AdaptiveRouter`] — a Stroobant-style adaptive fault-tolerant
 //!   deadlock-free baseline (escape-channel dimension order + adaptive
-//!   minimal), with [`XyRouter`] as its owned dimension-order sibling,
+//!   minimal), with [`XyRouter`] — classic dimension-order routing that
+//!   drops every packet whose L-path crosses a faulty block — as its
+//!   sibling,
 //! * [`DynamicRouter`] / [`EpochedWuRouter`] — mid-flight fault
 //!   injection: scheduled node failures land while traffic is in flight,
 //!   the router absorbs them through the incremental epoch machinery of
@@ -74,7 +75,7 @@ pub use dynamic::{DynamicRouter, EpochedWuRouter};
 pub use event::EventSim;
 pub use links::LinkPlanes;
 pub use packet::{Packet, PacketId};
-pub use router::{DimensionOrderRouter, OracleRouter, Router, WuRouter};
+pub use router::{OracleRouter, Router, WuRouter};
 pub use sim::{NetSim, PacketSink, SimError, SimReport};
 pub use vc::VcTable;
 pub use workload::{TrafficPattern, Workload};

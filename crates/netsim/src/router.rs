@@ -82,50 +82,6 @@ impl Router for WuRouter<'_> {
     }
 }
 
-/// Classic dimension-order (XY) routing: exhaust the X offset, then the Y
-/// offset. Fault-oblivious — the baseline that demonstrates why the
-/// paper's machinery is needed: any block straddling the L-shaped path
-/// kills the packet.
-#[derive(Debug, Clone, Copy)]
-pub struct DimensionOrderRouter<'a> {
-    view: &'a ModelView<'a>,
-}
-
-impl<'a> DimensionOrderRouter<'a> {
-    /// Creates the router over a scenario view (used only to detect that
-    /// the next hop is blocked).
-    pub fn new(view: &'a ModelView<'a>) -> Self {
-        DimensionOrderRouter { view }
-    }
-}
-
-impl Router for DimensionOrderRouter<'_> {
-    fn next_hop(
-        &self,
-        leg_source: Coord,
-        leg_target: Coord,
-        u: Coord,
-    ) -> Result<Direction, RouteError> {
-        let dir = if u.x != leg_target.x {
-            if leg_target.x > u.x {
-                Direction::East
-            } else {
-                Direction::West
-            }
-        } else if leg_target.y > u.y {
-            Direction::North
-        } else {
-            Direction::South
-        };
-        let v = u.step(dir);
-        if self.view.mesh().contains(v) && !self.view.is_obstacle(v, leg_source, leg_target) {
-            Ok(dir)
-        } else {
-            Err(RouteError::Stuck(u))
-        }
-    }
-}
-
 /// Global-information routing: at each hop, move to a preferred neighbor
 /// from which the destination is still monotonically reachable (one oracle
 /// DP per hop — expensive, exact; the comparison baseline).
@@ -171,6 +127,7 @@ impl Router for OracleRouter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::XyRouter;
     use emr_core::{Model, Scenario};
     use emr_fault::FaultSet;
     use emr_mesh::Mesh;
@@ -200,8 +157,7 @@ mod tests {
     #[test]
     fn xy_router_walks_the_l() {
         let sc = scenario(&[]);
-        let view = sc.view(Model::FaultBlock);
-        let r = DimensionOrderRouter::new(&view);
+        let r = XyRouter::new(sc.mesh(), sc.blocks());
         assert_eq!(walk(&r, Coord::new(1, 1), Coord::new(7, 4), 20), Ok(9));
         assert_eq!(walk(&r, Coord::new(7, 4), Coord::new(1, 1), 20), Ok(9));
     }
@@ -211,7 +167,7 @@ mod tests {
         // A block exactly on the XY path's corner column.
         let sc = scenario(&[(7, 2), (7, 3)]);
         let view = sc.view(Model::FaultBlock);
-        let r = DimensionOrderRouter::new(&view);
+        let r = XyRouter::new(sc.mesh(), sc.blocks());
         assert!(walk(&r, Coord::new(1, 2), Coord::new(9, 2), 30).is_err());
         // Wu's protocol shrugs it off.
         let boundary = sc.boundary_map(Model::FaultBlock);

@@ -174,14 +174,16 @@ impl<R: Router> NetSim<R> {
         );
         let id = self.next_id;
         self.next_id += 1;
-        // Keep the queue sorted by injection cycle (callers inject in
-        // nondecreasing order in practice; fall back to push-sorted).
+        // Keep the queue sorted by injection cycle, ties in call order.
+        // Callers inject in nondecreasing order in practice, so the
+        // search for the last entry at or before `at` runs from the back
+        // and usually stops at once.
         let at = cycle.max(self.cycle);
         let pos = self
             .pending
             .iter()
-            .position(|&(c, _, _)| c > at)
-            .unwrap_or(self.pending.len());
+            .rposition(|&(c, _, _)| c <= at)
+            .map_or(0, |i| i + 1);
         self.pending.insert(pos, (at, id, packet));
         id
     }
@@ -355,11 +357,13 @@ impl<R: DynamicRouter> NetSim<R> {
     pub fn schedule_fault(&mut self, c: Coord, cycle: u64) {
         assert!(self.mesh.contains(c), "fault {c} outside mesh");
         let at = cycle.max(self.cycle);
+        // Sorted by cycle, ties in call order; searched from the back
+        // like `inject`.
         let pos = self
             .pending_faults
             .iter()
-            .position(|&(w, _)| w > at)
-            .unwrap_or(self.pending_faults.len());
+            .rposition(|&(w, _)| w <= at)
+            .map_or(0, |i| i + 1);
         self.pending_faults.insert(pos, (at, c));
     }
 
@@ -458,7 +462,8 @@ impl<R: Router> PacketSink for NetSim<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::{DimensionOrderRouter, WuRouter};
+    use crate::adaptive::XyRouter;
+    use crate::router::WuRouter;
     use emr_core::{Model, Scenario};
     use emr_fault::FaultSet;
 
@@ -473,8 +478,7 @@ mod tests {
     #[test]
     fn single_packet_takes_zero_load_latency() {
         let sc = scenario(&[]);
-        let view = sc.view(Model::FaultBlock);
-        let r = DimensionOrderRouter::new(&view);
+        let r = XyRouter::new(sc.mesh(), sc.blocks());
         let mut sim = NetSim::new(sc.mesh(), r);
         sim.inject(Packet::direct(Coord::new(1, 1), Coord::new(6, 4)), 0);
         let report = sim.run_to_completion(100).unwrap();
@@ -489,8 +493,7 @@ mod tests {
         // Two packets from the same source, same destination, same cycle:
         // the second waits one cycle at the source.
         let sc = scenario(&[]);
-        let view = sc.view(Model::FaultBlock);
-        let r = DimensionOrderRouter::new(&view);
+        let r = XyRouter::new(sc.mesh(), sc.blocks());
         let mut sim = NetSim::new(sc.mesh(), r);
         sim.inject(Packet::direct(Coord::new(0, 0), Coord::new(4, 0)), 0);
         sim.inject(Packet::direct(Coord::new(0, 0), Coord::new(4, 0)), 0);
@@ -510,7 +513,7 @@ mod tests {
         let s = Coord::new(1, 1);
         let d = Coord::new(9, 5);
 
-        let mut xy = NetSim::new(sc.mesh(), DimensionOrderRouter::new(&view));
+        let mut xy = NetSim::new(sc.mesh(), XyRouter::new(sc.mesh(), sc.blocks()));
         xy.inject(Packet::direct(s, d), 0);
         let xy_report = xy.run_to_completion(100).unwrap();
         assert_eq!(xy_report.failed, 1);
@@ -542,8 +545,7 @@ mod tests {
     #[test]
     fn staggered_injection_and_budget() {
         let sc = scenario(&[]);
-        let view = sc.view(Model::FaultBlock);
-        let r = DimensionOrderRouter::new(&view);
+        let r = XyRouter::new(sc.mesh(), sc.blocks());
         let mut sim = NetSim::new(sc.mesh(), r);
         for i in 0..5u64 {
             sim.inject(Packet::direct(Coord::new(0, 0), Coord::new(9, 9)), i * 2);
@@ -560,8 +562,7 @@ mod tests {
     #[test]
     fn source_equals_destination_delivers_immediately() {
         let sc = scenario(&[]);
-        let view = sc.view(Model::FaultBlock);
-        let mut sim = NetSim::new(sc.mesh(), DimensionOrderRouter::new(&view));
+        let mut sim = NetSim::new(sc.mesh(), XyRouter::new(sc.mesh(), sc.blocks()));
         sim.inject(Packet::direct(Coord::new(3, 3), Coord::new(3, 3)), 0);
         let report = sim.run_to_completion(10).unwrap();
         assert_eq!(report.delivered, 1);

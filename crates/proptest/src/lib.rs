@@ -162,7 +162,7 @@ pub mod bool {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Accepted by [`vec`]: an exact length or a half-open length range.
+    /// Accepted by [`vec()`]: an exact length or a half-open length range.
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         lo: usize,

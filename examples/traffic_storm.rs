@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release --example traffic_storm [faults] [packets]`.
 
-use emr2d::netsim::{DimensionOrderRouter, NetSim, OracleRouter, Router, Workload, WuRouter};
+use emr2d::netsim::{NetSim, OracleRouter, Router, Workload, WuRouter, XyRouter};
 use emr2d::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,7 +38,7 @@ fn main() {
         "XY (fault-oblivious)",
         &raw,
         &mesh,
-        DimensionOrderRouter::new(&view),
+        XyRouter::new(mesh, scenario.blocks()),
     );
     run("Wu protocol", &raw, &mesh, WuRouter::new(&view, &boundary));
     run(

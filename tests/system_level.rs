@@ -3,7 +3,7 @@
 //! end to end; the 3-D extension composes with the 2-D machinery.
 
 use emr2d::core::conditions;
-use emr2d::netsim::{DimensionOrderRouter, NetSim, Workload, WuRouter};
+use emr2d::netsim::{NetSim, Workload, WuRouter, XyRouter};
 use emr2d::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,7 +39,7 @@ fn wu_dominates_xy_on_shared_traffic() {
     let boundary = scenario.boundary_map(Model::FaultBlock);
     let load = Workload::uniform_raw(&scenario, 120, 4, &mut rng);
 
-    let mut xy = NetSim::new(mesh, DimensionOrderRouter::new(&view));
+    let mut xy = NetSim::new(mesh, XyRouter::new(mesh, scenario.blocks()));
     load.inject_into(&mut xy);
     let xy_report = xy.run_to_completion(100_000).expect("bounded");
 
