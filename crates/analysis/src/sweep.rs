@@ -574,15 +574,12 @@ mod tests {
 
     #[test]
     fn profiled_sweeps_match_scalar_tables() {
-        // Banded construction and lean safety storage must leave every
-        // sweep table byte-identical to the sequential dense run.
+        // Banded construction must leave every sweep table byte-identical
+        // to the sequential run.
         let mut cfg = SweepConfig::smoke();
         cfg.profile = Some(BuildProfile::SCALAR);
         let scalar = run(&cfg, &GOLDEN_SERIES, golden_measure).to_plain_string();
-        cfg.profile = Some(BuildProfile {
-            bands: 3,
-            lean_safety: true,
-        });
+        cfg.profile = Some(BuildProfile { bands: 3 });
         let tiled = run(&cfg, &GOLDEN_SERIES, golden_measure).to_plain_string();
         assert_eq!(tiled, scalar);
     }

@@ -17,8 +17,9 @@ fn bench_safety(c: &mut Criterion) {
         let faults = inject::uniform(mesh, k, &[], &mut rng);
         let scenario = Scenario::build(faults.clone());
         let blocked = Grid::from_fn(mesh, |c| scenario.blocks().is_blocked(c));
-        group.bench_with_input(BenchmarkId::new("safety_map", k), &blocked, |b, g| {
-            b.iter(|| SafetyMap::compute(g));
+        let packed = scenario.blocks().packed();
+        group.bench_with_input(BenchmarkId::new("safety_map", k), packed, |b, p| {
+            b.iter(|| SafetyMap::compute_packed(p));
         });
         let rects = scenario.blocks().rects();
         group.bench_with_input(

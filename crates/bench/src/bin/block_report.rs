@@ -1,13 +1,14 @@
 //! Measures the construction kernels — Definition-1 block formation,
-//! Definition-2 MCC labeling, and the safety-level sweeps — scalar vs
+//! Definition-2 MCC labeling, and the safety levels — scalar vs
 //! word-parallel, and records the comparison to `BENCH_block.json`.
 //!
 //! Each mesh size builds every map once with the scalar ground-truth
 //! implementation and once with the packed bit kernels, cross-checking
 //! the results for equality before anything is timed. The safety rows
-//! compare the packed run-length construction against the scalar ESL
-//! sweep over a *prebuilt* obstacle grid, so the scalar side is not
-//! charged for materializing its predicate.
+//! compare the lane-index build from the packed blocked plane against
+//! the scalar ESL sweep (`emr_distsim::protocols::esl::compute_global`)
+//! over a *prebuilt* obstacle grid, so the scalar side is not charged
+//! for materializing its predicate.
 //!
 //! Run with `cargo run --release -p emr-bench --bin block_report`. Flags:
 //! `--smoke` (single small size, short budget, and a hard assertion that
@@ -21,7 +22,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use emr_core::SafetyMap;
+use emr_core::{SafetyLevel, SafetyMap};
+use emr_distsim::protocols::esl;
 use emr_fault::{inject, BlockMap, MccMap, MccType};
 use emr_mesh::{Grid, Mesh};
 
@@ -97,10 +99,12 @@ fn measure_size(n: i32, seed: u64, min_secs: f64) -> SizeRecord {
         );
     }
     let blocked = Grid::from_fn(mesh, |c| blocks.is_blocked(c));
-    assert_eq!(
-        SafetyMap::compute_packed(blocks.packed()),
-        SafetyMap::compute(&blocked),
-        "safety bits diverged (n={n})"
+    let lanes = SafetyMap::compute_packed(blocks.packed());
+    let scalar = esl::compute_global(&blocked);
+    assert!(
+        mesh.nodes()
+            .all(|c| lanes.level(c) == SafetyLevel::from_tuple(scalar[c])),
+        "safety lanes diverged (n={n})"
     );
 
     let mut kernels = Vec::new();
@@ -145,7 +149,7 @@ fn measure_size(n: i32, seed: u64, min_secs: f64) -> SizeRecord {
 
     let scalar = time_mean(
         || {
-            black_box(SafetyMap::compute(&blocked));
+            black_box(esl::compute_global(&blocked));
         },
         min_secs,
     );

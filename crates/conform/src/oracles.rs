@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use emr_core::conditions::{StrategyKind, StrategyParams};
 use emr_core::{
     conditions, decide_local, route, BuildProfile, DecisionCache, Ensured, Model, ModelView,
-    RouteError, SafetyMap, Scenario, ScenarioState,
+    RouteError, SafetyLevel, SafetyMap, Scenario, ScenarioState,
 };
 use emr_distsim::protocols::esl::{self, EslFormation};
 use emr_distsim::protocols::labeling::{BlockLabeling, BlockStatus, MccLabeling};
@@ -107,17 +107,17 @@ pub const ORACLES: &[Oracle] = &[
     },
     Oracle {
         name: "safety-bits-matches-scalar",
-        claim: "the packed run-length safety construction and the packed \
-                lane resweep equal the scalar ESL sweep for every obstacle \
-                map (ground truth: SafetyMap::compute)",
+        claim: "the lane-index safety maps and their packed lane resweeps \
+                equal the scalar ESL sweep for every obstacle map (ground \
+                truth: emr_distsim::protocols::esl::compute_global)",
         check: o_safety_bits_matches_scalar,
     },
     Oracle {
         name: "tiled-matches-scalar",
-        claim: "row-banded construction, lean safety storage, and tiled \
-                epoch repair all equal the scalar single-band builds, for \
-                every band count including 1 and counts exceeding the mesh \
-                height (ground truth: BuildProfile::SCALAR)",
+        claim: "row-banded construction and banded epoch repair equal the \
+                scalar single-band builds, for every band count including 1 \
+                and counts exceeding the mesh height (ground truth: \
+                BuildProfile::SCALAR)",
         check: o_tiled_matches_scalar,
     },
     Oracle {
@@ -476,19 +476,19 @@ fn o_safety_bits_matches_scalar(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Vio
     let mut out = Vec::new();
     let sc = spec.scenario();
     let mesh = spec.mesh();
-    // From-scratch: every safety map the scenario serves is built by the
-    // packed kernel; each must equal the scalar ESL sweep over the same
-    // obstacle predicate.
+    // From-scratch: every safety map the scenario serves is a lane index
+    // of packed obstacle bits; each must equal the scalar ESL sweep over
+    // the same obstacle predicate.
     let mut check = |label: String, bit_map: &SafetyMap, blocked: &dyn Fn(Coord) -> bool| {
-        let scalar = SafetyMap::compute(&Grid::from_fn(mesh, blocked));
+        let scalar = esl::compute_global(&Grid::from_fn(mesh, blocked));
         for c in mesh.nodes() {
-            if bit_map.level(c) != scalar.level(c) {
+            let want = SafetyLevel::from_tuple(scalar[c]);
+            if bit_map.level(c) != want {
                 out.push(violation(
                     "safety-bits-matches-scalar",
                     format!(
-                        "[{label}] level at {c}: bit {}, scalar {}",
-                        bit_map.level(c),
-                        scalar.level(c)
+                        "[{label}] level at {c}: lanes {}, scalar {want}",
+                        bit_map.level(c)
                     ),
                 ));
                 return; // first node pinpoints the lane that diverged
@@ -535,18 +535,11 @@ fn o_tiled_matches_scalar(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation
     let mesh = spec.mesh();
     let scalar = Scenario::build_profiled(spec.fault_set(), BuildProfile::SCALAR);
     // From-scratch: every band count (including the degenerate 1 and a
-    // count exceeding the mesh height, which clamps) and the lean safety
-    // representation must reproduce the scalar maps bit for bit.
+    // count exceeding the mesh height, which clamps) must reproduce the
+    // scalar maps bit for bit.
     let over_height = usize::try_from(mesh.height()).unwrap_or(1) + 1;
-    let profiles = [
-        (1, false),
-        (2, false),
-        (3, true),
-        (5, false),
-        (over_height, true),
-    ];
-    for (bands, lean_safety) in profiles {
-        let profile = BuildProfile { bands, lean_safety };
+    for bands in [1, 2, 3, 5, over_height] {
+        let profile = BuildProfile { bands };
         let tiled = Scenario::build_profiled(spec.fault_set(), profile);
         if tiled.blocks() != scalar.blocks() {
             out.push(violation(
@@ -575,16 +568,10 @@ fn o_tiled_matches_scalar(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation
             }
         }
     }
-    // Incremental: replaying the faults epoch by epoch under a tiled,
-    // lean profile must land on the same warmed maps as the scalar
-    // from-scratch build (the resweeps repair lean storage in place).
-    let mut st = ScenarioState::with_profile(
-        FaultSet::new(mesh),
-        BuildProfile {
-            bands: 2,
-            lean_safety: true,
-        },
-    );
+    // Incremental: replaying the faults epoch by epoch under a tiled
+    // profile must land on the same warmed maps as the scalar
+    // from-scratch build.
+    let mut st = ScenarioState::with_profile(FaultSet::new(mesh), BuildProfile { bands: 2 });
     for &f in &spec.faults {
         st.insert_fault(f);
     }
@@ -593,7 +580,7 @@ fn o_tiled_matches_scalar(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation
         out.push(violation(
             "tiled-matches-scalar",
             format!(
-                "lean epoch repair diverged from scalar block safety after {} faults",
+                "banded epoch repair diverged from scalar block safety after {} faults",
                 spec.faults.len()
             ),
         ));
@@ -603,7 +590,7 @@ fn o_tiled_matches_scalar(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation
             out.push(violation(
                 "tiled-matches-scalar",
                 format!(
-                    "lean epoch repair diverged from scalar MCC {ty:?} safety after {} faults",
+                    "banded epoch repair diverged from scalar MCC {ty:?} safety after {} faults",
                     spec.faults.len()
                 ),
             ));

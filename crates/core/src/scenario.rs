@@ -26,49 +26,34 @@ impl Model {
     pub const ALL: [Model; 2] = [Model::FaultBlock, Model::Mcc];
 }
 
-/// How a [`Scenario`] builds and stores its derived maps.
+/// How a [`Scenario`] builds its derived maps.
 ///
 /// The default profile ([`BuildProfile::auto`]) keeps small meshes on the
-/// exact code paths they always used — sequential single-band builds and
-/// dense safety grids — and switches giant meshes to the banded
-/// construction kernels and the lean sorted-lane safety storage. Banded
-/// builds are bit-identical to sequential ones for every band count and
-/// lean maps answer every query identically to dense ones, so the
-/// profile affects wall-clock time and resident bytes, never results.
+/// sequential construction kernels and switches giant meshes to the
+/// row-banded ones. Banded builds are bit-identical to sequential ones
+/// for every band count, so the profile affects wall-clock time, never
+/// results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BuildProfile {
-    /// Horizontal row bands for the tiled construction kernels
-    /// (block fix-point, MCC label planes, safety fills); `1` selects the
-    /// sequential kernels.
+    /// Horizontal row bands for the tiled construction kernels (block
+    /// fix-point, MCC label planes); `1` selects the sequential kernels.
     pub bands: usize,
-    /// Store safety maps as sorted obstacle lanes (bytes ∝ faults)
-    /// instead of dense level grids (16 bytes per node).
-    pub lean_safety: bool,
 }
 
 impl BuildProfile {
-    /// The sequential dense profile: exactly the pre-tiling behavior.
-    pub const SCALAR: BuildProfile = BuildProfile {
-        bands: 1,
-        lean_safety: false,
-    };
+    /// The sequential profile: exactly the pre-tiling behavior.
+    pub const SCALAR: BuildProfile = BuildProfile { bands: 1 };
 
-    /// Picks a profile for `mesh`: sequential and dense below 2¹⁸ nodes
-    /// (≈ 512×512, where per-round thread-scope overhead and lane binary
-    /// searches cost more than they save), banded across the machine's
-    /// cores from there, and lean safety storage from 2²⁰ nodes
-    /// (≥ 1024×1024, where three dense maps alone exceed 48 bytes/node).
+    /// Picks a profile for `mesh`: sequential below 2¹⁸ nodes (≈ 512×512,
+    /// where per-round thread-scope overhead costs more than it saves),
+    /// banded across the machine's cores from there.
     pub fn auto(mesh: Mesh) -> BuildProfile {
-        let nodes = mesh.node_count();
-        let bands = if nodes >= 1 << 18 {
+        let bands = if mesh.node_count() >= 1 << 18 {
             std::thread::available_parallelism().map_or(1, |n| n.get().min(16))
         } else {
             1
         };
-        BuildProfile {
-            bands,
-            lean_safety: nodes >= 1 << 20,
-        }
+        BuildProfile { bands }
     }
 }
 
@@ -106,9 +91,9 @@ impl Scenario {
         Scenario::build_profiled(faults, profile)
     }
 
-    /// Decomposes a fault set under an explicit [`BuildProfile`]. Every
-    /// map, eager or lazy, borrows the building thread's scratch
-    /// workspace.
+    /// Decomposes a fault set under an explicit [`BuildProfile`]. The
+    /// block and MCC maps, eager or lazy, borrow the building thread's
+    /// scratch workspace.
     pub fn build_profiled(faults: FaultSet, profile: BuildProfile) -> Scenario {
         Scenario {
             blocks: BlockMap::build_banded(&faults, profile.bands),
@@ -126,22 +111,14 @@ impl Scenario {
         self.profile
     }
 
-    fn safety_for(&self, packed: &emr_mesh::BitGrid) -> SafetyMap {
-        if self.profile.lean_safety {
-            SafetyMap::compute_packed_lean(packed)
-        } else {
-            SafetyMap::compute_packed_banded(packed, self.profile.bands)
-        }
-    }
-
     fn block_safety(&self) -> &SafetyMap {
         self.block_safety
-            .get_or_init(|| self.safety_for(self.blocks.packed()))
+            .get_or_init(|| SafetyMap::for_blocks(&self.blocks))
     }
 
     // emr-lint: allow(A1, "mcc_index maps the two labeling types to 0 and 1, matching the two-slot arrays")
     fn mcc_safety(&self, ty: MccType) -> &SafetyMap {
-        self.mcc_safety[mcc_index(ty)].get_or_init(|| self.safety_for(self.mcc(ty).packed()))
+        self.mcc_safety[mcc_index(ty)].get_or_init(|| SafetyMap::for_mcc(self.mcc(ty)))
     }
 
     /// The safety map under the faulty-block model (built on first use).
@@ -277,7 +254,7 @@ impl Scenario {
         BoundaryMap::compute(&mesh, self.blocks.rects(), &blocked)
     }
 
-    pub(crate) fn mcc_boundary_map(&self, ty: MccType) -> BoundaryMap {
+    fn mcc_boundary_map(&self, ty: MccType) -> BoundaryMap {
         let mesh = self.mesh();
         let mcc = self.mcc(ty);
         let blocked = Grid::from_fn(mesh, |c| mcc.is_blocked(c));
@@ -413,17 +390,7 @@ mod tests {
             ],
         );
         let scalar = Scenario::build_profiled(faults.clone(), BuildProfile::SCALAR);
-        let profiles = [
-            BuildProfile {
-                bands: 3,
-                lean_safety: false,
-            },
-            BuildProfile {
-                bands: 4,
-                lean_safety: true,
-            },
-        ];
-        for profile in profiles {
+        for profile in [BuildProfile { bands: 3 }, BuildProfile { bands: 4 }] {
             let sc = Scenario::build_profiled(faults.clone(), profile);
             assert_eq!(sc.profile(), profile);
             assert_eq!(sc.blocks(), scalar.blocks(), "{profile:?}");
@@ -440,11 +407,6 @@ mod tests {
                     "{profile:?} {ty:?}"
                 );
             }
-            assert_eq!(
-                sc.block_safety_map().is_lean(),
-                profile.lean_safety,
-                "{profile:?}"
-            );
         }
     }
 

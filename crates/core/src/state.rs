@@ -12,9 +12,9 @@
 //!   [`emr_fault::MccMap::insert_fault`]),
 //! * the safety maps resweep only the lanes crossing the changed
 //!   rectangles ([`crate::SafetyMap::resweep_rect_packed`]),
-//! * boundary maps and per-pair routing decisions are cached under an
-//!   epoch tag and recomputed only when actually invalidated — unaffected
-//!   `(s, d)` work survives an epoch bump ([`DecisionCache`]).
+//! * per-pair routing decisions are cached under an epoch tag and
+//!   recomputed only when actually invalidated — unaffected `(s, d)`
+//!   work survives an epoch bump ([`DecisionCache`]).
 //!
 //! Every delta records its *dirty rectangles*: per fault model, a bound
 //! on every node whose membership (blocked vs usable) changed. A cached
@@ -28,10 +28,9 @@
 
 use std::collections::BTreeMap;
 
-use emr_fault::{FaultSet, MccType};
+use emr_fault::FaultSet;
 use emr_mesh::{Coord, Mesh, Rect};
 
-use crate::boundary::BoundaryMap;
 use crate::conditions::{ext1, ext3, safe_source, select_pivots, Ensured, PivotPolicy};
 use crate::scenario::{Model, ModelView, Scenario};
 
@@ -81,8 +80,6 @@ pub struct ScenarioState {
     scenario: Scenario,
     epoch: Epoch,
     deltas: Vec<EpochDelta>,
-    // Epoch-tagged boundary maps: [blocks, MCC one, MCC two].
-    boundary: [Option<(Epoch, BoundaryMap)>; 3],
 }
 
 impl ScenarioState {
@@ -93,8 +90,8 @@ impl ScenarioState {
     }
 
     /// [`ScenarioState::new`] under an explicit build profile: giant-mesh
-    /// callers pick banded construction and lean safety storage here, and
-    /// every epoch resweep then repairs the profiled maps in place.
+    /// callers pick banded construction here, and every epoch then repairs
+    /// the maps in place.
     pub fn with_profile(faults: FaultSet, profile: crate::scenario::BuildProfile) -> ScenarioState {
         ScenarioState::from_scenario(Scenario::build_profiled(faults, profile))
     }
@@ -105,7 +102,6 @@ impl ScenarioState {
             scenario,
             epoch: 0,
             deltas: Vec::new(),
-            boundary: [None, None, None],
         }
     }
 
@@ -154,49 +150,6 @@ impl ScenarioState {
             mcc: delta.mcc,
         });
         Some(self.epoch)
-    }
-
-    /// The boundary map for `model` (MCC routes use the type-one
-    /// labeling, mirroring [`Scenario::boundary_map`]), rebuilt only when
-    /// a fault arrived since it was last built.
-    pub fn boundary_map(&mut self, model: Model) -> &BoundaryMap {
-        let ty = match model {
-            Model::FaultBlock => None,
-            Model::Mcc => Some(MccType::One),
-        };
-        self.boundary_slot(ty)
-    }
-
-    /// The boundary map matching routes from `s` to `d` under `model`
-    /// (picks the MCC labeling from the route's quadrant), epoch-cached
-    /// like [`ScenarioState::boundary_map`].
-    pub fn boundary_map_for(&mut self, model: Model, s: Coord, d: Coord) -> &BoundaryMap {
-        let ty = match model {
-            Model::FaultBlock => None,
-            Model::Mcc => Some(MccType::for_route(s, d)),
-        };
-        self.boundary_slot(ty)
-    }
-
-    fn boundary_slot(&mut self, ty: Option<MccType>) -> &BoundaryMap {
-        let slot = match ty {
-            None => 0,
-            Some(MccType::One) => 1,
-            Some(MccType::Two) => 2,
-        };
-        let stale = !matches!(&self.boundary[slot], Some((e, _)) if *e == self.epoch);
-        if stale {
-            let map = match ty {
-                None => self.scenario.boundary_map(Model::FaultBlock),
-                Some(t) => self.scenario.mcc_boundary_map(t),
-            };
-            self.boundary[slot] = Some((self.epoch, map));
-        }
-        match &self.boundary[slot] {
-            Some((_, map)) => map,
-            // emr-lint: allow(A1, "the branch above fills this slot before the match when it is empty or stale")
-            None => unreachable!("slot filled above"),
-        }
     }
 
     /// An immutable export of the current epoch: the underlying scenario,
@@ -387,6 +340,7 @@ impl DecisionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emr_fault::MccType;
     use emr_mesh::Mesh;
 
     fn state_with(mesh: Mesh, faults: &[(i32, i32)]) -> ScenarioState {
@@ -449,16 +403,12 @@ mod tests {
     fn profiled_state_repairs_match_scalar_rebuild() {
         use crate::scenario::BuildProfile;
         let mesh = Mesh::square(20);
-        let profile = BuildProfile {
-            bands: 3,
-            lean_safety: true,
-        };
+        let profile = BuildProfile { bands: 3 };
         let mut st =
             ScenarioState::with_profile(FaultSet::from_coords(mesh, [Coord::new(5, 5)]), profile);
         for &(x, y) in &[(6, 6), (2, 8), (6, 5), (17, 12)] {
             st.insert_fault(Coord::new(x, y));
         }
-        assert!(st.scenario().block_safety_map().is_lean());
         let rebuilt =
             crate::Scenario::build_profiled(st.scenario().faults().clone(), BuildProfile::SCALAR);
         for c in mesh.nodes() {
@@ -475,26 +425,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn boundary_cache_tracks_epochs() {
-        let mesh = Mesh::square(10);
-        let mut st = state_with(mesh, &[(5, 5)]);
-        let assert_marks_match = |st: &mut ScenarioState, ctx: &str| {
-            for model in Model::ALL {
-                let fresh = st.scenario().boundary_map(model);
-                let cached = st.boundary_map(model);
-                for c in mesh.nodes() {
-                    assert_eq!(cached.marks_at(c), fresh.marks_at(c), "{ctx} {model:?} {c}");
-                }
-            }
-        };
-        assert_marks_match(&mut st, "epoch 0");
-        st.insert_fault(Coord::new(6, 6));
-        assert_marks_match(&mut st, "epoch 1");
-        st.insert_fault(Coord::new(2, 8));
-        assert_marks_match(&mut st, "epoch 2");
     }
 
     #[test]

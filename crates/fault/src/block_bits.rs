@@ -360,18 +360,6 @@ pub(crate) fn popcount_range(row: &[u64], start: i32, end: i32) -> usize {
     total
 }
 
-/// Calls `f(x)` for every set bit position of a packed row, ascending.
-pub(crate) fn for_each_set_bit(row: &[u64], mut f: impl FnMut(usize)) {
-    for (wi, &word) in row.iter().enumerate() {
-        let mut w = word;
-        while w != 0 {
-            let b = w.trailing_zeros() as usize;
-            f(wi * 64 + b);
-            w &= w - 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,14 +397,5 @@ mod tests {
                 .count();
             assert_eq!(popcount_range(g.row(0), s, e), naive, "[{s}, {e}]");
         }
-    }
-
-    #[test]
-    fn set_bit_iteration_is_ascending() {
-        let mesh = Mesh::new(130, 1);
-        let g = BitGrid::from_blocked(mesh, |c| c.x % 37 == 1);
-        let mut seen = Vec::new();
-        for_each_set_bit(g.row(0), |x| seen.push(x));
-        assert_eq!(seen, vec![1, 38, 75, 112]);
     }
 }

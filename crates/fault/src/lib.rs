@@ -52,7 +52,7 @@ mod mcc;
 mod mcc_bits;
 pub mod reach;
 pub mod reach_bits;
-pub mod workspace;
+mod workspace;
 
 pub use block::{BlockMap, FaultyBlock, NodeState};
 pub use fault_set::FaultSet;

@@ -8,23 +8,16 @@
 //! `MccMap::build_banded`, `reach::minimal_path_exists`,
 //! `ReachMap::from_packed`, …) borrows it through [`with_scratch`], so
 //! a thread pays for the buffers once and reuses them across calls. A
-//! sweep worker is one thread, so its trials share one workspace.
-//!
-//! The module is public only because `emr-core`'s safety sweeps borrow
-//! the same buffers; no public entry point takes a workspace argument.
+//! sweep worker is one thread, so its trials share one workspace. The
+//! module is private: no public entry point takes a workspace argument.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 
-use emr_mesh::{BitGrid, Coord, Dist, Grid, Mesh};
+use emr_mesh::{BitGrid, Coord, Grid, Mesh};
 
-/// A direction-indexed safety-level tuple, structurally identical to
-/// `emr_distsim::protocols::EslTuple` (this crate cannot name that alias
-/// without a dependency cycle).
-pub type LevelTuple = [Dist; 4];
-
-/// Scratch buffers shared by the fault-model decompositions, the safety
-/// sweeps, and the reachability dynamic program.
+/// Scratch buffers shared by the fault-model decompositions and the
+/// reachability kernels.
 ///
 /// Every buffer is reset (not trusted) by the code that uses it, so a
 /// workspace carries no state between calls — only capacity. In
@@ -35,13 +28,11 @@ pub type LevelTuple = [Dist; 4];
 /// is the regression test for that guarantee; every kernel that borrows
 /// the workspace must reset each buffer it uses before reading it.
 ///
-/// The fields are public because the consumers span several crates
-/// (`emr-fault` itself, `emr-core`'s safety sweeps).
 #[derive(Debug)]
 pub struct Workspace {
     /// BFS / worklist queue for fix-points and component extraction.
     pub queue: VecDeque<Coord>,
-    /// Visited marks for component extraction.
+    /// Visited marks for the scalar builders' component extraction.
     pub visited: Grid<bool>,
     /// General boolean node marks (faulty flags, obstacle maps).
     pub mark_a: Grid<bool>,
@@ -51,15 +42,10 @@ pub struct Workspace {
     pub mark_c: Grid<bool>,
     /// Reachability DP table over a normalized route rectangle.
     pub table: Grid<bool>,
-    /// Safety-level tuples for the directional distance sweeps.
-    pub tuples: Grid<LevelTuple>,
     /// Packed obstacle bits for the word-parallel reachability kernels.
     pub packed: BitGrid,
-    /// First packed label plane for the construction kernels (the MCC
-    /// "useless" bits, the safety sweeps' transposed obstacle grid).
-    pub bits_a: BitGrid,
-    /// Second packed label plane (the MCC "can't-reach" bits).
-    pub bits_b: BitGrid,
+    /// Packed visited mask for the MCC component extraction.
+    pub visited_mask: BitGrid,
     /// Packed open-mask row for [`crate::reach_bits::reach_row`].
     pub row_open: Vec<u64>,
     /// Packed reach-bits row carried between [`crate::reach_bits`] rows.
@@ -80,10 +66,8 @@ impl Workspace {
             mark_b: Grid::new(unit, false),
             mark_c: Grid::new(unit, false),
             table: Grid::new(unit, false),
-            tuples: Grid::new(unit, [0; 4]),
             packed: BitGrid::new(unit),
-            bits_a: BitGrid::new(unit),
-            bits_b: BitGrid::new(unit),
+            visited_mask: BitGrid::new(unit),
             row_open: Vec::new(),
             row_cur: Vec::new(),
             rev: Vec::new(),

@@ -1,6 +1,7 @@
 //! Differential property tests for the word-parallel reachability
-//! kernels: the bit-parallel per-pair oracle and `ReachMap` lookups must
-//! agree with the scalar DP on every generated case — random fault sets,
+//! kernels: the bit-parallel per-pair oracles (predicate and packed) and
+//! `ReachMap` lookups must agree with the scalar DP on every generated
+//! case — random fault sets,
 //! sources anywhere in the mesh (so all four quadrants are exercised),
 //! widths straddling the 64- and 128-bit word boundaries, and degenerate
 //! single-row / single-column rectangles.
@@ -8,9 +9,9 @@
 use proptest::prelude::*;
 
 use emr_fault::reach::minimal_path_exists;
-use emr_fault::reach_bits::{minimal_path_exists_bits, ReachMap};
+use emr_fault::reach_bits::{minimal_path_exists_bits, minimal_path_exists_packed, ReachMap};
 use emr_fault::FaultSet;
-use emr_mesh::{Coord, Mesh};
+use emr_mesh::{Coord, Mesh, Quadrant};
 
 /// Mesh shapes chosen to hit the packed kernel's edge cases: word-exact,
 /// one-under, one-over, two-word and three-word widths, plus single-row
@@ -45,8 +46,9 @@ fn config() -> impl Strategy<Value = Case> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(384))]
 
-    /// The packed per-pair oracle answers exactly like the scalar DP for
-    /// arbitrary endpoint pairs (any quadrant, endpoints possibly faulty).
+    /// Both bit-parallel per-pair oracles answer exactly like the scalar
+    /// DP for arbitrary endpoint pairs (any quadrant, endpoints possibly
+    /// faulty).
     #[test]
     fn pair_oracle_matches_scalar_dp((mesh, faults, s, d) in config()) {
         let set = FaultSet::from_coords(mesh, faults.into_iter().map(Coord::from));
@@ -54,8 +56,10 @@ proptest! {
         let d = Coord::from(d);
         let blocked = |c: Coord| set.is_faulty(c);
         let bits = minimal_path_exists_bits(&mesh, s, d, blocked);
+        let packed = minimal_path_exists_packed(s, d, set.packed());
         let scalar = minimal_path_exists(&mesh, s, d, blocked);
         prop_assert!(bits == scalar, "s={s}, d={d}: bits={bits}, scalar={scalar}");
+        prop_assert!(packed == scalar, "s={s}, d={d}: packed={packed}, scalar={scalar}");
     }
 }
 
@@ -79,5 +83,63 @@ proptest! {
             prop_assert!(map.reachable(d) == want, "s={s}, d={d}: want {want}");
         }
         prop_assert_eq!(map.count_reachable(), expected_count);
+    }
+}
+
+/// The packed pair kernel equals the scalar DP from sources near the
+/// middle and the corners to every destination, so every quadrant (and
+/// the shared axes) runs its spans over one-, two- and three-word widths
+/// on both sides of each word boundary.
+#[test]
+fn packed_pair_kernel_matches_scalar_dp_in_every_quadrant() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let shapes = [
+        (63, 4),
+        (64, 4),
+        (65, 4),
+        (127, 3),
+        (128, 3),
+        (129, 3),
+        (130, 3),
+        (1, 9),
+        (9, 1),
+    ];
+    for (w, h) in shapes {
+        let mesh = Mesh::new(w, h);
+        let mut quadrants = [false; 4];
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(0xB175 + seed);
+            let mut set = FaultSet::new(mesh);
+            for c in mesh.nodes() {
+                if rng.gen_bool(0.12) {
+                    set.insert(c);
+                }
+            }
+            let blocked = |c: Coord| set.is_faulty(c);
+            let sources = [
+                Coord::new(w / 2, h / 2),
+                Coord::new(0, 0),
+                Coord::new(w - 1, h - 1),
+                Coord::new(rng.gen_range(0..w), rng.gen_range(0..h)),
+            ];
+            for s in sources {
+                for d in mesh.nodes() {
+                    let want = minimal_path_exists(&mesh, s, d, blocked);
+                    assert_eq!(
+                        minimal_path_exists_packed(s, d, set.packed()),
+                        want,
+                        "{w}x{h} seed {seed}: s={s}, d={d}"
+                    );
+                    if want && s != d {
+                        let q = Quadrant::of(s, d);
+                        quadrants[Quadrant::ALL.iter().position(|&a| a == q).unwrap()] = true;
+                    }
+                }
+            }
+        }
+        if w > 1 && h > 1 {
+            assert_eq!(quadrants, [true; 4], "{w}x{h}: every quadrant reached");
+        }
     }
 }

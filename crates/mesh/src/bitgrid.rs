@@ -46,27 +46,6 @@ fn tail_mask(len: usize) -> u64 {
     }
 }
 
-/// Transposes a 64×64 bit tile in place: on exit, bit `i` of `a[r]` is the
-/// old bit `r` of `a[i]`. The classic recursive block swap (Hacker's
-/// Delight §7-3), with the shift directions mirrored for this crate's
-/// LSB-first column convention (bit 0 = lowest column index).
-// emr-lint: allow(A1, "a fixed 64x64 tile: every index is masked to 0..64")
-fn transpose64(a: &mut [u64; 64]) {
-    let mut j = 32usize;
-    let mut m = 0x0000_0000_FFFF_FFFFu64;
-    while j != 0 {
-        let mut k = 0usize;
-        while k < 64 {
-            let t = ((a[k] >> j) ^ a[k + j]) & m;
-            a[k + j] ^= t;
-            a[k] ^= t << j;
-            k = (k + j + 1) & !j;
-        }
-        j >>= 1;
-        m ^= m << j;
-    }
-}
-
 impl BitGrid {
     /// Creates an all-zero grid over `mesh`.
     pub fn new(mesh: Mesh) -> BitGrid {
@@ -269,8 +248,7 @@ impl BitGrid {
     /// overwritten; bits at and beyond the mesh height are cleared.
     ///
     /// This is the column-direction counterpart of [`BitGrid::row`] for
-    /// kernels that scan vertical lanes; for whole-grid column work,
-    /// [`BitGrid::transpose_into`] amortizes better.
+    /// kernels that scan vertical lanes.
     ///
     /// # Panics
     ///
@@ -295,43 +273,6 @@ impl BitGrid {
         for y in 0..height {
             let b = self.words[y * self.words_per_row + wi] >> bit & 1;
             dst[y / 64] |= b << (y % 64);
-        }
-    }
-
-    /// Writes the transpose of this grid into `dst`: `dst` is retargeted to
-    /// the mesh with width and height swapped, and `dst` at `(y, x)` equals
-    /// `self` at `(x, y)`. Runs on 64×64 word tiles, so a full transpose
-    /// costs ~6 word operations per 64 nodes — cheap enough to turn every
-    /// column-direction kernel into a row-direction one.
-    // emr-lint: allow(A1, "documented panic contract: asserts matching dimensions, then walks whole 64x64 tiles")
-    pub fn transpose_into(&self, dst: &mut BitGrid) {
-        let (w, h) = (self.mesh.width(), self.mesh.height());
-        dst.reset(Mesh::new(h, w));
-        let dst_wpr = dst.words_per_row;
-        let mut tile = [0u64; 64];
-        for ty in 0..(h as usize).div_ceil(64) {
-            for tx in 0..self.words_per_row {
-                // Gather the 64×64 tile at word column tx, row block ty.
-                // Rows past the mesh height read as zero, which keeps the
-                // transposed rows' tail bits clear for free.
-                for (i, t) in tile.iter_mut().enumerate() {
-                    let y = ty * 64 + i;
-                    *t = if y < h as usize {
-                        self.words[y * self.words_per_row + tx]
-                    } else {
-                        0
-                    };
-                }
-                transpose64(&mut tile);
-                // Scatter: transposed word i holds source column
-                // tx·64 + i, landing in dst row tx·64 + i at word ty.
-                for (i, &t) in tile.iter().enumerate() {
-                    let x = tx * 64 + i;
-                    if x < w as usize {
-                        dst.words[x * dst_wpr + ty] = t;
-                    }
-                }
-            }
         }
     }
 
@@ -360,6 +301,7 @@ impl BitGrid {
         self.span(from, len, dst, true);
     }
 
+    // emr-lint: allow(A1, "documented panic contract: asserts len > 0 and dst.len() >= n before writing dst[n - 1]")
     fn span(&self, from: Coord, len: i32, dst: &mut [u64], west: bool) {
         assert!(len > 0, "span length must be positive");
         let len = len as usize;
@@ -598,40 +540,6 @@ mod tests {
     fn column_outside_panics() {
         let g = BitGrid::new(Mesh::new(4, 4));
         g.column(4, &mut [0u64]);
-    }
-
-    #[test]
-    fn transpose_matches_per_bit_reads() {
-        for (width, height) in [
-            (1, 1),
-            (1, 70),
-            (70, 1),
-            (63, 65),
-            (64, 64),
-            (65, 63),
-            (130, 67),
-            (40, 150),
-        ] {
-            let mesh = Mesh::new(width, height);
-            let g = BitGrid::from_blocked(mesh, |c| (c.x * 31 + c.y * 17) % 7 < 3);
-            // Seed the destination with garbage to prove reset happens.
-            let mut t = BitGrid::from_blocked(Mesh::new(3, 3), |_| true);
-            g.transpose_into(&mut t);
-            assert_eq!(t.mesh(), Mesh::new(height, width), "{width}x{height}");
-            for c in mesh.nodes() {
-                assert_eq!(
-                    t.get(Coord::new(c.y, c.x)),
-                    g.get(c),
-                    "{width}x{height} at {c}"
-                );
-            }
-            assert_eq!(t.count_ones(), g.count_ones());
-            // Tail bits of every transposed row must stay zero: a second
-            // transpose must round-trip exactly.
-            let mut back = BitGrid::new(Mesh::new(1, 1));
-            t.transpose_into(&mut back);
-            assert_eq!(back, g, "{width}x{height} round-trip");
-        }
     }
 
     #[test]

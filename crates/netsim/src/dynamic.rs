@@ -10,8 +10,8 @@
 //! [`EpochedWuRouter`] is the paper-faithful implementation: it owns an
 //! [`emr_core::ScenarioState`], so each failure is absorbed through the
 //! incremental epoch machinery (clipped block/MCC relabeling, lane
-//! resweeps, epoch-tagged boundary rebuild) rather than a from-scratch
-//! scenario build.
+//! resweeps, one boundary rebuild per accepted failure) rather than a
+//! from-scratch scenario build.
 
 use emr_core::route::{self, RouteError};
 use emr_core::{BoundaryMap, Epoch, Model, ScenarioState};
@@ -38,7 +38,7 @@ pub trait DynamicRouter: Router {
 /// arrive.
 ///
 /// The router owns its [`ScenarioState`]; each [`DynamicRouter::fail_node`]
-/// bumps the epoch through the incremental path and refreshes the cached
+/// bumps the epoch through the incremental path and rebuilds the router's
 /// boundary map once per accepted failure (per-hop routing then pays no
 /// staleness checks).
 #[derive(Debug, Clone)]
@@ -50,8 +50,8 @@ pub struct EpochedWuRouter {
 
 impl EpochedWuRouter {
     /// Creates the router over an epoched state under one fault model.
-    pub fn new(mut state: ScenarioState, model: Model) -> EpochedWuRouter {
-        let boundary = state.boundary_map(model).clone();
+    pub fn new(state: ScenarioState, model: Model) -> EpochedWuRouter {
+        let boundary = state.scenario().boundary_map(model);
         EpochedWuRouter {
             state,
             model,
@@ -90,7 +90,7 @@ impl Router for EpochedWuRouter {
 impl DynamicRouter for EpochedWuRouter {
     fn fail_node(&mut self, c: Coord) {
         if self.state.insert_fault(c).is_some() {
-            self.boundary = self.state.boundary_map(self.model).clone();
+            self.boundary = self.state.scenario().boundary_map(self.model);
         }
     }
 

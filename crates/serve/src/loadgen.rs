@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 
 use emr_analysis::LatencyHistogram;
 use emr_core::{decide_local, Ensured, Epoch, Model, Scenario};
-use emr_fault::reach_bits::minimal_path_exists_bits;
+use emr_fault::reach_bits::minimal_path_exists_packed;
 use emr_fault::{inject, FaultSet, MccType};
 use emr_mesh::{Coord, Mesh};
 
@@ -578,8 +578,7 @@ fn verify_response(
             let Some(sc) = scenario_at(mirror, tenant, r.epoch, scenarios) else {
                 return false;
             };
-            let faults = sc.faults();
-            let expect = minimal_path_exists_bits(&sc.mesh(), q.s, q.d, |c| faults.is_faulty(c));
+            let expect = minimal_path_exists_packed(q.s, q.d, sc.faults().packed());
             (r.epoch, expect == r.reachable)
         }
         _ => return false,

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use emr_core::{
     decide_local, DecisionCache, Ensured, Epoch, Model, SafetyLevel, Scenario, ScenarioState,
 };
-use emr_fault::reach_bits::minimal_path_exists_bits;
+use emr_fault::reach_bits::minimal_path_exists_packed;
 use emr_fault::MccType;
 use emr_mesh::{Coord, MemBytes, Mesh};
 
@@ -93,22 +93,23 @@ impl Snapshot {
 
     /// Whether a minimal path from `s` to `d` exists avoiding the raw
     /// faulty nodes (not whole blocks) — the exact reachability ground
-    /// truth at this epoch.
+    /// truth at this epoch, run on the packed fault bits.
     pub fn reach(&self, s: Coord, d: Coord) -> Result<bool, ServeError> {
         self.check_on_mesh(s)?;
         self.check_on_mesh(d)?;
-        let faults = self.scenario.faults();
-        Ok(minimal_path_exists_bits(&self.mesh(), s, d, |c| {
-            faults.is_faulty(c)
-        }))
+        Ok(minimal_path_exists_packed(
+            s,
+            d,
+            self.scenario.faults().packed(),
+        ))
     }
 
     /// Approximate heap bytes held by this snapshot (an estimate for
     /// capacity planning, not an allocator measurement): the scenario's
-    /// [`MemBytes`] payload accounting — which only counts maps actually
-    /// materialized at publish time, and reflects lean safety storage
-    /// when the scenario was built with a lean [`emr_core::BuildProfile`]
-    /// — plus 40 bytes per memo entry (key + value).
+    /// [`MemBytes`] payload accounting — the packed fault, block and MCC
+    /// planes with their block and component lists, and the three safety
+    /// maps, whose lane indexes grow with the obstacles rather than the
+    /// nodes — plus 40 bytes per memo entry (key + value).
     pub fn approx_bytes(&self) -> u64 {
         self.scenario.mem_bytes() + self.memo.len() as u64 * 40
     }

@@ -18,11 +18,14 @@ fn distributed_safety_levels_match_safety_map() {
         let faults = inject::uniform(mesh, 18, &[], &mut rng);
         let scenario = Scenario::build(faults.clone());
         for model in [Model::FaultBlock, Model::Mcc] {
+            let map = match model {
+                Model::FaultBlock => scenario.block_safety_map(),
+                Model::Mcc => scenario.mcc_safety_map(MccType::One),
+            };
             let blocked = emr2d::mesh::Grid::from_fn(mesh, |c| match model {
                 Model::FaultBlock => scenario.blocks().is_blocked(c),
                 Model::Mcc => scenario.mcc(MccType::One).is_blocked(c),
             });
-            let map = SafetyMap::compute(&blocked);
             let (dist, stats) = Engine::new(mesh).run(&esl::EslFormation::new(blocked.clone()));
             for c in mesh.nodes() {
                 if blocked[c] {
