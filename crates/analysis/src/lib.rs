@@ -4,30 +4,21 @@
 //!   of affected rows/columns (rows intersecting a faulty block) and its
 //!   simulated counterpart (the paper's Figure 7),
 //! * [`stats`] — the small summary statistics the figures report,
-//! * [`histogram`] — deterministic log-linear latency histograms
-//!   (bucket-wise mergeable, p50/p99 for the serving load generator),
 //! * [`sweep`] — the shared trial harness: sweeps the fault count,
 //!   generates scenarios exactly as §5 describes (source at the mesh
 //!   center, destination uniform in the first-quadrant submesh, endpoints
 //!   outside every faulty block), and accumulates per-series percentages,
 //! * [`loadsweep`] — the saturation driver: offered-load sweeps of the
 //!   event-driven network core across traffic patterns and routers, with
-//!   mid-flight fault injection (bit-identical for any thread count),
-//! * [`arrival`] — fault-arrival sequences replayed through the epoched
-//!   incremental path vs a from-scratch rebuild per arrival, with the two
-//!   states checksummed against each other after every epoch.
+//!   mid-flight fault injection (bit-identical for any thread count).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod affected;
-pub mod arrival;
-pub mod histogram;
 pub mod loadsweep;
 pub mod stats;
 pub mod sweep;
 
-pub use arrival::{ArrivalConfig, ArrivalReport};
-pub use histogram::LatencyHistogram;
 pub use loadsweep::{LoadSweepConfig, RouterKind};
 pub use sweep::{SeriesTable, SweepConfig};

@@ -43,6 +43,11 @@ use crate::stats::Summary;
 /// count.
 const CHUNK_TRIALS: u32 = 32;
 
+/// Scenario and destination draws [`generate_trial`] makes for one trial
+/// before it gives up, so a configuration that leaves no admissible
+/// source or destination panics instead of looping forever.
+const MAX_TRIAL_DRAWS: u32 = 10_000;
+
 /// Domain-separation salts for the two per-trial RNG streams.
 const SALT_GENERATE: u64 = 0x67656E_7374726D; // "gen strm"
 const SALT_MEASURE: u64 = 0x6D6561_7374726D; // "mea strm"
@@ -312,14 +317,17 @@ where
         }
     }
     points.sort_by_key(|&(k, _)| k);
-    SeriesTable {
-        series: series.iter().map(|s| s.to_string()).collect(),
-        points,
-    }
+    SeriesTable::from_parts(series.iter().map(|s| s.to_string()).collect(), points)
 }
 
 /// Generates one trial exactly as §5 prescribes, with a pluggable fault
 /// injector.
+///
+/// # Panics
+///
+/// Panics, naming the mesh size and fault count, after
+/// [`MAX_TRIAL_DRAWS`] draws without a source outside every faulty block
+/// and a destination to go with it.
 fn generate_trial<G>(
     mesh: Mesh,
     k: usize,
@@ -331,7 +339,18 @@ where
     G: Fn(Mesh, usize, Coord, &mut StdRng) -> FaultSet,
 {
     let source = mesh.center();
+    let mut draws = 0;
+    let mut draw = || {
+        draws += 1;
+        assert!(
+            draws <= MAX_TRIAL_DRAWS,
+            "no admissible trial in {MAX_TRIAL_DRAWS} draws on a {}x{} mesh with {k} faults",
+            mesh.width(),
+            mesh.height()
+        );
+    };
     let scenario = loop {
+        draw();
         let faults = inject(mesh, k, source, rng);
         let sc = Scenario::build_profiled(faults, profile);
         // The paper assumes the source is outside every faulty block.
@@ -341,6 +360,7 @@ where
     };
     // Destination uniform in the first-quadrant submesh, outside blocks.
     let dest = loop {
+        draw();
         let d = Coord::new(
             rng.gen_range(source.x..mesh.width()),
             rng.gen_range(source.y..mesh.height()),
@@ -355,6 +375,8 @@ where
 /// The result of a sweep: one row per fault count, one column per series.
 #[derive(Debug, Clone)]
 pub struct SeriesTable {
+    /// Header of the row-key column.
+    key: &'static str,
     series: Vec<String>,
     points: Vec<(usize, Vec<Summary>)>,
 }
@@ -376,7 +398,18 @@ impl SeriesTable {
                 series.len()
             );
         }
-        SeriesTable { series, points }
+        SeriesTable {
+            key: "faults",
+            series,
+            points,
+        }
+    }
+
+    /// Relabels the row-key column (`faults` by default) for tables keyed
+    /// by something other than a fault count.
+    pub fn with_key(mut self, key: &'static str) -> SeriesTable {
+        self.key = key;
+        self
     }
 
     /// Joins two tables over the same fault counts into one wide table.
@@ -397,7 +430,11 @@ impl SeriesTable {
             .zip(&other.points)
             .map(|((k, a), (_, b))| (*k, a.iter().chain(b).copied().collect()))
             .collect();
-        SeriesTable { series, points }
+        SeriesTable {
+            key: self.key,
+            series,
+            points,
+        }
     }
 
     /// The series names (column headers).
@@ -426,7 +463,7 @@ impl SeriesTable {
     ///
     /// Propagates I/O errors from `out`.
     pub fn write_plain(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
-        write!(out, "{:>8}", "faults")?;
+        write!(out, "{:>8}", self.key)?;
         for s in &self.series {
             write!(out, "  {s:>24}")?;
         }
@@ -454,7 +491,7 @@ impl SeriesTable {
     ///
     /// Propagates I/O errors from `out`.
     pub fn write_csv(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
-        write!(out, "faults")?;
+        write!(out, "{}", self.key)?;
         for s in &self.series {
             write!(out, ",{s}")?;
         }
@@ -637,5 +674,21 @@ mod tests {
             profile: None,
         };
         let _ = run(&cfg, &["a", "b"], |_, _| vec![1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "on a 5x5 mesh with 23 faults")]
+    fn infeasible_fault_count_panics_instead_of_spinning() {
+        // 23 of the 24 non-source nodes fail, so the source always has a
+        // faulty neighbor in both dimensions and sits inside a block.
+        let cfg = SweepConfig {
+            mesh_size: 5,
+            trials: 1,
+            fault_counts: vec![23],
+            seed: 1,
+            threads: Some(1),
+            profile: None,
+        };
+        let _ = run(&cfg, &["a"], |_, _| vec![1.0]);
     }
 }

@@ -6,7 +6,8 @@
 //! (the sweep engine's per-trial shape); the `ReachMap` benchmark builds
 //! the full map once per iteration — the fair comparison for the
 //! all-destinations case is `reach_map` against `mesh_size²` per-pair
-//! calls, which the `reach_report` binary records to `BENCH_reach.json`.
+//! calls. The `reach-bits-matches-dp` conform oracle checks that the
+//! kernels agree.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;

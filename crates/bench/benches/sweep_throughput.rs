@@ -1,7 +1,7 @@
 //! End-to-end sweep throughput (trials per second) at several worker
-//! counts — the tentpole measurement for the trial-parallel experiment
-//! engine. The `perf_report` binary records the same quantity to
-//! `BENCH_sweep.json` for tracking across changes.
+//! counts, for the trial-parallel experiment engine. The repository
+//! benchmark's `sweep-paper` workload tracks the same quantity across
+//! changes (`BENCHMARK.json`).
 
 use std::num::NonZeroUsize;
 

@@ -35,8 +35,10 @@ impl CliOptions {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for unknown flags or malformed
-    /// numbers.
+    /// Returns a human-readable message for unknown flags, malformed
+    /// numbers, a `--size` below 3 (the source's first-quadrant submesh
+    /// would hold no destination), and fault counts that leave at most
+    /// the source healthy.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<CliOptions, String> {
         let mut config = SweepConfig::default();
         let mut step = 10usize;
@@ -85,6 +87,19 @@ impl CliOptions {
             }
         }
         config.fault_counts = (0..=max_faults).step_by(step.max(1)).collect();
+        let side = config.mesh_size;
+        if side < 3 {
+            return Err(format!("--size {side}: the mesh side must be at least 3"));
+        }
+        let nodes = u64::from(side.unsigned_abs()).pow(2);
+        if let Some(&k) = config.fault_counts.last() {
+            if k as u64 >= nodes - 1 {
+                return Err(format!(
+                    "{k} faults leave no destination on a {side}x{side} mesh (at most {})",
+                    nodes - 2
+                ));
+            }
+        }
         Ok(CliOptions { config, csv })
     }
 
@@ -170,5 +185,24 @@ mod tests {
         assert!(parse(&["--trials"]).is_err());
         assert!(parse(&["--trials", "abc"]).is_err());
         assert!(parse(&["--help"]).is_err());
+    }
+
+    #[test]
+    fn meshes_without_a_destination_are_rejected() {
+        for size in ["0", "1", "2"] {
+            let err = parse(&["--size", size, "--max-faults", "0"]).unwrap_err();
+            assert!(err.contains("at least 3"), "{err}");
+        }
+        assert!(parse(&["--size", "3", "--max-faults", "0"]).is_ok());
+    }
+
+    #[test]
+    fn fault_counts_that_leave_only_the_source_are_rejected() {
+        let err = parse(&["--size", "10", "--step", "1", "--max-faults", "99"]).unwrap_err();
+        assert!(err.contains("99 faults"), "{err}");
+        assert!(parse(&["--size", "10", "--step", "1", "--max-faults", "98"]).is_ok());
+        // The default sweep reaches 200 faults, more than a 14x14 mesh holds.
+        assert!(parse(&["--size", "14"]).is_err());
+        assert!(parse(&["--size", "15"]).is_ok());
     }
 }

@@ -7,15 +7,14 @@
 //! Generates `--seeds` random scenarios from `--master-seed`, checks the
 //! full oracle table on each, shrinks up to `--max-shrink` failures to
 //! minimal counterexamples (written to `--out-dir` as self-contained JSON
-//! repros), and writes an aggregate report to `--report`. Exits non-zero
+//! repros), and writes an aggregate report to `--report` (default
+//! `results/conform/BENCH_conform.json`). Exits non-zero
 //! when any oracle was violated, so CI can gate on it. `--sabotage`
 //! deliberately corrupts one oracle's ground-truth comparison to
 //! demonstrate the shrinking machinery end to end.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-// emr-lint: allow(R2, "wall-clock elapsed time is reported, never used in checks")
-use std::time::Instant;
 
 use emr_conform::report::{self, ConformReport, OracleTally, Repro};
 use emr_conform::{runner, shrink, CheckCtx, RunConfig};
@@ -31,7 +30,7 @@ fn parse_options(args: impl IntoIterator<Item = String>) -> Result<Options, Stri
     let mut opts = Options {
         run: RunConfig::default(),
         out_dir: PathBuf::from("results/conform"),
-        report_path: PathBuf::from("BENCH_conform.json"),
+        report_path: PathBuf::from("results/conform/BENCH_conform.json"),
         max_shrink: 5,
     };
     let mut args = args.into_iter();
@@ -90,10 +89,7 @@ fn main() {
     // replays the failing check hundreds of times).
     std::panic::set_hook(Box::new(|_| {}));
 
-    // emr-lint: allow(R2, "wall-clock elapsed time is reported, never used in checks")
-    let started = Instant::now();
     let outcome = runner::run(&opts.run);
-    let elapsed_ms = started.elapsed().as_millis() as u64;
     let _ = std::panic::take_hook();
 
     let ctx = CheckCtx {
@@ -160,7 +156,6 @@ fn main() {
             .collect(),
         failing_seeds: outcome.failures.iter().map(|f| f.seed).collect(),
         repro_files,
-        elapsed_ms,
     };
     if let Err(e) = report::write_report(&opts.report_path, &report) {
         eprintln!("failed to write {}: {e}", opts.report_path.display());
@@ -168,7 +163,7 @@ fn main() {
     }
 
     println!(
-        "conformance: {} scenarios, {} violations in {} failing trials ({elapsed_ms} ms) -> {}",
+        "conformance: {} scenarios, {} violations in {} failing trials -> {}",
         report.seeds,
         report.violations,
         report.failing_seeds.len(),

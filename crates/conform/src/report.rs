@@ -1,7 +1,8 @@
 //! Machine-readable run reports and self-contained reproduction files.
 //!
 //! A failing run writes one JSON repro per shrunk counterexample to
-//! `results/conform/` plus an aggregate `BENCH_conform.json`-style report.
+//! `results/conform/`; every run writes an aggregate report
+//! (`results/conform/BENCH_conform.json` by default).
 //! A repro file is self-contained: the shrunk [`ScenarioSpec`] is stored
 //! explicitly, so it replays with [`crate::oracles::check_spec`] even if
 //! the generator's seed expansion changes later.
@@ -42,7 +43,7 @@ pub struct OracleTally {
     pub violations: u64,
 }
 
-/// The aggregate report of one conformance run (`BENCH_conform.json`).
+/// The aggregate report of one conformance run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConformReport {
     /// Master seed.
@@ -61,8 +62,6 @@ pub struct ConformReport {
     pub failing_seeds: Vec<u64>,
     /// Repro files written (relative or absolute paths as configured).
     pub repro_files: Vec<String>,
-    /// Wall-clock duration of the sweep in milliseconds.
-    pub elapsed_ms: u64,
 }
 
 /// The repro filename for a trial/oracle pair.
@@ -96,12 +95,16 @@ pub fn read_repro(path: &Path) -> io::Result<Repro> {
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
-/// Writes the aggregate report as pretty JSON.
+/// Writes the aggregate report as pretty JSON, creating its directory if
+/// missing.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
 pub fn write_report(path: &Path, report: &ConformReport) -> io::Result<()> {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
+    }
     let json = serde_json::to_string_pretty(report).expect("report serializes");
     std::fs::write(path, json)
 }
@@ -153,7 +156,6 @@ mod tests {
             per_oracle: vec![],
             failing_seeds: vec![],
             repro_files: vec![],
-            elapsed_ms: 12,
         };
         let json = serde_json::to_string_pretty(&report).unwrap();
         let back: ConformReport = serde_json::from_str(&json).unwrap();

@@ -422,6 +422,41 @@ mod tests {
     }
 
     #[test]
+    fn warmed_512_mesh_stays_within_byte_budget() {
+        use rand::SeedableRng;
+        // One fault per side-length unit, so the per-fault lists grow
+        // with the side, not the node count. The caps sit 25% above the
+        // measured 1.80 and 1.94 B/node.
+        let mesh = Mesh::square(512);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5ca1_e000 ^ 512);
+        let faults = emr_fault::inject::uniform(mesh, 512, &[], &mut rng);
+        let nodes = mesh.node_count() as f64;
+        for bands in [1, 2, 3] {
+            let sc = Scenario::build_profiled(faults.clone(), BuildProfile { bands });
+            let standard = sc.faults().mem_bytes()
+                + sc.blocks().mem_bytes()
+                + MccType::ALL
+                    .iter()
+                    .map(|&ty| sc.mcc(ty).mem_bytes())
+                    .sum::<u64>();
+            sc.block_safety_map();
+            for ty in MccType::ALL {
+                sc.mcc_safety_map(ty);
+            }
+            let standard = standard as f64 / nodes;
+            let total = sc.mem_bytes() as f64 / nodes;
+            assert!(
+                standard <= 2.25,
+                "bands {bands}: standard {standard:.4} B/node"
+            );
+            assert!(
+                total <= 2.42,
+                "bands {bands}: warmed total {total:.4} B/node"
+            );
+        }
+    }
+
+    #[test]
     fn views_agree_with_their_models() {
         let sc = scenario();
         let fb = sc.view(Model::FaultBlock);

@@ -19,10 +19,9 @@
 //!   `Stats`, and typed errors.
 //! * [`loopback`] — the in-process transport; both directions cross a
 //!   real JSON wire boundary.
-//! * [`loadgen`] — the deterministic load generator behind the
-//!   `serve_report` bench bin: phased writer/client epochs, per-client
-//!   splitmix64 streams, latency histograms, and a response checksum
-//!   that is bit-identical across thread and shard counts.
+//! * [`loadgen`] — the deterministic load generator: phased
+//!   writer/client epochs, per-client splitmix64 streams, and a response
+//!   checksum that is bit-identical across thread and shard counts.
 //! * [`snapshot`], [`hash`] — the immutable epoch capture and the
 //!   deterministic FNV-1a helpers.
 //!

@@ -1,9 +1,8 @@
 //! The deterministic load generator.
 //!
 //! Drives a [`Store`] through the loopback wire with thousands of
-//! simulated clients and reports throughput, latency quantiles, and a
-//! **response checksum** that must be bit-identical across thread counts
-//! and shard counts.
+//! simulated clients and reports response counters and a **response
+//! checksum**, all bit-identical across thread counts and shard counts.
 //!
 //! Determinism discipline (the sweep-engine recipe from PR 1):
 //!
@@ -15,10 +14,10 @@
 //!   barrier behind them, so unpinned reads resolve to a known epoch;
 //! * clients are dispatched in fixed-size chunks via an atomic cursor
 //!   and their digests are folded in ascending client order, so the run
-//!   checksum is independent of scheduling;
-//! * wall-clock time is measured (behind scoped emr-lint allows) but
-//!   only ever *reported* — latencies land in a bucket-mergeable
-//!   [`LatencyHistogram`] and never influence any decision or checksum.
+//!   checksum is independent of scheduling.
+//!
+//! The generator reads no clock; the repository benchmark times the
+//! service from outside.
 //!
 //! With `verify` set, every response is additionally replayed against a
 //! freshly built [`Scenario`] of the same epoch's fault prefix — the
@@ -27,14 +26,11 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-// emr-lint: allow(R2, "latency capture; reported only, never drives control flow")
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use emr_analysis::LatencyHistogram;
 use emr_core::{decide_local, Ensured, Epoch, Model, Scenario};
 use emr_fault::reach_bits::minimal_path_exists_packed;
 use emr_fault::{inject, FaultSet, MccType};
@@ -115,11 +111,10 @@ impl Default for LoadConfig {
     }
 }
 
-/// What one run produced. Everything except `elapsed_secs`, `qps`, and
-/// the recorded latency *values* is deterministic in `(seed, config
-/// minus threads minus shards)` — the determinism regression test pins
-/// exactly that split.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// What one run produced. Every field is deterministic in `(seed, config
+/// minus threads minus shards)`; the determinism regression test compares
+/// whole reports.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LoadReport {
     /// Total queries sent (route + safety + reach).
     pub queries: u64,
@@ -151,12 +146,6 @@ pub struct LoadReport {
     /// Responses that failed differential verification (only counted
     /// with `verify`; must be 0).
     pub verify_failures: u64,
-    /// Wall-clock seconds for the query phases (nondeterministic).
-    pub elapsed_secs: f64,
-    /// Queries per second over the query phases (nondeterministic).
-    pub qps: f64,
-    /// Per-query latency histogram (nondeterministic values).
-    pub latency: LatencyHistogram,
 }
 
 /// Per-client tally, merged in client order.
@@ -172,7 +161,6 @@ struct ClientTally {
     sub_minimal: u64,
     no_decision: u64,
     verify_failures: u64,
-    latency: LatencyHistogram,
 }
 
 /// The per-tenant ground-truth mirror the generator maintains: the fault
@@ -222,22 +210,14 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
         approx_snapshot_bytes: 0,
         memo_entries: 0,
         verify_failures: 0,
-        elapsed_secs: 0.0,
-        qps: 0.0,
-        latency: LatencyHistogram::new(),
     };
 
-    let mut query_ns = 0u128;
     for epoch in 0..=cfg.epochs {
         if epoch > 0 {
             writer_phase(&cfg, &client, epoch, &mut mirrors);
             report.epochs_published += 1;
         }
-        // emr-lint: allow(R2, "phase wall-clock; reported only")
-        let started = Instant::now();
-        let tallies = client_phase(&cfg, &client, epoch, &mirrors);
-        query_ns += started.elapsed().as_nanos();
-        for tally in tallies {
+        for tally in client_phase(&cfg, &client, epoch, &mirrors) {
             report.checksum = fnv1a64_u64(report.checksum, tally.digest);
             report.queries += tally.queries;
             report.errors += tally.errors;
@@ -248,7 +228,6 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
             report.sub_minimal += tally.sub_minimal;
             report.no_decision += tally.no_decision;
             report.verify_failures += tally.verify_failures;
-            report.latency.merge(&tally.latency);
         }
     }
 
@@ -265,12 +244,6 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
         }
     }
 
-    report.elapsed_secs = query_ns as f64 / 1e9;
-    report.qps = if report.elapsed_secs > 0.0 {
-        report.queries as f64 / report.elapsed_secs
-    } else {
-        0.0
-    };
     report
 }
 
@@ -499,10 +472,7 @@ fn run_client(
         reqs.push(req);
     }
 
-    // emr-lint: allow(R2, "latency capture; reported only, never drives control flow")
-    let started = Instant::now();
     let responses = client.send(&reqs);
-    let elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
 
     let mut tally = ClientTally {
         digest: FNV_OFFSET,
@@ -515,11 +485,7 @@ fn run_client(
         sub_minimal: 0,
         no_decision: 0,
         verify_failures: 0,
-        latency: LatencyHistogram::new(),
     };
-    tally
-        .latency
-        .record_n(elapsed_ns / reqs.len().max(1) as u64, reqs.len() as u64);
     for (i, resp) in responses.iter().enumerate() {
         let wire = serde_json::to_string(resp)
             .unwrap_or_else(|e| panic!("unserializable response: {e:?}"));
