@@ -103,18 +103,6 @@ impl SweepConfig {
         }
     }
 
-    /// Overrides the trial count (used by the figure binaries' CLI).
-    pub fn with_trials(mut self, trials: u32) -> Self {
-        self.trials = trials;
-        self
-    }
-
-    /// Overrides the worker-thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
     /// The worker count this configuration resolves to.
     fn resolved_threads(&self) -> usize {
         self.threads

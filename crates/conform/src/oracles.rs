@@ -39,7 +39,8 @@ use emr_netsim::{
     AdaptiveRouter, EpochedWuRouter, EventSim, NetSim, Packet, Router, Workload, WuRouter, XyRouter,
 };
 use emr_serve::api::{
-    AdvanceEpoch, InjectFault, ReachQuery, RegisterMesh, Request, Response, RouteQuery, SafetyQuery,
+    AdvanceEpoch, InjectFault, ReachQuery, RegisterMesh, Request, Response, RouteQuery,
+    SafetyQuery, SnapshotStats, WarmDecision,
 };
 use emr_serve::{LoopbackClient, Store, StoreConfig};
 use rand::rngs::StdRng;
@@ -169,11 +170,12 @@ pub const ORACLES: &[Oracle] = &[
     },
     Oracle {
         name: "serve-matches-direct",
-        claim: "every response a serve session produces — routes, safety \
-                levels, reachability, at every retained epoch — equals a \
-                fresh Scenario built from that epoch's fault prefix, and \
-                the whole response stream is invariant under the shard \
-                count (ground truth: Scenario::build + decide_local)",
+        claim: "every response a serve session produces — routes (those \
+                served from a Warm memo included), safety levels, \
+                reachability, at every retained epoch — equals a fresh \
+                Scenario built from that epoch's fault prefix, and the \
+                whole response stream is invariant under the shard count \
+                (ground truth: Scenario::build + decide_local)",
         check: o_serve_matches_direct,
     },
     Oracle {
@@ -1101,8 +1103,10 @@ fn o_serve_matches_direct(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation
     // Drive one session, recording every batch and its responses so the
     // identical script can be replayed against a differently-sharded
     // store afterwards. The spec's faults arrive in at most 8 publish
-    // groups; the fault prefix live at each published epoch is mirrored
-    // from the `Injected.changed` / `Published` responses themselves.
+    // groups, each warming every pair under both models before its
+    // `Advance`, so the replay below reads Routes from snapshot memos;
+    // the fault prefix live at each published epoch is mirrored from the
+    // `Injected.changed` / `Published` responses themselves.
     let mut script: Vec<(Vec<Request>, Vec<Response>)> = Vec::new();
     let send = |client: &LoopbackClient,
                 script: &mut Vec<(Vec<Request>, Vec<Response>)>,
@@ -1142,6 +1146,17 @@ fn o_serve_matches_direct(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation
                 })
             })
             .collect();
+        let warms = spec.pairs.len() * Model::ALL.len();
+        batch.extend(spec.pairs.iter().flat_map(|&(s, d)| {
+            Model::ALL.map(|model| {
+                Request::Warm(WarmDecision {
+                    mesh: name.to_string(),
+                    model,
+                    s,
+                    d,
+                })
+            })
+        }));
         batch.push(Request::Advance(AdvanceEpoch {
             mesh: name.to_string(),
         }));
@@ -1157,6 +1172,14 @@ fn o_serve_matches_direct(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation
                     "serve-matches-direct",
                     format!("inject of {c} answered {other:?}"),
                 )),
+            }
+        }
+        for resp in responses.iter().skip(chunk.len()).take(warms) {
+            if !matches!(resp, Response::Warmed(_)) {
+                out.push(violation(
+                    "serve-matches-direct",
+                    format!("warm answered {resp:?}"),
+                ));
             }
         }
         match responses.last() {
@@ -1261,6 +1284,29 @@ fn o_serve_matches_direct(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation
                     ));
                 }
             }
+        }
+    }
+
+    // The latest snapshot memoizes every warmed pair, so the replay
+    // above read memoized Routes and not only recomputed ones.
+    if !spec.faults.is_empty() {
+        let keys: std::collections::BTreeSet<(Coord, Coord)> = spec.pairs.iter().copied().collect();
+        let stats = send(
+            &client,
+            &mut script,
+            vec![Request::Stats(SnapshotStats {
+                mesh: name.to_string(),
+            })],
+        );
+        let want = (keys.len() * Model::ALL.len()) as u64;
+        if !matches!(&stats[0], Response::Stats(r) if r.memo_entries == want) {
+            out.push(violation(
+                "serve-matches-direct",
+                format!(
+                    "stats answered {:?}, expected {want} memo entries",
+                    stats[0]
+                ),
+            ));
         }
     }
 

@@ -62,11 +62,6 @@ impl SafetyLevel {
         self.dists[dir.index()]
     }
 
-    /// The raw direction-indexed tuple.
-    pub fn as_tuple(&self) -> EslTuple {
-        self.dists
-    }
-
     /// Definition 3 generalized to any quadrant: with `rel_d` the
     /// destination's coordinates in `frame` (so `rel_d.x, rel_d.y ≥ 0`),
     /// this node is *safe with respect to the destination* when

@@ -349,15 +349,6 @@ impl<'a> ModelView<'a> {
         }
     }
 
-    /// The obstacle bounding rectangles relevant to routes from `s` to
-    /// `d` — borrowed from the model's cache, no per-call allocation.
-    pub fn rects_for(&self, s: Coord, d: Coord) -> &'a [Rect] {
-        match self.model {
-            Model::FaultBlock => self.scenario.blocks.rects(),
-            Model::Mcc => self.scenario.mcc(MccType::for_route(s, d)).rects(),
-        }
-    }
-
     /// Whether both endpoints have fault-free status under this model (the
     /// paper's standing assumption on sources and destinations).
     pub fn endpoints_usable(&self, s: Coord, d: Coord) -> bool {

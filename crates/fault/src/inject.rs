@@ -74,7 +74,8 @@ pub fn uniform(mesh: Mesh, count: usize, forbidden: &[Coord], rng: &mut impl Rng
 /// Draws `count` distinct faults clustered around `centers` random cluster
 /// centers: each fault picks a center and scatters around it with
 /// geometric tail `spread` (larger spread ⇒ looser clusters). Used by the
-/// ablation benches; not part of the paper's evaluation.
+/// clustered ablation and the conformance specs; not part of the paper's
+/// evaluation.
 ///
 /// # Panics
 ///

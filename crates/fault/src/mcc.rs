@@ -286,11 +286,6 @@ impl MccMap {
         self.mesh
     }
 
-    /// Which labeling this map holds.
-    pub fn mcc_type(&self) -> MccType {
-        self.ty
-    }
-
     /// The status of node `c`.
     ///
     /// # Panics

@@ -8,8 +8,8 @@ use crate::report::Finding;
 use crate::rules::{Matcher, Rule, RULES};
 
 /// First-party source roots, workspace-relative. Vendored stand-ins
-/// (`crates/rand`, `crates/serde*`, `crates/proptest`, `crates/criterion`)
-/// are deliberately absent.
+/// (`crates/rand`, `crates/serde*`, `crates/proptest`) are deliberately
+/// absent.
 pub const FIRST_PARTY_ROOTS: &[&str] = &[
     "src",
     "crates/mesh",

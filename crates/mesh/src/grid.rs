@@ -98,11 +98,6 @@ impl<T> Grid<T> {
         &self.data
     }
 
-    /// Mutable access to the backing storage in row-major order.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Applies `f` to every stored value, producing a grid of the results.
     pub fn map<U>(&self, mut f: impl FnMut(&T) -> U) -> Grid<U> {
         Grid {

@@ -70,15 +70,6 @@ impl SimReport {
         }
     }
 
-    /// Mean hops per delivered packet.
-    pub fn mean_hops(&self) -> f64 {
-        if self.delivered == 0 {
-            0.0
-        } else {
-            self.total_hops as f64 / self.delivered as f64
-        }
-    }
-
     /// Hop stretch: delivered hops over the Manhattan lower bound
     /// (1.0 = every packet took a minimal route).
     pub fn hop_stretch(&self) -> f64 {

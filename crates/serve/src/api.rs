@@ -32,7 +32,8 @@ use emr_mesh::Coord;
 pub struct RegisterMesh {
     /// Tenant/mesh name; the shard key.
     pub mesh: String,
-    /// Mesh width (≥ 1).
+    /// Mesh width (≥ 1; `width × height` at most
+    /// [`MAX_MESH_NODES`](crate::store::MAX_MESH_NODES)).
     pub width: i32,
     /// Mesh height (≥ 1).
     pub height: i32,
@@ -234,7 +235,8 @@ pub enum ServeError {
     UnknownMesh(String),
     /// `Register` for a name that already exists.
     AlreadyRegistered(String),
-    /// `Register` with a non-positive dimension.
+    /// `Register` with a non-positive dimension, or with more than
+    /// [`MAX_MESH_NODES`](crate::store::MAX_MESH_NODES) nodes.
     BadMesh(String),
     /// A pinned epoch that is not retained (evicted or never published).
     EpochNotRetained(EpochWindow),
@@ -258,7 +260,11 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::UnknownMesh(name) => write!(f, "unknown mesh {name:?}"),
             ServeError::AlreadyRegistered(name) => write!(f, "mesh {name:?} already registered"),
-            ServeError::BadMesh(name) => write!(f, "mesh {name:?} has non-positive dimensions"),
+            ServeError::BadMesh(name) => write!(
+                f,
+                "mesh {name:?} has a non-positive dimension or more than {} nodes",
+                crate::store::MAX_MESH_NODES
+            ),
             ServeError::EpochNotRetained(w) => write!(
                 f,
                 "epoch {} not retained (window {}..={})",
@@ -292,14 +298,4 @@ pub enum Response {
     Stats(StatsReport),
     /// The request failed.
     Error(ServeError),
-}
-
-impl Response {
-    /// The error payload, if this response is one.
-    pub fn as_error(&self) -> Option<&ServeError> {
-        match self {
-            Response::Error(e) => Some(e),
-            _ => None,
-        }
-    }
 }

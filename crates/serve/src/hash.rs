@@ -2,9 +2,9 @@
 //!
 //! Used for two jobs that must not depend on `std`'s randomized
 //! `RandomState` (banned by emr-lint R1): picking the shard of a mesh
-//! name, and folding served response bytes into the load generator's
-//! run checksum. FNV-1a is tiny, stable across platforms and runs, and
-//! good enough for both.
+//! name, and folding served response bytes into the repository
+//! benchmark's run checksums. FNV-1a is tiny, stable across platforms
+//! and runs, and good enough for both.
 
 /// FNV-1a offset basis (64-bit).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

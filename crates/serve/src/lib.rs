@@ -19,14 +19,12 @@
 //!   `Stats`, and typed errors.
 //! * [`loopback`] — the in-process transport; both directions cross a
 //!   real JSON wire boundary.
-//! * [`loadgen`] — the deterministic load generator: phased
-//!   writer/client epochs, per-client splitmix64 streams, and a response
-//!   checksum that is bit-identical across thread and shard counts.
 //! * [`snapshot`], [`hash`] — the immutable epoch capture and the
 //!   deterministic FNV-1a helpers.
 //!
 //! Conformance: the `serve-matches-direct` oracle in `emr-conform`
-//! replays every response of a served session against a freshly built
+//! replays every response of a served session — Routes answered from a
+//! `Warm`ed memo included — against a freshly built
 //! [`emr_core::Scenario`] at the same epoch, and the snapshot-isolation
 //! property tests in `tests/` pin the no-torn-reads, epoch-stability,
 //! and shard-invariance guarantees.
@@ -64,13 +62,11 @@
 
 pub mod api;
 pub mod hash;
-pub mod loadgen;
 pub mod loopback;
 pub mod snapshot;
 pub mod store;
 
 pub use api::{Request, Response, ServeError};
-pub use loadgen::{LoadConfig, LoadReport};
 pub use loopback::LoopbackClient;
 pub use snapshot::Snapshot;
 pub use store::{Store, StoreConfig};

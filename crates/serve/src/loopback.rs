@@ -5,8 +5,7 @@
 //! request batches are JSON-encoded, decoded on the "server" side,
 //! answered by the shared [`Store`], and the responses JSON-encoded back.
 //! Every served byte therefore exercises exactly the serialization a
-//! remote client would see, the response checksums of the load generator
-//! are checksums of wire bytes, and swapping in a socket transport later
+//! remote client would see, and swapping in a socket transport later
 //! changes no types.
 
 use std::sync::Arc;

@@ -37,6 +37,12 @@ use crate::api::{
 use crate::hash::{fnv1a64, FNV_OFFSET};
 use crate::snapshot::Snapshot;
 
+/// The most nodes a registered mesh may have: 4096², the largest mesh
+/// the construction pipeline is sized for (DESIGN § Scale). `Register`
+/// answers [`ServeError::BadMesh`] above it, before any map is allocated
+/// or any lock taken.
+pub const MAX_MESH_NODES: i64 = 1 << 24;
+
 /// Store sizing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreConfig {
@@ -209,7 +215,8 @@ impl Store {
     }
 
     fn register(&self, r: &RegisterMesh) -> Response {
-        if r.width < 1 || r.height < 1 {
+        let nodes = i64::from(r.width) * i64::from(r.height);
+        if r.width < 1 || r.height < 1 || nodes > MAX_MESH_NODES {
             return Response::Error(ServeError::BadMesh(r.mesh.clone()));
         }
         let mesh = Mesh::new(r.width, r.height);
@@ -339,4 +346,37 @@ fn tenant_mut<'a>(
         .tenants
         .get_mut(mesh)
         .ok_or_else(|| ServeError::UnknownMesh(mesh.to_string()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn register(width: i32, height: i32) -> Response {
+        Store::new(StoreConfig::default()).handle(&Request::Register(RegisterMesh {
+            mesh: "m".to_string(),
+            width,
+            height,
+            faults: Vec::new(),
+        }))
+    }
+
+    #[test]
+    fn oversized_register_answers_bad_mesh_before_allocating() {
+        for (width, height) in [
+            (1 << 20, 1 << 20),
+            (i32::MAX, 1),
+            (i32::MAX, i32::MAX),
+            (4097, 4096),
+            (0, 4),
+            (4, -1),
+        ] {
+            assert_eq!(
+                register(width, height),
+                Response::Error(ServeError::BadMesh("m".to_string())),
+                "{width}x{height}"
+            );
+        }
+        assert!(matches!(register(16, 16), Response::Registered(_)));
+    }
 }

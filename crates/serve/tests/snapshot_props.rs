@@ -21,7 +21,8 @@ use proptest::prelude::*;
 use emr_core::Model;
 use emr_mesh::Coord;
 use emr_serve::api::{
-    AdvanceEpoch, InjectFault, ReachQuery, RegisterMesh, Request, Response, RouteQuery, SafetyQuery,
+    AdvanceEpoch, InjectFault, ReachQuery, RegisterMesh, Request, Response, RouteQuery,
+    SafetyQuery, SnapshotStats, WarmDecision,
 };
 use emr_serve::{LoopbackClient, Store, StoreConfig};
 
@@ -198,23 +199,48 @@ proptest! {
         }
     }
 
-    /// The full response stream — registration, writes, pinned and
-    /// unpinned reads, errors included — is identical for any shard
-    /// count.
+    /// The full response stream — registration of three tenants,
+    /// writes, warms, pinned and unpinned reads, stats, errors included —
+    /// is identical for any shard count.
     #[test]
     fn shard_count_never_changes_any_response(
         (n, init, extras, draws) in config()
     ) {
+        // Three tenants with different fault streams: "m" starts from the
+        // drawn faults, "a" and "b" start empty and take the later faults
+        // in order and in reverse.
+        let tenants = ["m", "a", "b"];
         let mut script: Vec<Request> = vec![register(n, &init)];
+        for t in &tenants[1..] {
+            script.push(Request::Register(RegisterMesh {
+                mesh: t.to_string(),
+                width: n,
+                height: n,
+                faults: Vec::new(),
+            }));
+        }
         script.extend(queries("m", None, &draws));
         for (i, &c) in extras.iter().enumerate() {
-            script.push(Request::Inject(InjectFault {
-                mesh: "m".to_string(),
-                fault: coord(c),
-            }));
-            script.push(Request::Advance(AdvanceEpoch { mesh: "m".to_string() }));
-            script.extend(queries("m", Some(i as u64), &draws));
-            script.extend(queries("m", None, &draws));
+            let faults = [c, c, extras[extras.len() - 1 - i]];
+            for (t, f) in tenants.into_iter().zip(faults) {
+                script.push(Request::Inject(InjectFault {
+                    mesh: t.to_string(),
+                    fault: coord(f),
+                }));
+                // Warm every drawn pair so later snapshots answer Routes
+                // from their memo.
+                script.extend(draws.iter().map(|&(kind, _, s, d)| {
+                    Request::Warm(WarmDecision {
+                        mesh: t.to_string(),
+                        model: if kind % 2 == 0 { Model::FaultBlock } else { Model::Mcc },
+                        s: coord(s),
+                        d: coord(d),
+                    })
+                }));
+                script.push(Request::Advance(AdvanceEpoch { mesh: t.to_string() }));
+                script.extend(queries(t, Some(i as u64), &draws));
+                script.extend(queries(t, None, &draws));
+            }
         }
         // Include an unknown-mesh error and an off-mesh error.
         script.push(Request::Route(RouteQuery {
@@ -228,6 +254,7 @@ proptest! {
             mesh: "m".to_string(),
             fault: Coord::new(n, n),
         }));
+        script.extend(tenants.map(|t| Request::Stats(SnapshotStats { mesh: t.to_string() })));
 
         let run = |shards: usize| -> Vec<Response> {
             let client = LoopbackClient::new(Arc::new(Store::new(StoreConfig {

@@ -23,8 +23,7 @@
 //!   `state-matches-rebuild` oracle), and the shrinking counterexample
 //!   runner (`emr-conform`),
 //! * [`serve`] — routing-as-a-service: the sharded snapshot-isolated
-//!   query server, its loopback wire transport, and the deterministic
-//!   load generator (`emr-serve`),
+//!   query server and its loopback wire transport (`emr-serve`),
 //!
 //! plus the most-used types at the top level.
 //!
