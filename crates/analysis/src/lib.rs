@@ -10,15 +10,20 @@
 //!   outside every faulty block), and accumulates per-series percentages,
 //! * [`loadsweep`] — the saturation driver: offered-load sweeps of the
 //!   event-driven network core across traffic patterns and routers, with
-//!   mid-flight fault injection (bit-identical for any thread count).
+//!   mid-flight fault injection (bit-identical for any thread count),
+//! * [`pool()`] — the deterministic chunked trial pool both sweeps and
+//!   the conformance runner run on, the workspace's one home for
+//!   trial-level parallelism.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod affected;
 pub mod loadsweep;
+mod pool;
 pub mod stats;
 pub mod sweep;
 
 pub use loadsweep::{LoadSweepConfig, RouterKind};
+pub use pool::pool;
 pub use sweep::{SeriesTable, SweepConfig};

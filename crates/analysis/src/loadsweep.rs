@@ -17,13 +17,11 @@
 //! ([`LoadSweepConfig::midflight_faults`]), staggered across the
 //! injection window, through each core's fault calendar.
 //!
-//! Parallelism and determinism follow [`crate::sweep`] exactly: fixed
-//! trial chunks, per-trial SplitMix64-derived RNG streams keyed by
-//! `(seed, point, trial)`, a work-stealing cursor, and a merge in item
+//! Parallelism and determinism follow [`crate::sweep`] exactly: the
+//! trials run on the trial pool ([`crate::pool()`]) in fixed chunks of
+//! 32, each draws from SplitMix64-derived RNG streams keyed by
+//! `(seed, point, trial)`, and chunk summaries merge in the pool's chunk
 //! order — the table is bit-identical for every thread count.
-
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::Rng;
 
@@ -38,8 +36,8 @@ use emr_netsim::{
 use crate::stats::Summary;
 use crate::sweep::{generation_rng, measurement_rng, SeriesTable};
 
-/// Trials per work item; mirrors `sweep::CHUNK_TRIALS` so chunk
-/// boundaries depend only on the configuration.
+/// Trials per pool chunk: a constant, so chunk boundaries (and the merge
+/// order of partial summaries) depend only on the configuration.
 const CHUNK_TRIALS: u32 = 32;
 
 /// The routers the saturation driver compares.
@@ -129,12 +127,6 @@ impl LoadSweepConfig {
             threads: None,
             max_cycles: 50_000,
         }
-    }
-
-    fn resolved_threads(&self) -> usize {
-        self.threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
-            .max(1)
     }
 
     /// The row key for a load point: offered load in milli-packets per
@@ -252,68 +244,25 @@ pub fn run(cfg: &LoadSweepConfig) -> SeriesTable {
         })
         .collect();
 
-    struct Item {
-        point: usize,
-        first_trial: u32,
-        trials: u32,
-    }
-    let mut items = Vec::new();
-    for point in 0..cfg.offered.len() {
-        let mut first_trial = 0;
-        while first_trial < cfg.trials {
-            let trials = CHUNK_TRIALS.min(cfg.trials - first_trial);
-            items.push(Item {
-                point,
-                first_trial,
-                trials,
-            });
-            first_trial += trials;
-        }
-    }
-
-    let threads = cfg.resolved_threads().min(items.len().max(1));
-    // emr-lint: allow(A2, "work-stealing cursor: claim order is nondeterministic but chunk results land at chunk_sums[index] and merge in item order")
-    let next = AtomicUsize::new(0);
-    let mut chunk_sums: Vec<Option<Vec<Summary>>> = Vec::new();
-    chunk_sums.resize_with(items.len(), || None);
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let (items, next, series) = (&items, &next, &series);
-                scope.spawn(move || {
-                    let mut done: Vec<(usize, Vec<Summary>)> = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(index) else {
-                            break;
-                        };
-                        let mut sums = vec![Summary::new(); series.len()];
-                        for t in item.first_trial..item.first_trial + item.trials {
-                            let samples = run_trial(cfg, item.point, t);
-                            for (r, s) in samples.iter().enumerate() {
-                                sums[r * 2].add(s.delivered);
-                                if let Some(lat) = s.latency {
-                                    sums[r * 2 + 1].add(lat);
-                                }
-                            }
-                        }
-                        done.push((index, sums));
+    let chunk_sums = crate::pool(
+        cfg.offered.len(),
+        cfg.trials,
+        CHUNK_TRIALS,
+        cfg.threads,
+        |point, trials| {
+            let mut sums = vec![Summary::new(); series.len()];
+            for t in trials {
+                let samples = run_trial(cfg, point, t);
+                for (r, s) in samples.iter().enumerate() {
+                    sums[r * 2].add(s.delivered);
+                    if let Some(lat) = s.latency {
+                        sums[r * 2 + 1].add(lat);
                     }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            let done = match h.join() {
-                Ok(done) => done,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            for (index, sums) in done {
-                chunk_sums[index] = Some(sums);
+                }
             }
-        }
-    });
+            sums
+        },
+    );
 
     let mut points: Vec<(usize, Vec<Summary>)> = cfg
         .offered
@@ -325,10 +274,8 @@ pub fn run(cfg: &LoadSweepConfig) -> SeriesTable {
             )
         })
         .collect();
-    for (item, sums) in items.iter().zip(chunk_sums) {
-        // emr-lint: allow(A1, "the cursor loop claims every chunk index exactly once before the scope joins")
-        let sums = sums.expect("every chunk was processed");
-        for (acc, s) in points[item.point].1.iter_mut().zip(&sums) {
+    for (point, sums) in chunk_sums {
+        for (acc, s) in points[point].1.iter_mut().zip(&sums) {
             acc.merge(s);
         }
     }

@@ -9,35 +9,34 @@
 //!
 //! # Parallelism and determinism
 //!
-//! Trials are independent, so the sweep runs on a worker pool over
-//! *(point, trial-chunk)* items rather than one thread per fault count:
-//! load stays balanced when fault counts (and therefore per-trial cost)
-//! differ wildly, and the sweep scales past the number of points.
+//! Trials are independent, so the sweep runs on the trial pool
+//! ([`crate::pool()`]) over *(point, trial-chunk)* items rather than one
+//! thread per fault count: load stays balanced when fault counts (and
+//! therefore per-trial cost) differ wildly, and the sweep scales past
+//! the number of points.
 //!
 //! Results are bit-identical for every thread count, including 1:
 //!
 //! * each trial owns two private RNG streams (generation and measurement)
 //!   whose seeds are derived from `(cfg.seed, k, trial index)` with a
 //!   SplitMix64 chain — no stream ever depends on scheduling,
-//! * trials are grouped into fixed-size chunks determined only by the
-//!   configuration, and per-chunk [`Summary`]s are merged in ascending
-//!   trial order after all workers finish, so the floating-point
-//!   reduction tree is fixed too.
+//! * trials are grouped into fixed chunks of 32, and the per-chunk
+//!   [`Summary`]s are merged in the chunk order the pool returns, so the
+//!   floating-point reduction tree is fixed too.
 
 use std::cell::OnceCell;
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::convert::Infallible;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use emr_core::{BuildProfile, Scenario};
+use emr_core::Scenario;
 use emr_fault::{inject, FaultSet, ReachMap};
 use emr_mesh::{Coord, Mesh};
 
 use crate::stats::Summary;
 
-/// Trials per work item. A constant (rather than `trials / threads`) so
+/// Trials per pool chunk. A constant (rather than `trials / threads`) so
 /// the chunk boundaries — and with them the merge order of partial
 /// summaries — depend only on the configuration, never on the thread
 /// count.
@@ -66,13 +65,11 @@ pub struct SweepConfig {
     pub seed: u64,
     /// Worker threads; `None` uses one per available core.
     pub threads: Option<usize>,
-    /// Build strategy for each trial's [`Scenario`]; `None` picks
-    /// [`BuildProfile::auto`] per mesh. Banded builds are bit-identical
-    /// to sequential ones, so this never changes the table — but sweeps
-    /// already parallelize across trials, so giant-mesh runs that want
-    /// intra-trial bands should set `threads` low to avoid
-    /// oversubscription.
-    pub profile: Option<BuildProfile>,
+    /// A retired build option, kept so that struct literals written
+    /// against it (the repository benchmark's among them) still compile.
+    /// Its type admits only `None`, so it selects nothing: every trial
+    /// builds its maps sequentially on its pool worker.
+    pub profile: Option<Infallible>,
 }
 
 impl Default for SweepConfig {
@@ -101,13 +98,6 @@ impl SweepConfig {
             threads: None,
             profile: None,
         }
-    }
-
-    /// The worker count this configuration resolves to.
-    fn resolved_threads(&self) -> usize {
-        self.threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
-            .max(1)
     }
 }
 
@@ -207,100 +197,44 @@ where
     F: Fn(&TrialInput<'_>, &mut StdRng) -> Vec<f64> + Sync,
 {
     let mesh = Mesh::square(cfg.mesh_size);
-    let profile = cfg.profile.unwrap_or_else(|| BuildProfile::auto(mesh));
-
-    // One work item per (point, chunk of trials).
-    struct Item {
-        point: usize,
-        k: usize,
-        first_trial: u32,
-        trials: u32,
-    }
-    let mut items = Vec::new();
-    for (point, &k) in cfg.fault_counts.iter().enumerate() {
-        let mut first_trial = 0;
-        while first_trial < cfg.trials {
-            let trials = CHUNK_TRIALS.min(cfg.trials - first_trial);
-            items.push(Item {
-                point,
-                k,
-                first_trial,
-                trials,
-            });
-            first_trial += trials;
-        }
-    }
-
-    let threads = cfg.resolved_threads().min(items.len().max(1));
-    // emr-lint: allow(A2, "work-stealing cursor: claim order is nondeterministic but chunk results land at chunk_sums[index] and merge in item order")
-    let next = AtomicUsize::new(0);
-    let mut chunk_sums: Vec<Option<Vec<Summary>>> = Vec::new();
-    chunk_sums.resize_with(items.len(), || None);
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let (inject, measure, items, next) = (&inject, &measure, &items, &next);
-                scope.spawn(move || {
-                    // Each worker is its own thread, so every trial's
-                    // maps reuse that thread's scratch workspace.
-                    let mut done: Vec<(usize, Vec<Summary>)> = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(index) else {
-                            break;
-                        };
-                        let mut sums = vec![Summary::new(); series.len()];
-                        for t in item.first_trial..item.first_trial + item.trials {
-                            let mut gen_rng = generation_rng(cfg.seed, item.k, t);
-                            let (scenario, source, dest) =
-                                generate_trial(mesh, item.k, profile, inject, &mut gen_rng);
-                            let input = TrialInput::new(&scenario, source, dest);
-                            let mut measure_rng = measurement_rng(cfg.seed, item.k, t);
-                            let samples = measure(&input, &mut measure_rng);
-                            assert_eq!(
-                                samples.len(),
-                                series.len(),
-                                "measure returned {} samples for {} series",
-                                samples.len(),
-                                series.len()
-                            );
-                            for (sum, v) in sums.iter_mut().zip(samples) {
-                                sum.add(v);
-                            }
-                        }
-                        done.push((index, sums));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            // Forward worker panics verbatim instead of wrapping them in
-            // a second panic, so the original trial failure surfaces.
-            let done = match h.join() {
-                Ok(done) => done,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            for (index, sums) in done {
-                chunk_sums[index] = Some(sums);
+    let chunk_sums = crate::pool(
+        cfg.fault_counts.len(),
+        cfg.trials,
+        CHUNK_TRIALS,
+        cfg.threads,
+        |point, trials| {
+            let k = cfg.fault_counts[point];
+            let mut sums = vec![Summary::new(); series.len()];
+            for t in trials {
+                let mut gen_rng = generation_rng(cfg.seed, k, t);
+                let (scenario, source, dest) = generate_trial(mesh, k, &inject, &mut gen_rng);
+                let input = TrialInput::new(&scenario, source, dest);
+                let mut measure_rng = measurement_rng(cfg.seed, k, t);
+                let samples = measure(&input, &mut measure_rng);
+                assert_eq!(
+                    samples.len(),
+                    series.len(),
+                    "measure returned {} samples for {} series",
+                    samples.len(),
+                    series.len()
+                );
+                for (sum, v) in sums.iter_mut().zip(samples) {
+                    sum.add(v);
+                }
             }
-        }
-    });
+            sums
+        },
+    );
 
-    // Merge per-chunk summaries in ascending trial order — `items` is
-    // already sorted by (point, first_trial), so a linear pass gives every
-    // point the same reduction tree a single thread would.
+    // Merge per-chunk summaries in the pool's chunk order: ascending
+    // trials within each point, the reduction tree a single thread builds.
     let mut points: Vec<(usize, Vec<Summary>)> = cfg
         .fault_counts
         .iter()
         .map(|&k| (k, vec![Summary::new(); series.len()]))
         .collect();
-    for (item, sums) in items.iter().zip(chunk_sums) {
-        // Every index was claimed exactly once by the cursor loop above.
-        // emr-lint: allow(A1, "the cursor loop claims every chunk index exactly once before the scope joins")
-        let sums = sums.expect("every chunk was processed");
-        for (acc, s) in points[item.point].1.iter_mut().zip(&sums) {
+    for (point, sums) in chunk_sums {
+        for (acc, s) in points[point].1.iter_mut().zip(&sums) {
             acc.merge(s);
         }
     }
@@ -316,13 +250,11 @@ where
 /// Panics, naming the mesh size and fault count, after
 /// [`MAX_TRIAL_DRAWS`] draws without a source outside every faulty block
 /// and a destination to go with it.
-fn generate_trial<G>(
-    mesh: Mesh,
-    k: usize,
-    profile: BuildProfile,
-    inject: &G,
-    rng: &mut StdRng,
-) -> (Scenario, Coord, Coord)
+// Without the hint the compiler leaves this out of line behind the pool's
+// chunk closure, and the sweep-paper benchmark ran ~5% fewer trials/s
+// over ten alternating pairs (2-vCPU Xeon host).
+#[inline]
+fn generate_trial<G>(mesh: Mesh, k: usize, inject: &G, rng: &mut StdRng) -> (Scenario, Coord, Coord)
 where
     G: Fn(Mesh, usize, Coord, &mut StdRng) -> FaultSet,
 {
@@ -340,7 +272,7 @@ where
     let scenario = loop {
         draw();
         let faults = inject(mesh, k, source, rng);
-        let sc = Scenario::build_profiled(faults, profile);
+        let sc = Scenario::build(faults);
         // The paper assumes the source is outside every faulty block.
         if !sc.blocks().is_blocked(source) {
             break sc;
@@ -508,7 +440,7 @@ mod tests {
         let mesh = Mesh::square(30);
         let mut rng = StdRng::seed_from_u64(3);
         for k in [0usize, 5, 25] {
-            let (sc, s, d) = generate_trial(mesh, k, BuildProfile::SCALAR, &uniform, &mut rng);
+            let (sc, s, d) = generate_trial(mesh, k, &uniform, &mut rng);
             assert_eq!(s, mesh.center());
             assert!(!sc.blocks().is_blocked(s));
             assert!(!sc.blocks().is_blocked(d));
@@ -595,18 +527,6 @@ mod tests {
         let single = table_for(1);
         assert_eq!(single, table_for(8));
         assert_eq!(single, table_for(3));
-    }
-
-    #[test]
-    fn profiled_sweeps_match_scalar_tables() {
-        // Banded construction must leave every sweep table byte-identical
-        // to the sequential run.
-        let mut cfg = SweepConfig::smoke();
-        cfg.profile = Some(BuildProfile::SCALAR);
-        let scalar = run(&cfg, &GOLDEN_SERIES, golden_measure).to_plain_string();
-        cfg.profile = Some(BuildProfile { bands: 3 });
-        let tiled = run(&cfg, &GOLDEN_SERIES, golden_measure).to_plain_string();
-        assert_eq!(tiled, scalar);
     }
 
     #[test]

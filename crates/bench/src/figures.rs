@@ -259,8 +259,7 @@ mod tests {
             trials: 25,
             fault_counts: vec![0, 8, 16],
             seed: 99,
-            threads: None,
-            profile: None,
+            ..SweepConfig::default()
         }
     }
 

@@ -25,8 +25,8 @@ use serde::{Deserialize, Serialize};
 
 use emr_core::conditions::{StrategyKind, StrategyParams};
 use emr_core::{
-    conditions, decide_local, route, BuildProfile, DecisionCache, Ensured, Model, ModelView,
-    RouteError, SafetyLevel, SafetyMap, Scenario, ScenarioState,
+    conditions, decide_local, route, DecisionCache, Ensured, Model, ModelView, RouteError,
+    SafetyLevel, SafetyMap, Scenario, ScenarioState,
 };
 use emr_distsim::protocols::esl::{self, EslFormation};
 use emr_distsim::protocols::labeling::{BlockLabeling, BlockStatus, MccLabeling};
@@ -112,14 +112,6 @@ pub const ORACLES: &[Oracle] = &[
                 equal the scalar ESL sweep for every obstacle map (ground \
                 truth: emr_distsim::protocols::esl::compute_global)",
         check: o_safety_bits_matches_scalar,
-    },
-    Oracle {
-        name: "tiled-matches-scalar",
-        claim: "row-banded construction and banded epoch repair equal the \
-                scalar single-band builds, for every band count including 1 \
-                and counts exceeding the mesh height (ground truth: \
-                BuildProfile::SCALAR)",
-        check: o_tiled_matches_scalar,
     },
     Oracle {
         name: "sufficient-implies-dp",
@@ -527,75 +519,6 @@ fn o_safety_bits_matches_scalar(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Vio
                 ),
             ));
             break;
-        }
-    }
-    out
-}
-
-fn o_tiled_matches_scalar(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let mesh = spec.mesh();
-    let scalar = Scenario::build_profiled(spec.fault_set(), BuildProfile::SCALAR);
-    // From-scratch: every band count (including the degenerate 1 and a
-    // count exceeding the mesh height, which clamps) must reproduce the
-    // scalar maps bit for bit.
-    let over_height = usize::try_from(mesh.height()).unwrap_or(1) + 1;
-    for bands in [1, 2, 3, 5, over_height] {
-        let profile = BuildProfile { bands };
-        let tiled = Scenario::build_profiled(spec.fault_set(), profile);
-        if tiled.blocks() != scalar.blocks() {
-            out.push(violation(
-                "tiled-matches-scalar",
-                format!("[{profile:?}] banded block fix-point diverged from scalar"),
-            ));
-            continue;
-        }
-        if tiled.block_safety_map() != scalar.block_safety_map() {
-            out.push(violation(
-                "tiled-matches-scalar",
-                format!("[{profile:?}] block safety map diverged from scalar"),
-            ));
-        }
-        for ty in MccType::ALL {
-            if tiled.mcc(ty) != scalar.mcc(ty) {
-                out.push(violation(
-                    "tiled-matches-scalar",
-                    format!("[{profile:?}] banded MCC {ty:?} labeling diverged from scalar"),
-                ));
-            } else if tiled.mcc_safety_map(ty) != scalar.mcc_safety_map(ty) {
-                out.push(violation(
-                    "tiled-matches-scalar",
-                    format!("[{profile:?}] MCC {ty:?} safety map diverged from scalar"),
-                ));
-            }
-        }
-    }
-    // Incremental: replaying the faults epoch by epoch under a tiled
-    // profile must land on the same warmed maps as the scalar
-    // from-scratch build.
-    let mut st = ScenarioState::with_profile(FaultSet::new(mesh), BuildProfile { bands: 2 });
-    for &f in &spec.faults {
-        st.insert_fault(f);
-    }
-    let repaired = st.export_scenario();
-    if repaired.block_safety_map() != scalar.block_safety_map() {
-        out.push(violation(
-            "tiled-matches-scalar",
-            format!(
-                "banded epoch repair diverged from scalar block safety after {} faults",
-                spec.faults.len()
-            ),
-        ));
-    }
-    for ty in MccType::ALL {
-        if repaired.mcc_safety_map(ty) != scalar.mcc_safety_map(ty) {
-            out.push(violation(
-                "tiled-matches-scalar",
-                format!(
-                    "banded epoch repair diverged from scalar MCC {ty:?} safety after {} faults",
-                    spec.faults.len()
-                ),
-            ));
         }
     }
     out

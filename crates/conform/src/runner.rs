@@ -1,16 +1,16 @@
 //! The multi-threaded conformance sweep.
 //!
-//! Same deterministic worker-pool shape as the `emr-analysis` sweep
-//! engine: trials are split into fixed-size chunks handed out through an
-//! atomic cursor, and chunk results are merged in ascending chunk order,
-//! so the outcome is byte-identical for any `--threads` setting.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! # Parallelism and determinism
+//!
+//! The trials run on the `emr-analysis` trial pool ([`emr_analysis::pool`])
+//! in fixed chunks of 16, each from a scenario seed derived from its trial
+//! index alone, and the failures come back in the pool's chunk order, so
+//! the outcome is byte-identical for any `--threads` setting.
 
 use crate::oracles::{check_spec, CheckCtx, Violation};
 use crate::spec::{derive_seed, ScenarioSpec};
 
-/// Trials per work item. Small enough to balance across threads, large
+/// Trials per pool chunk. Small enough to balance across threads, large
 /// enough to amortize the atomic fetch.
 const CHUNK_TRIALS: u32 = 16;
 
@@ -91,61 +91,20 @@ pub fn run(config: &RunConfig) -> RunOutcome {
     let ctx = CheckCtx {
         sabotage: config.sabotage,
     };
-    let threads = config
-        .threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        })
-        .max(1);
-    let chunk_count = config.seeds.div_ceil(CHUNK_TRIALS) as usize;
-    if threads == 1 || chunk_count <= 1 {
-        let failures = (0..config.seeds)
-            .filter_map(|t| check_trial(config, &ctx, t))
-            .collect();
-        return RunOutcome {
-            checked: config.seeds,
-            failures,
-        };
-    }
-
-    // emr-lint: allow(A2, "work-stealing cursor: claim order is nondeterministic but each chunk lands at per_chunk[index] and merges in ascending chunk order")
-    let next = AtomicUsize::new(0);
-    let mut per_chunk: Vec<Vec<SeedOutcome>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads.min(chunk_count))
-            .map(|_| {
-                let next = &next;
-                let ctx = &ctx;
-                scope.spawn(move || {
-                    let mut mine: Vec<(usize, Vec<SeedOutcome>)> = Vec::new();
-                    loop {
-                        let chunk = next.fetch_add(1, Ordering::Relaxed);
-                        if chunk >= chunk_count {
-                            break;
-                        }
-                        let lo = u32::try_from(chunk)
-                            .unwrap_or(u32::MAX)
-                            .saturating_mul(CHUNK_TRIALS);
-                        let hi = lo.saturating_add(CHUNK_TRIALS).min(config.seeds);
-                        let failures = (lo..hi)
-                            .filter_map(|t| check_trial(config, ctx, t))
-                            .collect();
-                        mine.push((chunk, failures));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        let mut all: Vec<(usize, Vec<SeedOutcome>)> = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("conformance worker panicked"))
-            .collect();
-        all.sort_by_key(|&(chunk, _)| chunk);
-        per_chunk = all.into_iter().map(|(_, v)| v).collect();
-    });
+    let chunks = emr_analysis::pool(
+        1,
+        config.seeds,
+        CHUNK_TRIALS,
+        config.threads,
+        |_, trials| {
+            trials
+                .filter_map(|t| check_trial(config, &ctx, t))
+                .collect::<Vec<_>>()
+        },
+    );
     RunOutcome {
         checked: config.seeds,
-        failures: per_chunk.into_iter().flatten().collect(),
+        failures: chunks.into_iter().flat_map(|(_, f)| f).collect(),
     }
 }
 

@@ -1,12 +1,13 @@
 //! End-to-end tests of the conformance harness itself: the pinned
 //! regression for the disagreement the harness uncovered, the shrinking
-//! acceptance bound, and the repro replay loop.
+//! acceptance bound, the repro replay loop, and the DESIGN.md oracle
+//! table.
 
 use emr_conform::report::{self, Repro};
 use emr_conform::runner::trial_seed;
 use emr_conform::{
     check_spec, mirrored_spec, oracle_by_name, run, shrink_for_oracle, CheckCtx, RunConfig,
-    ScenarioSpec,
+    ScenarioSpec, ORACLES,
 };
 use emr_core::{conditions, Model, Scenario};
 use emr_mesh::Coord;
@@ -130,4 +131,35 @@ fn repro_files_replay_from_disk() {
     assert_eq!(replayed, back.violations);
     // The generator still expands the recorded seed to the original spec.
     assert_eq!(ScenarioSpec::generate(back.seed), back.original);
+}
+
+/// DESIGN.md § Conformance documents the oracle table: one
+/// ``| `name` |`` row per entry of [`ORACLES`], and no row for an oracle
+/// that does not exist.
+#[test]
+fn design_conformance_table_names_every_oracle() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../DESIGN.md");
+    let design = std::fs::read_to_string(&path).expect("DESIGN.md is readable");
+    let section = design
+        .split_once("\n## Conformance\n")
+        .expect("DESIGN.md has a Conformance section")
+        .1;
+    let section = section.split("\n## ").next().unwrap_or(section);
+    let rows: Vec<&str> = section
+        .lines()
+        .filter_map(|line| Some(line.strip_prefix("| `")?.split_once("` |")?.0))
+        .collect();
+    for oracle in ORACLES {
+        assert!(
+            rows.contains(&oracle.name),
+            "DESIGN.md § Conformance has no row for oracle `{}`",
+            oracle.name
+        );
+    }
+    for row in rows {
+        assert!(
+            ORACLES.iter().any(|o| o.name == row),
+            "DESIGN.md § Conformance has a row for `{row}`, which names no oracle"
+        );
+    }
 }

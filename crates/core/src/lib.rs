@@ -63,5 +63,5 @@ pub use boundary::BoundaryMap;
 pub use conditions::{Ensured, RoutePlan};
 pub use route::RouteError;
 pub use safety::{SafetyLevel, SafetyMap};
-pub use scenario::{BuildProfile, Model, ModelView, Scenario};
+pub use scenario::{Model, ModelView, Scenario};
 pub use state::{decide_local, DecisionCache, Epoch, EpochDelta, ScenarioState};

@@ -26,43 +26,6 @@ impl Model {
     pub const ALL: [Model; 2] = [Model::FaultBlock, Model::Mcc];
 }
 
-/// How a [`Scenario`] builds its derived maps.
-///
-/// The default profile ([`BuildProfile::auto`]) keeps small meshes on the
-/// sequential construction kernels and switches giant meshes to the
-/// row-banded ones. Banded builds are bit-identical to sequential ones
-/// for every band count, so the profile affects wall-clock time, never
-/// results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BuildProfile {
-    /// Horizontal row bands for the tiled construction kernels (block
-    /// fix-point, MCC label planes); `1` selects the sequential kernels.
-    pub bands: usize,
-}
-
-impl BuildProfile {
-    /// The sequential profile: exactly the pre-tiling behavior.
-    pub const SCALAR: BuildProfile = BuildProfile { bands: 1 };
-
-    /// Picks a profile for `mesh`: sequential below 2¹⁸ nodes (≈ 512×512,
-    /// where per-round thread-scope overhead costs more than it saves),
-    /// banded across the machine's cores from there.
-    pub fn auto(mesh: Mesh) -> BuildProfile {
-        let bands = if mesh.node_count() >= 1 << 18 {
-            std::thread::available_parallelism().map_or(1, |n| n.get().min(16))
-        } else {
-            1
-        };
-        BuildProfile { bands }
-    }
-}
-
-impl Default for BuildProfile {
-    fn default() -> BuildProfile {
-        BuildProfile::SCALAR
-    }
-}
-
 /// One fault configuration, decomposed under both fault models with the
 /// corresponding safety maps.
 ///
@@ -77,38 +40,23 @@ impl Default for BuildProfile {
 pub struct Scenario {
     faults: FaultSet,
     blocks: BlockMap,
-    profile: BuildProfile,
     mcc: [OnceLock<MccMap>; 2],
     block_safety: OnceLock<SafetyMap>,
     mcc_safety: [OnceLock<SafetyMap>; 2],
 }
 
 impl Scenario {
-    /// Decomposes a fault set under both models, with the build strategy
-    /// picked by [`BuildProfile::auto`] for the mesh size.
+    /// Decomposes a fault set under both models. The block map is built
+    /// here, the MCC and safety maps on first use; each build runs on the
+    /// thread that triggers it, with that thread's scratch workspace.
     pub fn build(faults: FaultSet) -> Scenario {
-        let profile = BuildProfile::auto(faults.mesh());
-        Scenario::build_profiled(faults, profile)
-    }
-
-    /// Decomposes a fault set under an explicit [`BuildProfile`]. The
-    /// block and MCC maps, eager or lazy, borrow the building thread's
-    /// scratch workspace.
-    pub fn build_profiled(faults: FaultSet, profile: BuildProfile) -> Scenario {
         Scenario {
-            blocks: BlockMap::build_banded(&faults, profile.bands),
+            blocks: BlockMap::build(&faults),
             faults,
-            profile,
             mcc: [OnceLock::new(), OnceLock::new()],
             block_safety: OnceLock::new(),
             mcc_safety: [OnceLock::new(), OnceLock::new()],
         }
-    }
-
-    /// The build strategy this scenario was constructed with (its lazy
-    /// maps inherit it).
-    pub fn profile(&self) -> BuildProfile {
-        self.profile
     }
 
     fn block_safety(&self) -> &SafetyMap {
@@ -207,8 +155,7 @@ impl Scenario {
     /// The MCC decomposition for one labeling type (built on first use).
     // emr-lint: allow(A1, "mcc_index maps the two labeling types to 0 and 1, matching the two-slot arrays")
     pub fn mcc(&self, ty: MccType) -> &MccMap {
-        self.mcc[mcc_index(ty)]
-            .get_or_init(|| MccMap::build_banded(&self.faults, ty, self.profile.bands))
+        self.mcc[mcc_index(ty)].get_or_init(|| MccMap::build(&self.faults, ty))
     }
 
     /// A view of this scenario under one fault model; most conditions and
@@ -368,40 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn profiled_builds_match_scalar() {
-        let mesh = Mesh::new(70, 40);
-        let faults = FaultSet::from_coords(
-            mesh,
-            [
-                Coord::new(5, 5),
-                Coord::new(6, 6),
-                Coord::new(64, 30),
-                Coord::new(65, 31),
-                Coord::new(2, 39),
-            ],
-        );
-        let scalar = Scenario::build_profiled(faults.clone(), BuildProfile::SCALAR);
-        for profile in [BuildProfile { bands: 3 }, BuildProfile { bands: 4 }] {
-            let sc = Scenario::build_profiled(faults.clone(), profile);
-            assert_eq!(sc.profile(), profile);
-            assert_eq!(sc.blocks(), scalar.blocks(), "{profile:?}");
-            assert_eq!(
-                sc.block_safety_map(),
-                scalar.block_safety_map(),
-                "{profile:?}"
-            );
-            for ty in MccType::ALL {
-                assert_eq!(sc.mcc(ty), scalar.mcc(ty), "{profile:?} {ty:?}");
-                assert_eq!(
-                    sc.mcc_safety_map(ty),
-                    scalar.mcc_safety_map(ty),
-                    "{profile:?} {ty:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn mem_bytes_grows_as_lazy_maps_materialize() {
         let sc = scenario();
         let eager = sc.mem_bytes();
@@ -422,29 +335,21 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5ca1_e000 ^ 512);
         let faults = emr_fault::inject::uniform(mesh, 512, &[], &mut rng);
         let nodes = mesh.node_count() as f64;
-        for bands in [1, 2, 3] {
-            let sc = Scenario::build_profiled(faults.clone(), BuildProfile { bands });
-            let standard = sc.faults().mem_bytes()
-                + sc.blocks().mem_bytes()
-                + MccType::ALL
-                    .iter()
-                    .map(|&ty| sc.mcc(ty).mem_bytes())
-                    .sum::<u64>();
-            sc.block_safety_map();
-            for ty in MccType::ALL {
-                sc.mcc_safety_map(ty);
-            }
-            let standard = standard as f64 / nodes;
-            let total = sc.mem_bytes() as f64 / nodes;
-            assert!(
-                standard <= 2.25,
-                "bands {bands}: standard {standard:.4} B/node"
-            );
-            assert!(
-                total <= 2.42,
-                "bands {bands}: warmed total {total:.4} B/node"
-            );
+        let sc = Scenario::build(faults);
+        let standard = sc.faults().mem_bytes()
+            + sc.blocks().mem_bytes()
+            + MccType::ALL
+                .iter()
+                .map(|&ty| sc.mcc(ty).mem_bytes())
+                .sum::<u64>();
+        sc.block_safety_map();
+        for ty in MccType::ALL {
+            sc.mcc_safety_map(ty);
         }
+        let standard = standard as f64 / nodes;
+        let total = sc.mem_bytes() as f64 / nodes;
+        assert!(standard <= 2.25, "standard {standard:.4} B/node");
+        assert!(total <= 2.42, "warmed total {total:.4} B/node");
     }
 
     #[test]

@@ -86,17 +86,7 @@ impl ScenarioState {
     /// Builds the epoch-0 state from an initial fault set and warms every
     /// derived map.
     pub fn new(faults: FaultSet) -> ScenarioState {
-        ScenarioState::from_scenario(Scenario::build(faults))
-    }
-
-    /// [`ScenarioState::new`] under an explicit build profile: giant-mesh
-    /// callers pick banded construction here, and every epoch then repairs
-    /// the maps in place.
-    pub fn with_profile(faults: FaultSet, profile: crate::scenario::BuildProfile) -> ScenarioState {
-        ScenarioState::from_scenario(Scenario::build_profiled(faults, profile))
-    }
-
-    fn from_scenario(scenario: Scenario) -> ScenarioState {
+        let scenario = Scenario::build(faults);
         scenario.warm();
         ScenarioState {
             scenario,
@@ -396,34 +386,6 @@ mod tests {
                 rebuilt.block_safety_map().level(c),
                 "block safety at {c}"
             );
-        }
-    }
-
-    #[test]
-    fn profiled_state_repairs_match_scalar_rebuild() {
-        use crate::scenario::BuildProfile;
-        let mesh = Mesh::square(20);
-        let profile = BuildProfile { bands: 3 };
-        let mut st =
-            ScenarioState::with_profile(FaultSet::from_coords(mesh, [Coord::new(5, 5)]), profile);
-        for &(x, y) in &[(6, 6), (2, 8), (6, 5), (17, 12)] {
-            st.insert_fault(Coord::new(x, y));
-        }
-        let rebuilt =
-            crate::Scenario::build_profiled(st.scenario().faults().clone(), BuildProfile::SCALAR);
-        for c in mesh.nodes() {
-            assert_eq!(
-                st.scenario().block_safety_map().level(c),
-                rebuilt.block_safety_map().level(c),
-                "block safety at {c}"
-            );
-            for ty in MccType::ALL {
-                assert_eq!(
-                    st.scenario().mcc_safety_map(ty).level(c),
-                    rebuilt.mcc_safety_map(ty).level(c),
-                    "{ty:?} safety at {c}"
-                );
-            }
         }
     }
 

@@ -97,27 +97,16 @@ impl BlockMap {
     /// faulty neighbors in different dimensions"). Off-mesh positions count
     /// as healthy.
     ///
-    /// Runs the word-parallel fix-point of the `block_bits` kernel; the
-    /// scalar worklist survives as [`BlockMap::build_scalar`], the
-    /// differential anchor (`conform` oracle `block-bits-matches-scalar`
-    /// pins the equivalence). This is [`BlockMap::build_banded`] with one band.
+    /// Runs the word-parallel fix-point of the `block_bits` kernel on
+    /// this thread's scratch rows; the scalar worklist survives as
+    /// [`BlockMap::build_scalar`], the differential anchor (`conform`
+    /// oracle `block-bits-matches-scalar` pins the equivalence). The
+    /// blocks come out of a run-merge over the converged rows, so the
+    /// whole build costs `O(words + blocks)`.
     pub fn build(faults: &FaultSet) -> BlockMap {
-        BlockMap::build_banded(faults, 1)
-    }
-
-    /// [`BlockMap::build`] with the fix-point split into `bands`
-    /// horizontal row bands relaxed on scoped threads — intra-mesh
-    /// parallelism for giant meshes, where one build dominates a trial.
-    /// The result is bit-identical for every band count (the fix-point is
-    /// unique; see `block_bits::disable_fixpoint` for the argument);
-    /// `bands` is clamped to the mesh height, and 1 band runs the
-    /// sequential sweep on this thread's scratch rows without spawning.
-    /// The blocks come out of a run-merge over the converged rows, so
-    /// the whole build costs `O(words + blocks)`.
-    pub fn build_banded(faults: &FaultSet, bands: usize) -> BlockMap {
         let mut packed = faults.packed().clone();
         with_scratch(|ws| {
-            block_bits::disable_fixpoint(&mut packed, bands, &mut ws.row_open, &mut ws.row_cur);
+            block_bits::disable_fixpoint(&mut packed, &mut ws.row_open, &mut ws.row_cur);
         });
         let blocks: Vec<FaultyBlock> = block_bits::extract_rects(&packed, faults.packed())
             .into_iter()
@@ -545,7 +534,8 @@ mod tests {
         use rand::{Rng, SeedableRng};
         // Random fills at 0%, the paper's 0.5%, 5%, ~10%, ~50%, plus fully
         // faulty rows — the carry/fix-point edge cases — across the
-        // paper's 200×200 mesh, word-boundary widths and degenerate
+        // paper's 200×200 mesh, word-boundary widths (4095/4097-style
+        // non-×64 tails on thin meshes among them) and degenerate
         // meshes. Twenty seeds give every density four fills on every
         // shape, one of them (seed % 4 == 3) with a fully faulty row.
         let shapes = [
@@ -558,6 +548,11 @@ mod tests {
             (9, 1),
             (128, 2),
             (200, 200),
+            (65, 7),
+            (127, 5),
+            (130, 4),
+            (4095, 2),
+            (4097, 2),
         ];
         for seed in 0..20u64 {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -580,41 +575,6 @@ mod tests {
                 let scalar = BlockMap::build_scalar(&faults);
                 assert_eq!(bits, scalar, "seed {seed} {w}x{h}");
                 assert!(bits.rect_invariant_holds());
-            }
-        }
-    }
-
-    #[test]
-    fn banded_build_matches_scalar_for_every_band_count() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        // Awkward widths (word boundaries, 4095/4097-style non-×64 tails
-        // on thin meshes) and band counts from degenerate to
-        // beyond-height.
-        let shapes = [
-            (16, 16),
-            (65, 7),
-            (127, 5),
-            (130, 4),
-            (4095, 2),
-            (4097, 2),
-            (1, 9),
-        ];
-        for seed in 0..6u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            for &(w, h) in &shapes {
-                let mesh = Mesh::new(w, h);
-                let mut faults = FaultSet::new(mesh);
-                for c in mesh.nodes() {
-                    if rng.gen_bool(0.12) {
-                        faults.insert(c);
-                    }
-                }
-                let scalar = BlockMap::build_scalar(&faults);
-                for bands in [1, 2, 3, 5, 64] {
-                    let banded = BlockMap::build_banded(&faults, bands);
-                    assert_eq!(banded, scalar, "seed {seed} {w}x{h} bands {bands}");
-                }
             }
         }
     }

@@ -77,169 +77,28 @@ fn relax_row(cur: &mut BitGrid, y: i32, elig: &mut [u64], seeds: &mut [u64]) -> 
 
 /// Runs the Definition-1 disable fix-point on `cur` in place: on entry
 /// `cur` holds the faulty bits, on exit the blocked (faulty ∪ disabled)
-/// bits. `bands` is clamped to the mesh height.
-///
-/// One band sweeps the rows in alternating directions (ascending, then
+/// bits. Sweeps the rows in alternating directions (ascending, then
 /// descending) until a full pass changes nothing, with `elig` and
-/// `seeds` as its row-sized scratch buffers. More bands split the grid
-/// into horizontal bands of whole rows relaxed on scoped threads,
-/// exchanging frozen halo rows between rounds (each band allocates its
-/// own row buffers).
-///
-/// Each round copies every band's two out-of-band neighbor rows (the row
-/// just below and just above the band; off-mesh halos read as zero),
-/// then runs a full *local* fix-point inside each band against those
-/// frozen halos. Rounds repeat until one changes nothing. The merge is
-/// deterministic and exact for every band count: blocking is monotone,
-/// stale halos are sound lower bounds (chaotic iteration of a monotone
-/// operator), and a round with no changes means every row is closed
-/// against its true neighbors — the unique least fix-point, bit-identical
-/// to the single-band sweep and to the scalar worklist.
-pub(crate) fn disable_fixpoint(
-    cur: &mut BitGrid,
-    bands: usize,
-    elig: &mut Vec<u64>,
-    seeds: &mut Vec<u64>,
-) {
-    let height = cur.mesh().height() as usize;
+/// `seeds` as its row-sized scratch buffers.
+pub(crate) fn disable_fixpoint(cur: &mut BitGrid, elig: &mut Vec<u64>, seeds: &mut Vec<u64>) {
+    let rows = cur.mesh().height();
     let wpr = cur.words_per_row();
-    let rows_per_band = height.div_ceil(bands.clamp(1, height));
-    let n_bands = height.div_ceil(rows_per_band);
-    if n_bands == 1 {
-        let rows = cur.mesh().height();
-        elig.clear();
-        elig.resize(wpr, 0);
-        seeds.clear();
-        seeds.resize(wpr, 0);
-        let mut descending = false;
-        loop {
-            let mut changed = false;
-            for step in 0..rows {
-                let y = if descending { rows - 1 - step } else { step };
-                changed |= relax_row(cur, y, elig, seeds);
-            }
-            if !changed {
-                return;
-            }
-            descending = !descending;
-        }
-    }
-    // Frozen halo rows, refreshed once per round: band b reads its
-    // below-neighbor from halo_lo and its above-neighbor from halo_hi.
-    let mut halo_lo = vec![0u64; n_bands * wpr];
-    let mut halo_hi = vec![0u64; n_bands * wpr];
-    loop {
-        for b in 0..n_bands {
-            let r0 = b * rows_per_band;
-            let r1 = (r0 + rows_per_band).min(height);
-            let lo = &mut halo_lo[b * wpr..(b + 1) * wpr];
-            if r0 > 0 {
-                lo.copy_from_slice(cur.row(i32::try_from(r0 - 1).unwrap_or(i32::MAX)));
-            } else {
-                lo.fill(0);
-            }
-            let hi = &mut halo_hi[b * wpr..(b + 1) * wpr];
-            if r1 < height {
-                hi.copy_from_slice(cur.row(i32::try_from(r1).unwrap_or(i32::MAX)));
-            } else {
-                hi.fill(0);
-            }
-        }
-        let mut changed = false;
-        std::thread::scope(|s| {
-            let workers: Vec<_> = cur
-                .row_bands_mut(rows_per_band)
-                .zip(halo_lo.chunks(wpr).zip(halo_hi.chunks(wpr)))
-                .map(|(band, (lo, hi))| s.spawn(move || band_fixpoint(band, wpr, lo, hi)))
-                .collect();
-            for w in workers {
-                // Forward band-worker panics verbatim so the original
-                // failure (not a join wrapper) reaches the caller.
-                changed |= match w.join() {
-                    Ok(c) => c,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                };
-            }
-        });
-        if !changed {
-            break;
-        }
-    }
-}
-
-/// Runs the local disable fix-point over one band of whole rows (the
-/// mirror of [`disable_fixpoint`]'s single-band loop), reading out-of-band
-/// vertical neighbors from the frozen `lo`/`hi` halo rows. Returns
-/// whether any bit turned on.
-fn band_fixpoint(band: &mut [u64], wpr: usize, lo: &[u64], hi: &[u64]) -> bool {
-    let nrows = band.len() / wpr;
-    let mut elig = vec![0u64; wpr];
-    let mut seeds = vec![0u64; wpr];
-    let mut any_changed = false;
+    elig.clear();
+    elig.resize(wpr, 0);
+    seeds.clear();
+    seeds.resize(wpr, 0);
     let mut descending = false;
     loop {
         let mut changed = false;
-        for step in 0..nrows {
-            let r = if descending { nrows - 1 - step } else { step };
-            changed |= relax_band_row(band, r, wpr, lo, hi, &mut elig, &mut seeds);
+        for step in 0..rows {
+            let y = if descending { rows - 1 - step } else { step };
+            changed |= relax_row(cur, y, elig, seeds);
         }
         if !changed {
-            break;
+            return;
         }
-        any_changed = true;
         descending = !descending;
     }
-    any_changed
-}
-
-/// One row relaxation inside a band; local row `r`'s vertical neighbors
-/// come from the band itself where possible and from the halos at the
-/// band edges. Mirrors [`relax_row`] word for word otherwise.
-fn relax_band_row(
-    band: &mut [u64],
-    r: usize,
-    wpr: usize,
-    lo: &[u64],
-    hi: &[u64],
-    elig: &mut [u64],
-    seeds: &mut [u64],
-) -> bool {
-    let nrows = band.len() / wpr;
-    let base = r * wpr;
-    for (i, e) in elig.iter_mut().enumerate() {
-        let up = if r + 1 < nrows {
-            band[base + wpr + i]
-        } else {
-            hi[i]
-        };
-        let down = if r > 0 { band[base - wpr + i] } else { lo[i] };
-        *e = (up | down) & !band[base + i];
-    }
-    {
-        let row = &band[base..base + wpr];
-        shift_east_row(row, seeds);
-        let mut any = 0u64;
-        for i in 0..wpr {
-            let east_nb = row[i] >> 1 | if i + 1 < wpr { row[i + 1] << 63 } else { 0 };
-            seeds[i] = elig[i] & (seeds[i] | east_nb);
-            any |= seeds[i];
-        }
-        if any == 0 {
-            return false;
-        }
-        reach_row(elig, seeds);
-        reach_row_west(elig, seeds);
-    }
-    let row = &mut band[base..base + wpr];
-    let mut changed = false;
-    for (w, &s) in row.iter_mut().zip(seeds.iter()) {
-        let add = s & !*w;
-        if add != 0 {
-            changed = true;
-            *w |= add;
-        }
-    }
-    changed
 }
 
 /// Extracts the rectangular components of `blocked` by run-merging rows,

@@ -163,24 +163,13 @@ impl MccMap {
     /// Runs the word-parallel sweeps of the `mcc_bits` kernel; the scalar
     /// per-node sweep survives as [`MccMap::build_scalar`], the
     /// differential anchor (`conform` oracle `mcc-bits-matches-scalar`
-    /// pins the equivalence). This is [`MccMap::build_banded`] with one
-    /// band.
-    pub fn build(faults: &FaultSet, ty: MccType) -> MccMap {
-        MccMap::build_banded(faults, ty, 1)
-    }
-
-    /// [`MccMap::build`] with both label-plane sweeps split into `bands`
-    /// horizontal row bands relaxed on scoped threads — intra-mesh
-    /// parallelism for giant meshes. Bit-identical for every band count
-    /// (see `mcc_bits::label_plane` for the fix-point uniqueness
-    /// argument); `bands` is clamped to the mesh height, and 1 band runs
-    /// the sequential sweeps without spawning.
+    /// pins the equivalence).
     ///
     /// The components come from a BFS started at each unvisited set bit
     /// of the blocked plane in row-major order, with a packed visited
     /// mask from this thread's scratch workspace, so the whole build
     /// costs `O(words + blocked nodes)`.
-    pub fn build_banded(faults: &FaultSet, ty: MccType, bands: usize) -> MccMap {
+    pub fn build(faults: &FaultSet, ty: MccType) -> MccMap {
         let mesh = faults.mesh();
         let (fwd, bwd) = type_dirs(ty);
         let mut useless = BitGrid::new(mesh);
@@ -190,15 +179,8 @@ impl MccMap {
             let Workspace {
                 row_open, row_cur, ..
             } = ws;
-            mcc_bits::label_plane(faults.packed(), fwd, &mut useless, bands, row_open, row_cur);
-            mcc_bits::label_plane(
-                faults.packed(),
-                bwd,
-                &mut cant_reach,
-                bands,
-                row_open,
-                row_cur,
-            );
+            mcc_bits::label_plane(faults.packed(), fwd, &mut useless, row_open, row_cur);
+            mcc_bits::label_plane(faults.packed(), bwd, &mut cant_reach, row_open, row_cur);
             for y in 0..mesh.height() {
                 let labels = useless.row(y).iter().zip(cant_reach.row(y));
                 for (w, (&u, &r)) in packed.row_mut(y).iter_mut().zip(labels) {
@@ -837,7 +819,8 @@ mod tests {
         // Mirror of the block-map differential test: every shape takes
         // every random density (0%, the paper's 0.5%, 5%, 10%, ~50%), each
         // with and without a fully-faulty middle row, across the paper's
-        // 200×200 mesh, word-boundary-straddling widths and 1-wide meshes.
+        // 200×200 mesh, word-boundary-straddling widths (4095/4097 non-×64
+        // tails on thin meshes among them) and 1-wide meshes.
         // Full struct equality pins all four planes, the components with
         // each one's node order, and rect order.
         let shapes = [
@@ -850,6 +833,11 @@ mod tests {
             (9, 1),
             (128, 2),
             (200, 200),
+            (65, 7),
+            (127, 5),
+            (130, 4),
+            (4095, 2),
+            (4097, 2),
         ];
         for (i, &(w, h)) in shapes.iter().enumerate() {
             let mesh = Mesh::new(w, h);
@@ -874,43 +862,6 @@ mod tests {
                         let scalar = MccMap::build_scalar(&f, ty);
                         let ctx = format!("{w}x{h} density {density} row {full_row} {ty:?}");
                         assert_eq!(bits, scalar, "{ctx}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn banded_build_matches_scalar_for_every_band_count() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        // Awkward widths (word boundaries plus 4095/4097 non-×64 tails on
-        // thin meshes) under band counts from 1 to beyond-height; full
-        // struct equality against the scalar ground truth.
-        let shapes = [
-            (16, 16),
-            (65, 7),
-            (127, 5),
-            (130, 4),
-            (4095, 2),
-            (4097, 2),
-            (1, 9),
-        ];
-        for seed in 0..4u64 {
-            let mut rng = StdRng::seed_from_u64(0xBA4D + seed);
-            for &(w, h) in &shapes {
-                let mesh = Mesh::new(w, h);
-                let mut f = FaultSet::new(mesh);
-                for c in mesh.nodes() {
-                    if rng.gen_bool(0.12) {
-                        f.insert(c);
-                    }
-                }
-                for ty in MccType::ALL {
-                    let scalar = MccMap::build_scalar(&f, ty);
-                    for bands in [1, 2, 3, 5, 64] {
-                        let banded = MccMap::build_banded(&f, ty, bands);
-                        assert_eq!(banded, scalar, "seed {seed} {w}x{h} {ty:?} bands {bands}");
                     }
                 }
             }

@@ -5,11 +5,13 @@
 //! sweep trial does all of these; a full experiment does millions. Each
 //! thread owns one [`Workspace`] holding those transients, and every
 //! construction kernel and reachability oracle (`BlockMap::build`,
-//! `MccMap::build_banded`, `reach::minimal_path_exists`,
+//! `MccMap::build`, `reach::minimal_path_exists`,
 //! `ReachMap::from_packed`, …) borrows it through [`with_scratch`], so
-//! a thread pays for the buffers once and reuses them across calls. A
-//! sweep worker is one thread, so its trials share one workspace. The
-//! module is private: no public entry point takes a workspace argument.
+//! a thread pays for the buffers once and reuses them across calls.
+//! Every kernel runs to completion on the calling thread and spawns
+//! none, so a sweep worker's trials share that worker's one workspace.
+//! The module is private: no public entry point takes a workspace
+//! argument.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

@@ -59,13 +59,7 @@ const SYNC_IDENTS: &[&str] = &["Mutex", "RwLock", "Condvar", "Barrier", "mpsc"];
 /// Body markers that make a spawn site structurally deterministic:
 /// disjoint-slice hand-out APIs, or thread-local results merged in index
 /// order (`sort_by_key`, indexed assignment), plus panic propagation.
-const DISJOINT_MARKERS: &[&str] = &[
-    "row_bands_mut",
-    "split_at_mut",
-    "chunks_mut",
-    "iter_mut",
-    "sort_by_key",
-];
+const DISJOINT_MARKERS: &[&str] = &["split_at_mut", "chunks_mut", "iter_mut", "sort_by_key"];
 
 /// The file whose epoch arithmetic is the producer site
 /// (`ScenarioState::insert_fault` advances the working epoch).
@@ -219,7 +213,7 @@ fn a2_concurrency(ws: &Workspace, findings: &mut Vec<Finding>) {
                         "spawn site in `{}` without a recognized disjoint-slice hand-out or index-ordered merge",
                         item.name
                     ),
-                    "hand out disjoint &mut slices (row_bands_mut / split_at_mut / chunks_mut) or merge per-thread buffers by index",
+                    "hand out disjoint &mut slices (split_at_mut / chunks_mut) or merge per-thread buffers by index",
                 );
             }
             // Join-order audit: reversing join handles makes merge order

@@ -221,23 +221,6 @@ impl BitGrid {
         &mut self.words[start..start + self.words_per_row]
     }
 
-    /// Splits the grid into mutable horizontal bands of `rows_per_band`
-    /// whole rows each (the last band may be shorter). Each chunk holds
-    /// `rows_per_band × words_per_row` words in row-major order, so band
-    /// `b` covers mesh rows `b·rows_per_band ..` and local row `r` of a
-    /// band starts at word `r × words_per_row` of its chunk. The chunks
-    /// are disjoint, which lets scoped threads relax the bands of one
-    /// mesh in parallel. Callers must keep every row's unused tail bits
-    /// zero, as with [`BitGrid::row_mut`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows_per_band` is zero.
-    pub fn row_bands_mut(&mut self, rows_per_band: usize) -> std::slice::ChunksMut<'_, u64> {
-        assert!(rows_per_band > 0, "rows_per_band must be positive");
-        self.words.chunks_mut(rows_per_band * self.words_per_row)
-    }
-
     /// The number of set bits over the whole grid.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -540,30 +523,6 @@ mod tests {
     fn column_outside_panics() {
         let g = BitGrid::new(Mesh::new(4, 4));
         g.column(4, &mut [0u64]);
-    }
-
-    #[test]
-    fn row_bands_cover_disjoint_whole_rows() {
-        // 130 columns → 3 words per row; 7 rows split 3/3/1.
-        let mesh = Mesh::new(130, 7);
-        let mut g = BitGrid::from_blocked(mesh, |c| (c.x + c.y) % 3 == 0);
-        let reference = g.clone();
-        let wpr = g.words_per_row();
-        let bands: Vec<usize> = g.row_bands_mut(3).map(|band| band.len()).collect();
-        assert_eq!(bands, vec![3 * wpr, 3 * wpr, wpr]);
-        // Rewriting band b's local row r must land on mesh row 3b + r.
-        for (b, band) in g.row_bands_mut(3).enumerate() {
-            for (r, chunk) in band.chunks_mut(wpr).enumerate() {
-                for (i, w) in chunk.iter_mut().enumerate() {
-                    assert_eq!(*w, reference.row(i32::try_from(3 * b + r).unwrap())[i]);
-                    *w = 0;
-                }
-            }
-        }
-        assert_eq!(g.count_ones(), 0);
-        // A band size at least the height yields one chunk: the grid.
-        assert_eq!(g.row_bands_mut(7).count(), 1);
-        assert_eq!(g.row_bands_mut(100).count(), 1);
     }
 
     #[test]

@@ -20,8 +20,7 @@ fn main() {
         trials,
         fault_counts: (0..=60).step_by(10).collect(),
         seed: 0xBEEF,
-        threads: None,
-        profile: None,
+        ..SweepConfig::default()
     };
 
     println!("guaranteed-minimal-delivery report — {size}x{size} mesh, {trials} trials/point\n");
