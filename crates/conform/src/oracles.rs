@@ -25,16 +25,17 @@ use serde::{Deserialize, Serialize};
 
 use emr_core::conditions::{StrategyKind, StrategyParams};
 use emr_core::{
-    conditions, decide_local, route, DecisionCache, Ensured, Model, ModelView, RouteError,
-    SafetyLevel, SafetyMap, Scenario, ScenarioState,
+    conditions, decide_local, route, BoundaryMap, DecisionCache, Ensured, Model, ModelView,
+    RouteError, SafetyLevel, SafetyMap, Scenario, ScenarioState,
 };
+use emr_distsim::protocols::boundary::{self, BoundaryLine, BoundaryMark};
 use emr_distsim::protocols::esl::{self, EslFormation};
 use emr_distsim::protocols::labeling::{BlockLabeling, BlockStatus, MccLabeling};
 use emr_distsim::Engine;
 use emr_fault::{
     coverage, reach, reach_bits, BlockMap, FaultSet, MccMap, MccType, NodeState, ReachMap,
 };
-use emr_mesh::{Coord, Grid, Mesh};
+use emr_mesh::{BitGrid, Coord, Direction, Frame, Grid, Mesh, Rect};
 use emr_netsim::{
     AdaptiveRouter, EpochedWuRouter, EventSim, NetSim, Packet, Router, Workload, WuRouter, XyRouter,
 };
@@ -124,6 +125,16 @@ pub const ORACLES: &[Oracle] = &[
         claim: "Wang's coverage condition is equivalent to the DP for \
                 endpoints outside every block (ground truth: emr_fault::reach)",
         check: o_coverage_iff_dp,
+    },
+    Oracle {
+        name: "boundary-segments-match-rays",
+        claim: "after every epoch of a fault replay, under the block model \
+                and both MCC types, BoundaryMap's lane runs carry exactly \
+                the straight steps of the global ray walk at every node, \
+                and wu_step equals the per-mark veto rule over the full \
+                contours on every node of every pair's bounding box \
+                (ground truth: emr_distsim::protocols::boundary::compute_global)",
+        check: o_boundary_segments_match_rays,
     },
     Oracle {
         name: "route-delivers",
@@ -604,6 +615,149 @@ fn o_coverage_iff_dp(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation> {
                 "coverage-iff-dp",
                 format!("{s}->{d}: coverage says {cov}, DP says {dp} (rects {rects:?})"),
             ));
+        }
+    }
+    out
+}
+
+/// The per-mark reference for [`route::wu_step`]: the veto scan over every
+/// contour mark at `u`, bend steps included, with each mark's block, line
+/// and direction mirrored into the route's relative frame.
+fn wu_step_per_mark(
+    view: &ModelView<'_>,
+    marks: &Grid<Vec<BoundaryMark>>,
+    s: Coord,
+    d: Coord,
+    u: Coord,
+) -> Result<Direction, RouteError> {
+    let frame = Frame::normalizing(s, d);
+    let rel_d = frame.to_rel(d);
+    let rel_u = frame.to_rel(u);
+    let east_pref = rel_u.x < rel_d.x;
+    let north_pref = rel_u.y < rel_d.y;
+    // The frame's mirrorings swap L1 with L2 (Y flip) and L3 with L4
+    // (X flip).
+    let rel_line = |line: BoundaryLine| match (line, frame.flips_x(), frame.flips_y()) {
+        (BoundaryLine::L1, _, true) => BoundaryLine::L2,
+        (BoundaryLine::L2, _, true) => BoundaryLine::L1,
+        (BoundaryLine::L3, true, _) => BoundaryLine::L4,
+        (BoundaryLine::L4, true, _) => BoundaryLine::L3,
+        (line, _, _) => line,
+    };
+    let mut east_vetoed = false;
+    let mut north_vetoed = false;
+    for mark in marks.get(u).map_or(&[][..], Vec::as_slice) {
+        let rb = frame.rect_to_rel(&mark.block);
+        let toward = frame.dir_to_rel(mark.toward_block);
+        match rel_line(mark.line) {
+            // Lower L3 contour, destination in R4, unless the East move
+            // itself stays on the contour (a bend step).
+            BoundaryLine::L3 => {
+                let on_lower = rel_u.y < rb.y_min();
+                let in_r4 = rel_d.y > rb.y_max() && rel_d.x <= rb.x_max();
+                east_vetoed |= on_lower && in_r4 && toward != Direction::East;
+            }
+            // Left L1 contour, destination in R6: symmetric.
+            BoundaryLine::L1 => {
+                let on_left = rel_u.x < rb.x_min();
+                let in_r6 = rel_d.x > rb.x_max() && rel_d.y <= rb.y_max();
+                north_vetoed |= on_left && in_r6 && toward != Direction::North;
+            }
+            _ => {}
+        }
+    }
+    let open = |dir: Direction| {
+        let v = u.step(frame.dir_to_abs(dir));
+        view.mesh().contains(v) && !view.is_obstacle(v, s, d)
+    };
+    let east_ok = east_pref && !east_vetoed && open(Direction::East);
+    let north_ok = north_pref && !north_vetoed && open(Direction::North);
+    let rel_dir = match (east_ok, north_ok) {
+        (true, true) => {
+            if rel_d.x - rel_u.x >= rel_d.y - rel_u.y {
+                Direction::East
+            } else {
+                Direction::North
+            }
+        }
+        (true, false) => Direction::East,
+        (false, true) => Direction::North,
+        (false, false) => {
+            return if east_pref && north_pref && east_vetoed && north_vetoed {
+                Err(RouteError::Conflict(u))
+            } else {
+                Err(RouteError::Stuck(u))
+            };
+        }
+    };
+    Ok(frame.dir_to_abs(rel_dir))
+}
+
+fn o_boundary_segments_match_rays(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation> {
+    const NAME: &str = "boundary-segments-match-rays";
+    type MarkKey = (Rect, Option<usize>, Direction);
+    let key = |m: &BoundaryMark| {
+        let line = BoundaryLine::ALL.iter().position(|&l| l == m.line);
+        (m.block, line, m.toward_block)
+    };
+    // A straight step travels along its own line: vertically on L3/L4,
+    // horizontally on L1/L2.
+    let straight = |m: &&BoundaryMark| {
+        matches!(m.line, BoundaryLine::L3 | BoundaryLine::L4) == m.toward_block.is_vertical()
+    };
+    let mut out = Vec::new();
+    let mesh = spec.mesh();
+    let mut state = ScenarioState::new(FaultSet::new(mesh));
+    for (k, &f) in spec.faults.iter().enumerate() {
+        state.insert_fault(f);
+        let sc = state.scenario();
+        let (blocks, one, two) = (sc.blocks(), sc.mcc(MccType::One), sc.mcc(MccType::Two));
+        let planes: [(&str, Model, &[Rect], &BitGrid); 3] = [
+            ("block", Model::FaultBlock, blocks.rects(), blocks.packed()),
+            ("mcc One", Model::Mcc, one.rects(), one.packed()),
+            ("mcc Two", Model::Mcc, two.rects(), two.packed()),
+        ];
+        for (label, model, rects, plane) in planes {
+            let runs = BoundaryMap::compute(rects, plane);
+            let blocked = Grid::from_fn(mesh, |c| plane.get(c) == Some(true));
+            let marks = boundary::compute_global(&mesh, rects, &blocked);
+            for c in mesh.nodes() {
+                let want: std::collections::BTreeSet<MarkKey> =
+                    marks[c].iter().filter(straight).map(key).collect();
+                let got: std::collections::BTreeSet<MarkKey> =
+                    runs.marks_at(c).map(|m| key(&m)).collect();
+                if got != want {
+                    out.push(violation(
+                        NAME,
+                        format!(
+                            "[{label}] epoch {k} (fault {f}): marks at {c}: lane runs \
+                             {got:?}, straight ray steps {want:?}"
+                        ),
+                    ));
+                    break; // one node pinpoints the run that diverged
+                }
+            }
+            let view = sc.view(model);
+            for &(s, d) in &spec.pairs {
+                let bbox = Rect::point(s).expanded_to(d);
+                for u in bbox.iter() {
+                    if u == d || view.is_obstacle(u, s, d) {
+                        continue;
+                    }
+                    let got = route::wu_step(&view, &runs, s, d, u);
+                    let want = wu_step_per_mark(&view, &marks, s, d, u);
+                    if got != want {
+                        out.push(violation(
+                            NAME,
+                            format!(
+                                "[{label}] epoch {k} (fault {f}): wu_step at {u} for \
+                                 {s}->{d}: lane runs {got:?}, per-mark rule {want:?}"
+                            ),
+                        ));
+                        break;
+                    }
+                }
+            }
         }
     }
     out

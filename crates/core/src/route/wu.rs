@@ -1,10 +1,8 @@
 //! Wu's boundary-information routing protocol.
 
-#[cfg(test)]
-use emr_mesh::Rect;
-use emr_mesh::{Coord, Direction, Frame, Path};
+use emr_mesh::{Coord, Direction, Frame, Path, Rect};
 
-use crate::boundary::{BoundaryLine, BoundaryMap};
+use crate::boundary::BoundaryMap;
 use crate::route::RouteError;
 use crate::scenario::ModelView;
 
@@ -56,6 +54,15 @@ pub fn wu_route(
 /// packet-level network simulator (`emr-netsim`) drives it hop by hop with
 /// many packets in flight.
 ///
+/// A hop reads two lanes of the [`BoundaryMap`], picked by the route's
+/// frame mirroring: the straight runs in column `u.x` that lie on a lower
+/// L3 section, and those in row `u.y` that lie on a left L1 section. A run
+/// covering `u` vetoes the preferred East (North) move when `d` lies in
+/// its block's R4 (R6), two bound comparisons against `d`. Bend steps
+/// never veto: an L3 contour's bends all point East in the relative
+/// frame, an L1 contour's all North, which is exactly the move the rule
+/// leaves open.
+///
 /// # Errors
 ///
 /// [`RouteError::Stuck`]/[`RouteError::Conflict`] as for [`wu_route`].
@@ -80,35 +87,19 @@ pub fn wu_step(
     let north_pref = rel_u.y < rel_d.y;
 
     // Boundary constraints: a veto forbids one preferred direction.
-    let mut east_vetoed = false;
-    let mut north_vetoed = false;
-    for mark in boundary.marks_at(u) {
-        let rb = frame.rect_to_rel(&mark.block);
-        let line = rel_line(mark.line, &frame);
-        let toward = frame.dir_to_rel(mark.toward_block);
-        match line {
-            // Lower L3 contour, destination in R4: crossing east of the
-            // contour makes the block uncrossable within the
-            // destination's column — unless the east move itself stays
-            // on the contour (a bend segment).
-            BoundaryLine::L3 => {
-                let on_lower = rel_u.y < rb.y_min();
-                let dest_in_r4 = rel_d.y > rb.y_max() && rel_d.x <= rb.x_max();
-                if on_lower && dest_in_r4 && toward != Direction::East {
-                    east_vetoed = true;
-                }
-            }
-            // Left L1 contour, destination in R6: symmetric.
-            BoundaryLine::L1 => {
-                let on_left = rel_u.x < rb.x_min();
-                let dest_in_r6 = rel_d.x > rb.x_max() && rel_d.y <= rb.y_max();
-                if on_left && dest_in_r6 && toward != Direction::North {
-                    north_vetoed = true;
-                }
-            }
-            _ => {}
-        }
-    }
+    // Lower L3 contour, destination in R4: crossing east of the contour
+    // makes the block uncrossable within the destination's column. Left
+    // L1 contour, destination in R6: symmetric.
+    let east_vetoed = east_pref
+        && boundary
+            .lower_l3_runs(&frame, u.x)
+            .iter()
+            .any(|r| r.covers(u.y) && in_r4(&r.block, d, &frame));
+    let north_vetoed = north_pref
+        && boundary
+            .left_l1_runs(&frame, u.y)
+            .iter()
+            .any(|r| r.covers(u.x) && in_r6(&r.block, d, &frame));
 
     let open = |dir: Direction| {
         let v = u.step(frame.dir_to_abs(dir));
@@ -142,41 +133,29 @@ pub fn wu_step(
     Ok(frame.dir_to_abs(rel_dir))
 }
 
-/// Maps an absolute boundary line into the route's relative frame: the
-/// frame's mirrorings swap L1↔L2 (Y flip) and L3↔L4 (X flip).
-fn rel_line(line: BoundaryLine, frame: &Frame) -> BoundaryLine {
-    match line {
-        BoundaryLine::L1 | BoundaryLine::L2 => {
-            if frame.flips_y() {
-                if line == BoundaryLine::L1 {
-                    BoundaryLine::L2
-                } else {
-                    BoundaryLine::L1
-                }
-            } else {
-                line
-            }
-        }
-        BoundaryLine::L3 | BoundaryLine::L4 => {
-            if frame.flips_x() {
-                if line == BoundaryLine::L3 {
-                    BoundaryLine::L4
-                } else {
-                    BoundaryLine::L3
-                }
-            } else {
-                line
-            }
-        }
-    }
+/// Whether `d` lies in the paper's region R4 of `block` as `frame` sees
+/// it: strictly beyond the block along the relative Y axis, and not past
+/// its far column along the relative X axis.
+fn in_r4(block: &Rect, d: Coord, frame: &Frame) -> bool {
+    past(d.y, block.y_min(), block.y_max(), frame.flips_y())
+        && !past(d.x, block.x_min(), block.x_max(), frame.flips_x())
 }
 
-/// Re-exported for the tests: whether the destination lies in the paper's
-/// region R4 of a block (strictly north of it, within its column span) in
-/// the relative frame.
-#[cfg(test)]
-pub(crate) fn dest_in_r4(rel_d: Coord, rb: &Rect) -> bool {
-    rel_d.y > rb.y_max() && rel_d.x <= rb.x_max()
+/// Whether `d` lies in region R6 of `block` as `frame` sees it: R4 with
+/// the axes exchanged.
+fn in_r6(block: &Rect, d: Coord, frame: &Frame) -> bool {
+    past(d.x, block.x_min(), block.x_max(), frame.flips_x())
+        && !past(d.y, block.y_min(), block.y_max(), frame.flips_y())
+}
+
+/// Whether `v` lies strictly past the far end of `lo..=hi` along an axis
+/// the route's frame mirrors when `flip`: one bound comparison.
+fn past(v: i32, lo: i32, hi: i32, flip: bool) -> bool {
+    if flip {
+        v < lo
+    } else {
+        v > hi
+    }
 }
 
 #[cfg(test)]
@@ -363,9 +342,23 @@ mod tests {
     #[test]
     fn r4_helper_matches_definition() {
         let rb = Rect::new(3, 6, 4, 5);
-        assert!(dest_in_r4(Coord::new(5, 9), &rb));
-        assert!(dest_in_r4(Coord::new(6, 6), &rb));
-        assert!(!dest_in_r4(Coord::new(7, 9), &rb)); // east of span
-        assert!(!dest_in_r4(Coord::new(5, 5), &rb)); // inside rows
+        let identity = Frame::at(Coord::ORIGIN);
+        assert!(in_r4(&rb, Coord::new(5, 9), &identity));
+        assert!(in_r4(&rb, Coord::new(6, 6), &identity));
+        assert!(!in_r4(&rb, Coord::new(7, 9), &identity)); // east of span
+        assert!(!in_r4(&rb, Coord::new(5, 5), &identity)); // inside rows
+
+        // Under every mirroring, the bound comparisons agree with the
+        // definition applied to the relative rectangle, and R6 is R4
+        // with the axes exchanged.
+        let s = Coord::new(8, 7);
+        for d in Mesh::square(16).nodes() {
+            let frame = Frame::normalizing(s, d);
+            let (rel_d, rel_b) = (frame.to_rel(d), frame.rect_to_rel(&rb));
+            let r4 = rel_d.y > rel_b.y_max() && rel_d.x <= rel_b.x_max();
+            let r6 = rel_d.x > rel_b.x_max() && rel_d.y <= rel_b.y_max();
+            assert_eq!(in_r4(&rb, d, &frame), r4, "R4 of {rb} for {d}");
+            assert_eq!(in_r6(&rb, d, &frame), r6, "R6 of {rb} for {d}");
+        }
     }
 }

@@ -3,7 +3,7 @@ use std::sync::OnceLock;
 use serde::{Deserialize, Serialize};
 
 use emr_fault::{BlockMap, FaultSet, MccMap, MccType};
-use emr_mesh::{Coord, Grid, MemBytes, Mesh, Rect};
+use emr_mesh::{Coord, MemBytes, Mesh, Rect};
 
 use crate::boundary::BoundaryMap;
 use crate::safety::{SafetyLevel, SafetyMap};
@@ -167,10 +167,12 @@ impl Scenario {
         }
     }
 
-    /// The boundary-line information for one model. Under the MCC model
-    /// this uses the **type-one** labeling (quadrant I/III routes, the
-    /// paper's canonical case); use [`Scenario::boundary_map_for`] to get
-    /// the map matching an arbitrary route.
+    /// The boundary-line information for one model, as the straight lane
+    /// runs of every block's rays walked over the model's packed blocked
+    /// plane (see [`BoundaryMap`]). Under the MCC model this uses the
+    /// **type-one** labeling (quadrant I/III routes, the paper's canonical
+    /// case); use [`Scenario::boundary_map_for`] to get the map matching
+    /// an arbitrary route.
     ///
     /// Boundary lines always carry *bounding rectangles*; under MCC these
     /// are the component bounding boxes, whose veto geometry does not
@@ -187,7 +189,8 @@ impl Scenario {
     }
 
     /// The boundary-line information matching routes from `s` to `d` under
-    /// `model` (picks the MCC labeling type from the route's quadrant).
+    /// `model`: [`Scenario::boundary_map`], except that under MCC the
+    /// labeling type follows the route's quadrant.
     pub fn boundary_map_for(&self, model: Model, s: Coord, d: Coord) -> BoundaryMap {
         match model {
             Model::FaultBlock => self.block_boundary_map(),
@@ -196,16 +199,12 @@ impl Scenario {
     }
 
     fn block_boundary_map(&self) -> BoundaryMap {
-        let mesh = self.mesh();
-        let blocked = Grid::from_fn(mesh, |c| self.blocks.is_blocked(c));
-        BoundaryMap::compute(&mesh, self.blocks.rects(), &blocked)
+        BoundaryMap::compute(self.blocks.rects(), self.blocks.packed())
     }
 
     fn mcc_boundary_map(&self, ty: MccType) -> BoundaryMap {
-        let mesh = self.mesh();
         let mcc = self.mcc(ty);
-        let blocked = Grid::from_fn(mesh, |c| mcc.is_blocked(c));
-        BoundaryMap::compute(&mesh, mcc.rects(), &blocked)
+        BoundaryMap::compute(mcc.rects(), mcc.packed())
     }
 }
 

@@ -235,8 +235,10 @@ impl Protocol for BoundaryPropagation {
 }
 
 /// The global (non-distributed) reference computation: walks every ray of
-/// every block directly. Produces exactly the marks the protocol produces;
-/// `emr-core` uses it as the fast path and the tests check equality.
+/// every block directly. Produces exactly the marks the protocol produces
+/// (the tests check equality). It is the ground truth for `emr-core`'s
+/// `BoundaryMap`, which keeps only the straight runs of the same rays
+/// per lane (the `boundary-segments-match-rays` conformance oracle).
 pub fn compute_global(
     mesh: &Mesh,
     blocks: &[Rect],

@@ -10,8 +10,8 @@
 //! [`EpochedWuRouter`] is the paper-faithful implementation: it owns an
 //! [`emr_core::ScenarioState`], so each failure is absorbed through the
 //! incremental epoch machinery (clipped block/MCC relabeling, lane
-//! resweeps, one boundary rebuild per accepted failure) rather than a
-//! from-scratch scenario build.
+//! resweeps, one rebuild of the boundary lane runs per accepted failure)
+//! rather than a from-scratch scenario build.
 
 use emr_core::route::{self, RouteError};
 use emr_core::{BoundaryMap, Epoch, Model, ScenarioState};
@@ -38,9 +38,12 @@ pub trait DynamicRouter: Router {
 /// arrive.
 ///
 /// The router owns its [`ScenarioState`]; each [`DynamicRouter::fail_node`]
-/// bumps the epoch through the incremental path and rebuilds the router's
-/// boundary map once per accepted failure (per-hop routing then pays no
-/// staleness checks).
+/// bumps the epoch through the incremental path, then rebuilds the
+/// router's [`BoundaryMap`] from scratch: one walk of every block's rays
+/// over the repaired blocked plane, keeping their straight lane runs. A
+/// repeat failure of a node that already failed changes nothing. Per-hop
+/// routing then pays no staleness checks and reads two lanes per hop
+/// ([`route::wu_step`]).
 #[derive(Debug, Clone)]
 pub struct EpochedWuRouter {
     state: ScenarioState,

@@ -51,7 +51,10 @@ pub struct SimReport {
     pub peak_queue: usize,
     /// Cycles simulated.
     pub cycles: u64,
-    /// Node failures applied mid-run (accepted by the router).
+    /// Scheduled node failures that came due mid-run, one per schedule
+    /// entry. Both cores count a repeat failure of a node that already
+    /// failed, which [`DynamicRouter::fail_node`] ignores, so this can
+    /// exceed the number of failures the router accepted.
     pub fault_events: u64,
     /// Packets lost to a failure: caught on a node swallowed by a fault,
     /// or scheduled from a source that failed first. Included in `failed`.
@@ -674,6 +677,61 @@ mod tests {
         assert_eq!(report.total_hops, 8);
         assert_eq!(report.fault_events, 0);
         assert_eq!(report.rerouted, 0);
+    }
+
+    /// `EpochedWuRouter` recording its epoch after every `fail_node`.
+    struct EpochProbe {
+        inner: EpochedWuRouter,
+        epochs: std::rc::Rc<std::cell::RefCell<Vec<emr_core::Epoch>>>,
+    }
+
+    impl Router for EpochProbe {
+        fn next_hop(&self, s: Coord, t: Coord, u: Coord) -> Result<Direction, RouteError> {
+            self.inner.next_hop(s, t, u)
+        }
+    }
+
+    impl DynamicRouter for EpochProbe {
+        fn fail_node(&mut self, c: Coord) {
+            self.inner.fail_node(c);
+            self.epochs.borrow_mut().push(self.inner.epoch());
+        }
+
+        fn is_node_blocked(&self, c: Coord) -> bool {
+            self.inner.is_node_blocked(c)
+        }
+    }
+
+    #[test]
+    fn repeat_failure_counts_twice_but_bumps_the_epoch_once() {
+        // (5,5) is scheduled to fail at cycles 2 and 4: both cores count
+        // two fault events, while the router accepts only the first.
+        let mesh = Mesh::square(10);
+        let probe = || {
+            let epochs = std::rc::Rc::default();
+            let router = EpochProbe {
+                inner: EpochedWuRouter::new(ScenarioState::new(FS::new(mesh)), Model::FaultBlock),
+                epochs: std::rc::Rc::clone(&epochs),
+            };
+            (router, epochs)
+        };
+        let packet = Packet::direct(Coord::new(0, 0), Coord::new(9, 9));
+        let (router, stepper_epochs) = probe();
+        let mut stepper = NetSim::new(mesh, router);
+        stepper.inject(packet.clone(), 0);
+        let (router, event_epochs) = probe();
+        let mut event = crate::EventSim::new(mesh, router);
+        event.inject(packet, 0);
+        for at in [2, 4] {
+            stepper.schedule_fault(Coord::new(5, 5), at);
+            event.schedule_fault(Coord::new(5, 5), at);
+        }
+        let a = stepper.run_dynamic_to_completion(200).unwrap();
+        let b = event.run_dynamic_to_completion(200).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(a.fault_events, 2);
+        assert_eq!(*stepper_epochs.borrow(), [1, 1]);
+        assert_eq!(*event_epochs.borrow(), [1, 1]);
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! The simulator must be a pure function of `(scenario seed, workload
 //! seed)`: rebuilding everything from the same seeds and re-running yields
 //! a bit-identical [`SimReport`]. The conformance harness's `netsim-hops`
-//! oracle and the benchmark sweeps both lean on this.
+//! oracle and the benchmark sweeps both lean on this. Two reduced Wu runs
+//! also pin their full reports as literals, so a change to what the
+//! router decides shows even when both simulator cores change alike.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
-use emr_core::{Model, Scenario};
+use emr_core::{Model, Scenario, ScenarioState};
 use emr_fault::inject;
-use emr_mesh::Mesh;
-use emr_netsim::{NetSim, SimReport, Workload, WuRouter};
+use emr_mesh::{Coord, Mesh};
+use emr_netsim::{
+    EpochedWuRouter, EventSim, NetSim, SimReport, TrafficPattern, Workload, WuRouter,
+};
 
 /// One scheduled packet, flattened for comparison: injection cycle,
 /// source, destination.
@@ -66,4 +70,87 @@ fn different_seeds_change_the_workload() {
     let (_, sched_a) = run_once(7, 100);
     let (_, sched_b) = run_once(7, 101);
     assert_ne!(sched_a, sched_b, "workload seed has no effect");
+}
+
+/// A reduced netsim-wu episode: 48×48, 40 static faults, 6 failures
+/// spread over the injection window, 3,000 uniform packets at 0.01
+/// packets per node per cycle, routed by `EpochedWuRouter`.
+fn wu_episode() -> (Workload, Vec<(Coord, u64)>, EpochedWuRouter) {
+    let mesh = Mesh::square(48);
+    let mut rng = StdRng::seed_from_u64(0x5eed_0048);
+    let state = ScenarioState::new(inject::uniform(mesh, 40, &[], &mut rng));
+    let load = Workload::offered_load(
+        state.scenario(),
+        TrafficPattern::Uniform,
+        3_000,
+        0.01,
+        &mut rng,
+    );
+    let window = load.packets().last().map_or(1, |&(c, _)| c.max(1));
+    let faults = (1..=6u64)
+        .map(|j| {
+            let c = Coord::new(rng.gen_range(0..48), rng.gen_range(0..48));
+            (c, window * j / 7)
+        })
+        .collect();
+    (load, faults, EpochedWuRouter::new(state, Model::FaultBlock))
+}
+
+/// The reduced episode's full report, pinned on both cores. The
+/// stepper/event agreement checks cannot see a change to Wu's vetoes
+/// that both cores share; this can.
+#[test]
+fn epoched_wu_episode_report_is_pinned() {
+    let expected = SimReport {
+        delivered: 2931,
+        failed: 69,
+        total_hops: 93331,
+        total_latency: 96716,
+        total_manhattan: 93331,
+        peak_queue: 5,
+        cycles: 204,
+        fault_events: 6,
+        fault_drops: 9,
+        rerouted: 4,
+    };
+    let (load, faults, router) = wu_episode();
+    let mesh = Mesh::square(48);
+    let mut stepper = NetSim::new(mesh, router.clone());
+    let mut event = EventSim::new(mesh, router);
+    load.inject_into(&mut stepper);
+    load.inject_into(&mut event);
+    for &(c, at) in &faults {
+        stepper.schedule_fault(c, at);
+        event.schedule_fault(c, at);
+    }
+    let stepped = stepper.run_dynamic_to_completion(1_000_000);
+    let evented = event.run_dynamic_to_completion(1_000_000);
+    assert_eq!(stepped, Ok(expected), "stepper");
+    assert_eq!(evented, Ok(expected), "event core");
+}
+
+/// A static `WuRouter` run under the MCC model on the same shape, pinned.
+#[test]
+fn static_wu_mcc_report_is_pinned() {
+    let expected = SimReport {
+        delivered: 2968,
+        failed: 32,
+        total_hops: 96404,
+        total_latency: 99993,
+        total_manhattan: 96404,
+        peak_queue: 5,
+        cycles: 202,
+        fault_events: 0,
+        fault_drops: 0,
+        rerouted: 0,
+    };
+    let mesh = Mesh::square(48);
+    let mut rng = StdRng::seed_from_u64(0x5eed_0049);
+    let scenario = Scenario::build(inject::uniform(mesh, 40, &[], &mut rng));
+    let load = Workload::offered_load(&scenario, TrafficPattern::Uniform, 3_000, 0.01, &mut rng);
+    let view = scenario.view(Model::Mcc);
+    let boundary = scenario.boundary_map(Model::Mcc);
+    let mut sim = NetSim::new(mesh, WuRouter::new(&view, &boundary));
+    load.inject_into(&mut sim);
+    assert_eq!(sim.run_to_completion(1_000_000), Ok(expected));
 }

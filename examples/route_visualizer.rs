@@ -4,6 +4,8 @@
 //! Run with `cargo run --example route_visualizer [seed]`.
 
 use emr2d::core::conditions;
+use emr2d::distsim::protocols::boundary;
+use emr2d::mesh::Grid;
 use emr2d::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,12 +41,22 @@ fn main() {
         ensured.plan(),
         path.hops()
     );
-    println!("{}", render(&scenario, &boundary, &path, s, d));
+    // The router keeps only the straight runs of each contour; the full
+    // contours, bend steps included, come from the global ray walk.
+    let blocked = Grid::from_fn(mesh, |c| scenario.blocks().is_blocked(c));
+    let contours = boundary::compute_global(&mesh, scenario.blocks().rects(), &blocked);
+    println!("{}", render(&scenario, &contours, &path, s, d));
     println!("legend: S source, D destination, * path, X faulty, o disabled,");
     println!("        . boundary line, (blank) healthy");
 }
 
-fn render(scenario: &Scenario, boundary: &BoundaryMap, path: &Path, s: Coord, d: Coord) -> String {
+fn render(
+    scenario: &Scenario,
+    contours: &Grid<Vec<boundary::BoundaryMark>>,
+    path: &Path,
+    s: Coord,
+    d: Coord,
+) -> String {
     let mesh = scenario.mesh();
     let mut out = String::new();
     for y in (0..mesh.height()).rev() {
@@ -60,7 +72,7 @@ fn render(scenario: &Scenario, boundary: &BoundaryMap, path: &Path, s: Coord, d:
                 'X'
             } else if scenario.blocks().is_blocked(c) {
                 'o'
-            } else if !boundary.marks_at(c).is_empty() {
+            } else if !contours[c].is_empty() {
                 '.'
             } else {
                 ' '

@@ -44,32 +44,46 @@ fn distributed_safety_levels_match_safety_map() {
 }
 
 /// The distributed boundary propagation delivers exactly the marks the
-/// global `BoundaryMap` computes.
+/// global ray walk (`boundary::compute_global`) computes, and the
+/// `BoundaryMap` lane runs carry exactly their straight steps.
 #[test]
 fn distributed_boundary_matches_boundary_map() {
     let mesh = Mesh::square(24);
+    let key = |m: &boundary::BoundaryMark| {
+        (
+            m.block.x_min(),
+            m.block.y_min(),
+            m.line as u8,
+            m.toward_block,
+        )
+    };
     for seed in 0..8u64 {
         let mut rng = StdRng::seed_from_u64(100 + seed);
         let faults = inject::uniform(mesh, 20, &[], &mut rng);
         let scenario = Scenario::build(faults);
         let blocked = emr2d::mesh::Grid::from_fn(mesh, |c| scenario.blocks().is_blocked(c));
-        let global = scenario.boundary_map(Model::FaultBlock);
+        let global = boundary::compute_global(&mesh, scenario.blocks().rects(), &blocked);
+        let runs = scenario.boundary_map(Model::FaultBlock);
         let proto = boundary::BoundaryPropagation::new(scenario.blocks().rects().to_vec(), blocked);
         let (dist, _) = Engine::new(mesh).run(&proto);
         for c in mesh.nodes() {
             let mut a = dist[c].clone();
-            let mut b = global.marks_at(c).to_vec();
-            let key = |m: &boundary::BoundaryMark| {
-                (
-                    m.block.x_min(),
-                    m.block.y_min(),
-                    m.line as u8,
-                    m.toward_block,
-                )
-            };
+            let mut b = global[c].clone();
             a.sort_by_key(key);
             b.sort_by_key(key);
             assert_eq!(a, b, "seed {seed} node {c}");
+            // A straight step travels along its own line: vertically on
+            // L3/L4, horizontally on L1/L2.
+            b.retain(|m| {
+                let column_line = matches!(
+                    m.line,
+                    boundary::BoundaryLine::L3 | boundary::BoundaryLine::L4
+                );
+                m.toward_block.is_vertical() == column_line
+            });
+            let mut r: Vec<_> = runs.marks_at(c).collect();
+            r.sort_by_key(key);
+            assert_eq!(r, b, "seed {seed} node {c}: lane runs vs straight steps");
         }
     }
 }
