@@ -95,14 +95,14 @@ pub const ORACLES: &[Oracle] = &[
     },
     Oracle {
         name: "block-bits-matches-scalar",
-        claim: "the word-parallel Definition-1 block construction equals \
+        claim: "the fault-seeded Definition-1 block construction equals \
                 the scalar worklist build, map-for-map (ground truth: \
                 BlockMap::build_scalar)",
         check: o_block_bits_matches_scalar,
     },
     Oracle {
         name: "mcc-bits-matches-scalar",
-        claim: "the word-parallel Definition-2 label sweeps equal the \
+        claim: "the fault-seeded Definition-2 label worklists equal the \
                 scalar per-node sweeps for both MCC types (ground truth: \
                 MccMap::build_scalar)",
         check: o_mcc_bits_matches_scalar,
@@ -447,7 +447,7 @@ fn o_mcc_bits_matches_scalar(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violat
     let sc = spec.scenario();
     let mesh = spec.mesh();
     for ty in MccType::ALL {
-        let bits = sc.mcc(ty); // the default build runs the bit sweeps
+        let bits = sc.mcc(ty); // the default build runs the worklists
         let scalar = MccMap::build_scalar(sc.faults(), ty);
         let mut diverged = false;
         for c in mesh.nodes() {

@@ -4,8 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use emr_mesh::{BitGrid, Coord, Direction, Grid, MemBytes, Mesh, Rect};
 
-use crate::block_bits;
-use crate::workspace::{with_scratch, Workspace};
+use crate::workspace::{key_node, row_major_key, with_scratch, Workspace};
 use crate::FaultSet;
 
 /// The status of a node under the faulty-block model (Definition 1).
@@ -97,31 +96,58 @@ impl BlockMap {
     /// faulty neighbors in different dimensions"). Off-mesh positions count
     /// as healthy.
     ///
-    /// Runs the word-parallel fix-point of the `block_bits` kernel on
-    /// this thread's scratch rows; the scalar worklist survives as
-    /// [`BlockMap::build_scalar`], the differential anchor (`conform`
-    /// oracle `block-bits-matches-scalar` pins the equivalence). The
-    /// blocks come out of a run-merge over the converged rows, so the
-    /// whole build costs `O(words + blocks)`.
+    /// Runs the worklist [`BlockMap::insert_fault`] resumes on a copy of the
+    /// faulty plane, seeded at the neighbours of each fault with another fault
+    /// in its 3×3 box: a node the faults alone disable has two faulty
+    /// neighbours on a diagonal of each other, and later growth re-enqueues the
+    /// neighbours of each changed node. Each block's rectangle is then read off
+    /// one of its faults: by the rectangle invariant the blocked runs through a
+    /// fault along X and along Y span its block. Faults inside a block already
+    /// read are skipped, so the whole build costs one copy of each plane plus
+    /// `O(faults + blocked nodes)`, whatever the mesh size.
+    /// [`BlockMap::build_scalar`] is the reference (`conform` oracle
+    /// `block-bits-matches-scalar` pins the equivalence).
     pub fn build(faults: &FaultSet) -> BlockMap {
+        let mesh = faults.mesh();
         let mut packed = faults.packed().clone();
-        with_scratch(|ws| {
-            block_bits::disable_fixpoint(&mut packed, &mut ws.row_open, &mut ws.row_cur);
+        let blocks = with_scratch(|ws| {
+            let Workspace {
+                queue,
+                visited_mask: read,
+                keys,
+                ..
+            } = ws;
+            queue.clear();
+            queue.extend(faults.paired().flat_map(|f| mesh.neighbors(f)));
+            disable_fixpoint(&mut packed, queue);
+            // Read in row-major fault order, the blocks come out in
+            // `build_scalar`'s (y_min, x_min) order: every row of a block
+            // holds a fault (the first node of a row to be disabled needs
+            // a faulty neighbour along X), and blocks sharing a bottom row
+            // are disjoint along it.
+            keys.clear();
+            keys.extend(faults.iter().map(row_major_key));
+            keys.sort_unstable();
+            read.reset(mesh);
+            let mut blocks = Vec::with_capacity(keys.len());
+            for f in keys.iter().map(|&k| key_node(k)) {
+                if read.get(f) == Some(true) {
+                    continue;
+                }
+                let block = block_through(&packed, faults.packed(), f);
+                for u in &block.rect {
+                    read.set(u, true);
+                }
+                blocks.push(block);
+            }
+            blocks
         });
-        let blocks: Vec<FaultyBlock> = block_bits::extract_rects(&packed, faults.packed())
-            .into_iter()
-            .map(|(rect, faulty_nodes, disabled_nodes)| FaultyBlock {
-                rect,
-                faulty_nodes,
-                disabled_nodes,
-            })
-            .collect();
         BlockMap::assemble(packed, faults.packed().clone(), blocks)
     }
 
     /// The original per-node worklist fix-point over a dense state grid,
     /// with a BFS component extraction — the ground truth the
-    /// word-parallel [`BlockMap::build`] is differentially tested against.
+    /// fault-seeded [`BlockMap::build`] is differentially tested against.
     /// Produces a structurally identical map (same planes, same blocks in
     /// the same order).
     pub fn build_scalar(faults: &FaultSet) -> BlockMap {
@@ -234,9 +260,10 @@ impl BlockMap {
     /// paper's §1 information-model claim ("when a disturbance occurs,
     /// only those affected nodes update their information").
     ///
-    /// The cost is proportional to the affected region: the relabeling
-    /// worklist plus one BFS over the (possibly merged) block containing
-    /// the new fault. Equivalence with a full rebuild is property-tested.
+    /// The cost is proportional to the affected region: the fix-point
+    /// worklist [`BlockMap::build`] runs, seeded at the new fault's
+    /// neighbours, plus one read of the (possibly merged) block containing
+    /// it. Equivalence with a full rebuild is property-tested.
     ///
     /// Returns the rectangle of the (possibly merged) block containing
     /// `c` after the update — the disturbance footprint callers use to
@@ -246,64 +273,28 @@ impl BlockMap {
     /// # Panics
     ///
     /// Panics if `c` lies outside the mesh.
-    // emr-lint: allow(A1, "documented panic contract plus worklist invariant: a faulty node always belongs to a block")
     pub fn insert_fault(&mut self, c: Coord) -> Rect {
         if self.state(c) == NodeState::Faulty {
-            return self
-                .block_containing(c)
-                .expect("faulty node belongs to a block")
-                .rect();
+            return block_through(&self.packed, &self.faulty, c).rect;
         }
         self.faulty.set(c, true);
         self.packed.set(c, true);
-
-        // Re-run the Definition 1 worklist from the disturbance.
-        let mut queue: VecDeque<Coord> = self.mesh.neighbors(c).collect();
-        while let Some(u) = queue.pop_front() {
-            if self.is_blocked(u) {
-                continue;
-            }
-            let x_blocked = self.is_blocked(u.step(Direction::East))
-                || self.is_blocked(u.step(Direction::West));
-            let y_blocked = self.is_blocked(u.step(Direction::North))
-                || self.is_blocked(u.step(Direction::South));
-            if x_blocked && y_blocked {
-                self.packed.set(u, true);
-                queue.extend(self.mesh.neighbors(u));
-            }
-        }
-
-        // The new/merged component containing the fault.
-        let mut rect = Rect::point(c);
-        let mut faulty_nodes = 0;
-        let mut disabled_nodes = 0;
-        let mut visited = std::collections::BTreeSet::from([c]);
-        let mut queue = VecDeque::from([c]);
-        while let Some(u) = queue.pop_front() {
-            rect = rect.expanded_to(u);
-            if self.faulty.get(u) == Some(true) {
-                faulty_nodes += 1;
-            } else {
-                disabled_nodes += 1;
-            }
-            for v in self.mesh.neighbors(u) {
-                if self.is_blocked(v) && visited.insert(v) {
-                    queue.push_back(v);
-                }
-            }
-        }
-        // Absorb the blocks the new component swallowed (by the rectangle
-        // invariant, rect intersection ⟺ absorption).
-        self.blocks.retain(|b| !b.rect().intersects(&rect));
-        self.blocks.push(FaultyBlock {
-            rect,
-            faulty_nodes,
-            disabled_nodes,
+        let mesh = self.mesh;
+        with_scratch(|ws| {
+            ws.queue.clear();
+            ws.queue.extend(mesh.neighbors(c));
+            disable_fixpoint(&mut self.packed, &mut ws.queue);
         });
+        // The new/merged block containing the fault. Absorb the blocks it
+        // swallowed (by the rectangle invariant, rect intersection ⟺
+        // absorption).
+        let block = block_through(&self.packed, &self.faulty, c);
+        self.blocks.retain(|b| !b.rect().intersects(&block.rect));
+        self.blocks.push(block);
         self.rects.clear();
         self.rects.extend(self.blocks.iter().map(|b| b.rect));
         debug_assert!(self.rect_invariant_holds());
-        rect
+        block.rect
     }
 
     /// Checks the paper's structural claim: each connected component of
@@ -344,6 +335,54 @@ impl MemBytes for BlockMap {
             + self.faulty.mem_bytes()
             + (self.blocks.len() * std::mem::size_of::<FaultyBlock>()) as u64
             + (self.rects.len() * std::mem::size_of::<Rect>()) as u64
+    }
+}
+
+/// Runs Definition 1's worklist to its fix-point on the blocked plane
+/// `packed`. A candidate off `queue` that is still enabled turns disabled
+/// when it has a blocked neighbour along X and one along Y, and its
+/// neighbours then become candidates. Blocking is monotone, so the
+/// worklist reaches the least fix-point above `packed` as long as the
+/// initial candidates include every node the blocked plane alone
+/// disables.
+fn disable_fixpoint(packed: &mut BitGrid, queue: &mut VecDeque<Coord>) {
+    let mesh = packed.mesh();
+    while let Some(u) = queue.pop_front() {
+        if packed.get(u) != Some(false) {
+            continue;
+        }
+        let blocked = |c: Coord| packed.get(c) == Some(true);
+        let x_blocked = blocked(u.step(Direction::East)) || blocked(u.step(Direction::West));
+        let y_blocked = blocked(u.step(Direction::North)) || blocked(u.step(Direction::South));
+        if x_blocked && y_blocked {
+            packed.set(u, true);
+            queue.extend(mesh.neighbors(u));
+        }
+    }
+}
+
+/// The block holding the blocked node `c` of a converged plane: by the
+/// rectangle invariant the blocked runs through `c` along X and along Y
+/// span it, and `faulty` gives its fault count.
+fn block_through(packed: &BitGrid, faulty: &BitGrid, c: Coord) -> FaultyBlock {
+    let end = |dir: Direction| {
+        let mut u = c;
+        while packed.get(u.step(dir)) == Some(true) {
+            u = u.step(dir);
+        }
+        u
+    };
+    let rect = Rect::new(
+        end(Direction::West).x,
+        end(Direction::East).x,
+        end(Direction::South).y,
+        end(Direction::North).y,
+    );
+    let faulty_nodes = rect.iter().filter(|&u| faulty.get(u) == Some(true)).count();
+    FaultyBlock {
+        rect,
+        faulty_nodes,
+        disabled_nodes: rect.node_count() - faulty_nodes,
     }
 }
 
@@ -464,6 +503,21 @@ mod tests {
         assert_eq!(map.state(Coord::new(0, 0)), NodeState::Disabled);
         assert_eq!(map.blocks().len(), 1);
         assert_eq!(map.blocks()[0].rect(), Rect::new(0, 1, 0, 1));
+    }
+
+    #[test]
+    fn growth_reaches_a_fault_with_no_fault_in_its_box() {
+        // (0,4) has no other fault in its 3×3 box, so it seeds no
+        // candidate; the block grows to it through disabled nodes, and the
+        // four faults close into one block.
+        let faults = FaultSet::from_coords(
+            Mesh::square(6),
+            [(1, 2), (2, 1), (3, 3), (0, 4)].map(Coord::from),
+        );
+        let map = BlockMap::build(&faults);
+        assert_eq!(map, BlockMap::build_scalar(&faults));
+        assert_eq!(map.rects(), [Rect::new(0, 3, 1, 4)]);
+        assert_eq!(map.blocks()[0].faulty_nodes(), 4);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use emr_mesh::{BitGrid, Coord, MemBytes, Mesh};
 /// A set of faulty nodes in a mesh.
 ///
 /// Keeps a packed membership bitset (one bit per node, O(1) queries
-/// during labeling and the direct input of the word-parallel kernels)
+/// during labeling and the direct input of the packed kernels)
 /// and the fault list in insertion order (for deterministic iteration).
 /// At giant mesh sizes the bitset is the only per-node storage — an
 /// eighth of a byte per node.
@@ -46,7 +46,9 @@ impl FaultSet {
     ///
     /// Panics if any coordinate lies outside the mesh.
     pub fn from_coords(mesh: Mesh, coords: impl IntoIterator<Item = Coord>) -> Self {
+        let coords = coords.into_iter();
         let mut set = FaultSet::new(mesh);
+        set.list.reserve(coords.size_hint().0);
         for c in coords {
             set.insert(c);
         }
@@ -74,8 +76,8 @@ impl FaultSet {
     }
 
     /// The faults as a packed bit grid (bit set ⟺ faulty), maintained on
-    /// every insert. The word-parallel construction kernels and
-    /// [`crate::reach_bits::ReachMap::from_packed`] start from this grid
+    /// every insert. The construction kernels copy it as their starting
+    /// plane and [`crate::reach_bits::ReachMap::from_packed`] reads it
     /// directly, skipping any per-node repacking.
     pub fn packed(&self) -> &BitGrid {
         &self.packed
@@ -99,6 +101,42 @@ impl FaultSet {
     /// Iterates over the faulty nodes in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = Coord> + '_ {
         self.list.iter().copied()
+    }
+
+    /// The faults with another fault among their eight surrounding
+    /// nodes, in insertion order: the only faults whose neighbours
+    /// Definition 1 or 2 can block on the faults alone. Either rule needs
+    /// two blocked neighbours of a node, one along X and one along Y, and
+    /// two such neighbours lie on a diagonal of each other, so each is in
+    /// the other's 3×3 box. The fix-point worklists of
+    /// [`crate::BlockMap::build`] and [`crate::MccMap::build`] start at
+    /// these faults only.
+    pub(crate) fn paired(&self) -> impl Iterator<Item = Coord> + '_ {
+        let height = self.mesh.height();
+        let window = move |y: i32, x: usize| {
+            if (0..height).contains(&y) {
+                window3(self.packed.row(y), x)
+            } else {
+                0
+            }
+        };
+        self.iter().filter(move |c| {
+            let x = usize::try_from(c.x).unwrap_or(0);
+            window(c.y - 1, x) | window(c.y + 1, x) | (window(c.y, x) & 0b101) != 0
+        })
+    }
+}
+
+/// Bits `x - 1 ..= x + 1` of a packed row as the low three bits, column
+/// `x - 1` lowest. Columns outside the row read as zero (the row's tail
+/// bits are zero).
+fn window3(row: &[u64], x: usize) -> u64 {
+    let word = |i: usize| row.get(i).copied().unwrap_or(0);
+    let (wi, bit) = (x / 64, x % 64);
+    match bit {
+        0 => (word(wi) << 1 | wi.checked_sub(1).map_or(0, |w| word(w) >> 63)) & 0b111,
+        63 => (word(wi) >> 62 | word(wi + 1) << 2) & 0b111,
+        _ => word(wi) >> (bit - 1) & 0b111,
     }
 }
 
@@ -168,6 +206,32 @@ mod tests {
             assert_eq!(set.packed().get(c), Some(set.is_faulty(c)), "{c}");
         }
         assert_eq!(set.packed().count_ones(), set.len());
+    }
+
+    #[test]
+    fn paired_faults_have_a_fault_in_their_box() {
+        // Word-boundary columns 63/64 and the mesh edges among them.
+        let mesh = Mesh::new(130, 4);
+        let coords = [
+            (0, 0),
+            (1, 1),
+            (63, 2),
+            (64, 3),
+            (129, 0),
+            (127, 0),
+            (40, 2),
+            (65, 0),
+        ];
+        let set = FaultSet::from_coords(mesh, coords.map(Coord::from));
+        let naive: Vec<Coord> = set
+            .iter()
+            .filter(|&c| {
+                set.iter()
+                    .any(|o| o != c && (o.x - c.x).abs() <= 1 && (o.y - c.y).abs() <= 1)
+            })
+            .collect();
+        assert_eq!(set.paired().collect::<Vec<_>>(), naive);
+        assert_eq!(naive.len(), 4);
     }
 
     #[test]

@@ -21,21 +21,15 @@ use crate::FaultSet;
 /// the materialized eligible list would (`uniform_matches_dense_selection`
 /// pins this), but sparsely: the sweep engine calls this once per trial,
 /// and building the O(mesh) eligible and index tables dominated trial
-/// setup. Only the O(count) touched swap entries are stored instead.
+/// setup. Only the O(count) touched swap entries are stored instead, in
+/// an open-addressing table sized for them, so a draw costs O(count)
+/// whatever the mesh size.
 ///
 /// # Panics
 ///
 /// Panics if `count` exceeds the number of eligible nodes.
 pub fn uniform(mesh: Mesh, count: usize, forbidden: &[Coord], rng: &mut impl Rng) -> FaultSet {
-    // Ascending node indices of the excluded nodes (off-mesh entries never
-    // matched the eligible filter, duplicates removed by the dedup).
-    let mut fidx: Vec<usize> = forbidden
-        .iter()
-        .filter(|c| mesh.contains(**c))
-        .map(|&c| mesh.index_of(c))
-        .collect();
-    fidx.sort_unstable();
-    fidx.dedup();
+    let fidx = forbidden_indices(mesh, forbidden);
     let eligible = mesh.node_count() - fidx.len();
     assert!(
         count <= eligible,
@@ -43,16 +37,14 @@ pub fn uniform(mesh: Mesh, count: usize, forbidden: &[Coord], rng: &mut impl Rng
     );
     // Partial Fisher–Yates over the virtual identity table 0..eligible;
     // `touched` holds only the entries that differ from the identity.
-    // A map keeps lookup O(log count) — the linear-probe version this
-    // replaces went quadratic in `count` and dominated giant-mesh trials.
-    let mut touched: std::collections::BTreeMap<usize, usize> = std::collections::BTreeMap::new();
+    let mut touched = SwapTable::with_entries(2 * count);
     let width = usize::try_from(mesh.width()).unwrap_or(1);
     let chosen = (0..count).map(|i| {
         let j = i + (rng.next_u64() as usize) % (eligible - i);
-        let vi = touched.get(&i).copied().unwrap_or(i);
-        let vj = touched.get(&j).copied().unwrap_or(j);
-        touched.insert(i, vj);
-        touched.insert(j, vi);
+        let vi = touched.entry(i);
+        let vj = touched.entry(j);
+        touched.assign(i, vj);
+        touched.assign(j, vi);
         // The picked eligible rank, mapped to a node index by re-inserting
         // the excluded slots below it.
         let mut ni = vj;
@@ -69,6 +61,71 @@ pub fn uniform(mesh: Mesh, count: usize, forbidden: &[Coord], rng: &mut impl Rng
         )
     });
     FaultSet::from_coords(mesh, chosen)
+}
+
+/// The ascending, deduplicated node indices of the in-mesh `forbidden`
+/// entries: the nodes both generators exclude. Off-mesh entries exclude
+/// nothing, and a repeated entry excludes its node once.
+fn forbidden_indices(mesh: Mesh, forbidden: &[Coord]) -> Vec<usize> {
+    let mut fidx: Vec<usize> = forbidden
+        .iter()
+        .filter(|c| mesh.contains(**c))
+        .map(|&c| mesh.index_of(c))
+        .collect();
+    fidx.sort_unstable();
+    fidx.dedup();
+    fidx
+}
+
+/// The sparse Fisher–Yates table of [`uniform`]: a fixed-capacity
+/// open-addressing map from a slot to its current entry, where an absent
+/// slot holds itself. The capacity is a power of two at least twice the
+/// entries it must hold, so linear probing from a multiplicative
+/// (Fibonacci) hash stays short, and nothing is ever removed. A slot is
+/// stored plus one, so a zero key marks an empty bucket.
+struct SwapTable {
+    buckets: Vec<(usize, usize)>,
+    shift: u32,
+}
+
+impl SwapTable {
+    /// A table with room for `entries` distinct slots.
+    fn with_entries(entries: usize) -> SwapTable {
+        let capacity = (2 * entries).next_power_of_two().max(2);
+        SwapTable {
+            buckets: vec![(0, 0); capacity],
+            shift: usize::BITS - capacity.trailing_zeros(),
+        }
+    }
+
+    /// The bucket holding `slot`, or the empty bucket where it goes.
+    fn find(&self, slot: usize) -> usize {
+        let mask = self.buckets.len() - 1;
+        let mut b = slot.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as usize) >> self.shift;
+        while let Some(&(key, _)) = self.buckets.get(b) {
+            if key == 0 || key == slot + 1 {
+                break;
+            }
+            b = (b + 1) & mask;
+        }
+        b
+    }
+
+    /// The entry at `slot`: its last value assigned, or `slot` itself.
+    fn entry(&self, slot: usize) -> usize {
+        match self.buckets.get(self.find(slot)) {
+            Some(&(key, value)) if key != 0 => value,
+            _ => slot,
+        }
+    }
+
+    /// Sets the entry at `slot` to `value`.
+    fn assign(&mut self, slot: usize, value: usize) {
+        let b = self.find(slot);
+        if let Some(bucket) = self.buckets.get_mut(b) {
+            *bucket = (slot + 1, value);
+        }
+    }
 }
 
 /// Draws `count` distinct faults clustered around `centers` random cluster
@@ -90,7 +147,7 @@ pub fn clustered(
     rng: &mut impl Rng,
 ) -> FaultSet {
     assert!(centers > 0, "need at least one cluster center");
-    let eligible = mesh.node_count().saturating_sub(forbidden.len());
+    let eligible = mesh.node_count() - forbidden_indices(mesh, forbidden).len();
     assert!(
         count <= eligible,
         "cannot place {count} faults among {eligible} eligible nodes"
@@ -191,6 +248,9 @@ mod tests {
             FaultSet::from_coords(mesh, chosen)
         };
         let center = Mesh::square(17).center();
+        // The sweep's source; the 64² row draws every eligible node, the
+        // swap table's design load.
+        let paper_source = Mesh::square(200).center();
         let cases: &[(Mesh, usize, &[Coord])] = &[
             (Mesh::square(17), 0, &[]),
             (Mesh::square(17), 25, &[]),
@@ -198,6 +258,8 @@ mod tests {
             (Mesh::new(1, 40), 10, &[Coord::new(0, 0), Coord::new(0, 39)]),
             (Mesh::new(40, 1), 39, &[Coord::new(5, 0)]),
             (Mesh::square(4), 15, &[Coord::new(2, 2)]),
+            (Mesh::square(200), 200, &[paper_source]),
+            (Mesh::square(64), 4095, &[Coord::new(5, 5)]),
         ];
         for &(mesh, count, forbidden) in cases {
             for seed in 0..20u64 {
@@ -225,6 +287,30 @@ mod tests {
         let set = clustered(mesh, 60, 3, 2.0, &[mesh.center()], &mut rng);
         assert_eq!(set.len(), 60);
         assert!(!set.is_faulty(mesh.center()));
+    }
+
+    #[test]
+    fn clustered_counts_duplicate_and_off_mesh_forbidden_entries_once() {
+        // A repeated entry excludes its node once, and an off-mesh entry
+        // excludes nothing, so both requests fill every eligible node, as
+        // `uniform` does on the same input.
+        let mesh = Mesh::square(3);
+        let c = mesh.center();
+        for forbidden in [[c, c], [c, Coord::new(-1, 7)]] {
+            let set = clustered(mesh, 8, 1, 1.0, &forbidden, &mut StdRng::seed_from_u64(2));
+            assert_eq!(set.len(), 8);
+            assert!(!set.is_faulty(c));
+            let drawn = uniform(mesh, 8, &forbidden, &mut StdRng::seed_from_u64(2));
+            assert_eq!(drawn.len(), 8);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot place 9 faults among 8 eligible nodes")]
+    fn clustered_rejects_requests_beyond_the_eligible_nodes() {
+        let mesh = Mesh::square(3);
+        let c = mesh.center();
+        let _ = clustered(mesh, 9, 1, 1.0, &[c, c], &mut StdRng::seed_from_u64(2));
     }
 
     #[test]

@@ -21,6 +21,12 @@
 //! * [`coverage`] — Wang's necessary-and-sufficient condition phrased on
 //!   block rectangles (the global-information baseline).
 //!
+//! [`BlockMap::build`] and [`MccMap::build`] run the fix-point worklist
+//! their `insert_fault` resumes, seeded at the faults, so a build costs
+//! one copy of each packed plane plus work in proportion to the faults
+//! and the nodes they block, not to the mesh. Their scalar builders
+//! (`build_scalar`) stay as the reference.
+//!
 //! # Examples
 //!
 //! ```
@@ -44,12 +50,10 @@
 #![warn(missing_docs)]
 
 mod block;
-mod block_bits;
 pub mod coverage;
 mod fault_set;
 pub mod inject;
 mod mcc;
-mod mcc_bits;
 pub mod reach;
 pub mod reach_bits;
 mod workspace;

@@ -1,9 +1,11 @@
+use std::collections::VecDeque;
+
 use serde::{Deserialize, Serialize};
 
 use emr_mesh::{BitGrid, Coord, Direction, Grid, MemBytes, Mesh, Quadrant, Rect};
 
-use crate::workspace::{with_scratch, Workspace};
-use crate::{mcc_bits, FaultSet};
+use crate::workspace::{key_node, row_major_key, with_scratch, Workspace};
+use crate::FaultSet;
 
 /// Which pair of routing quadrants an MCC labeling serves.
 ///
@@ -160,15 +162,17 @@ impl MccMap {
     /// labeling exact for minimal routing (property-tested against the
     /// monotone-reachability oracle).
     ///
-    /// Runs the word-parallel sweeps of the `mcc_bits` kernel; the scalar
-    /// per-node sweep survives as [`MccMap::build_scalar`], the
-    /// differential anchor (`conform` oracle `mcc-bits-matches-scalar`
-    /// pins the equivalence).
-    ///
-    /// The components come from a BFS started at each unvisited set bit
-    /// of the blocked plane in row-major order, with a packed visited
-    /// mask from this thread's scratch workspace, so the whole build
-    /// costs `O(words + blocked nodes)`.
+    /// Each label plane runs the worklist [`MccMap::insert_fault`] resumes,
+    /// seeded at the nodes that see a fault as a rule neighbour, for each fault
+    /// with another fault in its 3×3 box: a node the faults alone label has its
+    /// two rule neighbours faulty, on a diagonal of each other, and later gains
+    /// re-enqueue the nodes that see the gainer as a rule neighbour. The
+    /// components then come from a BFS started at each still-unvisited blocked
+    /// node (the faults plus the labeled nodes) in row-major order, with a
+    /// packed visited mask from this thread's scratch workspace, so the whole
+    /// build costs one copy of each plane plus `O(faults + blocked nodes)`,
+    /// whatever the mesh size. [`MccMap::build_scalar`] is the reference
+    /// (`conform` oracle `mcc-bits-matches-scalar` pins the equivalence).
     pub fn build(faults: &FaultSet, ty: MccType) -> MccMap {
         let mesh = faults.mesh();
         let (fwd, bwd) = type_dirs(ty);
@@ -177,17 +181,40 @@ impl MccMap {
         let mut packed = faults.packed().clone();
         let components = with_scratch(|ws| {
             let Workspace {
-                row_open, row_cur, ..
+                queue,
+                visited_mask: visited,
+                keys,
+                ..
             } = ws;
-            mcc_bits::label_plane(faults.packed(), fwd, &mut useless, row_open, row_cur);
-            mcc_bits::label_plane(faults.packed(), bwd, &mut cant_reach, row_open, row_cur);
-            for y in 0..mesh.height() {
-                let labels = useless.row(y).iter().zip(cant_reach.row(y));
-                for (w, (&u, &r)) in packed.row_mut(y).iter_mut().zip(labels) {
-                    *w |= u | r;
+            keys.clear();
+            keys.extend(faults.iter().map(row_major_key));
+            let seeds: Vec<Coord> = faults.paired().collect();
+            for (label, dirs) in [(&mut useless, fwd), (&mut cant_reach, bwd)] {
+                queue.clear();
+                queue.extend(
+                    seeds
+                        .iter()
+                        .flat_map(|f| dirs.map(|d| f.step(d.opposite()))),
+                );
+                label_fixpoint(faults.packed(), label, dirs, queue, |u| {
+                    packed.set(u, true);
+                    keys.push(row_major_key(u));
+                });
+            }
+            // The row-major scan order of `build_scalar`; a node can hold
+            // both labels.
+            keys.sort_unstable();
+            keys.dedup();
+            visited.reset(mesh);
+            let mut components = Vec::with_capacity(keys.len());
+            for start in keys.iter().map(|&k| key_node(k)) {
+                if !visited.test_and_set(start) {
+                    components.push(bfs_component(start, &packed, faults.packed(), queue, |v| {
+                        !visited.test_and_set(v)
+                    }));
                 }
             }
-            components_from_bits(&packed, faults.packed(), ws)
+            components
         });
         MccMap::assemble(
             ty,
@@ -200,7 +227,7 @@ impl MccMap {
 
     /// The original per-node sweep over dense label grids, with a BFS
     /// component extraction over every node — the ground truth the
-    /// word-parallel [`MccMap::build`] is differentially tested against.
+    /// fault-seeded [`MccMap::build`] is differentially tested against.
     /// Produces a structurally identical map.
     pub fn build_scalar(faults: &FaultSet, ty: MccType) -> MccMap {
         let mesh = faults.mesh();
@@ -340,7 +367,6 @@ impl MccMap {
             return None;
         }
         let MccMap {
-            mesh,
             ty,
             packed,
             faulty,
@@ -348,8 +374,8 @@ impl MccMap {
             cant_reach,
             components,
             rects,
+            ..
         } = self;
-        let mesh = *mesh;
         let was_blocked = packed.get(c) == Some(true);
         faulty.set(c, true);
         packed.set(c, true);
@@ -358,14 +384,18 @@ impl MccMap {
         let mut changed: Option<Rect> = (!was_blocked).then(|| Rect::point(c));
 
         let (fwd, bwd) = type_dirs(*ty);
-        for (label, dirs) in [(useless, fwd), (cant_reach, bwd)] {
-            for u in relabel_from(mesh, faulty, label, dirs, c) {
-                if packed.get(u) != Some(true) {
-                    packed.set(u, true);
-                    changed = Some(changed.map_or(Rect::point(u), |r| r.expanded_to(u)));
-                }
+        with_scratch(|ws| {
+            for (label, dirs) in [(&mut *useless, fwd), (&mut *cant_reach, bwd)] {
+                ws.queue.clear();
+                ws.queue.extend(dirs.map(|d| c.step(d.opposite())));
+                label_fixpoint(faulty, label, dirs, &mut ws.queue, |u| {
+                    if packed.get(u) != Some(true) {
+                        packed.set(u, true);
+                        changed = Some(changed.map_or(Rect::point(u), |r| r.expanded_to(u)));
+                    }
+                });
             }
-        }
+        });
 
         // Re-extract the single component containing the fault: every
         // newly labeled node is adjacent to a previously changed blocked
@@ -399,41 +429,6 @@ impl MemBytes for MccMap {
     }
 }
 
-/// Extracts the connected components of the set bits of `blocked`: a BFS
-/// from every still-unvisited set bit in row-major order, so the
-/// component list and each component's node order match the per-node
-/// scan of `extract_components`. `faulty` gives the per-component faulty
-/// counts; the visited mask is this thread's scratch plane.
-// emr-lint: allow(A1, "word indices stay below words_per_row, and the visited mask is retargeted to the blocked plane's mesh")
-fn components_from_bits(blocked: &BitGrid, faulty: &BitGrid, ws: &mut Workspace) -> Vec<Mcc> {
-    let mesh = blocked.mesh();
-    let Workspace {
-        queue,
-        visited_mask: visited,
-        ..
-    } = ws;
-    visited.reset(mesh);
-    let mut components = Vec::new();
-    for y in 0..mesh.height() {
-        for wi in 0..blocked.words_per_row() {
-            loop {
-                let fresh = blocked.row(y)[wi] & !visited.row(y)[wi];
-                if fresh == 0 {
-                    break;
-                }
-                let x = i32::try_from(wi * 64).unwrap_or(i32::MAX)
-                    + i32::try_from(fresh.trailing_zeros()).unwrap_or(0);
-                let start = Coord::new(x, y);
-                visited.set(start, true);
-                components.push(bfs_component(start, blocked, faulty, queue, |v| {
-                    !visited.test_and_set(v)
-                }));
-            }
-        }
-    }
-    components
-}
-
 /// The component of the set bits of `blocked` containing `start`, by BFS
 /// with neighbors in E, N, W, S order. `first_visit(v)` marks `v` visited
 /// and reports whether it was unvisited; `start` must be marked already.
@@ -441,7 +436,7 @@ fn bfs_component(
     start: Coord,
     blocked: &BitGrid,
     faulty: &BitGrid,
-    queue: &mut std::collections::VecDeque<Coord>,
+    queue: &mut VecDeque<Coord>,
     mut first_visit: impl FnMut(Coord) -> bool,
 ) -> Mcc {
     let mut rect = Rect::point(start);
@@ -467,33 +462,32 @@ fn bfs_component(
     }
 }
 
-/// Resumes one label plane's fix-point after `seed` turned faulty. A node
-/// gains the label when both `dirs` neighbors are faulty-or-labeled; each
-/// gain re-enqueues the nodes that see the gainer as a `dirs` neighbor.
-/// Returns the nodes that gained the label, in discovery order.
-fn relabel_from(
-    mesh: Mesh,
+/// Runs one label plane's Definition-2 worklist to its fix-point. A
+/// candidate off `queue` that is fault-free and unlabeled gains the label
+/// when both `dirs` neighbours are faulty-or-labeled, and the nodes that
+/// see it as a `dirs` neighbour then become candidates. Labels only ever
+/// appear, so the worklist reaches the least fix-point above `label` as
+/// long as the initial candidates include every node `faulty` alone
+/// labels. Calls `gain` on each gainer, in discovery order.
+fn label_fixpoint(
     faulty: &BitGrid,
     label: &mut BitGrid,
     dirs: [Direction; 2],
-    seed: Coord,
-) -> Vec<Coord> {
-    let mut gained = Vec::new();
-    let mut queue: std::collections::VecDeque<Coord> =
-        dirs.iter().map(|&d| seed.step(d.opposite())).collect();
+    queue: &mut VecDeque<Coord>,
+    mut gain: impl FnMut(Coord),
+) {
+    let [vertical, horizontal] = dirs;
     while let Some(u) = queue.pop_front() {
-        if !mesh.contains(u) || faulty.get(u) == Some(true) || label.get(u) == Some(true) {
+        if faulty.get(u) != Some(false) || label.get(u) == Some(true) {
             continue;
         }
         let blocked = |v: Coord| faulty.get(v) == Some(true) || label.get(v) == Some(true);
-        if blocked(u.step(dirs[0])) && blocked(u.step(dirs[1])) {
+        if blocked(u.step(vertical)) && blocked(u.step(horizontal)) {
             label.set(u, true);
-            gained.push(u);
-            queue.push_back(u.step(dirs[0].opposite()));
-            queue.push_back(u.step(dirs[1].opposite()));
+            gain(u);
+            queue.extend(dirs.map(|d| u.step(d.opposite())));
         }
     }
-    gained
 }
 
 /// One monotone sweep computes a label whose rule is "fault-free node with
@@ -670,6 +664,17 @@ mod tests {
         assert_eq!(one.status(Coord::new(4, 2)), MccStatus::CantReach);
         // Everything is one connected component.
         assert_eq!(one.components().len(), 1);
+    }
+
+    #[test]
+    fn labels_chain_onto_a_fault_with_no_fault_in_its_box() {
+        // (1,2) has no other fault in its 3×3 box, so it seeds no
+        // candidate. (1,1) turns useless only once the chain (2,3) →
+        // (2,2) → (2,1) reaches its east neighbour.
+        let f = faults(Mesh::square(6), &[(1, 2), (2, 4), (3, 3), (3, 2), (3, 1)]);
+        let one = MccMap::build(&f, MccType::One);
+        assert_eq!(one, MccMap::build_scalar(&f, MccType::One));
+        assert_eq!(one.status(Coord::new(1, 1)), MccStatus::Useless);
     }
 
     #[test]

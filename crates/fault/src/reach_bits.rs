@@ -64,52 +64,6 @@ pub fn reach_row(open: &[u64], row: &mut [u64]) {
     }
 }
 
-/// The westward mirror of [`reach_row`]: propagation runs toward *lower*
-/// bit indices. Implemented by bit-reversing each word and walking the
-/// words high to low, so the same adder carry chain applies; the carry
-/// now ripples from a word's bit 0 into the previous word's bit 63.
-///
-/// Used by the construction kernels (the `block_bits` and `mcc_bits`
-/// fix-points) whose fills run in mesh coordinates rather than
-/// the source-relative frames of the reach sweeps (those mirror the
-/// coordinates instead, keeping every fill eastward).
-pub fn reach_row_west(open: &[u64], row: &mut [u64]) {
-    debug_assert_eq!(open.len(), row.len());
-    let mut carry = false;
-    for (r, &o) in row.iter_mut().rev().zip(open.iter().rev()) {
-        let o = o.reverse_bits();
-        let seed = r.reverse_bits() & o;
-        let (t, c1) = o.overflowing_add(seed);
-        let (t, c2) = t.overflowing_add(u64::from(carry));
-        carry = c1 || c2;
-        *r = ((o & (t ^ o)) | seed).reverse_bits();
-    }
-}
-
-/// `dst[x+1] = src[x]` across the whole packed row (shift one column
-/// east), rippling across word boundaries. Bits shifted past the last
-/// word are dropped; callers mask against an in-mesh lane, so a bit
-/// pushed into a row's tail position is harmless.
-pub fn shift_east_row(src: &[u64], dst: &mut [u64]) {
-    debug_assert_eq!(src.len(), dst.len());
-    let mut carry = 0u64;
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = s << 1 | carry;
-        carry = s >> 63;
-    }
-}
-
-/// `dst[x-1] = src[x]` across the whole packed row (shift one column
-/// west), rippling across word boundaries; bit 0 is dropped.
-pub fn shift_west_row(src: &[u64], dst: &mut [u64]) {
-    debug_assert_eq!(src.len(), dst.len());
-    let mut carry = 0u64;
-    for (d, &s) in dst.iter_mut().zip(src).rev() {
-        *d = s >> 1 | carry << 63;
-        carry = s & 1;
-    }
-}
-
 /// Packs one rectangle row: bit `x` of `dst` is set iff `open_at(x)` for
 /// `x < width`; bits at and beyond `width` are cleared.
 fn fill_open_row(dst: &mut [u64], width: i32, open_at: impl Fn(i32) -> bool) {
@@ -501,65 +455,6 @@ mod tests {
         let mut row = [0b0101u64];
         reach_row(&open, &mut row);
         assert_eq!(row[0], 0b1111);
-    }
-
-    #[test]
-    fn reach_row_west_propagates_toward_bit_zero() {
-        // Open 0b0110_1110, seed at bit 3 → bits 1..=3 light up; the
-        // closed bit 0 and the gap at bit 4 stop the fill.
-        let open = [0b0110_1110u64];
-        let mut row = [0b0000_1000u64];
-        reach_row_west(&open, &mut row);
-        assert_eq!(row[0], 0b0000_1110);
-    }
-
-    #[test]
-    fn reach_row_west_carries_across_word_boundaries() {
-        // Open run covering bits 62..=63 of word 0 and 0..=1 of word 1,
-        // seeded at word 1 bit 1: the borrow must light word 0's high run.
-        let open = [0b11u64 << 62, 0b11u64];
-        let mut row = [0, 0b10u64];
-        reach_row_west(&open, &mut row);
-        assert_eq!(row, [0b11u64 << 62, 0b11]);
-        // Close word 0's bit 63: the cross-word fill dies.
-        let open = [0b01u64 << 62, 0b11u64];
-        let mut row = [0, 0b10u64];
-        reach_row_west(&open, &mut row);
-        assert_eq!(row, [0, 0b11]);
-    }
-
-    #[test]
-    fn reach_row_west_mirrors_reach_row() {
-        // On mirrored inputs the two kernels must produce mirrored output.
-        let open = [0x00FF_33AA_0F0F_5935u64, 0xFFF0_0F0F_1234_9ABCu64];
-        let seeds = [
-            open[0] & 0x0000_1200_0101_0010u64,
-            open[1] & 0x0100_0001_0200_1000u64,
-        ];
-        let mut east = seeds;
-        reach_row(&open, &mut east);
-        // Build the bit-reversed, word-swapped mirror.
-        let open_m = [open[1].reverse_bits(), open[0].reverse_bits()];
-        let mut west = [seeds[1].reverse_bits(), seeds[0].reverse_bits()];
-        reach_row_west(&open_m, &mut west);
-        assert_eq!(west, [east[1].reverse_bits(), east[0].reverse_bits()]);
-    }
-
-    #[test]
-    fn shift_rows_move_bits_across_words() {
-        let src = [1u64 << 63, 0b1u64];
-        let mut dst = [0u64; 2];
-        shift_east_row(&src, &mut dst);
-        assert_eq!(dst, [0, 0b11], "bit 63 carries into word 1's bit 0");
-        shift_west_row(&src, &mut dst);
-        assert_eq!(
-            dst,
-            [1 << 62 | 1 << 63, 0],
-            "word 1's bit 0 carries into bit 63"
-        );
-        let src = [0b1u64, 0];
-        shift_west_row(&src, &mut dst);
-        assert_eq!(dst, [0, 0], "bit 0 falls off the west edge");
     }
 
     #[test]
