@@ -10,8 +10,8 @@
 //!   when a block crosses the dimension-order path,
 //! * `wu` — the paper's protocol with epoched incremental fault
 //!   absorption ([`EpochedWuRouter`]),
-//! * `adaptive` — the escape-channel adaptive baseline
-//!   ([`AdaptiveRouter`]).
+//! * `adaptive` — the adaptive baseline with forced detours around
+//!   fault rectangles ([`AdaptiveRouter`]).
 //!
 //! Trials optionally inject node failures *mid-flight*
 //! ([`LoadSweepConfig::midflight_faults`]), staggered across the
@@ -47,7 +47,7 @@ pub enum RouterKind {
     Xy,
     /// The paper's protocol with epoched fault absorption.
     Wu,
-    /// The adaptive escape-channel baseline.
+    /// The adaptive baseline with forced detours.
     Adaptive,
 }
 

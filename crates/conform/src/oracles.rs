@@ -159,8 +159,9 @@ pub const ORACLES: &[Oracle] = &[
         claim: "the event-driven network core produces bit-identical \
                 reports (delivered, failed, hops, latency, peaks, cycles, \
                 fault accounting) to the cycle-accurate stepper on seeded \
-                workloads, including scheduled mid-flight faults (ground \
-                truth: NetSim)",
+                direct workloads, on strategy-4 two-phase packets under \
+                both fault models, and with scheduled mid-flight faults \
+                (ground truth: NetSim)",
         check: o_event_matches_cycle,
     },
     Oracle {
@@ -898,26 +899,33 @@ fn o_distsim_matches(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation> {
     out
 }
 
+/// The spec's pairs for which strategy 4 ensures a minimal route under
+/// `view`, each with the plan's packet (the witness as a waypoint).
+fn ensured_packets(spec: &ScenarioSpec, view: &ModelView<'_>) -> Vec<Packet> {
+    spec.pairs
+        .iter()
+        .filter_map(|&(s, d)| {
+            let ensured = conditions::strategy4(view, s, d)?;
+            ensured
+                .is_minimal()
+                .then(|| Packet::with_plan(s, d, &ensured.plan()))
+        })
+        .collect()
+}
+
 fn o_netsim_hops(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation> {
     let sc = spec.scenario();
     let view = sc.view(Model::FaultBlock);
-    let mut planned = Vec::new();
-    for &(s, d) in &spec.pairs {
-        if let Some(ensured) = conditions::strategy4(&view, s, d) {
-            if ensured.is_minimal() {
-                planned.push((s, d, ensured.plan()));
-            }
-        }
-    }
+    let planned = ensured_packets(spec, &view);
     if planned.is_empty() {
         return Vec::new();
     }
     let boundary = sc.boundary_map(Model::FaultBlock);
     let mut sim = NetSim::new(spec.mesh(), WuRouter::new(&view, &boundary));
     let mut expected_hops = 0u64;
-    for (i, &(s, d, ref plan)) in planned.iter().enumerate() {
-        sim.inject(Packet::with_plan(s, d, plan), i as u64);
-        expected_hops += u64::from(s.manhattan(d));
+    for (i, packet) in planned.iter().enumerate() {
+        expected_hops += u64::from(packet.source().manhattan(packet.dest()));
+        sim.inject(packet.clone(), i as u64);
     }
     let report = match sim.run_to_completion(100_000) {
         Ok(r) => r,
@@ -952,19 +960,21 @@ fn o_netsim_hops(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation> {
     out
 }
 
-/// Replays one workload through both execution cores and compares the
-/// full run outcome (`Result<SimReport, SimError>`).
+/// Replays `(cycle, packet)` traffic through both execution cores and
+/// compares the full run outcome (`Result<SimReport, SimError>`).
 fn event_cycle_compare<R: Router + Clone>(
     mesh: Mesh,
-    load: &Workload,
+    traffic: &[(u64, Packet)],
     router: &R,
     which: &str,
     out: &mut Vec<Violation>,
 ) {
     let mut stepper = NetSim::new(mesh, router.clone());
     let mut event = EventSim::new(mesh, router.clone());
-    load.inject_into(&mut stepper);
-    load.inject_into(&mut event);
+    for (cycle, packet) in traffic {
+        stepper.inject(packet.clone(), *cycle);
+        event.inject(packet.clone(), *cycle);
+    }
     let a = stepper.run_to_completion(200_000);
     let b = event.run_to_completion(200_000);
     if a != b {
@@ -990,27 +1000,39 @@ fn o_event_matches_cycle(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation>
     let load = Workload::uniform_raw(&sc, 40, 3, &mut rng);
     let view = sc.view(Model::FaultBlock);
     let boundary = sc.boundary_map(Model::FaultBlock);
+    let raw = load.packets();
+    event_cycle_compare(mesh, raw, &WuRouter::new(&view, &boundary), "wu", &mut out);
+    event_cycle_compare(mesh, raw, &XyRouter::new(mesh, sc.blocks()), "xy", &mut out);
     event_cycle_compare(
         mesh,
-        &load,
-        &WuRouter::new(&view, &boundary),
-        "wu",
-        &mut out,
-    );
-    event_cycle_compare(
-        mesh,
-        &load,
-        &XyRouter::new(mesh, sc.blocks()),
-        "xy",
-        &mut out,
-    );
-    event_cycle_compare(
-        mesh,
-        &load,
+        raw,
         &AdaptiveRouter::new(mesh, sc.blocks()),
         "adaptive",
         &mut out,
     );
+
+    // Two-phase replay: the strategy-4 planned packets of netsim-hops,
+    // all injected at cycle 0 so they contend, under each fault model.
+    // Packets whose witness is a waypoint take the next-leg branch.
+    for model in Model::ALL {
+        let view = sc.view(model);
+        let planned: Vec<(u64, Packet)> = ensured_packets(spec, &view)
+            .into_iter()
+            .map(|p| (0, p))
+            .collect();
+        if planned.is_empty() {
+            continue;
+        }
+        let boundary = sc.boundary_map(model);
+        let which = format!("wu planned {model:?}");
+        event_cycle_compare(
+            mesh,
+            &planned,
+            &WuRouter::new(&view, &boundary),
+            &which,
+            &mut out,
+        );
+    }
 
     // Dynamic replay: epoched Wu absorbing scheduled mid-flight faults.
     // Both cores see the same fault calendar; everything down to the

@@ -75,8 +75,6 @@ const R3_PATHS: &[&str] = &[
     "crates/netsim/src/dynamic.rs",
     "crates/netsim/src/router.rs",
     "crates/netsim/src/event.rs",
-    "crates/netsim/src/links.rs",
-    "crates/netsim/src/vc.rs",
     "crates/netsim/src/adaptive.rs",
 ];
 

@@ -152,33 +152,6 @@ impl BitGrid {
         prev
     }
 
-    /// The raw occupancy word `wi` of row `y` (bit `x mod 64` of word
-    /// `x / 64` holds column `x`), letting callers arbitrate a whole row
-    /// segment of link lanes with word ops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y` is outside the mesh or `wi ≥ words_per_row`.
-    // emr-lint: allow(A1, "documented panic contract: row_start asserts the row and the width assert bounds the word")
-    pub fn word(&self, y: i32, wi: usize) -> u64 {
-        assert!(wi < self.words_per_row, "word {wi} outside row");
-        self.words[self.row_start(y) + wi]
-    }
-
-    /// Zeroes occupancy word `wi` of row `y` — the O(touched words) reset
-    /// path for link planes that record which words they dirtied instead
-    /// of wiping the whole grid every cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y` is outside the mesh or `wi ≥ words_per_row`.
-    // emr-lint: allow(A1, "documented panic contract: row_start asserts the row and the width assert bounds the word")
-    pub fn clear_word(&mut self, y: i32, wi: usize) {
-        assert!(wi < self.words_per_row, "word {wi} outside row");
-        let start = self.row_start(y);
-        self.words[start + wi] = 0;
-    }
-
     /// Sets every node's bit to `value` (tail bits stay zero).
     // emr-lint: allow(A1, "fill walks exactly the words the grid owns")
     pub fn fill(&mut self, value: bool) {
@@ -541,16 +514,5 @@ mod tests {
         assert!(g.test_and_set(c), "second claim must see it taken");
         assert_eq!(g.get(c), Some(true));
         assert_eq!(g.count_ones(), 1);
-    }
-
-    #[test]
-    fn word_and_clear_word_round_trip() {
-        let mut g = BitGrid::new(Mesh::new(130, 3));
-        g.set(Coord::new(64, 2), true);
-        g.set(Coord::new(70, 2), true);
-        assert_eq!(g.word(2, 1), (1 << 0) | (1 << 6));
-        assert_eq!(g.word(2, 0), 0);
-        g.clear_word(2, 1);
-        assert_eq!(g.count_ones(), 0);
     }
 }

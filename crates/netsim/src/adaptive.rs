@@ -1,48 +1,46 @@
-//! A Stroobant-style adaptive, fault-tolerant, deadlock-free router.
+//! An adaptive, fault-tolerant router after Stroobant et al.
 //!
-//! [`AdaptiveRouter`] follows the virtual-channel discipline of
-//! Stroobant et al. ("A General, Fault tolerant, Adaptive, Deadlock-free
-//! Routing Protocol for Network-on-chip"): packets normally travel on
-//! *adaptive* channels, free to take any open minimal hop; when every
-//! minimal hop is closed by a fault region, they fall back to the
-//! *escape* channel (channel 0), which runs deterministic
-//! dimension-order routing extended with a geometric detour around the
-//! blocking rectangle. Fault regions are the paper's own faulty-block
-//! decomposition — the router reuses [`emr_fault::BlockMap`]'s packed
-//! bit plane and rectangle list, so its fault knowledge is exactly the
-//! Definition-1 blocks the rest of the system reasons about.
+//! [`AdaptiveRouter`] follows the routing rule of Stroobant et al. ("A
+//! General, Fault tolerant, Adaptive, Deadlock-free Routing Protocol for
+//! Network-on-chip"): a packet takes any open minimal hop; when a fault
+//! region closes the way forward and every minimal path must round it,
+//! the packet takes a *forced detour* — dimension-order routing extended
+//! with a geometric walk around the blocking rectangle. Fault regions
+//! are the paper's own faulty-block decomposition — the router reuses
+//! [`emr_fault::BlockMap`]'s packed bit plane and rectangle list, so its
+//! fault knowledge is exactly the Definition-1 blocks the rest of the
+//! system reasons about. Stroobant et al. carry detour hops on an escape
+//! virtual channel; the simulator runs one channel per link, so that
+//! split is not modelled.
 //!
 //! Deadlock freedom in this simulator is structural: buffers are
 //! unbounded and every link is re-arbitrated from scratch each cycle,
 //! so no packet ever *holds* a link while waiting for another (no
-//! hold-and-wait, hence no resource deadlock); the round-robin channel
-//! allocator ([`crate::vc::VcTable`]) gives the escape channel a `1/vcs`
-//! bandwidth floor on every contended link, so escape traffic cannot be
-//! starved by the adaptive flood. What the escape rule must add is
-//! *progress around faults*: its detour walks a consistent side of the
-//! blocking rectangle (a function of the rectangle and the destination
-//! only, never of the packet's history), so successive hops agree and
-//! the packet cannot oscillate around a single block. Adversarial
-//! multi-rectangle mazes can still livelock a non-minimal packet in
-//! principle; runs bound this with their cycle budget and count such
-//! packets as failed — the honest cost of a stateless per-hop rule.
+//! hold-and-wait, hence no resource deadlock). What the detour rule must
+//! add is *progress around faults*: its detour walks a consistent side
+//! of the blocking rectangle (a function of the rectangle and the
+//! destination only, never of the packet's history), so successive hops
+//! agree and the packet cannot oscillate around a single block.
+//! Adversarial multi-rectangle mazes can still livelock a non-minimal
+//! packet in principle; runs bound this with their cycle budget and
+//! count such packets as failed — the honest cost of a stateless
+//! per-hop rule.
 
 use emr_core::route::RouteError;
 use emr_fault::BlockMap;
 use emr_mesh::{BitGrid, Coord, Direction, Mesh, Rect};
 
 use crate::dynamic::DynamicRouter;
-use crate::packet::PacketId;
 use crate::router::Router;
 
-/// Adaptive minimal routing over fault rectangles with a
-/// dimension-order escape channel.
+/// Adaptive minimal routing over fault rectangles, with forced detours
+/// around the rectangles that every minimal path must round.
 #[derive(Debug, Clone)]
 pub struct AdaptiveRouter {
     mesh: Mesh,
     /// Unusable nodes (failed or deactivated by convexification).
     blocked: BitGrid,
-    /// The fault rectangles the escape detour walks around.
+    /// The fault rectangles the forced detour walks around.
     rects: Vec<Rect>,
 }
 
@@ -80,7 +78,7 @@ impl AdaptiveRouter {
     /// needed, the next node that way is closed by rectangle `r`, and
     /// the destination's cross-coordinate lies inside `r`'s band — so
     /// every minimal path must round `r`, and any minimal cross-move
-    /// would be undone next hop (that is the oscillation a naive escape
+    /// would be undone next hop (that is the oscillation a naive detour
     /// livelocks on). Returns the detour direction: the walk rounds the
     /// band side nearer the destination among the sides the mesh leaves
     /// open — a function of `(r, t, mesh)` only, never of the packet's
@@ -125,15 +123,16 @@ impl AdaptiveRouter {
             .into_iter()
             .find(|&d| self.open(u.step(d)))
     }
+}
 
-    /// The routing decision: a direction plus whether it is an escape
-    /// (non-minimal detour) hop.
+impl Router for AdaptiveRouter {
+    /// Any open minimal hop, unless a forced detour takes precedence.
     ///
     /// # Errors
     ///
     /// [`RouteError::Stuck`] when the destination is inside a fault
     /// region or every candidate hop is closed.
-    pub fn classify(&self, t: Coord, u: Coord) -> Result<(Direction, bool), RouteError> {
+    fn next_hop(&self, _leg_source: Coord, t: Coord, u: Coord) -> Result<Direction, RouteError> {
         if !self.open(t) {
             // The destination itself was swallowed: no route exists.
             return Err(RouteError::Stuck(u));
@@ -156,7 +155,7 @@ impl AdaptiveRouter {
         // Forced detours come first — X axis, then Y (dimension order):
         // when the destination's own row (column) is inside the blocking
         // rectangle's band, the adaptive minimal rule below would undo
-        // any detour progress, so the escape walk takes precedence.
+        // any detour progress, so the detour takes precedence.
         if let Some(xdir) = xcand {
             let v = u.step(xdir);
             if !self.open(v) {
@@ -164,7 +163,6 @@ impl AdaptiveRouter {
                     if t.y >= r.y_min() && t.y <= r.y_max() {
                         return self
                             .forced_detour(r, t, u, true)
-                            .map(|d| (d, true))
                             .ok_or(RouteError::Stuck(u));
                     }
                 }
@@ -177,7 +175,6 @@ impl AdaptiveRouter {
                     if t.x >= r.x_min() && t.x <= r.x_max() {
                         return self
                             .forced_detour(r, t, u, false)
-                            .map(|d| (d, true))
                             .ok_or(RouteError::Stuck(u));
                     }
                 }
@@ -192,39 +189,10 @@ impl AdaptiveRouter {
         };
         for d in ordered.into_iter().flatten() {
             if self.open(u.step(d)) {
-                return Ok((d, false));
+                return Ok(d);
             }
         }
         Err(RouteError::Stuck(u))
-    }
-}
-
-impl Router for AdaptiveRouter {
-    fn next_hop(
-        &self,
-        _leg_source: Coord,
-        leg_target: Coord,
-        u: Coord,
-    ) -> Result<Direction, RouteError> {
-        self.classify(leg_target, u).map(|(d, _)| d)
-    }
-
-    fn next_hop_vc(
-        &self,
-        _leg_source: Coord,
-        leg_target: Coord,
-        u: Coord,
-        id: PacketId,
-        vcs: usize,
-    ) -> Result<(Direction, usize), RouteError> {
-        let (dir, escape) = self.classify(leg_target, u)?;
-        let vc = if escape || vcs <= 1 {
-            0
-        } else {
-            // Spread adaptive traffic over the non-escape channels.
-            1 + usize::try_from(id % (vcs as u64 - 1)).unwrap_or(0)
-        };
-        Ok((dir, vc))
     }
 }
 
@@ -367,7 +335,7 @@ mod tests {
     #[test]
     fn dest_row_inside_block_forces_escape_detour() {
         // The rectangle spans rows 2..=5 and the destination row 3 is
-        // inside the band: XY dies here, the escape detour rounds the
+        // inside the band: XY dies here, the forced detour rounds the
         // rectangle (non-minimal) and still delivers.
         let faults: Vec<(i32, i32)> = (2..=5).map(|y| (5, y)).collect();
         let r = router(12, &faults);
@@ -420,19 +388,13 @@ mod tests {
     }
 
     #[test]
-    fn escape_hops_ride_channel_zero() {
+    fn band_blocked_hop_detours_sideways() {
         let faults: Vec<(i32, i32)> = (2..=5).map(|y| (5, y)).collect();
         let r = router(12, &faults);
         let (s, d) = (Coord::new(4, 3), Coord::new(10, 3));
         // At (4,3) the East hop is closed and the destination row is in
-        // the band: the request must be an escape on vc 0.
-        let (dir, vc) = r.next_hop_vc(s, d, s, 7, 4).unwrap();
+        // the band: the hop is a forced detour, North or South.
+        let dir = r.next_hop(s, d, s).unwrap();
         assert!(matches!(dir, Direction::North | Direction::South));
-        assert_eq!(vc, 0);
-        // A free minimal hop spreads over the adaptive channels 1..vcs.
-        let (_, vc) = r
-            .next_hop_vc(Coord::new(0, 0), Coord::new(3, 9), Coord::new(0, 0), 7, 4)
-            .unwrap();
-        assert!((1..4).contains(&vc));
     }
 }

@@ -11,19 +11,22 @@
 //!   clock jumps straight to the next calendar entry instead of
 //!   stepping through idle cycles,
 //! * the only per-cycle work is over the **active flight list** (kept in
-//!   packet-id order, which is age order) — `O(active)` per cycle where
+//!   admission order, which is age order) — `O(active)` per cycle where
 //!   the stepper pays `O(nodes)` for its queue scan plus per-cycle
 //!   B-tree churn for grants,
-//! * link arbitration runs on **bit-packed per-direction occupancy
-//!   words** ([`crate::links::LinkPlanes`]): requests set bits, the
-//!   grant phase decodes only the dirtied words, and the reset is
-//!   `O(touched words)`,
-//! * per-link **virtual channels** with deterministic round-robin
-//!   allocation ([`crate::vc::VcTable`]); with `vcs == 1` (the default)
-//!   allocation degenerates to the stepper's oldest-packet-first rule,
+//! * each directed link is arbitrated by **one claim bit** in one of
+//!   four per-direction [`BitGrid`] planes, indexed by the link's source
+//!   node: routing walks the flights in age order and the first flight
+//!   to claim a link wins it; moving a winner clears its bit, so the
+//!   planes are empty again at cycle end with no reset pass,
 //! * queue-depth peaks are maintained **incrementally**: only nodes
 //!   whose occupancy *rose* since the last sample (arrivals,
 //!   injections) can set a new peak, so sampling is `O(increments)`.
+//!
+//! Winners move in age order rather than the stepper's link order. That
+//! cannot show in a report: each flight moves at most once per cycle,
+//! the report only sums and takes maxima, and the queue peak is sampled
+//! at the start of the next cycle.
 //!
 //! Faults scheduled through [`EventSim::schedule_fault`] ride the same
 //! calendar and land with the stepper's ordering: at the start of their
@@ -31,19 +34,16 @@
 
 use std::collections::BTreeMap;
 
-use emr_mesh::{Coord, Direction, Mesh};
+use emr_mesh::{BitGrid, Coord, Direction, Mesh};
 
 use crate::dynamic::DynamicRouter;
-use crate::links::LinkPlanes;
-use crate::packet::{Packet, PacketId};
+use crate::packet::Packet;
 use crate::router::Router;
 use crate::sim::{PacketSink, SimError, SimReport};
-use crate::vc::VcTable;
 
 /// One in-flight packet in the event core's flight slab.
 #[derive(Debug)]
 struct EvFlight {
-    id: PacketId,
     packet: Packet,
     at: Coord,
     leg_source: Coord,
@@ -56,47 +56,39 @@ struct EvFlight {
 /// Everything scheduled for one future cycle.
 #[derive(Debug, Default)]
 struct CalSlot {
-    /// Packets injected this cycle, in id (schedule-call) order.
-    inject: Vec<(PacketId, Packet)>,
+    /// Packets injected this cycle, in schedule-call order.
+    inject: Vec<Packet>,
     /// Node failures landing this cycle, in schedule-call order.
     faults: Vec<Coord>,
 }
 
 /// The event-driven simulator core. Drop-in for [`crate::NetSim`]
 /// (same construction, injection, fault-scheduling, and run API) with
-/// identical reports at `vcs == 1`.
+/// identical reports.
 #[derive(Debug)]
 pub struct EventSim<R: Router> {
     mesh: Mesh,
     router: R,
     calendar: BTreeMap<u64, CalSlot>,
-    /// Alive flights in ascending id order (injections append, reaping
+    /// Alive flights in admission order (injections append, reaping
     /// preserves order).
     active: Vec<EvFlight>,
     /// Resident-packet count per node (mesh index).
     counts: Vec<u32>,
     /// Nodes whose count rose since the last peak sample.
     touched: Vec<usize>,
-    planes: LinkPlanes,
-    table: VcTable,
-    /// Scratch for draining requested lanes.
-    lanes: Vec<(Direction, Coord)>,
-    next_id: PacketId,
+    /// One claim bit per directed link, one plane per direction
+    /// (`Direction::index`), set at the link's source node.
+    claims: [BitGrid; 4],
+    /// This cycle's link winners: `(flight index, direction)`.
+    winners: Vec<(usize, Direction)>,
     cycle: u64,
     report: SimReport,
 }
 
 impl<R: Router> EventSim<R> {
-    /// Creates an idle network with a single virtual channel per link
-    /// (stepper-equivalent arbitration).
+    /// Creates an idle network.
     pub fn new(mesh: Mesh, router: R) -> EventSim<R> {
-        EventSim::with_vcs(mesh, router, 1)
-    }
-
-    /// Creates an idle network with `vcs` virtual channels per link
-    /// (clamped to `1..=64`). Multi-channel runs arbitrate by round
-    /// robin across channels and are *not* stepper-equivalent.
-    pub fn with_vcs(mesh: Mesh, router: R, vcs: usize) -> EventSim<R> {
         EventSim {
             mesh,
             router,
@@ -104,10 +96,8 @@ impl<R: Router> EventSim<R> {
             active: Vec::new(),
             counts: vec![0; mesh.node_count()],
             touched: Vec::new(),
-            planes: LinkPlanes::new(mesh),
-            table: VcTable::new(mesh, vcs),
-            lanes: Vec::new(),
-            next_id: 0,
+            claims: std::array::from_fn(|_| BitGrid::new(mesh)),
+            winners: Vec::new(),
             cycle: 0,
             report: SimReport::default(),
         }
@@ -116,11 +106,6 @@ impl<R: Router> EventSim<R> {
     /// The current cycle.
     pub fn cycle(&self) -> u64 {
         self.cycle
-    }
-
-    /// Virtual channels per link.
-    pub fn vcs(&self) -> usize {
-        self.table.vcs()
     }
 
     /// Packets currently in flight (injected, not yet delivered/failed).
@@ -138,30 +123,24 @@ impl<R: Router> EventSim<R> {
     /// # Panics
     ///
     /// Panics if the packet's source is outside the mesh.
-    pub fn inject(&mut self, packet: Packet, cycle: u64) -> PacketId {
+    pub fn inject(&mut self, packet: Packet, cycle: u64) {
         assert!(
             self.mesh.contains(packet.source()),
             "source {} outside mesh",
             packet.source()
         );
-        let id = self.next_id;
-        self.next_id += 1;
         let at = cycle.max(self.cycle);
-        self.calendar
-            .entry(at)
-            .or_default()
-            .inject
-            .push((id, packet));
-        id
+        self.calendar.entry(at).or_default().inject.push(packet);
     }
 
     /// Advances one cycle: inject due packets, sample queue peaks, route
-    /// all flights, arbitrate links, move winners, deliver arrivals.
+    /// all flights and claim their links, move the winners, deliver
+    /// arrivals.
     pub fn step(&mut self) {
         self.inject_due();
         self.sample_peak();
-        self.route_and_request();
-        self.grant_and_move();
+        self.route_and_claim();
+        self.move_winners();
         self.active.retain(|f| !f.dead);
         self.cycle += 1;
         self.report.cycles = self.cycle;
@@ -218,13 +197,12 @@ impl<R: Router> EventSim<R> {
                 slot.faults.is_empty(),
                 "due faults must be applied before injection"
             );
-            for (id, packet) in slot.inject {
+            for packet in slot.inject {
                 let at = packet.source();
                 let n = self.mesh.index_of(at);
                 self.counts[n] += 1;
                 self.touched.push(n);
                 self.active.push(EvFlight {
-                    id,
                     at,
                     leg_source: at,
                     injected_at: self.cycle,
@@ -247,59 +225,49 @@ impl<R: Router> EventSim<R> {
         self.touched.clear();
     }
 
-    /// Every alive flight asks its router for a hop and requests the
-    /// corresponding `(link, vc)` lane, in id (age) order.
-    fn route_and_request(&mut self) {
-        let stamp = self.cycle + 1;
-        let vcs = self.table.vcs();
+    /// Every alive flight asks its router for a hop, in admission (age)
+    /// order; the first flight to claim a link wins it.
+    fn route_and_claim(&mut self) {
         for i in 0..self.active.len() {
-            if self.active[i].dead {
+            let f = &self.active[i];
+            if f.dead {
                 continue;
             }
-            let (leg_source, at, id) = {
-                let f = &self.active[i];
-                (f.leg_source, f.at, f.id)
-            };
-            let Some(target) = self.active[i].packet.current_target() else {
+            let Some(target) = f.packet.current_target() else {
                 // A target-less flight is already delivered; dropping it
                 // keeps the slab finite (mirrors the stepper).
                 self.fail_flight(i);
                 continue;
             };
-            match self.router.next_hop_vc(leg_source, target, at, id, vcs) {
-                Ok((dir, vc)) => {
-                    self.planes.mark(dir, at);
-                    self.table.request(at, dir, vc, i as u64, stamp);
+            match self.router.next_hop(f.leg_source, target, f.at) {
+                Ok(dir) => {
+                    if !self.claims[dir.index()].test_and_set(f.at) {
+                        self.winners.push((i, dir));
+                    }
                 }
                 Err(_) => self.fail_flight(i),
             }
         }
     }
 
-    /// Decodes the dirtied occupancy words, grants each requested link
-    /// to its round-robin winner, and moves the winners one hop.
-    fn grant_and_move(&mut self) {
-        let stamp = self.cycle + 1;
-        let mut lanes = std::mem::take(&mut self.lanes);
-        self.planes.drain_into(&mut lanes);
-        for &(dir, from) in &lanes {
-            let Some(holder) = self.table.grant(from, dir, stamp) else {
-                continue;
-            };
-            let i = holder as usize;
+    /// Moves each link winner one hop and releases its claim bit.
+    fn move_winners(&mut self) {
+        let mut winners = std::mem::take(&mut self.winners);
+        for &(i, dir) in &winners {
+            let from = self.active[i].at;
+            self.claims[dir.index()].set(from, false);
             let to = from.step(dir);
             self.counts[self.mesh.index_of(from)] -= 1;
             let nt = self.mesh.index_of(to);
             self.counts[nt] += 1;
             self.touched.push(nt);
-            {
-                let f = &mut self.active[i];
-                f.at = to;
-                f.hops += 1;
-            }
+            let f = &mut self.active[i];
+            f.at = to;
+            f.hops += 1;
             self.try_deliver(i);
         }
-        self.lanes = lanes;
+        winners.clear();
+        self.winners = winners;
     }
 
     /// Checks whether flight `i` has reached its current waypoint or
@@ -348,8 +316,8 @@ impl<R: Router> EventSim<R> {
 }
 
 impl<R: Router> PacketSink for EventSim<R> {
-    fn inject(&mut self, packet: Packet, cycle: u64) -> PacketId {
-        EventSim::inject(self, packet, cycle)
+    fn inject(&mut self, packet: Packet, cycle: u64) {
+        EventSim::inject(self, packet, cycle);
     }
 }
 
@@ -436,7 +404,7 @@ impl<R: DynamicRouter> EventSim<R> {
         // Scheduled packets whose source was swallowed are lost too.
         let (router, report) = (&self.router, &mut self.report);
         for slot in self.calendar.values_mut() {
-            slot.inject.retain(|(_, p)| {
+            slot.inject.retain(|p| {
                 if router.is_node_blocked(p.source()) {
                     report.failed += 1;
                     report.fault_drops += 1;
@@ -469,7 +437,7 @@ impl<R: DynamicRouter> EventSim<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::AdaptiveRouter;
+    use crate::adaptive::XyRouter;
     use crate::dynamic::EpochedWuRouter;
     use crate::router::WuRouter;
     use crate::sim::NetSim;
@@ -586,6 +554,32 @@ mod tests {
     }
 
     #[test]
+    fn late_call_for_an_early_cycle_is_the_older_packet() {
+        // A is scheduled first but for cycle 5; B is scheduled second
+        // for cycle 0 and reaches (5,0) at cycle 5, where both request
+        // East. Age is admission order, so B wins on both cores: A
+        // waits one cycle, and B, never delayed, arrives after cycle 8.
+        let mesh = Mesh::square(10);
+        let scenario = Scenario::build(FaultSet::new(mesh));
+        let view = scenario.view(Model::FaultBlock);
+        let boundary = scenario.boundary_map(Model::FaultBlock);
+        let mut stepper = NetSim::new(mesh, WuRouter::new(&view, &boundary));
+        let mut event = EventSim::new(mesh, WuRouter::new(&view, &boundary));
+        let calls = [
+            (Packet::direct(Coord::new(5, 0), Coord::new(6, 0)), 5),
+            (Packet::direct(Coord::new(0, 0), Coord::new(9, 0)), 0),
+        ];
+        for (p, cycle) in calls {
+            stepper.inject(p.clone(), cycle);
+            event.inject(p, cycle);
+        }
+        let a = stepper.run_to_completion(100).unwrap();
+        let b = event.run_to_completion(100).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(a.cycles, 9);
+    }
+
+    #[test]
     fn budget_error_matches_stepper() {
         let mesh = Mesh::square(10);
         let scenario = Scenario::build(FaultSet::new(mesh));
@@ -602,20 +596,22 @@ mod tests {
     }
 
     #[test]
-    fn multi_vc_run_delivers_under_contention() {
-        // Not stepper-equivalent (vcs > 1); the multi-channel substrate
-        // must still deliver everything on a fault-free mesh.
-        let mesh = Mesh::square(12);
-        let router = AdaptiveRouter::fault_free(mesh);
-        let mut sim = EventSim::with_vcs(mesh, router, 4);
-        assert_eq!(sim.vcs(), 4);
-        for i in 0..40u64 {
-            let s = Coord::new(i32::try_from(i % 12).unwrap_or(0), 0);
-            let d = Coord::new(11 - s.x, 11);
-            EventSim::inject(&mut sim, Packet::direct(s, d), i / 12);
+    fn older_flight_wins_a_contended_link() {
+        // Three flights leave (2,2) in cycle 0: the two heading East
+        // contend for one link and the older moves, the younger waits;
+        // the one heading North claims another link and moves too.
+        let mesh = Mesh::square(10);
+        let mut sim = EventSim::new(mesh, XyRouter::fault_free(mesh));
+        let from = Coord::new(2, 2);
+        for dest in [Coord::new(6, 2), Coord::new(7, 2), Coord::new(2, 7)] {
+            sim.inject(Packet::direct(from, dest), 0);
         }
-        let report = sim.run_to_completion(10_000).unwrap();
-        assert_eq!(report.delivered, 40);
-        assert_eq!(report.failed, 0);
+        sim.step();
+        let at: Vec<Coord> = sim.active.iter().map(|f| f.at).collect();
+        assert_eq!(at, [Coord::new(3, 2), from, Coord::new(2, 3)]);
+        assert!(
+            sim.claims.iter().all(|plane| plane.count_ones() == 0),
+            "moving the winners releases every claim"
+        );
     }
 }

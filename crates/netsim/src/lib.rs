@@ -16,17 +16,15 @@
 //!   hotspot) with offered-load injection schedules,
 //! * [`NetSim`] — the cycle-driven stepper: the pinned, cycle-accurate
 //!   ground truth,
-//! * [`EventSim`] — the event-driven core: a BTree-keyed event calendar,
-//!   bit-packed per-direction link occupancy ([`LinkPlanes`]), and
-//!   per-link virtual channels with deterministic round-robin
-//!   allocation ([`VcTable`]); report-identical to [`NetSim`] at one
-//!   virtual channel (the `netsim-event-matches-cycle` oracle), and the
-//!   core that makes million-packet saturation runs finish in seconds,
+//! * [`EventSim`] — the event-driven core: a BTree-keyed event calendar
+//!   and one claim bit per directed link; report-identical to
+//!   [`NetSim`] (the `netsim-event-matches-cycle` oracle), and the core
+//!   that makes million-packet saturation runs finish in seconds,
 //! * [`AdaptiveRouter`] — a Stroobant-style adaptive fault-tolerant
-//!   deadlock-free baseline (escape-channel dimension order + adaptive
-//!   minimal), with [`XyRouter`] — classic dimension-order routing that
-//!   drops every packet whose L-path crosses a faulty block — as its
-//!   sibling,
+//!   baseline (adaptive minimal hops + forced dimension-order detours
+//!   around fault rectangles), with [`XyRouter`] — classic
+//!   dimension-order routing that drops every packet whose L-path
+//!   crosses a faulty block — as its sibling,
 //! * [`DynamicRouter`] / [`EpochedWuRouter`] — mid-flight fault
 //!   injection: scheduled node failures land while traffic is in flight,
 //!   the router absorbs them through the incremental epoch machinery of
@@ -63,19 +61,15 @@
 mod adaptive;
 mod dynamic;
 mod event;
-mod links;
 mod packet;
 mod router;
 mod sim;
-mod vc;
 pub mod workload;
 
 pub use adaptive::{AdaptiveRouter, XyRouter};
 pub use dynamic::{DynamicRouter, EpochedWuRouter};
 pub use event::EventSim;
-pub use links::LinkPlanes;
-pub use packet::{Packet, PacketId};
+pub use packet::Packet;
 pub use router::{OracleRouter, Router, WuRouter};
 pub use sim::{NetSim, PacketSink, SimError, SimReport};
-pub use vc::VcTable;
 pub use workload::{TrafficPattern, Workload};

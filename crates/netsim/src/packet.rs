@@ -5,10 +5,6 @@ use serde::{Deserialize, Serialize};
 use emr_core::RoutePlan;
 use emr_mesh::Coord;
 
-/// A packet's identity; also its age rank for link arbitration (lower id =
-/// injected earlier = higher priority).
-pub type PacketId = u64;
-
 /// One packet: a source, a destination, and the waypoint legs realizing
 /// its route plan (two-phase plans visit their witness node first).
 ///
@@ -83,9 +79,9 @@ impl Packet {
         self.legs.is_empty()
     }
 
-    /// The phase-1 origin for the current leg: the previous waypoint (or
-    /// the source). Wu's per-hop rule takes the leg's source, not the
-    /// packet's original source.
+    /// The legs still to travel, counting the current one: 2 for a
+    /// two-phase packet before its waypoint, 1 on its final leg, 0 once
+    /// delivered.
     pub fn leg_count(&self) -> usize {
         self.legs.len()
     }

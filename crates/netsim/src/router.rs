@@ -22,37 +22,6 @@ pub trait Router {
         leg_target: Coord,
         u: Coord,
     ) -> Result<Direction, RouteError>;
-
-    /// The direction *and virtual channel* the packet requests when the
-    /// simulator runs `vcs` channels per link. The default spreads
-    /// packets across channels by id — deterministic, and always channel
-    /// 0 when `vcs == 1`, so single-channel runs match the plain
-    /// [`Router::next_hop`] arbitration exactly. Routers with an escape
-    /// channel (see `AdaptiveRouter`) override this to pin their escape
-    /// traffic to channel 0.
-    ///
-    /// The direction returned must equal [`Router::next_hop`]'s for the
-    /// same arguments — only the channel choice may differ.
-    ///
-    /// # Errors
-    ///
-    /// A [`RouteError`] when the router cannot make progress.
-    fn next_hop_vc(
-        &self,
-        leg_source: Coord,
-        leg_target: Coord,
-        u: Coord,
-        id: crate::packet::PacketId,
-        vcs: usize,
-    ) -> Result<(Direction, usize), RouteError> {
-        let dir = self.next_hop(leg_source, leg_target, u)?;
-        let vc = if vcs <= 1 {
-            0
-        } else {
-            usize::try_from(id % (vcs as u64)).unwrap_or(0)
-        };
-        Ok((dir, vc))
-    }
 }
 
 /// Wu's protocol as a per-hop router: adaptive minimal routing with

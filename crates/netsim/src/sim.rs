@@ -5,7 +5,7 @@ use emr_core::route::RouteError;
 use emr_mesh::{Coord, Direction, Grid, Mesh};
 
 use crate::dynamic::DynamicRouter;
-use crate::packet::{Packet, PacketId};
+use crate::packet::Packet;
 use crate::router::Router;
 
 /// Why a simulation run could not complete.
@@ -89,10 +89,7 @@ impl SimReport {
 /// [`crate::EventSim`] core, so workload generators can drive either.
 pub trait PacketSink {
     /// Schedules `packet` for injection at `cycle` (clamped to now).
-    ///
-    /// Returns the id assigned to the packet; ids increase monotonically
-    /// in injection-call order.
-    fn inject(&mut self, packet: Packet, cycle: u64) -> PacketId;
+    fn inject(&mut self, packet: Packet, cycle: u64);
 }
 
 /// One packet in flight.
@@ -110,6 +107,8 @@ struct Flight {
 /// Every node keeps a virtual-output-queue of resident packets; each cycle
 /// every resident packet requests a directed link from its router, each
 /// link grants its oldest requester, granted packets advance one hop.
+/// Age is admission order: packets enter the network in `(cycle, call)`
+/// order, whatever order the `inject` calls came in.
 /// Links are the only contended resource (buffers are unbounded); minimal
 /// routing plus store-and-forward means no deadlock, so every run either
 /// delivers or fails packets in bounded time.
@@ -117,14 +116,16 @@ struct Flight {
 pub struct NetSim<R: Router> {
     mesh: Mesh,
     router: R,
-    /// Resident packets per node, oldest first.
-    resident: Grid<Vec<PacketId>>,
-    flights: BTreeMap<PacketId, Flight>,
-    /// Packets scheduled for future injection: (cycle, id, packet).
-    pending: VecDeque<(u64, PacketId, Packet)>,
+    /// Resident packets per node by admission rank, oldest first.
+    resident: Grid<Vec<u64>>,
+    /// In-flight packets keyed by admission rank (lower = older).
+    flights: BTreeMap<u64, Flight>,
+    /// Packets scheduled for future injection: (cycle, packet).
+    pending: VecDeque<(u64, Packet)>,
     /// Node failures scheduled for future cycles: (cycle, node).
     pending_faults: VecDeque<(u64, Coord)>,
-    next_id: PacketId,
+    /// Packets admitted so far; the next admission's rank.
+    admitted: u64,
     cycle: u64,
     report: SimReport,
 }
@@ -139,7 +140,7 @@ impl<R: Router> NetSim<R> {
             flights: BTreeMap::new(),
             pending: VecDeque::new(),
             pending_faults: VecDeque::new(),
-            next_id: 0,
+            admitted: 0,
             cycle: 0,
             report: SimReport::default(),
         }
@@ -160,14 +161,12 @@ impl<R: Router> NetSim<R> {
     /// # Panics
     ///
     /// Panics if the packet's source is outside the mesh.
-    pub fn inject(&mut self, packet: Packet, cycle: u64) -> PacketId {
+    pub fn inject(&mut self, packet: Packet, cycle: u64) {
         assert!(
             self.mesh.contains(packet.source()),
             "source {} outside mesh",
             packet.source()
         );
-        let id = self.next_id;
-        self.next_id += 1;
         // Keep the queue sorted by injection cycle, ties in call order.
         // Callers inject in nondecreasing order in practice, so the
         // search for the last entry at or before `at` runs from the back
@@ -176,23 +175,24 @@ impl<R: Router> NetSim<R> {
         let pos = self
             .pending
             .iter()
-            .rposition(|&(c, _, _)| c <= at)
+            .rposition(|&(c, _)| c <= at)
             .map_or(0, |i| i + 1);
-        self.pending.insert(pos, (at, id, packet));
-        id
+        self.pending.insert(pos, (at, packet));
     }
 
     /// Advances one cycle: inject due packets, route, arbitrate links,
     /// move granted packets, deliver arrivals.
     pub fn step(&mut self) {
         // Inject packets due this cycle.
-        while let Some(&(when, _, _)) = self.pending.front() {
+        while let Some(&(when, _)) = self.pending.front() {
             if when > self.cycle {
                 break;
             }
-            let Some((_, id, packet)) = self.pending.pop_front() else {
+            let Some((_, packet)) = self.pending.pop_front() else {
                 break;
             };
+            let id = self.admitted;
+            self.admitted += 1;
             let at = packet.source();
             let leg_source = packet.source();
             self.resident[at].push(id);
@@ -220,8 +220,8 @@ impl<R: Router> NetSim<R> {
         self.report.peak_queue = self.report.peak_queue.max(peak);
 
         // Routing requests: (directed link) → oldest requesting packet.
-        let mut grants: BTreeMap<(Coord, Coord), PacketId> = BTreeMap::new();
-        let mut drops: Vec<PacketId> = Vec::new();
+        let mut grants: BTreeMap<(Coord, Coord), u64> = BTreeMap::new();
+        let mut drops: Vec<u64> = Vec::new();
         for (&id, flight) in &self.flights {
             let Some(target) = flight.packet.current_target() else {
                 // A target-less flight is already delivered; it cannot
@@ -232,7 +232,7 @@ impl<R: Router> NetSim<R> {
             match self.router.next_hop(flight.leg_source, target, flight.at) {
                 Ok(dir) => {
                     let link = (flight.at, flight.at.step(dir));
-                    // BTreeMap iteration is id-ascending, so the first
+                    // BTreeMap iteration is rank-ascending, so the first
                     // requester of a link is the oldest.
                     grants.entry(link).or_insert(id);
                 }
@@ -246,7 +246,7 @@ impl<R: Router> NetSim<R> {
         }
 
         // Move granted packets.
-        let moves: Vec<(PacketId, Coord, Coord)> = grants
+        let moves: Vec<(u64, Coord, Coord)> = grants
             .into_iter()
             .map(|((from, to), id)| (id, from, to))
             .collect();
@@ -303,7 +303,7 @@ impl<R: Router> NetSim<R> {
     }
 
     /// Checks whether `id` has reached its current waypoint/destination.
-    fn try_deliver(&mut self, id: PacketId) {
+    fn try_deliver(&mut self, id: u64) {
         let Some(flight) = self.flights.get_mut(&id) else {
             return;
         };
@@ -333,7 +333,7 @@ impl<R: Router> NetSim<R> {
         }
     }
 
-    fn remove_flight(&mut self, id: PacketId) {
+    fn remove_flight(&mut self, id: u64) {
         if let Some(flight) = self.flights.remove(&id) {
             self.resident[flight.at].retain(|&p| p != id);
         }
@@ -372,7 +372,7 @@ impl<R: DynamicRouter> NetSim<R> {
             return;
         }
         // Snapshot each flight's pre-fault hop choice.
-        let mut before: BTreeMap<PacketId, Direction> = BTreeMap::new();
+        let mut before: BTreeMap<u64, Direction> = BTreeMap::new();
         for (&id, flight) in &self.flights {
             let Some(target) = flight.packet.current_target() else {
                 continue;
@@ -390,7 +390,7 @@ impl<R: DynamicRouter> NetSim<R> {
             self.report.fault_events += 1;
         }
         // Packets caught on nodes the fault swallowed are lost.
-        let dead: Vec<PacketId> = self
+        let dead: Vec<u64> = self
             .flights
             .iter()
             .filter(|(_, f)| self.router.is_node_blocked(f.at))
@@ -402,7 +402,7 @@ impl<R: DynamicRouter> NetSim<R> {
             self.report.fault_drops += 1;
         }
         let (router, report) = (&self.router, &mut self.report);
-        self.pending.retain(|(_, _, p)| {
+        self.pending.retain(|(_, p)| {
             if router.is_node_blocked(p.source()) {
                 report.failed += 1;
                 report.fault_drops += 1;
@@ -448,8 +448,8 @@ impl<R: DynamicRouter> NetSim<R> {
 }
 
 impl<R: Router> PacketSink for NetSim<R> {
-    fn inject(&mut self, packet: Packet, cycle: u64) -> PacketId {
-        NetSim::inject(self, packet, cycle)
+    fn inject(&mut self, packet: Packet, cycle: u64) {
+        NetSim::inject(self, packet, cycle);
     }
 }
 

@@ -146,7 +146,8 @@ impl Workload {
     /// # Panics
     ///
     /// Panics if `offered` is not positive, the pattern is `Transpose`
-    /// on a non-square mesh, or the mesh is too faulty to draw endpoints.
+    /// on a non-square mesh or `Hotspot` with zero spots, or the mesh is
+    /// too faulty to draw endpoints.
     pub fn offered_load(
         scenario: &Scenario,
         pattern: TrafficPattern,
@@ -162,6 +163,9 @@ impl Workload {
                 mesh.width() == mesh.height(),
                 "transpose traffic needs a square mesh"
             );
+        }
+        if let TrafficPattern::Hotspot { spots, .. } = pattern {
+            assert!(spots > 0, "hotspot traffic needs at least one spot");
         }
         fn draw(mesh: emr_mesh::Mesh, rng: &mut impl Rng) -> Coord {
             Coord::new(
@@ -381,6 +385,18 @@ mod tests {
         let dests: std::collections::BTreeSet<_> =
             h.packets().iter().map(|(_, p)| p.dest()).collect();
         assert!(dests.len() <= 2, "fraction 1.0 concentrates on the spots");
+    }
+
+    #[test]
+    #[should_panic(expected = "hotspot traffic needs at least one spot")]
+    fn hotspot_without_spots_is_rejected() {
+        let scenario = Scenario::build(FaultSet::new(Mesh::square(8)));
+        let mut rng = StdRng::seed_from_u64(1);
+        let pattern = TrafficPattern::Hotspot {
+            spots: 0,
+            fraction: 0.5,
+        };
+        Workload::offered_load(&scenario, pattern, 10, 0.1, &mut rng);
     }
 
     #[test]
