@@ -14,6 +14,7 @@ pub mod ablations;
 pub mod figures;
 
 use emr_analysis::SweepConfig;
+use emr_serve::store::MAX_MESH_NODES;
 
 /// Command-line options shared by the figure binaries.
 ///
@@ -36,9 +37,10 @@ impl CliOptions {
     /// # Errors
     ///
     /// Returns a human-readable message for unknown flags, malformed
-    /// numbers, a `--size` below 3 (the source's first-quadrant submesh
-    /// would hold no destination), and fault counts that leave at most
-    /// the source healthy.
+    /// numbers, `--trials 0` (every measured rate would read 0), a
+    /// `--size` below 3 (the source's first-quadrant submesh would hold no
+    /// destination) or above the serve layer's [`MAX_MESH_NODES`] cap,
+    /// and fault counts that leave at most the source healthy.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<CliOptions, String> {
         let mut config = SweepConfig::default();
         let mut step = 10usize;
@@ -87,11 +89,19 @@ impl CliOptions {
             }
         }
         config.fault_counts = (0..=max_faults).step_by(step.max(1)).collect();
+        if config.trials == 0 {
+            return Err("--trials must be at least 1".to_string());
+        }
         let side = config.mesh_size;
         if side < 3 {
             return Err(format!("--size {side}: the mesh side must be at least 3"));
         }
         let nodes = u64::from(side.unsigned_abs()).pow(2);
+        if nodes > MAX_MESH_NODES.unsigned_abs() {
+            return Err(format!(
+                "--size {side}: {nodes} nodes exceed the cap of {MAX_MESH_NODES}"
+            ));
+        }
         if let Some(&k) = config.fault_counts.last() {
             if k as u64 >= nodes - 1 {
                 return Err(format!(
@@ -170,6 +180,24 @@ mod tests {
     fn threads_zero_is_rejected() {
         assert!(parse(&["--threads", "0"]).is_err());
         assert_eq!(parse(&[]).unwrap().config.threads, None);
+    }
+
+    #[test]
+    fn trials_zero_is_rejected() {
+        for words in [&["--trials", "0"][..], &["--smoke", "--trials", "0"]] {
+            let err = parse(words).unwrap_err();
+            assert!(err.contains("--trials"), "{err}");
+        }
+        assert!(parse(&["--smoke", "--trials", "1"]).is_ok());
+    }
+
+    #[test]
+    fn meshes_above_the_node_cap_are_rejected() {
+        let err = parse(&["--size", "100000", "--trials", "1", "--max-faults", "0"]).unwrap_err();
+        assert!(err.contains("exceed"), "{err}");
+        // 4097² is one row and column past the 4096² cap.
+        assert!(parse(&["--size", "4097", "--max-faults", "0"]).is_err());
+        assert!(parse(&["--size", "4096", "--max-faults", "0"]).is_ok());
     }
 
     #[test]

@@ -40,7 +40,10 @@ fn parse_options(args: impl IntoIterator<Item = String>) -> Result<Options, Stri
             "--seeds" => {
                 opts.run.seeds = value("--seeds")?
                     .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?
+                    .map_err(|e| format!("--seeds: {e}"))?;
+                if opts.run.seeds == 0 {
+                    return Err("--seeds must be at least 1".to_string());
+                }
             }
             "--threads" => {
                 let n: usize = value("--threads")?
@@ -174,5 +177,23 @@ fn main() {
     }
     if report.violations > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(words: &[&str]) -> Result<Options, String> {
+        parse_options(words.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn zero_seeds_or_threads_are_rejected() {
+        for flag in ["--seeds", "--threads"] {
+            let err = parse(&[flag, "0"]).err().expect(flag);
+            assert!(err.contains("at least 1"), "{err}");
+            assert!(parse(&[flag, "1"]).is_ok(), "{flag} 1");
+        }
     }
 }

@@ -37,7 +37,8 @@ use emr_fault::{
 };
 use emr_mesh::{BitGrid, Coord, Direction, Frame, Grid, Mesh, Rect};
 use emr_netsim::{
-    AdaptiveRouter, EpochedWuRouter, EventSim, NetSim, Packet, Router, Workload, WuRouter, XyRouter,
+    AdaptiveRouter, EpochedWuRouter, EventSim, NetSim, Packet, Router, TrafficPattern, Workload,
+    WuRouter, XyRouter,
 };
 use emr_serve::api::{
     AdvanceEpoch, InjectFault, ReachQuery, RegisterMesh, Request, Response, RouteQuery,
@@ -393,8 +394,9 @@ fn o_reach_bits_matches_dp(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violatio
                 break;
             }
         }
+        let packed = BitGrid::from_blocked(mesh, blocked);
         for s in sources {
-            let map = ReachMap::from_source(&mesh, s, blocked);
+            let map = ReachMap::from_packed(s, &packed);
             for d in mesh.nodes() {
                 let scalar = reach::minimal_path_exists(&mesh, s, d, blocked);
                 if map.reachable(d) != scalar {
@@ -513,7 +515,7 @@ fn o_safety_bits_matches_scalar(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Vio
     // lane resweep must land on the same map as a from-scratch packed
     // rebuild (and, transitively via the check above, the scalar sweep).
     let mut blocks = BlockMap::build(&FaultSet::new(mesh));
-    let mut swept = SafetyMap::for_blocks(&blocks);
+    let mut swept = SafetyMap::compute_packed(blocks.packed());
     for &f in &spec.faults {
         let rect = blocks.insert_fault(f);
         swept.resweep_rect_packed(blocks.packed(), rect);
@@ -899,24 +901,14 @@ fn o_distsim_matches(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation> {
     out
 }
 
-/// The spec's pairs for which strategy 4 ensures a minimal route under
-/// `view`, each with the plan's packet (the witness as a waypoint).
-fn ensured_packets(spec: &ScenarioSpec, view: &ModelView<'_>) -> Vec<Packet> {
-    spec.pairs
-        .iter()
-        .filter_map(|&(s, d)| {
-            let ensured = conditions::strategy4(view, s, d)?;
-            ensured
-                .is_minimal()
-                .then(|| Packet::with_plan(s, d, &ensured.plan()))
-        })
-        .collect()
-}
-
 fn o_netsim_hops(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation> {
     let sc = spec.scenario();
     let view = sc.view(Model::FaultBlock);
-    let planned = ensured_packets(spec, &view);
+    let planned: Vec<Packet> = spec
+        .pairs
+        .iter()
+        .filter_map(|&(s, d)| Packet::ensured(&view, s, d))
+        .collect();
     if planned.is_empty() {
         return Vec::new();
     }
@@ -997,7 +989,8 @@ fn o_event_matches_cycle(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation>
     // Static replay: raw uniform traffic (failures included) through the
     // three per-hop routers.
     let mut rng = StdRng::seed_from_u64(derive_seed(spec.seed, 97, 0));
-    let load = Workload::uniform_raw(&sc, 40, 3, &mut rng);
+    let offered = 3.0 / mesh.node_count() as f64;
+    let load = Workload::offered_load(&sc, TrafficPattern::Uniform, 40, offered, &mut rng);
     let view = sc.view(Model::FaultBlock);
     let boundary = sc.boundary_map(Model::FaultBlock);
     let raw = load.packets();
@@ -1016,9 +1009,10 @@ fn o_event_matches_cycle(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation>
     // Packets whose witness is a waypoint take the next-leg branch.
     for model in Model::ALL {
         let view = sc.view(model);
-        let planned: Vec<(u64, Packet)> = ensured_packets(spec, &view)
-            .into_iter()
-            .map(|p| (0, p))
+        let planned: Vec<(u64, Packet)> = spec
+            .pairs
+            .iter()
+            .filter_map(|&(s, d)| Some((0, Packet::ensured(&view, s, d)?)))
             .collect();
         if planned.is_empty() {
             continue;
@@ -1077,16 +1071,14 @@ fn o_state_matches_rebuild(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violatio
         r.sort_by_key(|r| (r.x_min(), r.y_min()));
         r
     };
+    // Equal statuses fix the partition into components; the sorted
+    // `(rect, faulty, disabled)` records pin each one's bookkeeping.
     let sorted_comps = |s: &Scenario, ty: MccType| {
-        let mut comps: Vec<Vec<Coord>> = s
+        let mut comps: Vec<(Rect, usize, usize)> = s
             .mcc(ty)
             .components()
             .iter()
-            .map(|m| {
-                let mut nodes = m.nodes().to_vec();
-                nodes.sort_by_key(|n| (n.y, n.x));
-                nodes
-            })
+            .map(|m| (m.rect(), m.faulty_nodes(), m.disabled_nodes()))
             .collect();
         comps.sort();
         comps

@@ -14,7 +14,8 @@
 //! * [`ext3`] — Theorem 1c: a safe-reachable pivot node inside the
 //!   source–destination rectangle, with the paper's recursive pivot
 //!   placement policies,
-//! * [`strategy1`]–[`strategy4`] — §5's combinations.
+//! * [`strategy_with`] — §5's four combinations ([`StrategyKind`]), with
+//!   [`strategy4`], the strongest, at the paper's default parameters.
 //!
 //! All conditions work in any quadrant (the paper normalizes to quadrant I;
 //! we normalize with [`emr_mesh::Frame`]) and under both fault models via
@@ -28,9 +29,7 @@ mod strategy;
 pub use ext1::ext1;
 pub use ext2::{ext2, ext2_with_policy, SegmentPolicy, SegmentSize};
 pub use ext3::{ext3, select_pivots, PivotPolicy};
-pub use strategy::{
-    strategy1, strategy2, strategy3, strategy4, strategy_with, StrategyKind, StrategyParams,
-};
+pub use strategy::{strategy4, strategy_with, StrategyKind, StrategyParams};
 
 use serde::{Deserialize, Serialize};
 

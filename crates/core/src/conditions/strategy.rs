@@ -120,40 +120,14 @@ pub fn strategy_with(
     sub_minimal
 }
 
-macro_rules! strategy_fn {
-    ($name:ident, $kind:expr, $doc:literal) => {
-        #[doc = $doc]
-        ///
-        /// Uses [`StrategyParams::defaults_for`] (segment size 5,
-        /// level-3 center pivots); use [`strategy_with`] to control the
-        /// parameters.
-        pub fn $name(view: &ModelView<'_>, s: Coord, d: Coord) -> Option<Ensured> {
-            let params = StrategyParams::defaults_for(view, s, d);
-            strategy_with(view, s, d, $kind, &params)
-        }
-    };
+/// Strategy 4: extensions 1, 2 and 3 in order, with
+/// [`StrategyParams::defaults_for`] (segment size 5, level-3 center
+/// pivots); use [`strategy_with`] to pick another strategy or control the
+/// parameters.
+pub fn strategy4(view: &ModelView<'_>, s: Coord, d: Coord) -> Option<Ensured> {
+    let params = StrategyParams::defaults_for(view, s, d);
+    strategy_with(view, s, d, StrategyKind::S4, &params)
 }
-
-strategy_fn!(
-    strategy1,
-    StrategyKind::S1,
-    "Strategy 1: extension 1, then extension 2."
-);
-strategy_fn!(
-    strategy2,
-    StrategyKind::S2,
-    "Strategy 2: extension 1, then extension 3."
-);
-strategy_fn!(
-    strategy3,
-    StrategyKind::S3,
-    "Strategy 3: extension 2, then extension 3."
-);
-strategy_fn!(
-    strategy4,
-    StrategyKind::S4,
-    "Strategy 4: extensions 1, 2 and 3 in order."
-);
 
 #[cfg(test)]
 mod tests {
@@ -253,7 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn convenience_wrappers_agree_with_explicit_params() {
+    fn strategy4_uses_the_default_params() {
         let sc = scenario(&[(6, 2), (2, 6)]);
         let view = sc.view(Model::FaultBlock);
         let (s, d) = (Coord::new(2, 2), Coord::new(12, 12));
@@ -261,10 +235,6 @@ mod tests {
         assert_eq!(
             strategy4(&view, s, d),
             strategy_with(&view, s, d, StrategyKind::S4, &params)
-        );
-        assert_eq!(
-            strategy1(&view, s, d),
-            strategy_with(&view, s, d, StrategyKind::S1, &params)
         );
     }
 

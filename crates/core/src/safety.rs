@@ -4,7 +4,6 @@ use std::mem::size_of;
 use serde::{Deserialize, Serialize};
 
 use emr_distsim::protocols::EslTuple;
-use emr_fault::{BlockMap, MccMap};
 use emr_mesh::{BitGrid, Coord, Direction, Dist, Frame, MemBytes, Mesh, Rect, UNBOUNDED};
 
 /// The **extended safety level** of a node: the 4-tuple `(E, S, W, N)` of
@@ -234,16 +233,6 @@ impl SafetyMap {
         }
     }
 
-    /// Computes the safety levels under the faulty-block model.
-    pub fn for_blocks(blocks: &BlockMap) -> SafetyMap {
-        SafetyMap::compute_packed(blocks.packed())
-    }
-
-    /// Computes the safety levels under one MCC labeling.
-    pub fn for_mcc(mcc: &MccMap) -> SafetyMap {
-        SafetyMap::compute_packed(mcc.packed())
-    }
-
     /// The mesh covered.
     pub fn mesh(&self) -> Mesh {
         self.mesh
@@ -354,7 +343,7 @@ fn lane_pos(i: usize) -> u32 {
 mod tests {
     use super::*;
     use emr_distsim::protocols::esl;
-    use emr_fault::FaultSet;
+    use emr_fault::{BlockMap, FaultSet, MccMap};
 
     #[test]
     fn paper_order_constructor_matches_directions() {
@@ -397,7 +386,7 @@ mod tests {
         let faults = FaultSet::from_coords(mesh, [Coord::new(4, 4), Coord::new(5, 5)]);
         let blocks = BlockMap::build(&faults);
         // The two diagonal faults close into the block [4:5, 4:5].
-        let map = SafetyMap::for_blocks(&blocks);
+        let map = SafetyMap::compute_packed(blocks.packed());
         let at = |x, y| map.level(Coord::new(x, y));
         assert_eq!(at(0, 4).toward(Direction::East), 4);
         assert_eq!(at(3, 4).toward(Direction::East), 1);
@@ -459,10 +448,14 @@ mod tests {
                 let faults = random_faults(mesh, density, 0x5AFE + seed as u64);
                 let blocks = BlockMap::build(&faults);
                 let ctx = format!("{w}x{h} density {density}");
-                assert_matches_esl(&SafetyMap::for_blocks(&blocks), blocks.packed(), &ctx);
+                assert_matches_esl(
+                    &SafetyMap::compute_packed(blocks.packed()),
+                    blocks.packed(),
+                    &ctx,
+                );
                 for ty in emr_fault::MccType::ALL {
                     let mcc = MccMap::build(&faults, ty);
-                    let map = SafetyMap::for_mcc(&mcc);
+                    let map = SafetyMap::compute_packed(mcc.packed());
                     assert_matches_esl(&map, mcc.packed(), &format!("{ctx} {ty:?}"));
                 }
             }
@@ -497,8 +490,10 @@ mod tests {
                 let mut blocks = BlockMap::build(&FaultSet::new(mesh));
                 let mut mccs =
                     emr_fault::MccType::ALL.map(|ty| MccMap::build(&FaultSet::new(mesh), ty));
-                let mut block_map = SafetyMap::for_blocks(&blocks);
-                let mut mcc_maps = mccs.each_ref().map(SafetyMap::for_mcc);
+                let mut block_map = SafetyMap::compute_packed(blocks.packed());
+                let mut mcc_maps = mccs
+                    .each_ref()
+                    .map(|m| SafetyMap::compute_packed(m.packed()));
                 for step in 0..steps {
                     let c = Coord::new(rng.gen_range(0..w), rng.gen_range(0..h));
                     let rect = blocks.insert_fault(c);
@@ -510,11 +505,15 @@ mod tests {
                     }
                     assert_eq!(
                         block_map,
-                        SafetyMap::for_blocks(&blocks),
+                        SafetyMap::compute_packed(blocks.packed()),
                         "{w}x{h} after {c}"
                     );
                     for (mcc, map) in mccs.iter().zip(&mcc_maps) {
-                        assert_eq!(*map, SafetyMap::for_mcc(mcc), "{w}x{h} after {c}");
+                        assert_eq!(
+                            *map,
+                            SafetyMap::compute_packed(mcc.packed()),
+                            "{w}x{h} after {c}"
+                        );
                     }
                     // The scalar sweep is slow on 200×200: check it at
                     // the end and at a few points along the way.
@@ -534,12 +533,16 @@ mod tests {
     fn resweep_accepts_rects_overhanging_the_mesh() {
         let mesh = Mesh::new(70, 3);
         let mut blocks = BlockMap::build(&FaultSet::new(mesh));
-        let mut map = SafetyMap::for_blocks(&blocks);
+        let mut map = SafetyMap::compute_packed(blocks.packed());
         blocks.insert_fault(Coord::new(69, 0));
         map.resweep_rect_packed(blocks.packed(), Rect::new(60, 80, -5, 1));
-        assert_eq!(map, SafetyMap::for_blocks(&blocks));
+        assert_eq!(map, SafetyMap::compute_packed(blocks.packed()));
         map.resweep_rect_packed(blocks.packed(), Rect::new(75, 80, 0, 1));
-        assert_eq!(map, SafetyMap::for_blocks(&blocks), "rect off the mesh");
+        assert_eq!(
+            map,
+            SafetyMap::compute_packed(blocks.packed()),
+            "rect off the mesh"
+        );
     }
 
     #[test]
@@ -590,8 +593,8 @@ mod tests {
         );
         let blocks = BlockMap::build(&faults);
         let mcc = MccMap::build(&faults, emr_fault::MccType::One);
-        let bm = SafetyMap::for_blocks(&blocks);
-        let mm = SafetyMap::for_mcc(&mcc);
+        let bm = SafetyMap::compute_packed(blocks.packed());
+        let mm = SafetyMap::compute_packed(mcc.packed());
         for c in mesh.nodes() {
             if blocks.is_blocked(c) || mcc.is_blocked(c) {
                 continue;

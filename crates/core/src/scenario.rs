@@ -59,33 +59,26 @@ impl Scenario {
         }
     }
 
-    fn block_safety(&self) -> &SafetyMap {
-        self.block_safety
-            .get_or_init(|| SafetyMap::for_blocks(&self.blocks))
-    }
-
-    // emr-lint: allow(A1, "mcc_index maps the two labeling types to 0 and 1, matching the two-slot arrays")
-    fn mcc_safety(&self, ty: MccType) -> &SafetyMap {
-        self.mcc_safety[mcc_index(ty)].get_or_init(|| SafetyMap::for_mcc(self.mcc(ty)))
-    }
-
     /// The safety map under the faulty-block model (built on first use).
     pub fn block_safety_map(&self) -> &SafetyMap {
-        self.block_safety()
+        self.block_safety
+            .get_or_init(|| SafetyMap::compute_packed(self.blocks.packed()))
     }
 
     /// The safety map under one MCC labeling (built on first use).
+    // emr-lint: allow(A1, "mcc_index maps the two labeling types to 0 and 1, matching the two-slot arrays")
     pub fn mcc_safety_map(&self, ty: MccType) -> &SafetyMap {
-        self.mcc_safety(ty)
+        self.mcc_safety[mcc_index(ty)]
+            .get_or_init(|| SafetyMap::compute_packed(self.mcc(ty).packed()))
     }
 
     /// Forces every lazy map (both MCC labelings and all three safety
     /// maps) so that later [`Scenario::apply_fault`] calls repair them
     /// incrementally instead of deferring full rebuilds to first use.
     pub(crate) fn warm(&self) {
-        self.block_safety();
+        self.block_safety_map();
         for ty in MccType::ALL {
-            self.mcc_safety(ty);
+            self.mcc_safety_map(ty);
         }
     }
 
@@ -290,8 +283,11 @@ impl<'a> ModelView<'a> {
     /// The safety level of `u` for routes from `s` to `d`.
     pub fn level_for(&self, u: Coord, s: Coord, d: Coord) -> SafetyLevel {
         match self.model {
-            Model::FaultBlock => self.scenario.block_safety().level(u),
-            Model::Mcc => self.scenario.mcc_safety(MccType::for_route(s, d)).level(u),
+            Model::FaultBlock => self.scenario.block_safety_map().level(u),
+            Model::Mcc => self
+                .scenario
+                .mcc_safety_map(MccType::for_route(s, d))
+                .level(u),
         }
     }
 
@@ -328,8 +324,8 @@ mod tests {
     fn warmed_512_mesh_stays_within_byte_budget() {
         use rand::SeedableRng;
         // One fault per side-length unit, so the per-fault lists grow
-        // with the side, not the node count. The caps sit 25% above the
-        // measured 1.80 and 1.94 B/node.
+        // with the side, not the node count. The caps sit about 30% above
+        // the measured 1.70 and 1.84 B/node.
         let mesh = Mesh::square(512);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5ca1_e000 ^ 512);
         let faults = emr_fault::inject::uniform(mesh, 512, &[], &mut rng);

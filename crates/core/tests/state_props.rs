@@ -56,17 +56,16 @@ fn assert_state_matches_rebuild(state: &ScenarioState, ctx: &str) {
         r
     };
     assert_eq!(sorted_rects(sc), sorted_rects(&rebuilt), "{ctx}: rects");
+    // Equal statuses (checked above) fix the partition into components;
+    // the sorted `(rect, faulty, disabled)` records pin each one's
+    // bookkeeping.
     for ty in MccType::ALL {
         let sorted_comps = |s: &Scenario| {
-            let mut comps: Vec<Vec<Coord>> = s
+            let mut comps: Vec<_> = s
                 .mcc(ty)
                 .components()
                 .iter()
-                .map(|m| {
-                    let mut nodes = m.nodes().to_vec();
-                    nodes.sort_by_key(|n| (n.y, n.x));
-                    nodes
-                })
+                .map(|m| (m.rect(), m.faulty_nodes(), m.disabled_nodes()))
                 .collect();
             comps.sort();
             comps

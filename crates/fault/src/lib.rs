@@ -12,7 +12,9 @@
 //! * [`MccMap`] — Wang's **minimal connected components** (Definition 2):
 //!   a refinement that only disables nodes whose use provably destroys
 //!   minimality (useless / can't-reach labeling, type-one for quadrant
-//!   I/III routing and type-two for II/IV),
+//!   I/III routing and type-two for II/IV); each component keeps its
+//!   bounding rectangle and node counts, the exact shape stays in the
+//!   map's packed planes,
 //! * [`reach`] — the exact monotone-reachability oracle (the ground truth
 //!   "existence of a minimal path" curve of every figure),
 //! * [`reach_bits`] — the word-parallel form of the same oracle: a packed

@@ -60,12 +60,16 @@ impl MccStatus {
 
 /// One minimal connected component: a maximal connected set of faulty,
 /// useless and can't-reach nodes. MCCs are rectilinear-monotone staircase
-/// polygons, so unlike [`crate::FaultyBlock`]s they carry their exact node
-/// set in addition to a bounding rectangle.
+/// polygons; a component keeps its bounding rectangle and its node counts,
+/// while its exact shape stays in the map's planes ([`MccMap::status`],
+/// [`MccMap::packed`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Mcc {
     rect: Rect,
-    nodes: Vec<Coord>,
+    /// The node the component's BFS started from: its row-major first
+    /// node after a full build, the new fault after
+    /// [`MccMap::insert_fault`].
+    anchor: Coord,
     faulty_nodes: usize,
     disabled_nodes: usize,
 }
@@ -74,11 +78,6 @@ impl Mcc {
     /// The bounding rectangle of the component.
     pub fn rect(&self) -> Rect {
         self.rect
-    }
-
-    /// Every node of the component, in BFS discovery order.
-    pub fn nodes(&self) -> &[Coord] {
-        &self.nodes
     }
 
     /// The number of genuinely faulty nodes.
@@ -361,7 +360,6 @@ impl MccMap {
     /// # Panics
     ///
     /// Panics if `c` lies outside the mesh.
-    // emr-lint: allow(A1, "component invariant: every component's node list starts with one of its nodes")
     pub fn insert_fault(&mut self, c: Coord) -> Option<Rect> {
         if self.status(c) == MccStatus::Faulty {
             return None;
@@ -404,7 +402,7 @@ impl MccMap {
         let merged = with_scratch(|ws| {
             bfs_component(c, packed, faulty, &mut ws.queue, |v| visited.insert(v))
         });
-        components.retain(|m| !visited.contains(&m.nodes[0]));
+        components.retain(|m| !visited.contains(&m.anchor));
         components.push(merged);
         rects.clear();
         rects.extend(components.iter().map(|m| m.rect));
@@ -413,19 +411,15 @@ impl MccMap {
 }
 
 impl MemBytes for MccMap {
-    /// The four packed planes and the component list (each component
-    /// carries its node set).
+    /// The four packed planes, the component list and its cached rects.
     fn mem_bytes(&self) -> u64 {
-        let components: usize = self
-            .components
-            .iter()
-            .map(|m| std::mem::size_of::<Mcc>() + m.nodes.len() * std::mem::size_of::<Coord>())
-            .sum();
+        let components = self.components.len() * std::mem::size_of::<Mcc>()
+            + self.rects.len() * std::mem::size_of::<Rect>();
         [&self.packed, &self.faulty, &self.useless, &self.cant_reach]
             .iter()
             .map(|plane| plane.mem_bytes())
             .sum::<u64>()
-            + (components + self.rects.len() * std::mem::size_of::<Rect>()) as u64
+            + components as u64
     }
 }
 
@@ -440,13 +434,13 @@ fn bfs_component(
     mut first_visit: impl FnMut(Coord) -> bool,
 ) -> Mcc {
     let mut rect = Rect::point(start);
-    let mut nodes = Vec::new();
+    let mut nodes = 0;
     let mut faulty_nodes = 0;
     queue.clear();
     queue.push_back(start);
     while let Some(u) = queue.pop_front() {
         rect = rect.expanded_to(u);
-        nodes.push(u);
+        nodes += 1;
         faulty_nodes += usize::from(faulty.get(u) == Some(true));
         for v in blocked.mesh().neighbors(u) {
             if blocked.get(v) == Some(true) && first_visit(v) {
@@ -456,9 +450,9 @@ fn bfs_component(
     }
     Mcc {
         rect,
-        disabled_nodes: nodes.len() - faulty_nodes,
-        nodes,
+        anchor: start,
         faulty_nodes,
+        disabled_nodes: nodes - faulty_nodes,
     }
 }
 
@@ -525,7 +519,6 @@ fn extract_components(mesh: Mesh, status: &Grid<MccStatus>, ws: &mut Workspace) 
             continue;
         }
         let mut rect = Rect::point(start);
-        let mut nodes = Vec::new();
         let mut faulty_nodes = 0;
         let mut disabled_nodes = 0;
         queue.clear();
@@ -533,7 +526,6 @@ fn extract_components(mesh: Mesh, status: &Grid<MccStatus>, ws: &mut Workspace) 
         visited[start] = true;
         while let Some(u) = queue.pop_front() {
             rect = rect.expanded_to(u);
-            nodes.push(u);
             match status[u] {
                 MccStatus::Faulty => faulty_nodes += 1,
                 MccStatus::Useless | MccStatus::CantReach => disabled_nodes += 1,
@@ -548,7 +540,7 @@ fn extract_components(mesh: Mesh, status: &Grid<MccStatus>, ws: &mut Workspace) 
         }
         components.push(Mcc {
             rect,
-            nodes,
+            anchor: start,
             faulty_nodes,
             disabled_nodes,
         });
@@ -713,20 +705,20 @@ mod tests {
                 "{ctx} at {n}"
             );
         }
-        let sorted = |m: &MccMap| {
-            let mut comps: Vec<(Rect, usize, usize, Vec<Coord>)> = m
-                .components()
-                .iter()
-                .map(|c| {
-                    let mut nodes = c.nodes().to_vec();
-                    nodes.sort_by_key(|n| (n.y, n.x));
-                    (c.rect(), c.faulty_nodes(), c.disabled_nodes(), nodes)
-                })
-                .collect();
-            comps.sort_by_key(|(r, ..)| (r.x_min(), r.y_min()));
-            comps
-        };
-        assert_eq!(sorted(incremental), sorted(rebuilt), "{ctx}");
+        assert_eq!(records(incremental), records(rebuilt), "{ctx}");
+    }
+
+    /// The `(rect, faulty, disabled)` record of every component, sorted.
+    /// Equal statuses fix the partition into components; the records pin
+    /// each component's bookkeeping.
+    fn records(m: &MccMap) -> Vec<(Rect, usize, usize)> {
+        let mut records: Vec<_> = m
+            .components()
+            .iter()
+            .map(|c| (c.rect(), c.faulty_nodes(), c.disabled_nodes()))
+            .collect();
+        records.sort();
+        records
     }
 
     #[test]
@@ -764,6 +756,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn insert_keeps_a_component_inside_the_merged_bounding_box() {
+        // An L of faults with box [2:5, 2:5] and a lone fault (2,5) inside
+        // that box. Failing (6,2) grows the L to [2:6, 2:5]; the lone
+        // fault's component shares no node with it and must survive.
+        let mesh = Mesh::square(8);
+        let l_and_lone = [
+            (2, 2),
+            (3, 2),
+            (4, 2),
+            (5, 2),
+            (5, 3),
+            (5, 4),
+            (5, 5),
+            (2, 5),
+        ];
+        let mut map = MccMap::build(&faults(mesh, &l_and_lone), MccType::One);
+        map.insert_fault(Coord::new(6, 2));
+        let rebuilt = MccMap::build(
+            &faults(mesh, &[l_and_lone.as_slice(), &[(6, 2)]].concat()),
+            MccType::One,
+        );
+        assert_equivalent(&map, &rebuilt, "L grown around a lone fault");
+        assert_eq!(
+            records(&map),
+            [(Rect::new(2, 2, 5, 5), 1, 0), (Rect::new(2, 6, 2, 5), 8, 3)]
+        );
     }
 
     #[test]
@@ -827,7 +848,7 @@ mod tests {
         // 200×200 mesh, word-boundary-straddling widths (4095/4097 non-×64
         // tails on thin meshes among them) and 1-wide meshes.
         // Full struct equality pins all four planes, the components with
-        // each one's node order, and rect order.
+        // each one's BFS anchor, and rect order.
         let shapes = [
             (16, 16),
             (65, 3),
@@ -874,17 +895,18 @@ mod tests {
     }
 
     #[test]
-    fn component_nodes_match_status() {
+    fn component_counts_match_status() {
         let f = figure_1_faults();
         let one = MccMap::build(&f, MccType::One);
-        let total: usize = one.components().iter().map(|m| m.nodes().len()).sum();
-        let blocked = f.mesh().nodes().filter(|&c| one.is_blocked(c)).count();
-        assert_eq!(total, blocked);
-        for m in one.components() {
-            for &c in m.nodes() {
-                assert!(m.rect().contains(c));
-                assert!(one.is_blocked(c));
-            }
+        let counted: usize = one
+            .components()
+            .iter()
+            .map(|m| m.faulty_nodes() + m.disabled_nodes())
+            .sum();
+        let blocked: Vec<Coord> = f.mesh().nodes().filter(|&c| one.is_blocked(c)).collect();
+        assert_eq!(counted, blocked.len());
+        for c in blocked {
+            assert!(one.rects().iter().any(|r| r.contains(c)), "{c}");
         }
     }
 }

@@ -229,13 +229,13 @@ fn open_span(packed: &BitGrid, from: Coord, len: i32, east: bool, dst: &mut [u64
 /// # Examples
 ///
 /// ```
-/// use emr_mesh::{Coord, Mesh};
+/// use emr_mesh::{BitGrid, Coord, Mesh};
 /// use emr_fault::reach_bits::ReachMap;
 /// use emr_fault::reach::minimal_path_exists;
 ///
 /// let mesh = Mesh::square(9);
 /// let blocked = |c: Coord| c.x == 4 && c.y >= 2;
-/// let map = ReachMap::from_source(&mesh, mesh.center(), blocked);
+/// let map = ReachMap::from_packed(mesh.center(), &BitGrid::from_blocked(mesh, blocked));
 /// for d in mesh.nodes() {
 ///     assert_eq!(
 ///         map.reachable(d),
@@ -257,59 +257,21 @@ pub struct ReachMap {
 }
 
 impl ReachMap {
-    /// Builds the map for the obstacle predicate `blocked`, packing it
-    /// once (one closure call per node) into this thread's scratch grid;
-    /// the four sweeps then run purely on words.
-    pub fn from_source(mesh: &Mesh, source: Coord, blocked: impl Fn(Coord) -> bool) -> ReachMap {
-        let live = mesh.contains(source) && !blocked(source);
-        with_scratch(|ws| {
-            let Workspace {
-                packed,
-                row_open,
-                row_cur,
-                ..
-            } = ws;
-            if live {
-                packed.refill_from_blocked(*mesh, &blocked);
-            }
-            ReachMap::sweep(*mesh, source, live, packed, row_open, row_cur)
-        })
-    }
-
-    /// Builds the map from an already-packed obstacle grid — no per-node
-    /// predicate calls at all, so the whole build runs at word speed.
-    /// This is the per-trial fast path: the sweep harness hands in
-    /// [`crate::FaultSet::packed`] directly.
+    /// Builds the map from a packed obstacle grid (the set bits of
+    /// `blocked` are the obstacles; the mesh is its mesh): the four
+    /// sweeps copy each row as words, with no per-node work. The sweep
+    /// harness hands in [`crate::FaultSet::packed`] directly; an obstacle
+    /// predicate packs once through [`BitGrid::from_blocked`].
     pub fn from_packed(source: Coord, blocked: &BitGrid) -> ReachMap {
         let mesh = blocked.mesh();
         let live = mesh.contains(source) && blocked.get(source) == Some(false);
-        with_scratch(|ws| {
-            ReachMap::sweep(
-                mesh,
-                source,
-                live,
-                blocked,
-                &mut ws.row_open,
-                &mut ws.row_cur,
-            )
-        })
-    }
-
-    /// Runs the four quadrant sweeps over `packed` when `live`; a dead
-    /// map keeps empty grids.
-    fn sweep(
-        mesh: Mesh,
-        source: Coord,
-        live: bool,
-        packed: &BitGrid,
-        row_open: &mut Vec<u64>,
-        row_cur: &mut Vec<u64>,
-    ) -> ReachMap {
         let mut grids: [BitGrid; 4] = std::array::from_fn(|_| BitGrid::new(Mesh::new(1, 1)));
         if live {
-            for (grid, &q) in grids.iter_mut().zip(Quadrant::ALL.iter()) {
-                sweep_quadrant(grid, q, source, mesh, packed, row_open, row_cur);
-            }
+            with_scratch(|ws| {
+                for (grid, &q) in grids.iter_mut().zip(Quadrant::ALL.iter()) {
+                    sweep_quadrant(grid, q, source, blocked, &mut ws.row_open, &mut ws.row_cur);
+                }
+            });
         }
         ReachMap {
             mesh,
@@ -368,11 +330,11 @@ fn sweep_quadrant(
     grid: &mut BitGrid,
     q: Quadrant,
     source: Coord,
-    mesh: Mesh,
     packed: &BitGrid,
     row_open: &mut Vec<u64>,
     row_cur: &mut Vec<u64>,
 ) {
+    let mesh = packed.mesh();
     let ys = if q.y_positive() { 1 } else { -1 };
     let qw = if q.x_positive() {
         mesh.width() - source.x
@@ -410,7 +372,7 @@ mod tests {
     /// Every (pair oracle, map lookup) agrees with the scalar DP over all
     /// destinations from `s` under `blocked`.
     fn assert_matches_scalar(mesh: &Mesh, s: Coord, blocked: impl Fn(Coord) -> bool + Copy) {
-        let map = ReachMap::from_source(mesh, s, blocked);
+        let map = ReachMap::from_packed(s, &BitGrid::from_blocked(*mesh, blocked));
         for d in mesh.nodes() {
             let want = minimal_path_exists(mesh, s, d, blocked);
             assert_eq!(
@@ -458,22 +420,11 @@ mod tests {
     }
 
     #[test]
-    fn from_packed_matches_closure_build() {
-        use emr_mesh::BitGrid;
+    fn from_packed_matches_scalar_on_odd_shapes() {
         for (w, h) in [(9, 9), (130, 4), (1, 7), (70, 1)] {
             let mesh = Mesh::new(w, h);
-            let blocked = |c: Coord| (c.x * 13 + c.y * 7) % 5 == 0 && c != Coord::new(w / 2, h / 2);
-            let packed = BitGrid::from_blocked(mesh, blocked);
             let s = Coord::new(w / 2, h / 2);
-            let from_closure = ReachMap::from_source(&mesh, s, blocked);
-            let from_packed = ReachMap::from_packed(s, &packed);
-            for d in mesh.nodes() {
-                assert_eq!(
-                    from_packed.reachable(d),
-                    from_closure.reachable(d),
-                    "{w}x{h} d={d}"
-                );
-            }
+            assert_matches_scalar(&mesh, s, |c| (c.x * 13 + c.y * 7) % 5 == 0 && c != s);
             // Blocked source: nothing reachable.
             let mut dead = BitGrid::new(mesh);
             dead.set(s, true);
@@ -520,7 +471,7 @@ mod tests {
             Coord::new(0, 0),
             blocked
         ));
-        let map = ReachMap::from_source(&mesh, s, blocked);
+        let map = ReachMap::from_packed(s, &BitGrid::from_blocked(mesh, blocked));
         assert_eq!(map.count_reachable(), 0, "blocked source reaches nothing");
         assert!(!map.reachable(Coord::new(9, 9)), "outside mesh");
         assert!(!minimal_path_exists_bits(
@@ -534,7 +485,7 @@ mod tests {
     #[test]
     fn count_reachable_on_clear_mesh_is_node_count() {
         let mesh = Mesh::new(13, 7);
-        let map = ReachMap::from_source(&mesh, Coord::new(5, 3), |_| false);
+        let map = ReachMap::from_packed(Coord::new(5, 3), &BitGrid::new(mesh));
         assert_eq!(map.count_reachable(), mesh.node_count());
     }
 }

@@ -75,7 +75,7 @@ proptest! {
         let set = FaultSet::from_coords(mesh, faults.into_iter().map(Coord::from));
         let s = Coord::from(s);
         let blocked = |c: Coord| set.is_faulty(c);
-        let map = ReachMap::from_source(&mesh, s, blocked);
+        let map = ReachMap::from_packed(s, set.packed());
         let mut expected_count = 0;
         for d in mesh.nodes() {
             let want = minimal_path_exists(&mesh, s, d, blocked);

@@ -61,18 +61,9 @@ impl BitGrid {
     /// returns true set (the packed form of an obstacle predicate).
     pub fn from_blocked(mesh: Mesh, blocked: impl Fn(Coord) -> bool) -> BitGrid {
         let mut grid = BitGrid::new(mesh);
-        grid.refill_from_blocked(mesh, blocked);
-        grid
-    }
-
-    /// Retargets this grid to `mesh` and repacks it from `blocked`,
-    /// reusing the existing allocation (the [`crate::Grid::reset`]
-    /// counterpart for scratch-buffer reuse).
-    pub fn refill_from_blocked(&mut self, mesh: Mesh, blocked: impl Fn(Coord) -> bool) {
-        self.reset(mesh);
         let width = mesh.width() as usize;
         for y in 0..mesh.height() {
-            let row = self.row_mut(y);
+            let row = grid.row_mut(y);
             for (wi, word) in row.iter_mut().enumerate() {
                 let mut bits = 0u64;
                 let x0 = wi * 64;
@@ -87,6 +78,7 @@ impl BitGrid {
                 *word = bits;
             }
         }
+        grid
     }
 
     /// Retargets this grid to `mesh` with every bit cleared, reusing the

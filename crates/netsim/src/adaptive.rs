@@ -54,16 +54,6 @@ impl AdaptiveRouter {
         }
     }
 
-    /// A router over a fault-free mesh (faults can arrive later through
-    /// [`DynamicRouter::fail_node`]).
-    pub fn fault_free(mesh: Mesh) -> AdaptiveRouter {
-        AdaptiveRouter {
-            mesh,
-            blocked: BitGrid::new(mesh),
-            rects: Vec::new(),
-        }
-    }
-
     fn open(&self, c: Coord) -> bool {
         self.mesh.contains(c) && self.blocked.get(c) != Some(true)
     }
@@ -231,14 +221,6 @@ impl XyRouter {
             blocked: blocks.packed().clone(),
         }
     }
-
-    /// A router over a fault-free mesh.
-    pub fn fault_free(mesh: Mesh) -> XyRouter {
-        XyRouter {
-            mesh,
-            blocked: BitGrid::new(mesh),
-        }
-    }
 }
 
 impl Router for XyRouter {
@@ -378,8 +360,7 @@ mod tests {
 
     #[test]
     fn dynamic_fail_node_reroutes() {
-        let mesh = Mesh::square(10);
-        let mut r = AdaptiveRouter::fault_free(mesh);
+        let mut r = router(10, &[]);
         let (s, d) = (Coord::new(0, 0), Coord::new(9, 0));
         r.fail_node(Coord::new(4, 0));
         assert!(r.is_node_blocked(Coord::new(4, 0)));

@@ -443,7 +443,7 @@ mod tests {
     use crate::sim::NetSim;
     use crate::workload::{TrafficPattern, Workload};
     use emr_core::{Model, Scenario, ScenarioState};
-    use emr_fault::{inject, FaultSet};
+    use emr_fault::{inject, BlockMap, FaultSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -454,7 +454,13 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let faults = inject::uniform(mesh, 12, &[], &mut rng);
             let scenario = Scenario::build(faults);
-            let load = Workload::uniform_raw(&scenario, 60, 3, &mut rng);
+            let load = Workload::offered_load(
+                &scenario,
+                TrafficPattern::Uniform,
+                60,
+                3.0 / 256.0,
+                &mut rng,
+            );
             let view = scenario.view(Model::FaultBlock);
             let boundary = scenario.boundary_map(Model::FaultBlock);
 
@@ -601,7 +607,8 @@ mod tests {
         // contend for one link and the older moves, the younger waits;
         // the one heading North claims another link and moves too.
         let mesh = Mesh::square(10);
-        let mut sim = EventSim::new(mesh, XyRouter::fault_free(mesh));
+        let blocks = BlockMap::build(&FaultSet::new(mesh));
+        let mut sim = EventSim::new(mesh, XyRouter::new(mesh, &blocks));
         let from = Coord::new(2, 2);
         for dest in [Coord::new(6, 2), Coord::new(7, 2), Coord::new(2, 7)] {
             sim.inject(Packet::direct(from, dest), 0);

@@ -11,9 +11,12 @@
 //!   by [`WuRouter`] (the paper's protocol, driven by boundary
 //!   information via [`emr_core::route::wu_step`]), [`OracleRouter`]
 //!   (global information), and the baselines below,
-//! * [`Workload`] — generated traffic: strategy-4 witness plans, plus
-//!   the saturation patterns ([`TrafficPattern`]: uniform / transpose /
-//!   hotspot) with offered-load injection schedules,
+//! * [`Workload`] — generated traffic, from one generator,
+//!   [`Workload::offered_load`]: a [`TrafficPattern`] (uniform /
+//!   transpose / hotspot) under an offered-load injection schedule,
+//! * [`Packet::ensured`] — strategy-4 admission: the packet carrying its
+//!   witness plan when [`emr_core::conditions::strategy4`] ensures a
+//!   minimal route, so an admitted subset of a batch never fails,
 //! * [`NetSim`] — the cycle-driven stepper: the pinned, cycle-accurate
 //!   ground truth,
 //! * [`EventSim`] — the event-driven core: a BTree-keyed event calendar

@@ -2,7 +2,7 @@ use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
-use emr_core::RoutePlan;
+use emr_core::{conditions, ModelView, RoutePlan};
 use emr_mesh::Coord;
 
 /// One packet: a source, a destination, and the waypoint legs realizing
@@ -54,6 +54,18 @@ impl Packet {
             }
         };
         Packet { source, dest, legs }
+    }
+
+    /// Strategy-4 admission: the packet following the witness plan when
+    /// [`conditions::strategy4`] ensures a minimal route from `source` to
+    /// `dest` under `view`, else `None` (an unusable endpoint or a
+    /// sub-minimal guarantee included), leaving that pair to a non-minimal
+    /// fallback outside the paper's scope.
+    pub fn ensured(view: &ModelView<'_>, source: Coord, dest: Coord) -> Option<Packet> {
+        let ensured = conditions::strategy4(view, source, dest)?;
+        ensured
+            .is_minimal()
+            .then(|| Packet::with_plan(source, dest, &ensured.plan()))
     }
 
     /// Where the packet was injected.

@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use emr_core::{conditions, Model, Scenario};
+use emr_core::Scenario;
 use emr_mesh::Coord;
 
 use crate::packet::Packet;
@@ -27,6 +27,8 @@ pub enum TrafficPattern {
 }
 
 /// A batch of scheduled traffic: `(injection cycle, packet)` pairs.
+/// [`Workload::offered_load`] generates it; [`Packet::ensured`] admits
+/// the strategy-4 subset of a batch.
 ///
 /// # Examples
 ///
@@ -34,13 +36,19 @@ pub enum TrafficPattern {
 /// use emr_core::{Model, Scenario};
 /// use emr_fault::FaultSet;
 /// use emr_mesh::Mesh;
-/// use emr_netsim::Workload;
+/// use emr_netsim::{Packet, TrafficPattern, Workload};
 ///
 /// let mesh = Mesh::square(16);
 /// let scenario = Scenario::build(FaultSet::new(mesh));
 /// let mut rng = rand::thread_rng();
-/// let load = Workload::uniform_ensured(&scenario, Model::FaultBlock, 20, 2, &mut rng);
+/// let load = Workload::offered_load(&scenario, TrafficPattern::Uniform, 20, 0.01, &mut rng);
 /// assert_eq!(load.len(), 20);
+/// // On a fault-free mesh strategy 4 ensures every pair.
+/// let view = scenario.view(Model::FaultBlock);
+/// assert!(load
+///     .packets()
+///     .iter()
+///     .all(|(_, p)| Packet::ensured(&view, p.source(), p.dest()).is_some()));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Workload {
@@ -48,93 +56,6 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Uniform random traffic whose every packet carries a strategy-4
-    /// witness plan: `count` packets between random usable endpoint pairs
-    /// for which strategy 4 ensures a minimal route, injected
-    /// `per_cycle` per cycle. Pairs the strategy cannot ensure are
-    /// redrawn (they would be handled by a non-minimal fallback in a real
-    /// system, which is outside the paper's scope).
-    pub fn uniform_ensured(
-        scenario: &Scenario,
-        model: Model,
-        count: usize,
-        per_cycle: u64,
-        rng: &mut impl Rng,
-    ) -> Workload {
-        let view = scenario.view(model);
-        let mesh = scenario.mesh();
-        let mut packets = Vec::with_capacity(count);
-        let mut cycle = 0u64;
-        let mut in_cycle = 0u64;
-        let mut guard = 0u32;
-        while packets.len() < count {
-            guard += 1;
-            assert!(
-                guard < 100_000,
-                "could not find ensured traffic pairs (mesh too faulty?)"
-            );
-            let s = Coord::new(
-                rng.gen_range(0..mesh.width()),
-                rng.gen_range(0..mesh.height()),
-            );
-            let d = Coord::new(
-                rng.gen_range(0..mesh.width()),
-                rng.gen_range(0..mesh.height()),
-            );
-            if s == d || !view.endpoints_usable(s, d) {
-                continue;
-            }
-            let Some(ensured) = conditions::strategy4(&view, s, d) else {
-                continue;
-            };
-            if !ensured.is_minimal() {
-                continue;
-            }
-            packets.push((cycle, Packet::with_plan(s, d, &ensured.plan())));
-            in_cycle += 1;
-            if in_cycle >= per_cycle {
-                in_cycle = 0;
-                cycle += 1;
-            }
-        }
-        Workload { packets }
-    }
-
-    /// Uniform random direct traffic with no plan filtering (exercises
-    /// router failure behavior).
-    pub fn uniform_raw(
-        scenario: &Scenario,
-        count: usize,
-        per_cycle: u64,
-        rng: &mut impl Rng,
-    ) -> Workload {
-        let mesh = scenario.mesh();
-        let blocks = scenario.blocks();
-        let mut packets = Vec::with_capacity(count);
-        let mut cycle = 0u64;
-        let mut in_cycle = 0u64;
-        while packets.len() < count {
-            let s = Coord::new(
-                rng.gen_range(0..mesh.width()),
-                rng.gen_range(0..mesh.height()),
-            );
-            let d = Coord::new(
-                rng.gen_range(0..mesh.width()),
-                rng.gen_range(0..mesh.height()),
-            );
-            if s == d || blocks.is_blocked(s) || blocks.is_blocked(d) {
-                continue;
-            }
-            packets.push((cycle, Packet::direct(s, d)));
-            in_cycle += 1;
-            if in_cycle >= per_cycle {
-                in_cycle = 0;
-                cycle += 1;
-            }
-        }
-        Workload { packets }
-    }
-
     /// Offered-load traffic: `count` packets under `pattern`, with
     /// injection cycles scheduled from an offered load of `offered`
     /// packets per node per cycle — packet `i` is injected at cycle
@@ -264,6 +185,7 @@ mod tests {
     use super::*;
     use crate::router::WuRouter;
     use crate::sim::NetSim;
+    use emr_core::Model;
     use emr_fault::{inject, FaultSet};
     use emr_mesh::Mesh;
     use rand::rngs::StdRng;
@@ -275,15 +197,33 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let faults = inject::uniform(mesh, 20, &[], &mut rng);
         let scenario = Scenario::build(faults);
-        let load = Workload::uniform_ensured(&scenario, Model::FaultBlock, 60, 3, &mut rng);
-        assert_eq!(load.len(), 60);
-
+        let offered = Workload::offered_load(
+            &scenario,
+            TrafficPattern::Uniform,
+            80,
+            3.0 / 576.0,
+            &mut rng,
+        );
         let view = scenario.view(Model::FaultBlock);
+        let admitted: Vec<(u64, Packet)> = offered
+            .packets()
+            .iter()
+            .filter_map(|(cycle, p)| Some((*cycle, Packet::ensured(&view, p.source(), p.dest())?)))
+            .collect();
+        assert!(admitted.len() >= 40, "admitted {}", admitted.len());
+
         let boundary = scenario.boundary_map(Model::FaultBlock);
         let mut sim = NetSim::new(mesh, WuRouter::new(&view, &boundary));
-        load.inject_into(&mut sim);
+        for (cycle, p) in &admitted {
+            sim.inject(p.clone(), *cycle);
+        }
         let report = sim.run_to_completion(10_000).unwrap();
-        assert_eq!(report.delivered, 60, "failed: {}", report.failed);
+        assert_eq!(
+            report.delivered,
+            admitted.len() as u64,
+            "failed: {}",
+            report.failed
+        );
         // Every plan was minimal, so the aggregate stretch is exactly 1.
         assert!((report.hop_stretch() - 1.0).abs() < 1e-12);
         // Latency includes queueing, so it is at least the hop count.
@@ -296,7 +236,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let faults = inject::uniform(mesh, 30, &[], &mut rng);
         let scenario = Scenario::build(faults);
-        let load = Workload::uniform_raw(&scenario, 40, 4, &mut rng);
+        let load = Workload::offered_load(&scenario, TrafficPattern::Uniform, 40, 0.01, &mut rng);
         let view = scenario.view(Model::FaultBlock);
         let boundary = scenario.boundary_map(Model::FaultBlock);
         let mut sim = NetSim::new(mesh, WuRouter::new(&view, &boundary));
@@ -400,12 +340,17 @@ mod tests {
     }
 
     #[test]
-    fn empty_scenario_workload_on_clean_mesh() {
+    fn clean_mesh_admits_every_packet() {
         let mesh = Mesh::square(8);
         let scenario = Scenario::build(FaultSet::new(mesh));
         let mut rng = StdRng::seed_from_u64(1);
-        let load = Workload::uniform_ensured(&scenario, Model::Mcc, 10, 1, &mut rng);
-        assert!(!load.is_empty());
-        assert_eq!(load.packets().len(), 10);
+        let load =
+            Workload::offered_load(&scenario, TrafficPattern::Uniform, 10, 1.0 / 64.0, &mut rng);
+        assert_eq!(load.len(), 10);
+        let view = scenario.view(Model::Mcc);
+        for (_, p) in load.packets() {
+            let admitted = Packet::ensured(&view, p.source(), p.dest()).expect("ensured");
+            assert_eq!((admitted.source(), admitted.dest()), (p.source(), p.dest()));
+        }
     }
 }

@@ -12,7 +12,7 @@ use emr_core::{Model, Scenario, ScenarioState};
 use emr_fault::inject;
 use emr_mesh::{Coord, Mesh};
 use emr_netsim::{
-    EpochedWuRouter, EventSim, NetSim, SimReport, TrafficPattern, Workload, WuRouter,
+    EpochedWuRouter, EventSim, NetSim, Packet, SimReport, TrafficPattern, Workload, WuRouter,
 };
 
 /// One scheduled packet, flattened for comparison: injection cycle,
@@ -27,10 +27,23 @@ fn run_once(scenario_seed: u64, workload_seed: u64) -> (SimReport, Vec<Scheduled
     let faults = inject::uniform(mesh, 10, &[], &mut inj_rng);
     let scenario = Scenario::build(faults);
 
+    // Strategy-4 admitted traffic: the ensured subset of 40 uniform
+    // packets offered at 2 per cycle.
     let mut load_rng = StdRng::seed_from_u64(workload_seed);
-    let load = Workload::uniform_ensured(&scenario, Model::FaultBlock, 40, 2, &mut load_rng);
-    let schedule: Vec<Scheduled> = load
+    let offered = Workload::offered_load(
+        &scenario,
+        TrafficPattern::Uniform,
+        40,
+        2.0 / 196.0,
+        &mut load_rng,
+    );
+    let view = scenario.view(Model::FaultBlock);
+    let admitted: Vec<(u64, Packet)> = offered
         .packets()
+        .iter()
+        .filter_map(|(cycle, p)| Some((*cycle, Packet::ensured(&view, p.source(), p.dest())?)))
+        .collect();
+    let schedule: Vec<Scheduled> = admitted
         .iter()
         .map(|(cycle, p)| {
             let s = p.source();
@@ -39,10 +52,11 @@ fn run_once(scenario_seed: u64, workload_seed: u64) -> (SimReport, Vec<Scheduled
         })
         .collect();
 
-    let view = scenario.view(Model::FaultBlock);
     let boundary = scenario.boundary_map(Model::FaultBlock);
     let mut sim = NetSim::new(mesh, WuRouter::new(&view, &boundary));
-    load.inject_into(&mut sim);
+    for (cycle, p) in admitted {
+        sim.inject(p, cycle);
+    }
     let report = sim
         .run_to_completion(100_000)
         .expect("simulation completes");

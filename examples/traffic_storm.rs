@@ -4,7 +4,9 @@
 //!
 //! Run with `cargo run --release --example traffic_storm [faults] [packets]`.
 
-use emr2d::netsim::{NetSim, OracleRouter, Router, Workload, WuRouter, XyRouter};
+use emr2d::netsim::{
+    NetSim, OracleRouter, Packet, Router, TrafficPattern, Workload, WuRouter, XyRouter,
+};
 use emr2d::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,25 +35,32 @@ fn main() {
     );
 
     // Raw uniform traffic (no plan filtering): shows failure behavior.
-    let raw = Workload::uniform_raw(&scenario, packets, 4, &mut rng);
+    let offered = 4.0 / mesh.node_count() as f64;
+    let load = Workload::offered_load(
+        &scenario,
+        TrafficPattern::Uniform,
+        packets,
+        offered,
+        &mut rng,
+    );
+    let raw = load.packets();
     run(
         "XY (fault-oblivious)",
-        &raw,
+        raw,
         &mesh,
         XyRouter::new(mesh, scenario.blocks()),
     );
-    run("Wu protocol", &raw, &mesh, WuRouter::new(&view, &boundary));
-    run(
-        "oracle (global info)",
-        &raw,
-        &mesh,
-        OracleRouter::new(&view),
-    );
+    run("Wu protocol", raw, &mesh, WuRouter::new(&view, &boundary));
+    run("oracle (global info)", raw, &mesh, OracleRouter::new(&view));
 
-    // Strategy-4 filtered traffic: everything Wu routes is guaranteed.
-    let ensured = Workload::uniform_ensured(&scenario, Model::FaultBlock, packets, 4, &mut rng);
+    // The strategy-4 admitted subset of the same batch: everything Wu
+    // routes is guaranteed.
+    let ensured: Vec<(u64, Packet)> = raw
+        .iter()
+        .filter_map(|(cycle, p)| Some((*cycle, Packet::ensured(&view, p.source(), p.dest())?)))
+        .collect();
     run(
-        "Wu protocol (ensured)",
+        &format!("Wu ({} admitted)", ensured.len()),
         &ensured,
         &mesh,
         WuRouter::new(&view, &boundary),
@@ -64,9 +73,11 @@ fn main() {
     );
 }
 
-fn run(label: &str, load: &Workload, mesh: &Mesh, router: impl Router) {
+fn run(label: &str, traffic: &[(u64, Packet)], mesh: &Mesh, router: impl Router) {
     let mut sim = NetSim::new(*mesh, router);
-    load.inject_into(&mut sim);
+    for (cycle, packet) in traffic {
+        sim.inject(packet.clone(), *cycle);
+    }
     let report = sim.run_to_completion(1_000_000).expect("bounded traffic");
     println!(
         "{label:<22} {:>10} {:>8} {:>12.2} {:>9.3} {:>10}",

@@ -3,7 +3,7 @@
 //! end to end; the 3-D extension composes with the 2-D machinery.
 
 use emr2d::core::conditions;
-use emr2d::netsim::{NetSim, Workload, WuRouter, XyRouter};
+use emr2d::netsim::{NetSim, Packet, TrafficPattern, Workload, WuRouter, XyRouter};
 use emr2d::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,11 +18,28 @@ fn admission_controlled_traffic_never_fails() {
         let scenario = Scenario::build(inject::uniform(mesh, k, &[], &mut rng));
         let view = scenario.view(Model::FaultBlock);
         let boundary = scenario.boundary_map(Model::FaultBlock);
-        let load = Workload::uniform_ensured(&scenario, Model::FaultBlock, 80, 4, &mut rng);
+        let offered = Workload::offered_load(
+            &scenario,
+            TrafficPattern::Uniform,
+            100,
+            4.0 / 1024.0,
+            &mut rng,
+        );
         let mut sim = NetSim::new(mesh, WuRouter::new(&view, &boundary));
-        load.inject_into(&mut sim);
+        let mut admitted = 0;
+        for (cycle, p) in offered.packets() {
+            if let Some(packet) = Packet::ensured(&view, p.source(), p.dest()) {
+                sim.inject(packet, *cycle);
+                admitted += 1;
+            }
+        }
+        assert!(admitted >= 50, "k={k}: only {admitted} of 100 admitted");
         let report = sim.run_to_completion(100_000).expect("bounded");
-        assert_eq!(report.delivered, 80, "k={k}: {} failed", report.failed);
+        assert_eq!(
+            report.delivered, admitted,
+            "k={k}: {} failed",
+            report.failed
+        );
         assert!((report.hop_stretch() - 1.0).abs() < 1e-12, "k={k}");
         assert!(report.total_latency >= report.total_hops);
     }
@@ -37,7 +54,13 @@ fn wu_dominates_xy_on_shared_traffic() {
     let scenario = Scenario::build(inject::uniform(mesh, 30, &[], &mut rng));
     let view = scenario.view(Model::FaultBlock);
     let boundary = scenario.boundary_map(Model::FaultBlock);
-    let load = Workload::uniform_raw(&scenario, 120, 4, &mut rng);
+    let load = Workload::offered_load(
+        &scenario,
+        TrafficPattern::Uniform,
+        120,
+        4.0 / 1024.0,
+        &mut rng,
+    );
 
     let mut xy = NetSim::new(mesh, XyRouter::new(mesh, scenario.blocks()));
     load.inject_into(&mut xy);
