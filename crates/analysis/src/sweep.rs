@@ -138,14 +138,15 @@ pub struct TrialInput<'a> {
     /// A destination in the source's first-quadrant submesh, outside every
     /// faulty block.
     pub dest: Coord,
-    /// Batched ground truth from the source against the raw fault set,
-    /// built on first use (measures that never consult it pay nothing).
+    /// Ground truth from the source toward the destination against the
+    /// raw fault set, built on first use (measures that never consult it
+    /// pay nothing).
     reach: OnceCell<ReachMap>,
 }
 
 impl<'a> TrialInput<'a> {
-    /// Assembles a trial input; the batched reachability map stays unbuilt
-    /// until [`TrialInput::reach`] is first called.
+    /// Assembles a trial input; the reachability map stays unbuilt until
+    /// [`TrialInput::reach`] is first called.
     pub fn new(scenario: &'a Scenario, source: Coord, dest: Coord) -> TrialInput<'a> {
         TrialInput {
             scenario,
@@ -155,13 +156,17 @@ impl<'a> TrialInput<'a> {
         }
     }
 
-    /// The word-parallel all-destinations ground truth for this trial:
-    /// `reach().reachable(d)` equals
-    /// `reach::minimal_path_exists(mesh, source, d, faults)` for every
-    /// `d`, at O(1) per lookup after one build.
+    /// The word-parallel ground truth for this trial: one sweep of the
+    /// rectangle spanned by the source and the destination, after which
+    /// `reach().reachable(v)` equals
+    /// `reach::minimal_path_exists(mesh, source, v, faults)` for every
+    /// `v` of that rectangle (`dest` included) at O(1) per lookup. A node
+    /// outside the rectangle but inside the mesh panics; see
+    /// [`ReachMap::reachable`].
     pub fn reach(&self) -> &ReachMap {
-        self.reach
-            .get_or_init(|| ReachMap::from_packed(self.source, self.scenario.faults().packed()))
+        self.reach.get_or_init(|| {
+            ReachMap::from_packed(self.source, self.dest, self.scenario.faults().packed())
+        })
     }
 }
 
@@ -499,12 +504,18 @@ mod tests {
     }
 
     /// A measure exercising every determinism-relevant path: scenario
-    /// geometry, the reachability oracle, and the measurement RNG stream.
+    /// geometry, the reachability oracle (the scalar DP, checked against
+    /// the trial's map), and the measurement RNG stream.
     fn golden_measure(input: &TrialInput<'_>, rng: &mut StdRng) -> Vec<f64> {
         let (s, d) = (input.source, input.dest);
         let reachable = emr_fault::reach::minimal_path_exists(&input.scenario.mesh(), s, d, |c| {
             input.scenario.faults().is_faulty(c)
         });
+        assert_eq!(
+            input.reach().reachable(d),
+            reachable,
+            "trial map {s} -> {d}"
+        );
         vec![
             f64::from(d.x + d.y),
             f64::from(u8::from(reachable)),

@@ -17,7 +17,8 @@ use emr_core::conditions::{self, PivotPolicy};
 use emr_core::{Model, Scenario};
 use emr_distsim::protocols::{boundary, esl, exchange};
 use emr_distsim::Engine;
-use emr_fault::{inject, reach};
+use emr_fault::inject;
+use emr_fault::reach_bits::minimal_path_exists_packed;
 use emr_mesh::{Coord, Grid, Mesh, Quadrant, Rect};
 
 /// Builds a table by running `measure` over `cfg.trials` trials per fault
@@ -57,9 +58,7 @@ pub fn clustered_faults(cfg: &SweepConfig) -> SeriesTable {
         vec![
             yes(conditions::safe_source(&view, s, d).is_some()),
             yes(matches!(conditions::strategy4(&view, s, d), Some(e) if e.is_minimal())),
-            yes(reach::minimal_path_exists(&sc.mesh(), s, d, |c| {
-                sc.faults().is_faulty(c)
-            })),
+            yes(minimal_path_exists_packed(s, d, sc.faults().packed())),
         ]
     };
     let uniform = custom_sweep(
@@ -106,9 +105,7 @@ pub fn pivot_policies(cfg: &SweepConfig) -> SeriesTable {
                 let pivots = conditions::select_pivots(region, 3, policy, rng);
                 samples.push(yes(conditions::ext3(&view, s, d, &pivots).is_some()));
             }
-            samples.push(yes(reach::minimal_path_exists(&sc.mesh(), s, d, |c| {
-                sc.faults().is_faulty(c)
-            })));
+            samples.push(yes(minimal_path_exists_packed(s, d, sc.faults().packed())));
             samples
         },
     )

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use emr_analysis::{affected, sweep, SeriesTable, SweepConfig};
 use emr_core::conditions::{self, PivotPolicy, SegmentSize, StrategyKind, StrategyParams};
 use emr_core::{Ensured, Model, Scenario};
-use emr_fault::reach;
+use emr_fault::reach_bits::minimal_path_exists_packed;
 use emr_mesh::Coord;
 
 use sweep::TrialInput;
@@ -25,10 +25,7 @@ fn optimal_exact(input: &TrialInput<'_>) -> bool {
 /// The block-model optimum: a minimal path avoiding whole faulty blocks
 /// exists (what a router with global *block* information can achieve).
 fn optimal_blocks(input: &TrialInput<'_>) -> bool {
-    let sc = input.scenario;
-    reach::minimal_path_exists(&sc.mesh(), input.source, input.dest, |c| {
-        sc.blocks().is_blocked(c)
-    })
+    minimal_path_exists_packed(input.source, input.dest, input.scenario.blocks().packed())
 }
 
 fn yes(b: bool) -> f64 {

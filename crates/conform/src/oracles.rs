@@ -89,9 +89,11 @@ pub const ORACLES: &[Oracle] = &[
     },
     Oracle {
         name: "reach-bits-matches-dp",
-        claim: "the word-parallel per-pair oracle and ReachMap lookups \
-                equal the scalar DP on every pair and node, for both the \
-                fault and block obstacle sets (ground truth: emr_fault::reach)",
+        claim: "the word-parallel pair kernels (predicate and packed, \
+                serve's path) and each pair's rectangle ReachMap equal the \
+                scalar DP on every pair, and the four corner maps from a \
+                source equal it on every node, for both the fault and block \
+                obstacle sets (ground truth: emr_fault::reach)",
         check: o_reach_bits_matches_dp,
     },
     Oracle {
@@ -369,22 +371,39 @@ fn o_reach_bits_matches_dp(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violatio
     let obstacle_sets: [(&str, &dyn Fn(Coord) -> bool); 2] =
         [("faults", &is_fault), ("blocks", &is_block)];
     for (label, blocked) in obstacle_sets {
-        // Per-pair drop-in: both oracles answer every spec pair alike.
+        let packed = BitGrid::from_blocked(mesh, blocked);
+        // Per pair: every reach answer the system serves — the predicate
+        // kernel, serve's packed kernel, and the pair's own rectangle map
+        // (the sweep's path) at its far corner — equals the DP.
         for &(s, d) in &spec.pairs {
             let scalar = reach::minimal_path_exists(&mesh, s, d, blocked);
-            let bits = reach_bits::minimal_path_exists_bits(&mesh, s, d, blocked);
-            if bits != scalar {
-                out.push(violation(
-                    "reach-bits-matches-dp",
-                    format!(
-                        "[{label}] {s}->{d}: bit-parallel says {bits}, scalar DP says {scalar}"
-                    ),
-                ));
+            let answers = [
+                (
+                    "bit-parallel",
+                    reach_bits::minimal_path_exists_bits(&mesh, s, d, blocked),
+                ),
+                (
+                    "packed",
+                    reach_bits::minimal_path_exists_packed(s, d, &packed),
+                ),
+                (
+                    "rectangle map",
+                    ReachMap::from_packed(s, d, &packed).reachable(d),
+                ),
+            ];
+            for (kernel, got) in answers {
+                if got != scalar {
+                    out.push(violation(
+                        "reach-bits-matches-dp",
+                        format!("[{label}] {s}->{d}: {kernel} says {got}, scalar DP says {scalar}"),
+                    ));
+                }
             }
         }
-        // Batched map: from up to two distinct pair sources, every node's
-        // lookup equals a scalar recompute (covers all four quadrants and
-        // the axis/source overlaps between them).
+        // Whole mesh: from up to two distinct pair sources, the four maps
+        // toward the mesh corners answer every node like a scalar
+        // recompute. The source's row and column lie in two maps, and
+        // both must agree.
         let mut sources: Vec<Coord> = Vec::new();
         for &(s, _) in &spec.pairs {
             if !sources.contains(&s) {
@@ -394,20 +413,26 @@ fn o_reach_bits_matches_dp(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violatio
                 break;
             }
         }
-        let packed = BitGrid::from_blocked(mesh, blocked);
+        let (w, h) = (mesh.width(), mesh.height());
         for s in sources {
-            let map = ReachMap::from_packed(s, &packed);
-            for d in mesh.nodes() {
-                let scalar = reach::minimal_path_exists(&mesh, s, d, blocked);
-                if map.reachable(d) != scalar {
+            let dp = Grid::from_fn(mesh, |d| reach::minimal_path_exists(&mesh, s, d, blocked));
+            for corner in [(0, 0), (w - 1, 0), (0, h - 1), (w - 1, h - 1)].map(Coord::from) {
+                let map = ReachMap::from_packed(s, corner, &packed);
+                if let Some(d) = Rect::point(s)
+                    .expanded_to(corner)
+                    .iter()
+                    .find(|&d| map.reachable(d) != dp[d])
+                {
+                    // One node pinpoints the divergence; the rest cascade.
                     out.push(violation(
                         "reach-bits-matches-dp",
                         format!(
-                            "[{label}] ReachMap from {s} says {} at {d}, scalar DP says {scalar}",
-                            map.reachable(d)
+                            "[{label}] ReachMap from {s} toward {corner} says {} at {d}, \
+                             scalar DP says {}",
+                            map.reachable(d),
+                            dp[d]
                         ),
                     ));
-                    break; // one node pinpoints the divergence; the rest cascade
                 }
             }
         }

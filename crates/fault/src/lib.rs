@@ -19,7 +19,8 @@
 //!   "existence of a minimal path" curve of every figure),
 //! * [`reach_bits`] — the word-parallel form of the same oracle: a packed
 //!   per-pair kernel plus [`ReachMap`], which answers reachability from
-//!   one source to every node after four quadrant sweeps,
+//!   one source to every node of one route rectangle after one sweep of
+//!   it (the same row loop as the pair kernel),
 //! * [`coverage`] — Wang's necessary-and-sufficient condition phrased on
 //!   block rectangles (the global-information baseline).
 //!

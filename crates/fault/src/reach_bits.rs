@@ -23,7 +23,8 @@
 //! reach of the row, 64 columns per add. A carry flag extends the ripple
 //! across word boundaries.
 //!
-//! Three oracles sit on top of [`reach_row`]:
+//! Three oracles sit on top of [`reach_row`], and all three run one row
+//! loop over the rectangle a source and a far corner span:
 //!
 //! * [`minimal_path_exists_bits`] — drop-in replacement for
 //!   [`crate::reach::minimal_path_exists`], same per-pair O(area) shape
@@ -31,11 +32,11 @@
 //! * [`minimal_path_exists_packed`] — the same per-pair kernel over an
 //!   already-packed obstacle grid, copying each rectangle row as words
 //!   instead of calling a predicate per node, and
-//! * [`ReachMap`] — four quadrant sweeps from one source answering
-//!   reachability to **every** node, after which each query is an O(1)
-//!   bit lookup. Build it whenever several destinations share a source.
+//! * [`ReachMap`] — the same sweep, keeping every row: reachability from
+//!   one source to **every** node of its rectangle, after which each
+//!   query is an O(1) bit lookup.
 
-use emr_mesh::{BitGrid, Coord, MemBytes, Mesh, Quadrant};
+use emr_mesh::{BitGrid, Coord, MemBytes, Mesh, Rect};
 
 use crate::workspace::{with_scratch, Workspace};
 
@@ -120,23 +121,18 @@ pub fn minimal_path_exists_bits(
     if !mesh.contains(s) || !mesh.contains(d) || blocked(s) || blocked(d) {
         return false;
     }
-    let xs = if Quadrant::of(s, d).x_positive() {
-        1
-    } else {
-        -1
+    let xs = if d.x >= s.x { 1 } else { -1 };
+    let open_row = |ay, width, open: &mut [u64]| {
+        fill_open_row(open, width, |rx| !blocked(Coord::new(s.x + xs * rx, ay)));
     };
-    with_scratch(|ws| {
-        pair_rows(s, d, ws, |ay, width, open| {
-            fill_open_row(open, width, |rx| !blocked(Coord::new(s.x + xs * rx, ay)));
-        })
-    })
+    with_scratch(|ws| sweep_rect(s, d, ws, open_row, |_, _| {}))
 }
 
 /// [`minimal_path_exists_bits`] over an already-packed obstacle grid (the
 /// set bits of `blocked` are the obstacles; the mesh is its mesh): each
 /// rectangle row is one word-level span copy, so a query costs
-/// `O(rows × words)` with no per-node work. Serve's reach queries pass
-/// [`crate::FaultSet::packed`] directly.
+/// `O(rows × words)` with no per-node work and no allocation. Serve's
+/// reach queries pass [`crate::FaultSet::packed`] directly.
 ///
 /// # Examples
 ///
@@ -152,32 +148,29 @@ pub fn minimal_path_exists_packed(s: Coord, d: Coord, blocked: &BitGrid) -> bool
     if blocked.get(s) != Some(false) || blocked.get(d) != Some(false) {
         return false;
     }
-    let east = Quadrant::of(s, d).x_positive();
-    with_scratch(|ws| {
-        pair_rows(s, d, ws, |ay, width, open| {
-            open_span(blocked, Coord::new(s.x, ay), width, east, open);
-        })
-    })
+    with_scratch(|ws| sweep_rect(s, d, ws, packed_rows(s, d, blocked), |_, _| {}))
 }
 
-/// The row loop of both pair kernels, on this thread's scratch rows
-/// (endpoints already checked open and in-mesh). `open_row(ay, width,
-/// dst)` packs the open mask of rectangle row `ay` in travel order: bit
-/// `j` is column `s.x ± j` toward `d`, for `j < width`.
+/// The row loop of all three kernels, on the scratch rows of `ws`: one
+/// sweep of the rectangle spanned by `s` and `corner` in the relative
+/// frame, returning whether `corner` is reachable (the caller has checked
+/// that `s` is open and both ends lie in the mesh). `open_row(ay, width,
+/// dst)` packs the open mask of mesh row `ay` in travel order: bit `j` is
+/// column `s.x ± j` toward `corner`, for `j < width`. `keep_row(ry, row)`
+/// receives the reach bits of relative row `ry` (mesh row `s.y ± ry`);
+/// the sweep stops at the first sealed row, whose successors stay
+/// unreached.
 // emr-lint: allow(A1, "frontier and obstacle rows share the packed width, so word offsets are always in range")
-fn pair_rows(
+fn sweep_rect(
     s: Coord,
-    d: Coord,
+    corner: Coord,
     ws: &mut Workspace,
     open_row: impl Fn(i32, i32, &mut [u64]),
+    mut keep_row: impl FnMut(i32, &[u64]),
 ) -> bool {
-    let ys = if Quadrant::of(s, d).y_positive() {
-        1
-    } else {
-        -1
-    };
-    let dx = (d.x - s.x).abs();
-    let dy = (d.y - s.y).abs();
+    let ys = if corner.y >= s.y { 1 } else { -1 };
+    let dx = (corner.x - s.x).abs();
+    let dy = (corner.y - s.y).abs();
     let width = dx + 1;
     let words = (width as usize).div_ceil(64);
     let Workspace {
@@ -194,173 +187,140 @@ fn pair_rows(
         if row_cur.iter().all(|&w| w == 0) {
             return false; // a sealed row kills every monotone path
         }
+        keep_row(ry, row_cur);
     }
     row_cur[dx as usize / 64] >> (dx % 64) & 1 == 1
 }
 
-/// Packs the open (non-blocked) mask of the `len` nodes of `packed` from
-/// `from` eastward or westward into `dst`, bit `j` holding column
-/// `from.x ± j`; bits at and beyond `len` are cleared, and columns off
-/// the mesh read as open.
-fn open_span(packed: &BitGrid, from: Coord, len: i32, east: bool, dst: &mut [u64]) {
-    if east {
-        packed.span_east(from, len, dst);
-    } else {
-        packed.span_west(from, len, dst);
-    }
-    for w in dst.iter_mut() {
-        *w = !*w;
-    }
-    if let Some(last) = dst.last_mut() {
-        *last &= low_mask(len);
+/// The `open_row` of [`sweep_rect`] over a packed obstacle grid: row `ay`
+/// is the open (non-blocked) mask of the span from column `s.x` toward
+/// `corner.x`, read with one `span_east` / `span_west` word copy.
+fn packed_rows(s: Coord, corner: Coord, blocked: &BitGrid) -> impl Fn(i32, i32, &mut [u64]) + '_ {
+    let east = corner.x >= s.x;
+    move |ay, width, dst| {
+        let from = Coord::new(s.x, ay);
+        if east {
+            blocked.span_east(from, width, dst);
+        } else {
+            blocked.span_west(from, width, dst);
+        }
+        for w in dst.iter_mut() {
+            *w = !*w;
+        }
+        if let Some(last) = dst.last_mut() {
+            *last &= low_mask(width);
+        }
     }
 }
 
-/// Reachability from one source to **every** node of the mesh.
+/// Reachability from one source to every node of one route rectangle.
 ///
-/// Four word-parallel quadrant sweeps (one per [`Quadrant`], each in the
-/// source-relative frame with the axes mirrored toward the quadrant) fill
-/// four packed [`BitGrid`]s; afterwards [`ReachMap::reachable`] is an O(1)
-/// bit lookup. This is the batched ground-truth oracle: when many
-/// destinations share a source — the sweep engine's per-trial series, the
-/// conformance oracles, the epoch rebuild baseline — one `ReachMap` build
-/// replaces a per-pair DP per destination.
+/// [`ReachMap::from_packed`] sweeps the rectangle spanned by the source
+/// and a corner once, in the source-relative frame, into one packed
+/// [`BitGrid`]: the bit of node `v` sits at `(|v.x − s.x|, |v.y − s.y|)`,
+/// so each row's write-back is a plain word copy and
+/// [`ReachMap::reachable`] is one bit lookup. A minimal path never leaves
+/// the rectangle its endpoints span, so the map toward `d` answers every
+/// destination on the way to `d`; the sweep engine builds one per trial
+/// toward the trial's destination. A whole-mesh answer is the four maps
+/// toward the mesh corners (the source's row and column lie in two).
 ///
 /// # Examples
 ///
 /// ```
-/// use emr_mesh::{BitGrid, Coord, Mesh};
+/// use emr_mesh::{BitGrid, Coord, Mesh, Rect};
 /// use emr_fault::reach_bits::ReachMap;
 /// use emr_fault::reach::minimal_path_exists;
 ///
 /// let mesh = Mesh::square(9);
 /// let blocked = |c: Coord| c.x == 4 && c.y >= 2;
-/// let map = ReachMap::from_packed(mesh.center(), &BitGrid::from_blocked(mesh, blocked));
-/// for d in mesh.nodes() {
-///     assert_eq!(
-///         map.reachable(d),
-///         minimal_path_exists(&mesh, mesh.center(), d, blocked),
-///     );
+/// let packed = BitGrid::from_blocked(mesh, blocked);
+/// let s = mesh.center();
+/// for corner in [(0, 0), (8, 0), (0, 8), (8, 8)].map(Coord::from) {
+///     let map = ReachMap::from_packed(s, corner, &packed);
+///     for d in Rect::point(s).expanded_to(corner).iter() {
+///         assert_eq!(map.reachable(d), minimal_path_exists(&mesh, s, d, blocked));
+///     }
 /// }
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReachMap {
     mesh: Mesh,
     source: Coord,
-    /// False when the source itself is blocked or outside the mesh — then
-    /// nothing is reachable and the grids stay empty.
+    /// The rectangle spanned by the source and the corner.
+    rect: Rect,
+    /// False when the source is blocked or either end lies outside the
+    /// mesh: then nothing is reachable and the grid stays a zero 1×1.
     live: bool,
-    /// Per-quadrant reach bits in *relative* coordinates `(|dx|, |dy|)`,
-    /// indexed I, II, III, IV. Relative frames keep the row write-back a
-    /// plain word copy — no per-row bit reversal for the mirrored sweeps.
-    grids: [BitGrid; 4],
+    /// The reach bits in relative coordinates `(|dx|, |dy|)`. Relative
+    /// frames keep the row write-back a plain word copy, with no per-row
+    /// bit reversal toward the west.
+    grid: BitGrid,
 }
 
 impl ReachMap {
-    /// Builds the map from a packed obstacle grid (the set bits of
-    /// `blocked` are the obstacles; the mesh is its mesh): the four
-    /// sweeps copy each row as words, with no per-node work. The sweep
-    /// harness hands in [`crate::FaultSet::packed`] directly; an obstacle
-    /// predicate packs once through [`BitGrid::from_blocked`].
-    pub fn from_packed(source: Coord, blocked: &BitGrid) -> ReachMap {
+    /// Sweeps the rectangle spanned by `source` and `corner` once over a
+    /// packed obstacle grid (the set bits of `blocked` are the obstacles;
+    /// the mesh is its mesh), copying each row as words with no per-node
+    /// work. The sweep harness hands in [`crate::FaultSet::packed`]
+    /// directly; an obstacle predicate packs once through
+    /// [`BitGrid::from_blocked`]. A source that is blocked or off the
+    /// mesh, or a corner off the mesh, gives a dead map that answers
+    /// `false` everywhere, as the pair kernels do.
+    pub fn from_packed(source: Coord, corner: Coord, blocked: &BitGrid) -> ReachMap {
         let mesh = blocked.mesh();
-        let live = mesh.contains(source) && blocked.get(source) == Some(false);
-        let mut grids: [BitGrid; 4] = std::array::from_fn(|_| BitGrid::new(Mesh::new(1, 1)));
+        let rect = Rect::point(source).expanded_to(corner);
+        let live = mesh.contains(corner) && blocked.get(source) == Some(false);
+        let mut grid = BitGrid::new(if live {
+            Mesh::new(rect.width(), rect.height())
+        } else {
+            Mesh::new(1, 1)
+        });
         if live {
+            let rows = packed_rows(source, corner, blocked);
             with_scratch(|ws| {
-                for (grid, &q) in grids.iter_mut().zip(Quadrant::ALL.iter()) {
-                    sweep_quadrant(grid, q, source, blocked, &mut ws.row_open, &mut ws.row_cur);
-                }
+                sweep_rect(source, corner, ws, rows, |ry, row| {
+                    grid.row_mut(ry).copy_from_slice(row);
+                })
             });
         }
         ReachMap {
             mesh,
             source,
+            rect,
             live,
-            grids,
+            grid,
         }
     }
 
-    /// The source this map was built from.
-    pub fn source(&self) -> Coord {
-        self.source
-    }
-
-    /// The mesh this map covers.
-    pub fn mesh(&self) -> Mesh {
-        self.mesh
-    }
-
-    /// Whether a minimal path from the source to `d` exists — identical
+    /// Whether a minimal path from the source to `v` exists — identical
     /// to [`crate::reach::minimal_path_exists`] for the same obstacle set.
-    pub fn reachable(&self, d: Coord) -> bool {
-        if !self.live || !self.mesh.contains(d) {
+    /// Off the mesh, and anywhere on a dead map, the answer is `false`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the map is live and `v` lies inside the mesh but outside
+    /// its rectangle: the sweep never looked there, so any answer would be
+    /// a guess.
+    pub fn reachable(&self, v: Coord) -> bool {
+        if !self.live || !self.mesh.contains(v) {
             return false;
         }
-        let q = Quadrant::of(self.source, d);
-        let rel = Coord::new((d.x - self.source.x).abs(), (d.y - self.source.y).abs());
-        let gi = match q {
-            Quadrant::I => 0,
-            Quadrant::II => 1,
-            Quadrant::III => 2,
-            Quadrant::IV => 3,
-        };
-        self.grids[gi].get(rel) == Some(true)
-    }
-
-    /// The number of mesh nodes reachable from the source (the source
-    /// itself included when it is open).
-    pub fn count_reachable(&self) -> usize {
-        self.mesh.nodes().filter(|&d| self.reachable(d)).count()
+        assert!(
+            self.rect.contains(v),
+            "{v} lies outside the reach map's rectangle {}",
+            self.rect
+        );
+        let rel = Coord::new((v.x - self.source.x).abs(), (v.y - self.source.y).abs());
+        self.grid.get(rel) == Some(true)
     }
 }
 
 impl MemBytes for ReachMap {
-    /// The four packed quadrant grids (together about one bit per node
-    /// plus the overlap of the shared source row and column).
+    /// The packed grid: one bit per node of the rectangle, padded to
+    /// whole words per row.
     fn mem_bytes(&self) -> u64 {
-        self.grids.iter().map(MemBytes::mem_bytes).sum()
-    }
-}
-
-/// One quadrant's reachability sweep: resets `grid` to the quadrant's
-/// relative frame and fills it row by row with the carry-chain kernel.
-/// `row_open`/`row_cur` are row-sized scratch buffers.
-fn sweep_quadrant(
-    grid: &mut BitGrid,
-    q: Quadrant,
-    source: Coord,
-    packed: &BitGrid,
-    row_open: &mut Vec<u64>,
-    row_cur: &mut Vec<u64>,
-) {
-    let mesh = packed.mesh();
-    let ys = if q.y_positive() { 1 } else { -1 };
-    let qw = if q.x_positive() {
-        mesh.width() - source.x
-    } else {
-        source.x + 1
-    };
-    let qh = if q.y_positive() {
-        mesh.height() - source.y
-    } else {
-        source.y + 1
-    };
-    grid.reset(Mesh::new(qw, qh));
-    let words = grid.words_per_row();
-    row_open.clear();
-    row_open.resize(words, 0);
-    row_cur.clear();
-    row_cur.resize(words, 0);
-    row_cur[0] = 1; // the source seeds its own row
-    for ry in 0..qh {
-        let from = Coord::new(source.x, source.y + ys * ry);
-        open_span(packed, from, qw, q.x_positive(), row_open);
-        reach_row(row_open, row_cur);
-        if row_cur.iter().all(|&w| w == 0) {
-            break; // rows beyond a sealed row stay all-zero
-        }
-        grid.row_mut(ry).copy_from_slice(row_cur);
+        self.grid.mem_bytes()
     }
 }
 
@@ -369,10 +329,20 @@ mod tests {
     use super::*;
     use crate::reach::minimal_path_exists;
 
+    /// The four maps from `s` toward the corners of `mesh`: together they
+    /// answer every node, and the source's row and column lie in two.
+    fn corner_maps(s: Coord, packed: &BitGrid) -> [ReachMap; 4] {
+        let (w, h) = (packed.mesh().width(), packed.mesh().height());
+        [(0, 0), (w - 1, 0), (0, h - 1), (w - 1, h - 1)]
+            .map(|corner| ReachMap::from_packed(s, Coord::from(corner), packed))
+    }
+
     /// Every (pair oracle, map lookup) agrees with the scalar DP over all
-    /// destinations from `s` under `blocked`.
+    /// destinations from `s` under `blocked`; a node answers in every
+    /// corner map whose rectangle holds it.
     fn assert_matches_scalar(mesh: &Mesh, s: Coord, blocked: impl Fn(Coord) -> bool + Copy) {
-        let map = ReachMap::from_packed(s, &BitGrid::from_blocked(*mesh, blocked));
+        let packed = BitGrid::from_blocked(*mesh, blocked);
+        let maps = corner_maps(s, &packed);
         for d in mesh.nodes() {
             let want = minimal_path_exists(mesh, s, d, blocked);
             assert_eq!(
@@ -380,7 +350,14 @@ mod tests {
                 want,
                 "pair oracle s={s} d={d}"
             );
-            assert_eq!(map.reachable(d), want, "map lookup s={s} d={d}");
+            assert_eq!(
+                minimal_path_exists_packed(s, d, &packed),
+                want,
+                "packed pair oracle s={s} d={d}"
+            );
+            for map in maps.iter().filter(|m| m.rect.contains(d)) {
+                assert_eq!(map.reachable(d), want, "map lookup s={s} d={d}");
+            }
         }
     }
 
@@ -428,7 +405,9 @@ mod tests {
             // Blocked source: nothing reachable.
             let mut dead = BitGrid::new(mesh);
             dead.set(s, true);
-            assert_eq!(ReachMap::from_packed(s, &dead).count_reachable(), 0);
+            for map in corner_maps(s, &dead) {
+                assert!(mesh.nodes().all(|d| !map.reachable(d)), "{w}x{h}");
+            }
         }
     }
 
@@ -471,9 +450,26 @@ mod tests {
             Coord::new(0, 0),
             blocked
         ));
-        let map = ReachMap::from_packed(s, &BitGrid::from_blocked(mesh, blocked));
-        assert_eq!(map.count_reachable(), 0, "blocked source reaches nothing");
-        assert!(!map.reachable(Coord::new(9, 9)), "outside mesh");
+        let packed = BitGrid::from_blocked(mesh, blocked);
+        // Blocked source, off-mesh source and off-mesh corner: dead maps
+        // answer `false` everywhere, off their rectangles too.
+        for (from, corner) in [
+            (s, Coord::new(4, 4)),
+            (Coord::new(-1, 2), s),
+            (s, Coord::new(9, 9)),
+        ] {
+            let map = ReachMap::from_packed(from, corner, &packed);
+            assert!(
+                mesh.nodes().all(|d| !map.reachable(d)),
+                "{from} -> {corner}"
+            );
+            assert!(!map.reachable(Coord::new(9, 9)), "outside mesh");
+        }
+        // A live map answers `false` off the mesh, as the DP does.
+        let open = Coord::new(1, 1);
+        let map = ReachMap::from_packed(open, Coord::new(4, 4), &packed);
+        assert!(map.reachable(open));
+        assert!(!map.reachable(Coord::new(5, 5)), "outside mesh");
         assert!(!minimal_path_exists_bits(
             &mesh,
             Coord::new(0, 0),
@@ -483,9 +479,19 @@ mod tests {
     }
 
     #[test]
-    fn count_reachable_on_clear_mesh_is_node_count() {
+    fn clear_rectangle_is_fully_reachable() {
         let mesh = Mesh::new(13, 7);
-        let map = ReachMap::from_packed(Coord::new(5, 3), &BitGrid::new(mesh));
-        assert_eq!(map.count_reachable(), mesh.node_count());
+        let s = Coord::new(5, 3);
+        let map = ReachMap::from_packed(s, Coord::new(0, 6), &BitGrid::new(mesh));
+        assert_eq!(map.grid.mesh(), Mesh::new(6, 4));
+        assert_eq!(map.grid.count_ones(), 6 * 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "lies outside the reach map's rectangle")]
+    fn query_inside_mesh_outside_rectangle_panics() {
+        let mesh = Mesh::square(8);
+        let map = ReachMap::from_packed(Coord::new(3, 3), Coord::new(6, 6), &BitGrid::new(mesh));
+        let _ = map.reachable(Coord::new(2, 4));
     }
 }

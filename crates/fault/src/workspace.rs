@@ -196,7 +196,9 @@ mod tests {
                 want,
                 "{w}x{h} path"
             );
-            let map = ReachMap::from_packed(s, faults.packed());
+            // s and d are opposite mesh corners: the map toward d covers
+            // the whole mesh.
+            let map = ReachMap::from_packed(s, d, faults.packed());
             for dest in mesh.nodes() {
                 let want = fresh(&|| minimal_path_exists(&mesh, s, dest, blocked));
                 assert_eq!(map.reachable(dest), want, "{w}x{h} map {dest}");

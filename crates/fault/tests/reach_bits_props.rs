@@ -1,7 +1,7 @@
 //! Differential property tests for the word-parallel reachability
 //! kernels: the bit-parallel per-pair oracles (predicate and packed) and
-//! `ReachMap` lookups must agree with the scalar DP on every generated
-//! case — random fault sets,
+//! the lookups of a `ReachMap` over the pair's rectangle must agree with
+//! the scalar DP on every generated case — random fault sets,
 //! sources anywhere in the mesh (so all four quadrants are exercised),
 //! widths straddling the 64- and 128-bit word boundaries, and degenerate
 //! single-row / single-column rectangles.
@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use emr_fault::reach::minimal_path_exists;
 use emr_fault::reach_bits::{minimal_path_exists_bits, minimal_path_exists_packed, ReachMap};
 use emr_fault::FaultSet;
-use emr_mesh::{Coord, Mesh, Quadrant};
+use emr_mesh::{Coord, Mesh, Quadrant, Rect};
 
 /// Mesh shapes chosen to hit the packed kernel's edge cases: word-exact,
 /// one-under, one-over, two-word and three-word widths, plus single-row
@@ -66,23 +66,21 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// A `ReachMap` built from one source agrees with the scalar DP on
-    /// *every* destination of the mesh — the batched sweep must not lose
-    /// or invent reachability anywhere, including on quadrant boundaries
-    /// (shared axes) and at the source itself.
+    /// A `ReachMap` built from one source toward the generated `d` agrees
+    /// with the scalar DP on *every* node of the rectangle they span — the
+    /// sweep must not lose or invent reachability anywhere, including on
+    /// the rectangle's edges, at the source itself and at `d`.
     #[test]
-    fn reach_map_matches_scalar_dp_everywhere((mesh, faults, s, _) in config()) {
+    fn reach_map_matches_scalar_dp_everywhere((mesh, faults, s, d) in config()) {
         let set = FaultSet::from_coords(mesh, faults.into_iter().map(Coord::from));
         let s = Coord::from(s);
+        let d = Coord::from(d);
         let blocked = |c: Coord| set.is_faulty(c);
-        let map = ReachMap::from_packed(s, set.packed());
-        let mut expected_count = 0;
-        for d in mesh.nodes() {
-            let want = minimal_path_exists(&mesh, s, d, blocked);
-            expected_count += usize::from(want);
-            prop_assert!(map.reachable(d) == want, "s={s}, d={d}: want {want}");
+        let map = ReachMap::from_packed(s, d, set.packed());
+        for v in Rect::point(s).expanded_to(d).iter() {
+            let want = minimal_path_exists(&mesh, s, v, blocked);
+            prop_assert!(map.reachable(v) == want, "s={s}, d={d}, v={v}: want {want}");
         }
-        prop_assert_eq!(map.count_reachable(), expected_count);
     }
 }
 

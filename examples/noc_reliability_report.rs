@@ -42,12 +42,7 @@ fn main() {
                 yes(matches!(conditions::ext1(&view, s, d), Some(e) if e.is_minimal())),
                 yes(conditions::ext2(&view, s, d, SegmentSize::Size(5)).is_some()),
                 yes(matches!(conditions::strategy4(&view, s, d), Some(e) if e.is_minimal())),
-                yes(emr2d::fault::reach::minimal_path_exists(
-                    &input.scenario.mesh(),
-                    s,
-                    d,
-                    |c| input.scenario.faults().is_faulty(c),
-                )),
+                yes(input.reach().reachable(d)),
             ]
         },
     );
