@@ -171,8 +171,12 @@ pub const ORACLES: &[Oracle] = &[
         name: "state-matches-rebuild",
         claim: "replaying the faults as epoched arrivals leaves the \
                 incremental state identical to a from-scratch rebuild after \
-                every epoch, and every cache-fresh decision equals a \
-                recompute (ground truth: Scenario::build)",
+                every epoch — block states, MCC statuses, safety levels, and \
+                the whole block and MCC maps (planes, disabled counts, and \
+                records in order, read every epoch so each insert must drop \
+                them) — and every \
+                cache-fresh decision equals a recompute (ground truth: \
+                Scenario::build)",
         check: o_state_matches_rebuild,
     },
     Oracle {
@@ -463,7 +467,7 @@ fn o_block_bits_matches_scalar(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Viol
         out.push(violation(
             "block-bits-matches-scalar",
             "node states agree but the maps differ (rects, per-block counts, \
-             or packed bits out of lock-step)"
+             the disabled-node count, or packed bits out of lock-step)"
                 .to_string(),
         ));
     }
@@ -497,7 +501,8 @@ fn o_mcc_bits_matches_scalar(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violat
                 "mcc-bits-matches-scalar",
                 format!(
                     "[{ty:?}] statuses agree but the maps differ (label planes, \
-                     components, or packed bits out of lock-step)"
+                     the disabled-node count, components, or packed bits out of \
+                     lock-step)"
                 ),
             ));
         }
@@ -1091,23 +1096,6 @@ fn o_state_matches_rebuild(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violatio
     let mut state = ScenarioState::new(FaultSet::new(mesh));
     let mut cache = DecisionCache::new();
     let mut prefix: Vec<Coord> = Vec::new();
-    let sorted_rects = |s: &Scenario| {
-        let mut r = s.blocks().rects().to_vec();
-        r.sort_by_key(|r| (r.x_min(), r.y_min()));
-        r
-    };
-    // Equal statuses fix the partition into components; the sorted
-    // `(rect, faulty, disabled)` records pin each one's bookkeeping.
-    let sorted_comps = |s: &Scenario, ty: MccType| {
-        let mut comps: Vec<(Rect, usize, usize)> = s
-            .mcc(ty)
-            .components()
-            .iter()
-            .map(|m| (m.rect(), m.faulty_nodes(), m.disabled_nodes()))
-            .collect();
-        comps.sort();
-        comps
-    };
     for (k, &f) in spec.faults.iter().enumerate() {
         // Warm the decision cache at the pre-arrival epoch so freshness
         // claims span the insertion.
@@ -1158,21 +1146,30 @@ fn o_state_matches_rebuild(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violatio
                 }
             }
         }
-        if sorted_rects(sc) != sorted_rects(&rebuilt) {
+        // Map equality compares the planes, the disabled-node counters
+        // and the records in order. Reading the records here builds them,
+        // so the next epoch's insert must drop them.
+        if sc.blocks() != rebuilt.blocks() {
             out.push(violation(
                 "state-matches-rebuild",
                 format!(
-                    "epoch {k} (fault {f}): block rects: incremental {:?}, rebuilt {:?}",
-                    sorted_rects(sc),
-                    sorted_rects(&rebuilt)
+                    "epoch {k} (fault {f}): block maps differ: incremental rects {:?} with \
+                     {} disabled, rebuilt {:?} with {}",
+                    sc.blocks().rects(),
+                    sc.blocks().disabled_count(),
+                    rebuilt.blocks().rects(),
+                    rebuilt.blocks().disabled_count()
                 ),
             ));
         }
         for ty in MccType::ALL {
-            if sorted_comps(sc, ty) != sorted_comps(&rebuilt, ty) {
+            if sc.mcc(ty) != rebuilt.mcc(ty) {
                 out.push(violation(
                     "state-matches-rebuild",
-                    format!("epoch {k} (fault {f}): MCC {ty:?} component sets diverged"),
+                    format!(
+                        "epoch {k} (fault {f}): MCC {ty:?} maps differ (planes, disabled \
+                         count or components in order)"
+                    ),
                 ));
             }
         }

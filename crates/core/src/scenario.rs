@@ -31,7 +31,8 @@ impl Model {
 ///
 /// Building a scenario runs Definition 1 block formation eagerly (every
 /// consumer needs it — trial generation rejects scenarios whose source
-/// lands in a block). The MCC labelings and the three safety-level sweeps
+/// lands in a block); the block map's planes are built, its block list
+/// only when read. The MCC labelings and the three safety-level sweeps
 /// (blocks, MCC type-one, MCC type-two) are computed lazily on first use:
 /// most sweep measures touch only one model, and the experiment engine
 /// discards rejected scenarios before any of them is consulted. Boundary
@@ -72,9 +73,10 @@ impl Scenario {
             .get_or_init(|| SafetyMap::compute_packed(self.mcc(ty).packed()))
     }
 
-    /// Forces every lazy map (both MCC labelings and all three safety
-    /// maps) so that later [`Scenario::apply_fault`] calls repair them
-    /// incrementally instead of deferring full rebuilds to first use.
+    /// Forces both MCC labelings and all three safety maps so that later
+    /// [`Scenario::apply_fault`] calls repair them incrementally instead
+    /// of deferring full rebuilds to first use. Block and component
+    /// records stay lazy: an insert drops them anyway.
     pub(crate) fn warm(&self) {
         self.block_safety_map();
         for ty in MccType::ALL {
@@ -324,8 +326,9 @@ mod tests {
     fn warmed_512_mesh_stays_within_byte_budget() {
         use rand::SeedableRng;
         // One fault per side-length unit, so the per-fault lists grow
-        // with the side, not the node count. The caps sit about 30% above
-        // the measured 1.70 and 1.84 B/node.
+        // with the side, not the node count. The caps sit about 60% above
+        // the measured 1.39 and 1.53 B/node: neither map builds its
+        // records here (reading them all would add 0.28 B/node).
         let mesh = Mesh::square(512);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5ca1_e000 ^ 512);
         let faults = emr_fault::inject::uniform(mesh, 512, &[], &mut rng);

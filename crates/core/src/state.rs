@@ -71,10 +71,11 @@ impl EpochDelta {
 /// A scenario that accumulates faults over time, repairing its derived
 /// maps incrementally and exposing epoch-tagged caches.
 ///
-/// Construction warms every lazy map of the underlying [`Scenario`] so
-/// that all later arrivals take the incremental path (and so the dirty
+/// Construction warms both MCC labelings and all three safety maps, so
+/// that later arrivals take the incremental path (and so the dirty
 /// rectangles of the MCC labelings are always exact — a labeling that was
-/// never materialized could not report its membership changes).
+/// never materialized could not report its membership changes). Block
+/// and component records stay lazy: each insert drops them.
 #[derive(Debug, Clone)]
 pub struct ScenarioState {
     scenario: Scenario,
@@ -83,8 +84,8 @@ pub struct ScenarioState {
 }
 
 impl ScenarioState {
-    /// Builds the epoch-0 state from an initial fault set and warms every
-    /// derived map.
+    /// Builds the epoch-0 state from an initial fault set and warms both
+    /// MCC labelings and all three safety maps.
     pub fn new(faults: FaultSet) -> ScenarioState {
         let scenario = Scenario::build(faults);
         scenario.warm();
@@ -143,15 +144,17 @@ impl ScenarioState {
     }
 
     /// An immutable export of the current epoch: the underlying scenario,
-    /// fully warmed and cloned, so the caller can freeze it behind an
-    /// `Arc` while this state keeps accumulating faults.
+    /// warmed and cloned, so the caller can freeze it behind an `Arc`
+    /// while this state keeps accumulating faults.
     ///
     /// Warming before the clone matters: a `OnceLock` clone carries the
     /// *value* (initialized or not), so exporting a warmed scenario hands
-    /// out every packed map by copy — later queries on the export never
-    /// rebuild anything, and `insert_fault` on this state can never be
-    /// observed by a holder of the export. This is the snapshot-publish
-    /// primitive of `emr-serve`.
+    /// out both MCC labelings and the three safety maps by copy — later
+    /// routing and safety queries on the export never rebuild them, and
+    /// `insert_fault` on this state can never be observed by a holder of
+    /// the export. Block and component records are not warmed: a reader
+    /// of the export that needs them builds them once. This is the
+    /// snapshot-publish primitive of `emr-serve`.
     pub fn export_scenario(&self) -> Scenario {
         self.scenario.warm();
         self.scenario.clone()

@@ -1,8 +1,9 @@
 //! Property tests for the epoched dynamic-fault layer: a [`ScenarioState`]
 //! driven by N random insertions must be indistinguishable from a
 //! [`Scenario`] built from scratch on the final fault set — per-node
-//! block states, both MCC labelings, all three safety maps, and every
-//! decision the epoch-tagged cache claims is fresh.
+//! block states, both MCC labelings, all three safety maps, the block and
+//! component records in order, and every decision the epoch-tagged cache
+//! claims is fresh.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,33 +49,11 @@ fn assert_state_matches_rebuild(state: &ScenarioState, ctx: &str) {
             );
         }
     }
-    // Block rect sets match (order-insensitive: incremental discovery
-    // order differs from the rebuild's row-major order).
-    let sorted_rects = |s: &Scenario| {
-        let mut r = s.blocks().rects().to_vec();
-        r.sort_by_key(|r| (r.x_min(), r.y_min()));
-        r
-    };
-    assert_eq!(sorted_rects(sc), sorted_rects(&rebuilt), "{ctx}: rects");
-    // Equal statuses (checked above) fix the partition into components;
-    // the sorted `(rect, faulty, disabled)` records pin each one's
-    // bookkeeping.
+    // Whole maps: the planes, the disabled-node counters, and the records
+    // an insert dropped, rebuilt in a fresh build's order.
+    assert_eq!(sc.blocks(), rebuilt.blocks(), "{ctx}: block map");
     for ty in MccType::ALL {
-        let sorted_comps = |s: &Scenario| {
-            let mut comps: Vec<_> = s
-                .mcc(ty)
-                .components()
-                .iter()
-                .map(|m| (m.rect(), m.faulty_nodes(), m.disabled_nodes()))
-                .collect();
-            comps.sort();
-            comps
-        };
-        assert_eq!(
-            sorted_comps(sc),
-            sorted_comps(&rebuilt),
-            "{ctx}: {ty:?} components"
-        );
+        assert_eq!(sc.mcc(ty), rebuilt.mcc(ty), "{ctx}: {ty:?} map");
     }
 }
 

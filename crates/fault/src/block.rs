@@ -1,10 +1,11 @@
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Error, Serialize, Serializer};
 
 use emr_mesh::{BitGrid, Coord, Direction, Grid, MemBytes, Mesh, Rect};
 
-use crate::workspace::{key_node, row_major_key, with_scratch, Workspace};
+use crate::workspace::{with_scratch, Workspace};
 use crate::FaultSet;
 
 /// The status of a node under the faulty-block model (Definition 1).
@@ -28,8 +29,8 @@ impl NodeState {
 
 /// One faulty block: a maximal connected component of faulty and disabled
 /// nodes. Under Definition 1 every component converges to a full rectangle;
-/// [`BlockMap::build`] asserts this invariant in debug builds and the test
-/// suite property-checks it.
+/// [`BlockMap`] asserts this invariant in debug builds wherever it builds
+/// its blocks, and the test suite property-checks it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultyBlock {
     rect: Rect,
@@ -56,8 +57,14 @@ impl FaultyBlock {
 }
 
 /// The faulty-block decomposition of a mesh: the packed blocked and
-/// faulty planes plus the list of disjoint rectangular blocks. A node's
-/// [`NodeState`] is read off the two planes.
+/// faulty planes, off which a node's [`NodeState`] is read, plus the list
+/// of disjoint rectangular blocks. [`BlockMap::build`] and
+/// [`BlockMap::insert_fault`] keep only the planes and the count of
+/// disabled nodes current: the blocks are read off the planes on the
+/// first call that needs them ([`BlockMap::blocks`], [`BlockMap::rects`],
+/// [`BlockMap::block_containing`]), cached, and dropped by the next
+/// insert. The cache is a `OnceLock`, so a map shared across threads
+/// builds its blocks once.
 ///
 /// # Examples
 ///
@@ -73,7 +80,7 @@ impl FaultyBlock {
 /// assert_eq!(map.blocks().len(), 1);
 /// assert_eq!(map.blocks()[0].rect().node_count(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BlockMap {
     mesh: Mesh,
     /// The blocked (faulty ∪ disabled) bits. Downstream word-parallel
@@ -82,14 +89,16 @@ pub struct BlockMap {
     packed: BitGrid,
     /// The genuinely faulty bits, a subset of `packed`.
     faulty: BitGrid,
-    blocks: Vec<FaultyBlock>,
-    /// The block rectangles, cached in `blocks` order so hot loops can
-    /// borrow them without a per-call allocation.
-    rects: Vec<Rect>,
+    /// The blocked nodes that are not faulty, kept by the fix-point.
+    disabled: usize,
+    /// The blocks and their rectangles in the same order, built on first
+    /// read so hot loops can borrow the rectangles without a per-call
+    /// allocation.
+    records: OnceLock<(Vec<FaultyBlock>, Vec<Rect>)>,
 }
 
 impl BlockMap {
-    /// Runs Definition 1 to its fix-point and extracts the blocks.
+    /// Runs Definition 1 to its fix-point.
     ///
     /// A non-faulty node is disabled when it has at least one faulty or
     /// disabled neighbor along X *and* one along Y ("two or more disabled or
@@ -100,56 +109,33 @@ impl BlockMap {
     /// faulty plane, seeded at the neighbours of each fault with another fault
     /// in its 3×3 box: a node the faults alone disable has two faulty
     /// neighbours on a diagonal of each other, and later growth re-enqueues the
-    /// neighbours of each changed node. Each block's rectangle is then read off
-    /// one of its faults: by the rectangle invariant the blocked runs through a
-    /// fault along X and along Y span its block. Faults inside a block already
-    /// read are skipped, so the whole build costs one copy of each plane plus
-    /// `O(faults + blocked nodes)`, whatever the mesh size.
-    /// [`BlockMap::build_scalar`] is the reference (`conform` oracle
-    /// `block-bits-matches-scalar` pins the equivalence).
+    /// neighbours of each changed node. The build costs one copy of each plane
+    /// plus `O(faults + blocked nodes)`, whatever the mesh size; the blocks
+    /// are read off the planes on first use. [`BlockMap::build_scalar`] is
+    /// the reference (`conform` oracle `block-bits-matches-scalar` pins the
+    /// equivalence).
     pub fn build(faults: &FaultSet) -> BlockMap {
         let mesh = faults.mesh();
         let mut packed = faults.packed().clone();
-        let blocks = with_scratch(|ws| {
-            let Workspace {
-                queue,
-                visited_mask: read,
-                keys,
-                ..
-            } = ws;
-            queue.clear();
-            queue.extend(faults.paired().flat_map(|f| mesh.neighbors(f)));
-            disable_fixpoint(&mut packed, queue);
-            // Read in row-major fault order, the blocks come out in
-            // `build_scalar`'s (y_min, x_min) order: every row of a block
-            // holds a fault (the first node of a row to be disabled needs
-            // a faulty neighbour along X), and blocks sharing a bottom row
-            // are disjoint along it.
-            keys.clear();
-            keys.extend(faults.iter().map(row_major_key));
-            keys.sort_unstable();
-            read.reset(mesh);
-            let mut blocks = Vec::with_capacity(keys.len());
-            for f in keys.iter().map(|&k| key_node(k)) {
-                if read.get(f) == Some(true) {
-                    continue;
-                }
-                let block = block_through(&packed, faults.packed(), f);
-                for u in &block.rect {
-                    read.set(u, true);
-                }
-                blocks.push(block);
-            }
-            blocks
+        let disabled = with_scratch(|ws| {
+            ws.queue.clear();
+            ws.queue
+                .extend(faults.paired().flat_map(|f| mesh.neighbors(f)));
+            disable_fixpoint(&mut packed, &mut ws.queue)
         });
-        BlockMap::assemble(packed, faults.packed().clone(), blocks)
+        BlockMap {
+            mesh,
+            packed,
+            faulty: faults.packed().clone(),
+            disabled,
+            records: OnceLock::new(),
+        }
     }
 
     /// The original per-node worklist fix-point over a dense state grid,
-    /// with a BFS component extraction — the ground truth the
+    /// with an eager BFS component extraction — the ground truth the
     /// fault-seeded [`BlockMap::build`] is differentially tested against.
-    /// Produces a structurally identical map (same planes, same blocks in
-    /// the same order).
+    /// Produces an equal map (same planes, same blocks in the same order).
     pub fn build_scalar(faults: &FaultSet) -> BlockMap {
         let mesh = faults.mesh();
         let mut state = Grid::from_fn(mesh, |c| {
@@ -182,23 +168,48 @@ impl BlockMap {
             }
             extract_blocks(mesh, &state, ws)
         });
-        BlockMap::assemble(
-            BitGrid::from_blocked(mesh, |c| state[c].is_blocked()),
-            BitGrid::from_blocked(mesh, |c| state[c] == NodeState::Faulty),
-            blocks,
-        )
-    }
-
-    fn assemble(packed: BitGrid, faulty: BitGrid, blocks: Vec<FaultyBlock>) -> BlockMap {
         let map = BlockMap {
-            mesh: packed.mesh(),
-            rects: blocks.iter().map(|b| b.rect).collect(),
-            packed,
-            faulty,
-            blocks,
+            mesh,
+            packed: BitGrid::from_blocked(mesh, |c| state[c].is_blocked()),
+            faulty: BitGrid::from_blocked(mesh, |c| state[c] == NodeState::Faulty),
+            disabled: mesh
+                .nodes()
+                .filter(|&c| state[c] == NodeState::Disabled)
+                .count(),
+            records: OnceLock::from(with_rects(blocks, |b| b.rect)),
         };
         debug_assert!(map.rect_invariant_holds());
         map
+    }
+
+    /// The blocks and their rectangles, read off the planes on first call:
+    /// `block_through` runs on each fault of a row-major scan of the faulty
+    /// plane that no block already read contains. Read in that order, the
+    /// blocks come out in `build_scalar`'s (y_min, x_min) order: every row
+    /// of a block holds a fault (the first node of a row to be disabled
+    /// needs a faulty neighbour along X), and blocks sharing a bottom row
+    /// are disjoint along it.
+    fn records(&self) -> &(Vec<FaultyBlock>, Vec<Rect>) {
+        self.records.get_or_init(|| {
+            let blocks = with_scratch(|ws| {
+                let read = &mut ws.visited_mask;
+                read.reset(self.mesh);
+                let mut blocks = Vec::new();
+                for_each_set_bit(&self.faulty, |f| {
+                    if read.get(f) == Some(true) {
+                        return;
+                    }
+                    let block = block_through(&self.packed, &self.faulty, f);
+                    for u in &block.rect {
+                        read.set(u, true);
+                    }
+                    blocks.push(block);
+                });
+                blocks
+            });
+            debug_assert!(self.blocks_match_planes(&blocks));
+            with_rects(blocks, |b| b.rect)
+        })
     }
 
     /// The mesh this decomposition covers.
@@ -227,16 +238,17 @@ impl BlockMap {
         self.packed.get(c) == Some(true)
     }
 
-    /// The disjoint rectangular blocks, in discovery (row-major) order.
+    /// The disjoint rectangular blocks in (y_min, x_min) order, built on
+    /// first call.
     pub fn blocks(&self) -> &[FaultyBlock] {
-        &self.blocks
+        &self.records().0
     }
 
     /// The block rectangles only (the representation routing code
-    /// consumes), cached in [`BlockMap::blocks`] order — no per-call
-    /// allocation.
+    /// consumes), in [`BlockMap::blocks`] order and built with them — no
+    /// per-call allocation.
     pub fn rects(&self) -> &[Rect] {
-        &self.rects
+        &self.records().1
     }
 
     /// The blocked (faulty ∪ disabled) nodes as a packed bit grid — the
@@ -247,23 +259,26 @@ impl BlockMap {
 
     /// The block containing `c`, if any.
     pub fn block_containing(&self, c: Coord) -> Option<&FaultyBlock> {
-        self.blocks.iter().find(|b| b.rect().contains(c))
+        self.blocks().iter().find(|b| b.rect().contains(c))
     }
 
-    /// The total number of disabled (healthy but deactivated) nodes.
+    /// The total number of disabled (healthy but deactivated) nodes, read
+    /// off a counter the fix-point keeps: it builds no blocks.
     pub fn disabled_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.disabled_nodes()).sum()
+        self.disabled
     }
 
     /// Incrementally records a newly failed node, updating the labeling
-    /// and block list without rebuilding the whole decomposition — the
-    /// paper's §1 information-model claim ("when a disturbance occurs,
-    /// only those affected nodes update their information").
+    /// without rebuilding the whole decomposition — the paper's §1
+    /// information-model claim ("when a disturbance occurs, only those
+    /// affected nodes update their information").
     ///
     /// The cost is proportional to the affected region: the fix-point
     /// worklist [`BlockMap::build`] runs, seeded at the new fault's
     /// neighbours, plus one read of the (possibly merged) block containing
-    /// it. Equivalence with a full rebuild is property-tested.
+    /// it. Blocks already built are dropped; the next read rebuilds them
+    /// in the order a fresh build gives. Equivalence with a full rebuild
+    /// is property-tested.
     ///
     /// Returns the rectangle of the (possibly merged) block containing
     /// `c` after the update — the disturbance footprint callers use to
@@ -274,67 +289,137 @@ impl BlockMap {
     ///
     /// Panics if `c` lies outside the mesh.
     pub fn insert_fault(&mut self, c: Coord) -> Rect {
-        if self.state(c) == NodeState::Faulty {
-            return block_through(&self.packed, &self.faulty, c).rect;
+        match self.state(c) {
+            NodeState::Faulty => return block_through(&self.packed, &self.faulty, c).rect,
+            NodeState::Disabled => self.disabled -= 1,
+            NodeState::Enabled => {}
         }
         self.faulty.set(c, true);
         self.packed.set(c, true);
         let mesh = self.mesh;
-        with_scratch(|ws| {
+        self.disabled += with_scratch(|ws| {
             ws.queue.clear();
             ws.queue.extend(mesh.neighbors(c));
-            disable_fixpoint(&mut self.packed, &mut ws.queue);
+            disable_fixpoint(&mut self.packed, &mut ws.queue)
         });
-        // The new/merged block containing the fault. Absorb the blocks it
-        // swallowed (by the rectangle invariant, rect intersection ⟺
-        // absorption).
-        let block = block_through(&self.packed, &self.faulty, c);
-        self.blocks.retain(|b| !b.rect().intersects(&block.rect));
-        self.blocks.push(block);
-        self.rects.clear();
-        self.rects.extend(self.blocks.iter().map(|b| b.rect));
-        debug_assert!(self.rect_invariant_holds());
-        block.rect
+        self.records.take();
+        block_through(&self.packed, &self.faulty, c).rect
     }
 
     /// Checks the paper's structural claim: each connected component of
     /// faulty∪disabled nodes fills its bounding rectangle, which also makes
     /// the blocks pairwise disjoint. Also checks that the faulty plane
     /// lies inside the blocked one and that the per-block counts and the
-    /// cached rectangles match the planes.
+    /// disabled-node counter match the planes. Builds the blocks if they
+    /// are not built yet.
     pub fn rect_invariant_holds(&self) -> bool {
+        self.blocks_match_planes(self.blocks())
+    }
+
+    /// [`BlockMap::rect_invariant_holds`] for a block list about to be
+    /// cached.
+    fn blocks_match_planes(&self, blocks: &[FaultyBlock]) -> bool {
         let faulty_in = |r: Rect| {
             r.iter()
                 .filter(|&c| self.faulty.get(c) == Some(true))
                 .count()
         };
-        self.blocks.iter().all(|b| {
+        let sum = |count: fn(&FaultyBlock) -> usize| blocks.iter().map(count).sum::<usize>();
+        blocks.iter().all(|b| {
             b.rect().iter().all(|c| self.is_blocked(c))
                 && faulty_in(b.rect()) == b.faulty_nodes()
                 && b.faulty_nodes() + b.disabled_nodes() == b.rect().node_count()
-        }) && self.packed.count_ones()
-            == self
-                .blocks
-                .iter()
-                .map(|b| b.rect().node_count())
-                .sum::<usize>()
-            && self.faulty.count_ones() == self.blocks.iter().map(|b| b.faulty_nodes()).sum()
-            && self
-                .rects
-                .iter()
-                .copied()
-                .eq(self.blocks.iter().map(|b| b.rect))
+        }) && self.packed.count_ones() == sum(|b| b.rect().node_count())
+            && self.faulty.count_ones() == sum(FaultyBlock::faulty_nodes)
+            && self.disabled == sum(FaultyBlock::disabled_nodes)
+    }
+}
+
+/// Two maps are equal when their planes, counters and blocks are; a map
+/// whose blocks are not built yet builds them to compare.
+impl PartialEq for BlockMap {
+    fn eq(&self, other: &BlockMap) -> bool {
+        self.packed == other.packed
+            && self.faulty == other.faulty
+            && self.disabled == other.disabled
+            && self.blocks() == other.blocks()
+    }
+}
+
+impl Eq for BlockMap {}
+
+/// Writes the planes and the blocks (built first if need be) under the
+/// field names `mesh`, `packed`, `faulty`, `blocks` and `rects`.
+impl Serialize for BlockMap {
+    fn serialize(&self, out: &mut Serializer) {
+        let mut map = out.map();
+        map.field("mesh", &self.mesh);
+        map.field("packed", &self.packed);
+        map.field("faulty", &self.faulty);
+        map.field("blocks", self.blocks());
+        map.field("rects", self.rects());
+        map.end();
+    }
+}
+
+/// The serialized form of a [`BlockMap`]; the rectangles are rebuilt
+/// from the blocks.
+#[derive(Deserialize)]
+struct BlockMapWire {
+    mesh: Mesh,
+    packed: BitGrid,
+    faulty: BitGrid,
+    blocks: Vec<FaultyBlock>,
+}
+
+impl Deserialize for BlockMap {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<BlockMap, Error> {
+        let wire = BlockMapWire::deserialize(de)?;
+        Ok(BlockMap {
+            mesh: wire.mesh,
+            disabled: wire
+                .packed
+                .count_ones()
+                .saturating_sub(wire.faulty.count_ones()),
+            packed: wire.packed,
+            faulty: wire.faulty,
+            records: OnceLock::from(with_rects(wire.blocks, |b| b.rect)),
+        })
     }
 }
 
 impl MemBytes for BlockMap {
-    /// The packed blocked and faulty planes and the block list with its
-    /// cached rectangles.
+    /// The packed blocked and faulty planes, plus the block list and its
+    /// rectangles once built.
     fn mem_bytes(&self) -> u64 {
-        self.packed.mem_bytes()
-            + self.faulty.mem_bytes()
-            + (self.blocks.len() * std::mem::size_of::<FaultyBlock>()) as u64
-            + (self.rects.len() * std::mem::size_of::<Rect>()) as u64
+        let records = self.records.get().map_or(0, |(blocks, rects)| {
+            blocks.len() * std::mem::size_of::<FaultyBlock>()
+                + rects.len() * std::mem::size_of::<Rect>()
+        });
+        self.packed.mem_bytes() + self.faulty.mem_bytes() + records as u64
+    }
+}
+
+/// A record list with its rectangles, in the same order.
+pub(crate) fn with_rects<T>(records: Vec<T>, rect: impl Fn(&T) -> Rect) -> (Vec<T>, Vec<Rect>) {
+    let rects = records.iter().map(rect).collect();
+    (records, rects)
+}
+
+/// Calls `f` on every set bit of `plane`, row-major: the node order of
+/// the scalar builders' scans.
+pub(crate) fn for_each_set_bit(plane: &BitGrid, mut f: impl FnMut(Coord)) {
+    for y in 0..plane.mesh().height() {
+        for (x0, &word) in (0i32..).step_by(64).zip(plane.row(y)) {
+            let mut bits = word;
+            while bits != 0 {
+                f(Coord::new(
+                    x0 + i32::try_from(bits.trailing_zeros()).unwrap_or(0),
+                    y,
+                ));
+                bits &= bits - 1;
+            }
+        }
     }
 }
 
@@ -344,9 +429,10 @@ impl MemBytes for BlockMap {
 /// neighbours then become candidates. Blocking is monotone, so the
 /// worklist reaches the least fix-point above `packed` as long as the
 /// initial candidates include every node the blocked plane alone
-/// disables.
-fn disable_fixpoint(packed: &mut BitGrid, queue: &mut VecDeque<Coord>) {
+/// disables. Returns the number of nodes it disabled.
+fn disable_fixpoint(packed: &mut BitGrid, queue: &mut VecDeque<Coord>) -> usize {
     let mesh = packed.mesh();
+    let mut disabled = 0;
     while let Some(u) = queue.pop_front() {
         if packed.get(u) != Some(false) {
             continue;
@@ -356,9 +442,11 @@ fn disable_fixpoint(packed: &mut BitGrid, queue: &mut VecDeque<Coord>) {
         let y_blocked = blocked(u.step(Direction::North)) || blocked(u.step(Direction::South));
         if x_blocked && y_blocked {
             packed.set(u, true);
+            disabled += 1;
             queue.extend(mesh.neighbors(u));
         }
     }
+    disabled
 }
 
 /// The block holding the blocked node `c` of a converged plane: by the
@@ -567,18 +655,47 @@ mod tests {
             for n in mesh.nodes() {
                 assert_eq!(incremental.state(n), rebuilt.state(n), "after {c} at {n}");
             }
-            // …and the same block set (order-insensitive).
-            let mut a = incremental.rects().to_vec();
-            let mut b = rebuilt.rects().to_vec();
-            a.sort_by_key(|r| (r.x_min(), r.y_min()));
-            b.sort_by_key(|r| (r.x_min(), r.y_min()));
-            assert_eq!(a, b, "after {c}");
+            // …and the same blocks in the same order.
+            assert_eq!(incremental.blocks(), rebuilt.blocks(), "after {c}");
             assert_eq!(
                 incremental.disabled_count(),
                 rebuilt.disabled_count(),
                 "after {c}"
             );
             assert!(incremental.rect_invariant_holds());
+        }
+    }
+
+    #[test]
+    fn blocks_are_built_on_first_read() {
+        let faults = FaultSet::from_coords(
+            Mesh::square(12),
+            [(1, 1), (2, 2), (8, 3), (5, 9), (6, 9)].map(Coord::from),
+        );
+        let map = BlockMap::build(&faults);
+        let planes = map.mem_bytes();
+        assert_eq!(map.disabled_count(), 2);
+        assert_eq!(map.mem_bytes(), planes, "the counter builds no blocks");
+        let scalar = BlockMap::build_scalar(&faults);
+        assert_eq!(map.rects(), scalar.rects());
+        assert!(map.mem_bytes() > planes, "the first read builds the blocks");
+        assert_eq!(map, scalar);
+    }
+
+    #[test]
+    fn disabled_count_tracks_inserts_without_building_blocks() {
+        let mesh = Mesh::square(12);
+        let mut map = BlockMap::build(&FaultSet::new(mesh));
+        let planes = map.mem_bytes();
+        // Grows, fails a disabled node, and merges two blocks.
+        for (x, y) in [(3, 3), (4, 4), (4, 3), (8, 8), (7, 7), (6, 6), (0, 0)] {
+            map.blocks();
+            map.insert_fault(Coord::new(x, y));
+            assert_eq!(map.mem_bytes(), planes, "an insert drops the blocks");
+            let count = map.disabled_count();
+            assert_eq!(map.mem_bytes(), planes, "the counter builds no blocks");
+            let sum: usize = map.blocks().iter().map(FaultyBlock::disabled_nodes).sum();
+            assert_eq!(count, sum, "after ({x}, {y})");
         }
     }
 

@@ -27,8 +27,9 @@
 //! [`BlockMap::build`] and [`MccMap::build`] run the fix-point worklist
 //! their `insert_fault` resumes, seeded at the faults, so a build costs
 //! one copy of each packed plane plus work in proportion to the faults
-//! and the nodes they block, not to the mesh. Their scalar builders
-//! (`build_scalar`) stay as the reference.
+//! and the nodes they block, not to the mesh. The block and component
+//! records are built from the planes only when read. Their scalar
+//! builders (`build_scalar`) stay as the reference.
 //!
 //! # Examples
 //!

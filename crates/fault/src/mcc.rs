@@ -1,10 +1,12 @@
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Error, Serialize, Serializer};
 
 use emr_mesh::{BitGrid, Coord, Direction, Grid, MemBytes, Mesh, Quadrant, Rect};
 
-use crate::workspace::{key_node, row_major_key, with_scratch, Workspace};
+use crate::block::{for_each_set_bit, with_rects};
+use crate::workspace::{with_scratch, Workspace};
 use crate::FaultSet;
 
 /// Which pair of routing quadrants an MCC labeling serves.
@@ -62,14 +64,10 @@ impl MccStatus {
 /// useless and can't-reach nodes. MCCs are rectilinear-monotone staircase
 /// polygons; a component keeps its bounding rectangle and its node counts,
 /// while its exact shape stays in the map's planes ([`MccMap::status`],
-/// [`MccMap::packed`]).
+/// [`MccMap::packed`]). [`MccMap`] builds these records on first read.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Mcc {
     rect: Rect,
-    /// The node the component's BFS started from: its row-major first
-    /// node after a full build, the new fault after
-    /// [`MccMap::insert_fault`].
-    anchor: Coord,
     faulty_nodes: usize,
     disabled_nodes: usize,
 }
@@ -95,7 +93,12 @@ impl Mcc {
 /// The MCC decomposition of a mesh for one labeling type: four packed
 /// planes — the faulty bits, Definition 2's two label planes, and their
 /// union, the blocked bits — plus the component list. A node's
-/// [`MccStatus`] is read off the planes.
+/// [`MccStatus`] is read off the planes. Like [`crate::BlockMap`],
+/// [`MccMap::build`] and [`MccMap::insert_fault`] keep only the planes and
+/// the count of labeled nodes current: the components are built on the
+/// first call that needs them ([`MccMap::components`],
+/// [`MccMap::rects`]), cached in a `OnceLock`, and dropped by the next
+/// insert.
 ///
 /// # Examples
 ///
@@ -112,7 +115,7 @@ impl Mcc {
 /// assert_eq!(one.status(Coord::new(2, 2)), MccStatus::Useless);
 /// assert_eq!(two.status(Coord::new(2, 2)), MccStatus::FaultFree);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MccMap {
     mesh: Mesh,
     ty: MccType,
@@ -127,10 +130,12 @@ pub struct MccMap {
     // exact planes.
     useless: BitGrid,
     cant_reach: BitGrid,
-    components: Vec<Mcc>,
-    /// Component bounding rectangles cached in `components` order, so hot
-    /// loops can borrow them without a per-call allocation.
-    rects: Vec<Rect>,
+    /// The blocked nodes that are not faulty, kept by the fix-point.
+    disabled: usize,
+    /// The components and their bounding rectangles in the same order,
+    /// built on first read so hot loops can borrow the rectangles without
+    /// a per-call allocation.
+    records: OnceLock<(Vec<Mcc>, Vec<Rect>)>,
 }
 
 /// Forward neighbors (blocking "useless") and backward neighbors
@@ -150,8 +155,7 @@ fn type_dirs(ty: MccType) -> ([Direction; 2], [Direction; 2]) {
 }
 
 impl MccMap {
-    /// Runs the Definition 2 labeling to its fix-point and extracts the
-    /// components.
+    /// Runs the Definition 2 labeling to its fix-point.
     ///
     /// For type-one: a fault-free node is `useless` when its north and east
     /// neighbors are both faulty-or-useless, and `can't-reach` when its
@@ -165,69 +169,49 @@ impl MccMap {
     /// seeded at the nodes that see a fault as a rule neighbour, for each fault
     /// with another fault in its 3×3 box: a node the faults alone label has its
     /// two rule neighbours faulty, on a diagonal of each other, and later gains
-    /// re-enqueue the nodes that see the gainer as a rule neighbour. The
-    /// components then come from a BFS started at each still-unvisited blocked
-    /// node (the faults plus the labeled nodes) in row-major order, with a
-    /// packed visited mask from this thread's scratch workspace, so the whole
-    /// build costs one copy of each plane plus `O(faults + blocked nodes)`,
-    /// whatever the mesh size. [`MccMap::build_scalar`] is the reference
-    /// (`conform` oracle `mcc-bits-matches-scalar` pins the equivalence).
+    /// re-enqueue the nodes that see the gainer as a rule neighbour. The build
+    /// costs one copy of each plane plus `O(faults + blocked nodes)`, whatever
+    /// the mesh size; the components are built on first use.
+    /// [`MccMap::build_scalar`] is the reference (`conform` oracle
+    /// `mcc-bits-matches-scalar` pins the equivalence).
     pub fn build(faults: &FaultSet, ty: MccType) -> MccMap {
         let mesh = faults.mesh();
         let (fwd, bwd) = type_dirs(ty);
         let mut useless = BitGrid::new(mesh);
         let mut cant_reach = BitGrid::new(mesh);
         let mut packed = faults.packed().clone();
-        let components = with_scratch(|ws| {
-            let Workspace {
-                queue,
-                visited_mask: visited,
-                keys,
-                ..
-            } = ws;
-            keys.clear();
-            keys.extend(faults.iter().map(row_major_key));
+        let mut disabled = 0;
+        with_scratch(|ws| {
             let seeds: Vec<Coord> = faults.paired().collect();
             for (label, dirs) in [(&mut useless, fwd), (&mut cant_reach, bwd)] {
-                queue.clear();
-                queue.extend(
+                ws.queue.clear();
+                ws.queue.extend(
                     seeds
                         .iter()
                         .flat_map(|f| dirs.map(|d| f.step(d.opposite()))),
                 );
-                label_fixpoint(faults.packed(), label, dirs, queue, |u| {
-                    packed.set(u, true);
-                    keys.push(row_major_key(u));
+                // A node can gain both labels; it counts once.
+                label_fixpoint(faults.packed(), label, dirs, &mut ws.queue, |u| {
+                    disabled += usize::from(!packed.test_and_set(u));
                 });
             }
-            // The row-major scan order of `build_scalar`; a node can hold
-            // both labels.
-            keys.sort_unstable();
-            keys.dedup();
-            visited.reset(mesh);
-            let mut components = Vec::with_capacity(keys.len());
-            for start in keys.iter().map(|&k| key_node(k)) {
-                if !visited.test_and_set(start) {
-                    components.push(bfs_component(start, &packed, faults.packed(), queue, |v| {
-                        !visited.test_and_set(v)
-                    }));
-                }
-            }
-            components
         });
-        MccMap::assemble(
+        MccMap {
+            mesh,
             ty,
             packed,
-            faults.packed().clone(),
-            [useless, cant_reach],
-            components,
-        )
+            faulty: faults.packed().clone(),
+            useless,
+            cant_reach,
+            disabled,
+            records: OnceLock::new(),
+        }
     }
 
-    /// The original per-node sweep over dense label grids, with a BFS
-    /// component extraction over every node — the ground truth the
+    /// The original per-node sweep over dense label grids, with an eager
+    /// BFS component extraction over every node — the ground truth the
     /// fault-seeded [`MccMap::build`] is differentially tested against.
-    /// Produces a structurally identical map.
+    /// Produces an equal map.
     pub fn build_scalar(faults: &FaultSet, ty: MccType) -> MccMap {
         let mesh = faults.mesh();
         let (fwd, bwd) = type_dirs(ty);
@@ -262,31 +246,58 @@ impl MccMap {
         });
         let [faulty, useless, cant_reach] = planes;
         let mut packed = faulty.clone();
+        let mut disabled = 0;
         for c in mesh.nodes() {
             if useless.get(c) == Some(true) || cant_reach.get(c) == Some(true) {
                 packed.set(c, true);
+                disabled += 1;
             }
         }
-        MccMap::assemble(ty, packed, faulty, [useless, cant_reach], components)
-    }
-
-    fn assemble(
-        ty: MccType,
-        packed: BitGrid,
-        faulty: BitGrid,
-        [useless, cant_reach]: [BitGrid; 2],
-        components: Vec<Mcc>,
-    ) -> MccMap {
         MccMap {
-            mesh: packed.mesh(),
+            mesh,
             ty,
-            rects: components.iter().map(|m| m.rect).collect(),
             packed,
             faulty,
             useless,
             cant_reach,
-            components,
+            disabled,
+            records: OnceLock::from(with_rects(components, |m| m.rect)),
         }
+    }
+
+    /// The components and their rectangles, built on first call: a BFS
+    /// starts at each still-unvisited node of a row-major scan of the
+    /// blocked plane, with a packed visited mask from this thread's scratch
+    /// workspace, so the components come out in `build_scalar`'s order.
+    fn records(&self) -> &(Vec<Mcc>, Vec<Rect>) {
+        self.records.get_or_init(|| {
+            let components = with_scratch(|ws| {
+                let Workspace {
+                    queue,
+                    visited_mask: visited,
+                    ..
+                } = ws;
+                visited.reset(self.mesh);
+                let mut components = Vec::new();
+                for_each_set_bit(&self.packed, |start| {
+                    if !visited.test_and_set(start) {
+                        components.push(bfs_component(
+                            start,
+                            &self.packed,
+                            &self.faulty,
+                            queue,
+                            |v| !visited.test_and_set(v),
+                        ));
+                    }
+                });
+                components
+            });
+            debug_assert_eq!(
+                components.iter().map(Mcc::disabled_nodes).sum::<usize>(),
+                self.disabled
+            );
+            with_rects(components, |m| m.rect)
+        })
     }
 
     /// The mesh this decomposition covers.
@@ -317,18 +328,16 @@ impl MccMap {
         self.packed.get(c) == Some(true)
     }
 
-    /// The components, in discovery order: row-major after a full build;
-    /// after [`MccMap::insert_fault`] the touched (possibly merged)
-    /// component is re-appended at the end, so compare component lists
-    /// order-insensitively.
+    /// The components in the row-major order of their first nodes, built
+    /// on first call.
     pub fn components(&self) -> &[Mcc] {
-        &self.components
+        &self.records().0
     }
 
-    /// Bounding rectangles of all components, cached in
-    /// [`MccMap::components`] order — no per-call allocation.
+    /// Bounding rectangles of all components, in [`MccMap::components`]
+    /// order and built with them — no per-call allocation.
     pub fn rects(&self) -> &[Rect] {
-        &self.rects
+        &self.records().1
     }
 
     /// The MCC-blocked nodes as a packed bit grid — the input the
@@ -337,9 +346,10 @@ impl MccMap {
         &self.packed
     }
 
-    /// The total number of healthy nodes swallowed by MCCs.
+    /// The total number of healthy nodes swallowed by MCCs, read off a
+    /// counter the fix-point keeps: it builds no components.
     pub fn disabled_count(&self) -> usize {
-        self.components.iter().map(|m| m.disabled_nodes()).sum()
+        self.disabled
     }
 
     /// Incrementally records a newly failed node, resuming the Definition 2
@@ -348,7 +358,9 @@ impl MccMap {
     /// Both label planes are monotone under fault insertion (labels only
     /// ever appear), so a clipped worklist seeded at the new fault reaches
     /// exactly the fix-point a full [`MccMap::build`] computes — the
-    /// equivalence is property-tested here and in `emr-conform`.
+    /// equivalence is property-tested here and in `emr-conform`. Components
+    /// already built are dropped; the next read rebuilds them in the order
+    /// a fresh build gives.
     ///
     /// Returns the bounding rectangle of every node whose *membership*
     /// changed (fault-free ↔ blocked), or `None` when nothing entered an
@@ -370,8 +382,8 @@ impl MccMap {
             faulty,
             useless,
             cant_reach,
-            components,
-            rects,
+            disabled,
+            records,
             ..
         } = self;
         let was_blocked = packed.get(c) == Some(true);
@@ -379,6 +391,8 @@ impl MccMap {
         packed.set(c, true);
         useless.set(c, false);
         cant_reach.set(c, false);
+        // A labeled node that fails stops counting as swallowed.
+        *disabled -= usize::from(was_blocked);
         let mut changed: Option<Rect> = (!was_blocked).then(|| Rect::point(c));
 
         let (fwd, bwd) = type_dirs(*ty);
@@ -387,39 +401,97 @@ impl MccMap {
                 ws.queue.clear();
                 ws.queue.extend(dirs.map(|d| c.step(d.opposite())));
                 label_fixpoint(faulty, label, dirs, &mut ws.queue, |u| {
-                    if packed.get(u) != Some(true) {
-                        packed.set(u, true);
+                    if !packed.test_and_set(u) {
+                        *disabled += 1;
                         changed = Some(changed.map_or(Rect::point(u), |r| r.expanded_to(u)));
                     }
                 });
             }
         });
-
-        // Re-extract the single component containing the fault: every
-        // newly labeled node is adjacent to a previously changed blocked
-        // node, so all changes merge into this one component.
-        let mut visited = std::collections::BTreeSet::from([c]);
-        let merged = with_scratch(|ws| {
-            bfs_component(c, packed, faulty, &mut ws.queue, |v| visited.insert(v))
-        });
-        components.retain(|m| !visited.contains(&m.anchor));
-        components.push(merged);
-        rects.clear();
-        rects.extend(components.iter().map(|m| m.rect));
+        records.take();
         changed
     }
 }
 
+/// Two maps are equal when their type, planes, counters and components
+/// are; a map whose components are not built yet builds them to compare.
+impl PartialEq for MccMap {
+    fn eq(&self, other: &MccMap) -> bool {
+        self.ty == other.ty
+            && self.packed == other.packed
+            && self.faulty == other.faulty
+            && self.useless == other.useless
+            && self.cant_reach == other.cant_reach
+            && self.disabled == other.disabled
+            && self.components() == other.components()
+    }
+}
+
+impl Eq for MccMap {}
+
+/// Writes the type, the planes and the components (built first if need
+/// be) under the field names `mesh`, `ty`, `packed`, `faulty`, `useless`,
+/// `cant_reach`, `components` and `rects`.
+impl Serialize for MccMap {
+    fn serialize(&self, out: &mut Serializer) {
+        let mut map = out.map();
+        map.field("mesh", &self.mesh);
+        map.field("ty", &self.ty);
+        map.field("packed", &self.packed);
+        map.field("faulty", &self.faulty);
+        map.field("useless", &self.useless);
+        map.field("cant_reach", &self.cant_reach);
+        map.field("components", self.components());
+        map.field("rects", self.rects());
+        map.end();
+    }
+}
+
+/// The serialized form of an [`MccMap`]; the rectangles are rebuilt
+/// from the components.
+#[derive(Deserialize)]
+struct MccMapWire {
+    mesh: Mesh,
+    ty: MccType,
+    packed: BitGrid,
+    faulty: BitGrid,
+    useless: BitGrid,
+    cant_reach: BitGrid,
+    components: Vec<Mcc>,
+}
+
+impl Deserialize for MccMap {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<MccMap, Error> {
+        let wire = MccMapWire::deserialize(de)?;
+        Ok(MccMap {
+            mesh: wire.mesh,
+            ty: wire.ty,
+            disabled: wire
+                .packed
+                .count_ones()
+                .saturating_sub(wire.faulty.count_ones()),
+            packed: wire.packed,
+            faulty: wire.faulty,
+            useless: wire.useless,
+            cant_reach: wire.cant_reach,
+            records: OnceLock::from(with_rects(wire.components, |m| m.rect)),
+        })
+    }
+}
+
 impl MemBytes for MccMap {
-    /// The four packed planes, the component list and its cached rects.
+    /// The four packed planes, plus the component list and its rects once
+    /// built.
     fn mem_bytes(&self) -> u64 {
-        let components = self.components.len() * std::mem::size_of::<Mcc>()
-            + self.rects.len() * std::mem::size_of::<Rect>();
+        let records = self.records.get().map_or(0, |(components, rects)| {
+            components.len() * std::mem::size_of::<Mcc>()
+                + rects.len() * std::mem::size_of::<Rect>()
+        });
         [&self.packed, &self.faulty, &self.useless, &self.cant_reach]
             .iter()
             .map(|plane| plane.mem_bytes())
             .sum::<u64>()
-            + components as u64
+            + records as u64
     }
 }
 
@@ -450,7 +522,6 @@ fn bfs_component(
     }
     Mcc {
         rect,
-        anchor: start,
         faulty_nodes,
         disabled_nodes: nodes - faulty_nodes,
     }
@@ -540,7 +611,6 @@ fn extract_components(mesh: Mesh, status: &Grid<MccStatus>, ws: &mut Workspace) 
         }
         components.push(Mcc {
             rect,
-            anchor: start,
             faulty_nodes,
             disabled_nodes,
         });
@@ -688,9 +758,9 @@ mod tests {
         assert_eq!(MccType::for_route(s, Coord::new(8, 2)), MccType::Two);
     }
 
-    /// Order-insensitive equivalence of two maps, down to the private
-    /// label planes (a node can be useless *and* can't-reach while
-    /// `status` only shows one; the planes must still match exactly).
+    /// Equivalence of two maps, down to the private label planes (a node
+    /// can be useless *and* can't-reach while `status` only shows one; the
+    /// planes must still match exactly) and the component order.
     fn assert_equivalent(incremental: &MccMap, rebuilt: &MccMap, ctx: &str) {
         for n in incremental.mesh().nodes() {
             assert_eq!(incremental.status(n), rebuilt.status(n), "{ctx} at {n}");
@@ -706,19 +776,15 @@ mod tests {
             );
         }
         assert_eq!(records(incremental), records(rebuilt), "{ctx}");
+        assert_eq!(incremental, rebuilt, "{ctx}");
     }
 
-    /// The `(rect, faulty, disabled)` record of every component, sorted.
-    /// Equal statuses fix the partition into components; the records pin
-    /// each component's bookkeeping.
+    /// The `(rect, faulty, disabled)` record of every component, in order.
     fn records(m: &MccMap) -> Vec<(Rect, usize, usize)> {
-        let mut records: Vec<_> = m
-            .components()
+        m.components()
             .iter()
             .map(|c| (c.rect(), c.faulty_nodes(), c.disabled_nodes()))
-            .collect();
-        records.sort();
-        records
+            .collect()
     }
 
     #[test]
@@ -783,8 +849,49 @@ mod tests {
         assert_equivalent(&map, &rebuilt, "L grown around a lone fault");
         assert_eq!(
             records(&map),
-            [(Rect::new(2, 2, 5, 5), 1, 0), (Rect::new(2, 6, 2, 5), 8, 3)]
+            [(Rect::new(2, 6, 2, 5), 8, 3), (Rect::new(2, 2, 5, 5), 1, 0)]
         );
+    }
+
+    #[test]
+    fn components_are_built_on_first_read() {
+        let f = figure_1_faults();
+        for ty in MccType::ALL {
+            let map = MccMap::build(&f, ty);
+            let planes = map.mem_bytes();
+            let count = map.disabled_count();
+            assert_eq!(map.mem_bytes(), planes, "the counter builds no components");
+            let scalar = MccMap::build_scalar(&f, ty);
+            assert_eq!(map.rects(), scalar.rects(), "{ty:?}");
+            assert!(
+                map.mem_bytes() > planes,
+                "the first read builds the components"
+            );
+            assert_eq!(map, scalar, "{ty:?}");
+            let sum: usize = map.components().iter().map(Mcc::disabled_nodes).sum();
+            assert_eq!(count, sum, "{ty:?}");
+        }
+    }
+
+    #[test]
+    fn disabled_count_tracks_inserts_without_building_components() {
+        let mesh = Mesh::square(10);
+        // (2,2) fails after the first two faults label it useless under
+        // type-one; the rest grow and merge components.
+        let sequence = [(2, 3), (3, 2), (2, 2), (5, 5), (6, 4), (4, 6), (7, 7)];
+        for ty in MccType::ALL {
+            let mut map = MccMap::build(&FaultSet::new(mesh), ty);
+            let planes = map.mem_bytes();
+            for &(x, y) in &sequence {
+                map.components();
+                map.insert_fault(Coord::new(x, y));
+                assert_eq!(map.mem_bytes(), planes, "an insert drops the components");
+                let count = map.disabled_count();
+                assert_eq!(map.mem_bytes(), planes, "the counter builds no components");
+                let sum: usize = map.components().iter().map(Mcc::disabled_nodes).sum();
+                assert_eq!(count, sum, "{ty:?} after ({x}, {y})");
+            }
+        }
     }
 
     #[test]
@@ -847,8 +954,8 @@ mod tests {
         // with and without a fully-faulty middle row, across the paper's
         // 200×200 mesh, word-boundary-straddling widths (4095/4097 non-×64
         // tails on thin meshes among them) and 1-wide meshes.
-        // Full struct equality pins all four planes, the components with
-        // each one's BFS anchor, and rect order.
+        // Map equality pins all four planes, the disabled-node counter
+        // and the components in order.
         let shapes = [
             (16, 16),
             (65, 3),

@@ -1,14 +1,13 @@
 //! Reusable scratch buffers for the hot decomposition loops.
 //!
-//! Building a [`crate::BlockMap`], an [`crate::MccMap`], or a
-//! reachability table needs transient buffers: the fix-point worklist
-//! queue, a packed visited mask, the row-major key list of the nodes a
-//! build walks in order, scratch rows for the reachability sweeps, and
-//! dense grids for the scalar reference builders. One sweep trial does
-//! all of these; a full experiment does millions. Each thread owns one
-//! [`Workspace`] holding those transients, and every construction
-//! kernel and reachability oracle (`BlockMap::build`,
-//! `MccMap::build`, `reach::minimal_path_exists`,
+//! Building a [`crate::BlockMap`], an [`crate::MccMap`] or their
+//! records, or a reachability table, needs transient buffers: the
+//! fix-point worklist queue, a packed visited mask, scratch rows for the
+//! reachability sweeps, and dense grids for the scalar reference
+//! builders. One sweep trial does most of these; a full experiment does
+//! millions. Each thread owns one [`Workspace`] holding those
+//! transients, and every construction kernel and reachability oracle
+//! (`BlockMap::build`, `MccMap::build`, `reach::minimal_path_exists`,
 //! `ReachMap::from_packed`, …) borrows it through [`with_scratch`], so
 //! a thread pays for the buffers once and reuses them across calls.
 //! Every kernel runs to completion on the calling thread and spawns
@@ -47,14 +46,9 @@ pub struct Workspace {
     pub mark_c: Grid<bool>,
     /// Reachability DP table over a normalized route rectangle.
     pub table: Grid<bool>,
-    /// Packed visited mask: the blocks already read by
-    /// [`crate::BlockMap::build`], the nodes already reached by the MCC
-    /// component extraction.
+    /// Packed visited mask: the blocks already read by the block-record
+    /// scan, the nodes already reached by the MCC component extraction.
     pub visited_mask: BitGrid,
-    /// Row-major keys ([`row_major_key`]) of the nodes a build visits in
-    /// row-major order: the faults of a block build, the blocked nodes of
-    /// an MCC build.
-    pub keys: Vec<u64>,
     /// Packed open-mask row for [`crate::reach_bits::reach_row`].
     pub row_open: Vec<u64>,
     /// Packed reach-bits row carried between [`crate::reach_bits`] rows.
@@ -76,25 +70,11 @@ impl Workspace {
             mark_c: Grid::new(unit, false),
             table: Grid::new(unit, false),
             visited_mask: BitGrid::new(unit),
-            keys: Vec::new(),
             row_open: Vec::new(),
             row_cur: Vec::new(),
             rev: Vec::new(),
         }
     }
-}
-
-/// The row-major sort key of an in-mesh node: sorted keys visit nodes in
-/// the order of the scalar builders' scans, by row, then by column, and
-/// sort as plain integers.
-pub fn row_major_key(c: Coord) -> u64 {
-    (c.y as u64) << 32 | c.x as u64
-}
-
-/// The node a [`row_major_key`] encodes.
-pub fn key_node(key: u64) -> Coord {
-    let part = |bits: u64| i32::try_from(bits & 0xFFFF_FFFF).unwrap_or(i32::MAX);
-    Coord::new(part(key), part(key >> 32))
 }
 
 thread_local! {
