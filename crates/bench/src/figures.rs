@@ -72,14 +72,14 @@ pub fn fig8(cfg: &SweepConfig) -> SeriesTable {
                 }
             };
             let blocks = sc.blocks();
-            let fb = per_block(blocks.disabled_count(), blocks.blocks().len());
+            let fb = per_block(blocks.disabled_count(), blocks.rects().len());
             // Average the two MCC labelings (they are mirror-symmetric, so
             // this only tightens the estimate).
             let mcc: f64 = emr_fault::MccType::ALL
                 .iter()
                 .map(|&ty| {
                     let m = sc.mcc(ty);
-                    per_block(m.disabled_count(), m.components().len())
+                    per_block(m.disabled_count(), m.rects().len())
                 })
                 .sum::<f64>()
                 / 2.0;

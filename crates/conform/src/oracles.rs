@@ -172,9 +172,9 @@ pub const ORACLES: &[Oracle] = &[
         claim: "replaying the faults as epoched arrivals leaves the \
                 incremental state identical to a from-scratch rebuild after \
                 every epoch — block states, MCC statuses, safety levels, and \
-                the whole block and MCC maps (planes, disabled counts, and \
-                records in order, read every epoch so each insert must drop \
-                them) — and every \
+                the whole block and MCC maps (planes, and rectangles in \
+                order, read every epoch so each insert must drop them) — \
+                and every \
                 cache-fresh decision equals a recompute (ground truth: \
                 Scenario::build)",
         check: o_state_matches_rebuild,
@@ -466,8 +466,8 @@ fn o_block_bits_matches_scalar(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Viol
     if *bits != scalar {
         out.push(violation(
             "block-bits-matches-scalar",
-            "node states agree but the maps differ (rects, per-block counts, \
-             the disabled-node count, or packed bits out of lock-step)"
+            "node states agree but the maps differ (rects, or packed bits out \
+             of lock-step)"
                 .to_string(),
         ));
     }
@@ -501,8 +501,7 @@ fn o_mcc_bits_matches_scalar(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violat
                 "mcc-bits-matches-scalar",
                 format!(
                     "[{ty:?}] statuses agree but the maps differ (label planes, \
-                     the disabled-node count, components, or packed bits out of \
-                     lock-step)"
+                     rects, or packed bits out of lock-step)"
                 ),
             ));
         }
@@ -1146,9 +1145,9 @@ fn o_state_matches_rebuild(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violatio
                 }
             }
         }
-        // Map equality compares the planes, the disabled-node counters
-        // and the records in order. Reading the records here builds them,
-        // so the next epoch's insert must drop them.
+        // Map equality compares the planes and the rectangles in order.
+        // Reading the rectangles here builds them, so the next epoch's
+        // insert must drop them.
         if sc.blocks() != rebuilt.blocks() {
             out.push(violation(
                 "state-matches-rebuild",
@@ -1167,8 +1166,8 @@ fn o_state_matches_rebuild(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violatio
                 out.push(violation(
                     "state-matches-rebuild",
                     format!(
-                        "epoch {k} (fault {f}): MCC {ty:?} maps differ (planes, disabled \
-                         count or components in order)"
+                        "epoch {k} (fault {f}): MCC {ty:?} maps differ (planes or \
+                         rects in order)"
                     ),
                 ));
             }

@@ -329,7 +329,10 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         let sc = Scenario::build(faults);
-        assert_eq!(sc.blocks().blocks().len(), 2);
+        assert_eq!(
+            sc.blocks().rects(),
+            [Rect::new(2, 6, 3, 5), Rect::new(5, 7, 8, 9)]
+        );
         let map = sc.boundary_map(Model::FaultBlock);
         // Column x=1 is L3 of the lower block; below the lower block the
         // joined contour of the upper block passes through it too.

@@ -4,7 +4,9 @@ use std::mem::size_of;
 use serde::{Deserialize, Serialize};
 
 use emr_distsim::protocols::EslTuple;
-use emr_mesh::{BitGrid, Coord, Direction, Dist, Frame, MemBytes, Mesh, Rect, UNBOUNDED};
+use emr_mesh::{
+    for_each_set_bit, BitGrid, Coord, Direction, Dist, Frame, MemBytes, Mesh, Rect, UNBOUNDED,
+};
 
 /// The **extended safety level** of a node: the 4-tuple `(E, S, W, N)` of
 /// hop distances to the closest faulty block (or MCC) in each direction
@@ -173,7 +175,7 @@ impl Lanes {
         let mut at = lo;
         for (i, bits) in lanes.enumerate() {
             self.start[first + i] = at;
-            scan_bits(bits, |p| {
+            for_each_set_bit(bits, |p| {
                 self.pos[at] = lane_pos(p);
                 at += 1;
             });
@@ -201,7 +203,7 @@ impl SafetyMap {
         let mut col_start = vec![0usize; width + 1];
         rows.start.push(0);
         for y in 0..mesh.height() {
-            scan_bits(blocked.row(y), |x| {
+            for_each_set_bit(blocked.row(y), |x| {
                 rows.pos.push(lane_pos(x));
                 col_start[x + 1] += 1;
             });
@@ -318,18 +320,6 @@ impl MemBytes for SafetyMap {
     /// Two `u32` positions per obstacle plus one offset per lane and axis.
     fn mem_bytes(&self) -> u64 {
         self.rows.mem_bytes() + self.cols.mem_bytes()
-    }
-}
-
-/// Calls `f(p)` for every set bit position `p` of a packed lane,
-/// ascending.
-fn scan_bits(lane: &[u64], mut f: impl FnMut(usize)) {
-    for (wi, &word) in lane.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            f(wi * 64 + bits.trailing_zeros() as usize);
-            bits &= bits - 1;
-        }
     }
 }
 

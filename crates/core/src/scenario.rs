@@ -76,7 +76,7 @@ impl Scenario {
     /// Forces both MCC labelings and all three safety maps so that later
     /// [`Scenario::apply_fault`] calls repair them incrementally instead
     /// of deferring full rebuilds to first use. Block and component
-    /// records stay lazy: an insert drops them anyway.
+    /// rectangles stay lazy: an insert drops them anyway.
     pub(crate) fn warm(&self) {
         self.block_safety_map();
         for ty in MccType::ALL {
@@ -326,9 +326,9 @@ mod tests {
     fn warmed_512_mesh_stays_within_byte_budget() {
         use rand::SeedableRng;
         // One fault per side-length unit, so the per-fault lists grow
-        // with the side, not the node count. The caps sit about 60% above
-        // the measured 1.39 and 1.53 B/node: neither map builds its
-        // records here (reading them all would add 0.28 B/node).
+        // with the side, not the node count. The caps sit about 95% and
+        // 90% above the measured 1.14 and 1.28 B/node: neither map builds
+        // its rectangles here (reading them all would add 0.09 B/node).
         let mesh = Mesh::square(512);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5ca1_e000 ^ 512);
         let faults = emr_fault::inject::uniform(mesh, 512, &[], &mut rng);

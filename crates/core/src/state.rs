@@ -75,7 +75,7 @@ impl EpochDelta {
 /// that later arrivals take the incremental path (and so the dirty
 /// rectangles of the MCC labelings are always exact — a labeling that was
 /// never materialized could not report its membership changes). Block
-/// and component records stay lazy: each insert drops them.
+/// and component rectangles stay lazy: each insert drops them.
 #[derive(Debug, Clone)]
 pub struct ScenarioState {
     scenario: Scenario,
@@ -152,7 +152,7 @@ impl ScenarioState {
     /// out both MCC labelings and the three safety maps by copy — later
     /// routing and safety queries on the export never rebuild them, and
     /// `insert_fault` on this state can never be observed by a holder of
-    /// the export. Block and component records are not warmed: a reader
+    /// the export. Block and component rectangles are not warmed: a reader
     /// of the export that needs them builds them once. This is the
     /// snapshot-publish primitive of `emr-serve`.
     pub fn export_scenario(&self) -> Scenario {

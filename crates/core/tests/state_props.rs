@@ -2,7 +2,7 @@
 //! driven by N random insertions must be indistinguishable from a
 //! [`Scenario`] built from scratch on the final fault set — per-node
 //! block states, both MCC labelings, all three safety maps, the block and
-//! component records in order, and every decision the epoch-tagged cache
+//! component rectangles in order, and every decision the epoch-tagged cache
 //! claims is fresh.
 
 use rand::rngs::StdRng;
@@ -49,8 +49,8 @@ fn assert_state_matches_rebuild(state: &ScenarioState, ctx: &str) {
             );
         }
     }
-    // Whole maps: the planes, the disabled-node counters, and the records
-    // an insert dropped, rebuilt in a fresh build's order.
+    // Whole maps: the planes, and the rectangles an insert dropped,
+    // rebuilt in a fresh build's order.
     assert_eq!(sc.blocks(), rebuilt.blocks(), "{ctx}: block map");
     for ty in MccType::ALL {
         assert_eq!(sc.mcc(ty), rebuilt.mcc(ty), "{ctx}: {ty:?} map");

@@ -12,9 +12,9 @@
 //! * [`MccMap`] — Wang's **minimal connected components** (Definition 2):
 //!   a refinement that only disables nodes whose use provably destroys
 //!   minimality (useless / can't-reach labeling, type-one for quadrant
-//!   I/III routing and type-two for II/IV); each component keeps its
-//!   bounding rectangle and node counts, the exact shape stays in the
-//!   map's packed planes,
+//!   I/III routing and type-two for II/IV); a component is read as its
+//!   bounding rectangle, the exact shape stays in the map's packed
+//!   planes,
 //! * [`reach`] — the exact monotone-reachability oracle (the ground truth
 //!   "existence of a minimal path" curve of every figure),
 //! * [`reach_bits`] — the word-parallel form of the same oracle: a packed
@@ -26,10 +26,12 @@
 //!
 //! [`BlockMap::build`] and [`MccMap::build`] run the fix-point worklist
 //! their `insert_fault` resumes, seeded at the faults, so a build costs
-//! one copy of each packed plane plus work in proportion to the faults
-//! and the nodes they block, not to the mesh. The block and component
-//! records are built from the planes only when read. Their scalar
-//! builders (`build_scalar`) stay as the reference.
+//! its plane allocations plus work in proportion to the faults and the
+//! nodes they block, not to the mesh. Each map is its packed planes: a node's kind and the
+//! disabled-node count are read off them, and the block and component
+//! rectangles (`rects()`) come from one scan of the blocked plane, shared
+//! by both models and run only when read. Their scalar builders
+//! (`build_scalar`) stay as the reference.
 //!
 //! # Examples
 //!
@@ -46,14 +48,16 @@
 //!         .map(Coord::from),
 //! );
 //! let blocks = BlockMap::build(&faults);
-//! assert_eq!(blocks.blocks().len(), 1);
-//! assert_eq!(blocks.blocks()[0].rect().to_string(), "[2:6, 3:6]");
+//! assert_eq!(blocks.rects().len(), 1);
+//! assert_eq!(blocks.rects()[0].to_string(), "[2:6, 3:6]");
+//! assert_eq!(blocks.disabled_count(), 20 - 8);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod block;
+mod component;
 pub mod coverage;
 mod fault_set;
 pub mod inject;
@@ -62,7 +66,7 @@ pub mod reach;
 pub mod reach_bits;
 mod workspace;
 
-pub use block::{BlockMap, FaultyBlock, NodeState};
+pub use block::{BlockMap, NodeState};
 pub use fault_set::FaultSet;
-pub use mcc::{Mcc, MccMap, MccStatus, MccType};
+pub use mcc::{MccMap, MccStatus, MccType};
 pub use reach_bits::ReachMap;

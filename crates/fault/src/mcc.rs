@@ -1,11 +1,10 @@
-use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 use serde::{Deserialize, Deserializer, Error, Serialize, Serializer};
 
 use emr_mesh::{BitGrid, Coord, Direction, Grid, MemBytes, Mesh, Quadrant, Rect};
 
-use crate::block::{for_each_set_bit, with_rects};
+use crate::component::{component_rects, scalar_component_rects};
 use crate::workspace::{with_scratch, Workspace};
 use crate::FaultSet;
 
@@ -60,45 +59,15 @@ impl MccStatus {
     }
 }
 
-/// One minimal connected component: a maximal connected set of faulty,
-/// useless and can't-reach nodes. MCCs are rectilinear-monotone staircase
-/// polygons; a component keeps its bounding rectangle and its node counts,
-/// while its exact shape stays in the map's planes ([`MccMap::status`],
-/// [`MccMap::packed`]). [`MccMap`] builds these records on first read.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Mcc {
-    rect: Rect,
-    faulty_nodes: usize,
-    disabled_nodes: usize,
-}
-
-impl Mcc {
-    /// The bounding rectangle of the component.
-    pub fn rect(&self) -> Rect {
-        self.rect
-    }
-
-    /// The number of genuinely faulty nodes.
-    pub fn faulty_nodes(&self) -> usize {
-        self.faulty_nodes
-    }
-
-    /// The number of healthy nodes swallowed by the component
-    /// (useless + can't-reach), the MCC series of the paper's Figure 8.
-    pub fn disabled_nodes(&self) -> usize {
-        self.disabled_nodes
-    }
-}
-
-/// The MCC decomposition of a mesh for one labeling type: four packed
-/// planes — the faulty bits, Definition 2's two label planes, and their
-/// union, the blocked bits — plus the component list. A node's
-/// [`MccStatus`] is read off the planes. Like [`crate::BlockMap`],
-/// [`MccMap::build`] and [`MccMap::insert_fault`] keep only the planes and
-/// the count of labeled nodes current: the components are built on the
-/// first call that needs them ([`MccMap::components`],
-/// [`MccMap::rects`]), cached in a `OnceLock`, and dropped by the next
-/// insert.
+/// The MCC decomposition of a mesh for one labeling type: three packed
+/// planes — Definition 2's two label planes and the blocked bits (the
+/// faults and both labels) — off which a node's [`MccStatus`] is read. A
+/// minimal connected component is a maximal connected set of faulty,
+/// useless and can't-reach nodes, a rectilinear-monotone staircase
+/// polygon; [`MccMap::rects`] lists their bounding rectangles, while the
+/// exact shapes stay in the planes. Like [`crate::BlockMap`], the
+/// rectangles are built on first call, cached in a `OnceLock`, and
+/// dropped by the next [`MccMap::insert_fault`].
 ///
 /// # Examples
 ///
@@ -122,20 +91,17 @@ pub struct MccMap {
     /// The blocked (faulty ∪ useless ∪ can't-reach) bits, the input of
     /// the word-parallel downstream passes.
     packed: BitGrid,
-    faulty: BitGrid,
     // The two label planes of Definition 2. They never hold a faulty
-    // node, but a node can carry *both* labels while `status` only shows
-    // the higher-priority one (faulty > useless > can't-reach); the
+    // node, so the faults are the blocked nodes that carry neither label.
+    // A node can carry *both* labels while `status` only shows the
+    // higher-priority one (faulty > useless > can't-reach); the
     // incremental fix-point in [`MccMap::insert_fault`] resumes from the
     // exact planes.
     useless: BitGrid,
     cant_reach: BitGrid,
-    /// The blocked nodes that are not faulty, kept by the fix-point.
-    disabled: usize,
-    /// The components and their bounding rectangles in the same order,
-    /// built on first read so hot loops can borrow the rectangles without
-    /// a per-call allocation.
-    records: OnceLock<(Vec<Mcc>, Vec<Rect>)>,
+    /// The component rectangles, built on first read so hot loops can
+    /// borrow them without a per-call allocation.
+    rects: OnceLock<Vec<Rect>>,
 }
 
 /// Forward neighbors (blocking "useless") and backward neighbors
@@ -170,8 +136,8 @@ impl MccMap {
     /// with another fault in its 3×3 box: a node the faults alone label has its
     /// two rule neighbours faulty, on a diagonal of each other, and later gains
     /// re-enqueue the nodes that see the gainer as a rule neighbour. The build
-    /// costs one copy of each plane plus `O(faults + blocked nodes)`, whatever
-    /// the mesh size; the components are built on first use.
+    /// costs one copy of the fault plane plus `O(faults + blocked nodes)`,
+    /// whatever the mesh size; the rectangles are built on first use.
     /// [`MccMap::build_scalar`] is the reference (`conform` oracle
     /// `mcc-bits-matches-scalar` pins the equivalence).
     pub fn build(faults: &FaultSet, ty: MccType) -> MccMap {
@@ -180,46 +146,33 @@ impl MccMap {
         let mut useless = BitGrid::new(mesh);
         let mut cant_reach = BitGrid::new(mesh);
         let mut packed = faults.packed().clone();
-        let mut disabled = 0;
-        with_scratch(|ws| {
-            let seeds: Vec<Coord> = faults.paired().collect();
-            for (label, dirs) in [(&mut useless, fwd), (&mut cant_reach, bwd)] {
-                ws.queue.clear();
-                ws.queue.extend(
-                    seeds
-                        .iter()
-                        .flat_map(|f| dirs.map(|d| f.step(d.opposite()))),
-                );
-                // A node can gain both labels; it counts once.
-                label_fixpoint(faults.packed(), label, dirs, &mut ws.queue, |u| {
-                    disabled += usize::from(!packed.test_and_set(u));
-                });
-            }
-        });
+        let seeds: Vec<Coord> = faults.paired().collect();
+        label_fixpoint(&mut packed, &mut useless, &cant_reach, fwd, &seeds, None);
+        label_fixpoint(&mut packed, &mut cant_reach, &useless, bwd, &seeds, None);
         MccMap {
             mesh,
             ty,
             packed,
-            faulty: faults.packed().clone(),
             useless,
             cant_reach,
-            disabled,
-            records: OnceLock::new(),
+            rects: OnceLock::new(),
         }
     }
 
     /// The original per-node sweep over dense label grids, with an eager
-    /// BFS component extraction over every node — the ground truth the
-    /// fault-seeded [`MccMap::build`] is differentially tested against.
-    /// Produces an equal map.
+    /// dense-grid BFS extraction of the rectangles over every node — the
+    /// ground truth the fault-seeded [`MccMap::build`] is differentially
+    /// tested against. Produces an equal map.
     pub fn build_scalar(faults: &FaultSet, ty: MccType) -> MccMap {
         let mesh = faults.mesh();
         let (fwd, bwd) = type_dirs(ty);
-        let (planes, components) = with_scratch(|ws| {
+        let (planes, rects) = with_scratch(|ws| {
             let Workspace {
                 mark_a: faulty,
                 mark_b: useless,
                 mark_c: cant_reach,
+                queue,
+                visited,
                 ..
             } = ws;
             faulty.reset(mesh, false);
@@ -228,76 +181,26 @@ impl MccMap {
             }
             sweep_label_into(mesh, faulty, fwd, useless);
             sweep_label_into(mesh, faulty, bwd, cant_reach);
-
-            let status = Grid::from_fn(mesh, |c| {
-                if faulty[c] {
-                    MccStatus::Faulty
-                } else if useless[c] {
-                    MccStatus::Useless
-                } else if cant_reach[c] {
-                    MccStatus::CantReach
-                } else {
-                    MccStatus::FaultFree
-                }
-            });
-            let planes = [&*faulty, &*useless, &*cant_reach]
-                .map(|plane| BitGrid::from_blocked(mesh, |c| plane[c]));
-            (planes, extract_components(mesh, &status, ws))
+            let blocked = |c: Coord| faulty[c] || useless[c] || cant_reach[c];
+            let planes = [
+                BitGrid::from_blocked(mesh, blocked),
+                BitGrid::from_blocked(mesh, |c| useless[c]),
+                BitGrid::from_blocked(mesh, |c| cant_reach[c]),
+            ];
+            (
+                planes,
+                scalar_component_rects(mesh, blocked, queue, visited),
+            )
         });
-        let [faulty, useless, cant_reach] = planes;
-        let mut packed = faulty.clone();
-        let mut disabled = 0;
-        for c in mesh.nodes() {
-            if useless.get(c) == Some(true) || cant_reach.get(c) == Some(true) {
-                packed.set(c, true);
-                disabled += 1;
-            }
-        }
+        let [packed, useless, cant_reach] = planes;
         MccMap {
             mesh,
             ty,
             packed,
-            faulty,
             useless,
             cant_reach,
-            disabled,
-            records: OnceLock::from(with_rects(components, |m| m.rect)),
+            rects: OnceLock::from(rects),
         }
-    }
-
-    /// The components and their rectangles, built on first call: a BFS
-    /// starts at each still-unvisited node of a row-major scan of the
-    /// blocked plane, with a packed visited mask from this thread's scratch
-    /// workspace, so the components come out in `build_scalar`'s order.
-    fn records(&self) -> &(Vec<Mcc>, Vec<Rect>) {
-        self.records.get_or_init(|| {
-            let components = with_scratch(|ws| {
-                let Workspace {
-                    queue,
-                    visited_mask: visited,
-                    ..
-                } = ws;
-                visited.reset(self.mesh);
-                let mut components = Vec::new();
-                for_each_set_bit(&self.packed, |start| {
-                    if !visited.test_and_set(start) {
-                        components.push(bfs_component(
-                            start,
-                            &self.packed,
-                            &self.faulty,
-                            queue,
-                            |v| !visited.test_and_set(v),
-                        ));
-                    }
-                });
-                components
-            });
-            debug_assert_eq!(
-                components.iter().map(Mcc::disabled_nodes).sum::<usize>(),
-                self.disabled
-            );
-            with_rects(components, |m| m.rect)
-        })
     }
 
     /// The mesh this decomposition covers.
@@ -305,21 +208,22 @@ impl MccMap {
         self.mesh
     }
 
-    /// The status of node `c`.
+    /// The status of node `c`: a blocked node carrying neither label is
+    /// faulty.
     ///
     /// # Panics
     ///
     /// Panics if `c` is outside the mesh.
     pub fn status(&self, c: Coord) -> MccStatus {
         assert!(self.mesh.contains(c), "{c} outside {:?}", self.mesh);
-        if self.faulty.get(c) == Some(true) {
-            MccStatus::Faulty
+        if !self.is_blocked(c) {
+            MccStatus::FaultFree
         } else if self.useless.get(c) == Some(true) {
             MccStatus::Useless
         } else if self.cant_reach.get(c) == Some(true) {
             MccStatus::CantReach
         } else {
-            MccStatus::FaultFree
+            MccStatus::Faulty
         }
     }
 
@@ -328,16 +232,10 @@ impl MccMap {
         self.packed.get(c) == Some(true)
     }
 
-    /// The components in the row-major order of their first nodes, built
-    /// on first call.
-    pub fn components(&self) -> &[Mcc] {
-        &self.records().0
-    }
-
-    /// Bounding rectangles of all components, in [`MccMap::components`]
-    /// order and built with them — no per-call allocation.
+    /// The bounding rectangles of the components, in the row-major order
+    /// of their first nodes, built on first call.
     pub fn rects(&self) -> &[Rect] {
-        &self.records().1
+        self.rects.get_or_init(|| component_rects(&self.packed))
     }
 
     /// The MCC-blocked nodes as a packed bit grid — the input the
@@ -346,10 +244,14 @@ impl MccMap {
         &self.packed
     }
 
-    /// The total number of healthy nodes swallowed by MCCs, read off a
-    /// counter the fix-point keeps: it builds no components.
+    /// The total number of healthy nodes swallowed by MCCs (useless or
+    /// can't-reach), the MCC series of the paper's Figure 8: the popcount
+    /// of the two label planes' union. It builds no rectangles.
     pub fn disabled_count(&self) -> usize {
-        self.disabled
+        (0..self.mesh.height())
+            .flat_map(|y| self.useless.row(y).iter().zip(self.cant_reach.row(y)))
+            .map(|(u, c)| (u | c).count_ones() as usize)
+            .sum()
     }
 
     /// Incrementally records a newly failed node, resuming the Definition 2
@@ -358,9 +260,9 @@ impl MccMap {
     /// Both label planes are monotone under fault insertion (labels only
     /// ever appear), so a clipped worklist seeded at the new fault reaches
     /// exactly the fix-point a full [`MccMap::build`] computes — the
-    /// equivalence is property-tested here and in `emr-conform`. Components
-    /// already built are dropped; the next read rebuilds them in the order
-    /// a fresh build gives.
+    /// equivalence is property-tested here and in `emr-conform`.
+    /// Rectangles already built are dropped; the next read rebuilds them
+    /// in the order a fresh build gives.
     ///
     /// Returns the bounding rectangle of every node whose *membership*
     /// changed (fault-free ↔ blocked), or `None` when nothing entered an
@@ -379,180 +281,138 @@ impl MccMap {
         let MccMap {
             ty,
             packed,
-            faulty,
             useless,
             cant_reach,
-            disabled,
-            records,
+            rects,
             ..
         } = self;
-        let was_blocked = packed.get(c) == Some(true);
-        faulty.set(c, true);
-        packed.set(c, true);
+        // A fault carries neither label.
+        let changed = (!packed.test_and_set(c)).then(|| Rect::point(c));
         useless.set(c, false);
         cant_reach.set(c, false);
-        // A labeled node that fails stops counting as swallowed.
-        *disabled -= usize::from(was_blocked);
-        let mut changed: Option<Rect> = (!was_blocked).then(|| Rect::point(c));
 
         let (fwd, bwd) = type_dirs(*ty);
-        with_scratch(|ws| {
-            for (label, dirs) in [(&mut *useless, fwd), (&mut *cant_reach, bwd)] {
-                ws.queue.clear();
-                ws.queue.extend(dirs.map(|d| c.step(d.opposite())));
-                label_fixpoint(faulty, label, dirs, &mut ws.queue, |u| {
-                    if !packed.test_and_set(u) {
-                        *disabled += 1;
-                        changed = Some(changed.map_or(Rect::point(u), |r| r.expanded_to(u)));
-                    }
-                });
-            }
-        });
-        records.take();
+        let changed = label_fixpoint(packed, useless, cant_reach, fwd, &[c], changed);
+        let changed = label_fixpoint(packed, cant_reach, useless, bwd, &[c], changed);
+        rects.take();
         changed
     }
 }
 
-/// Two maps are equal when their type, planes, counters and components
-/// are; a map whose components are not built yet builds them to compare.
+/// Two maps are equal when their type, planes and rectangles are; a map
+/// whose rectangles are not built yet builds them to compare.
 impl PartialEq for MccMap {
     fn eq(&self, other: &MccMap) -> bool {
         self.ty == other.ty
             && self.packed == other.packed
-            && self.faulty == other.faulty
             && self.useless == other.useless
             && self.cant_reach == other.cant_reach
-            && self.disabled == other.disabled
-            && self.components() == other.components()
+            && self.rects() == other.rects()
     }
 }
 
 impl Eq for MccMap {}
 
-/// Writes the type, the planes and the components (built first if need
-/// be) under the field names `mesh`, `ty`, `packed`, `faulty`, `useless`,
-/// `cant_reach`, `components` and `rects`.
+/// Writes the type and the planes under the field names `mesh`, `ty`,
+/// `packed`, `useless` and `cant_reach`.
 impl Serialize for MccMap {
     fn serialize(&self, out: &mut Serializer) {
         let mut map = out.map();
         map.field("mesh", &self.mesh);
         map.field("ty", &self.ty);
         map.field("packed", &self.packed);
-        map.field("faulty", &self.faulty);
         map.field("useless", &self.useless);
         map.field("cant_reach", &self.cant_reach);
-        map.field("components", self.components());
-        map.field("rects", self.rects());
         map.end();
     }
 }
 
-/// The serialized form of an [`MccMap`]; the rectangles are rebuilt
-/// from the components.
+/// The serialized form of an [`MccMap`]; the rectangles are rebuilt on
+/// first read.
 #[derive(Deserialize)]
 struct MccMapWire {
     mesh: Mesh,
     ty: MccType,
     packed: BitGrid,
-    faulty: BitGrid,
     useless: BitGrid,
     cant_reach: BitGrid,
-    components: Vec<Mcc>,
 }
 
 impl Deserialize for MccMap {
     fn deserialize(de: &mut Deserializer<'_>) -> Result<MccMap, Error> {
-        let wire = MccMapWire::deserialize(de)?;
+        let MccMapWire {
+            mesh,
+            ty,
+            packed,
+            useless,
+            cant_reach,
+        } = MccMapWire::deserialize(de)?;
         Ok(MccMap {
-            mesh: wire.mesh,
-            ty: wire.ty,
-            disabled: wire
-                .packed
-                .count_ones()
-                .saturating_sub(wire.faulty.count_ones()),
-            packed: wire.packed,
-            faulty: wire.faulty,
-            useless: wire.useless,
-            cant_reach: wire.cant_reach,
-            records: OnceLock::from(with_rects(wire.components, |m| m.rect)),
+            mesh,
+            ty,
+            packed,
+            useless,
+            cant_reach,
+            rects: OnceLock::new(),
         })
     }
 }
 
 impl MemBytes for MccMap {
-    /// The four packed planes, plus the component list and its rects once
-    /// built.
+    /// The three packed planes, plus the rectangles once built.
     fn mem_bytes(&self) -> u64 {
-        let records = self.records.get().map_or(0, |(components, rects)| {
-            components.len() * std::mem::size_of::<Mcc>()
-                + rects.len() * std::mem::size_of::<Rect>()
-        });
-        [&self.packed, &self.faulty, &self.useless, &self.cant_reach]
+        let rects = self.rects.get().map_or(0, Vec::len) * std::mem::size_of::<Rect>();
+        [&self.packed, &self.useless, &self.cant_reach]
             .iter()
             .map(|plane| plane.mem_bytes())
             .sum::<u64>()
-            + records as u64
+            + rects as u64
     }
 }
 
-/// The component of the set bits of `blocked` containing `start`, by BFS
-/// with neighbors in E, N, W, S order. `first_visit(v)` marks `v` visited
-/// and reports whether it was unvisited; `start` must be marked already.
-fn bfs_component(
-    start: Coord,
-    blocked: &BitGrid,
-    faulty: &BitGrid,
-    queue: &mut VecDeque<Coord>,
-    mut first_visit: impl FnMut(Coord) -> bool,
-) -> Mcc {
-    let mut rect = Rect::point(start);
-    let mut nodes = 0;
-    let mut faulty_nodes = 0;
-    queue.clear();
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        rect = rect.expanded_to(u);
-        nodes += 1;
-        faulty_nodes += usize::from(faulty.get(u) == Some(true));
-        for v in blocked.mesh().neighbors(u) {
-            if blocked.get(v) == Some(true) && first_visit(v) {
-                queue.push_back(v);
+/// Runs one label plane's Definition-2 worklist to its fix-point, seeded
+/// at the nodes that see a node of `seeds` as a `dirs` neighbour. A
+/// candidate that is fault-free and unlabeled gains the label, and its
+/// `blocked` bit, when both `dirs` neighbours are faulty-or-labeled, and
+/// the nodes that see it as a `dirs` neighbour then become candidates.
+/// The label planes never hold a fault, so the faults are the `blocked`
+/// nodes in neither `label` nor `other`, and faulty-or-labeled reads
+/// `label(v) || (blocked(v) && !other(v))`. Labels only ever appear, so
+/// the worklist reaches the least fix-point above `label` as long as the
+/// seeded candidates include every node the faults alone label. Returns
+/// `joined` widened to cover each gainer that was not blocked before.
+fn label_fixpoint(
+    blocked: &mut BitGrid,
+    label: &mut BitGrid,
+    other: &BitGrid,
+    dirs: [Direction; 2],
+    seeds: &[Coord],
+    mut joined: Option<Rect>,
+) -> Option<Rect> {
+    let [vertical, horizontal] = dirs;
+    let seen_by = |u: Coord| dirs.map(|d| u.step(d.opposite()));
+    with_scratch(|ws| {
+        let queue = &mut ws.queue;
+        queue.clear();
+        queue.extend(seeds.iter().flat_map(|&f| seen_by(f)));
+        while let Some(u) = queue.pop_front() {
+            let blocks = |v: Coord| {
+                label.get(v) == Some(true)
+                    || (blocked.get(v) == Some(true) && other.get(v) != Some(true))
+            };
+            if !blocked.mesh().contains(u) || blocks(u) {
+                continue;
+            }
+            if blocks(u.step(vertical)) && blocks(u.step(horizontal)) {
+                label.set(u, true);
+                if !blocked.test_and_set(u) {
+                    joined = Some(joined.map_or(Rect::point(u), |r| r.expanded_to(u)));
+                }
+                queue.extend(seen_by(u));
             }
         }
-    }
-    Mcc {
-        rect,
-        faulty_nodes,
-        disabled_nodes: nodes - faulty_nodes,
-    }
-}
-
-/// Runs one label plane's Definition-2 worklist to its fix-point. A
-/// candidate off `queue` that is fault-free and unlabeled gains the label
-/// when both `dirs` neighbours are faulty-or-labeled, and the nodes that
-/// see it as a `dirs` neighbour then become candidates. Labels only ever
-/// appear, so the worklist reaches the least fix-point above `label` as
-/// long as the initial candidates include every node `faulty` alone
-/// labels. Calls `gain` on each gainer, in discovery order.
-fn label_fixpoint(
-    faulty: &BitGrid,
-    label: &mut BitGrid,
-    dirs: [Direction; 2],
-    queue: &mut VecDeque<Coord>,
-    mut gain: impl FnMut(Coord),
-) {
-    let [vertical, horizontal] = dirs;
-    while let Some(u) = queue.pop_front() {
-        if faulty.get(u) != Some(false) || label.get(u) == Some(true) {
-            continue;
-        }
-        let blocked = |v: Coord| faulty.get(v) == Some(true) || label.get(v) == Some(true);
-        if blocked(u.step(vertical)) && blocked(u.step(horizontal)) {
-            label.set(u, true);
-            gain(u);
-            queue.extend(dirs.map(|d| u.step(d.opposite())));
-        }
-    }
+    });
+    joined
 }
 
 /// One monotone sweep computes a label whose rule is "fault-free node with
@@ -578,44 +438,6 @@ fn sweep_label_into(mesh: Mesh, faulty: &Grid<bool>, dirs: [Direction; 2], label
             }
         }
     }
-}
-
-// emr-lint: allow(A1, "component ids index the vector they were pushed into, and the status grid covers the mesh")
-fn extract_components(mesh: Mesh, status: &Grid<MccStatus>, ws: &mut Workspace) -> Vec<Mcc> {
-    let Workspace { queue, visited, .. } = ws;
-    visited.reset(mesh, false);
-    let mut components = Vec::new();
-    for start in mesh.nodes() {
-        if visited[start] || !status[start].is_blocked() {
-            continue;
-        }
-        let mut rect = Rect::point(start);
-        let mut faulty_nodes = 0;
-        let mut disabled_nodes = 0;
-        queue.clear();
-        queue.push_back(start);
-        visited[start] = true;
-        while let Some(u) = queue.pop_front() {
-            rect = rect.expanded_to(u);
-            match status[u] {
-                MccStatus::Faulty => faulty_nodes += 1,
-                MccStatus::Useless | MccStatus::CantReach => disabled_nodes += 1,
-                MccStatus::FaultFree => unreachable!("fault-free node in MCC"),
-            }
-            for v in mesh.neighbors(u) {
-                if !visited[v] && status[v].is_blocked() {
-                    visited[v] = true;
-                    queue.push_back(v);
-                }
-            }
-        }
-        components.push(Mcc {
-            rect,
-            faulty_nodes,
-            disabled_nodes,
-        });
-    }
-    components
 }
 
 #[cfg(test)]
@@ -725,7 +547,7 @@ mod tests {
         assert_eq!(one.status(Coord::new(3, 3)), MccStatus::CantReach);
         assert_eq!(one.status(Coord::new(4, 2)), MccStatus::CantReach);
         // Everything is one connected component.
-        assert_eq!(one.components().len(), 1);
+        assert_eq!(one.rects(), [Rect::new(1, 4, 1, 4)]);
     }
 
     #[test]
@@ -744,7 +566,7 @@ mod tests {
         let f = FaultSet::new(Mesh::square(4));
         for ty in MccType::ALL {
             let mcc = MccMap::build(&f, ty);
-            assert!(mcc.components().is_empty());
+            assert!(mcc.rects().is_empty());
             assert_eq!(mcc.disabled_count(), 0);
         }
     }
@@ -760,7 +582,7 @@ mod tests {
 
     /// Equivalence of two maps, down to the private label planes (a node
     /// can be useless *and* can't-reach while `status` only shows one; the
-    /// planes must still match exactly) and the component order.
+    /// planes must still match exactly) and the rectangle order.
     fn assert_equivalent(incremental: &MccMap, rebuilt: &MccMap, ctx: &str) {
         for n in incremental.mesh().nodes() {
             assert_eq!(incremental.status(n), rebuilt.status(n), "{ctx} at {n}");
@@ -775,16 +597,21 @@ mod tests {
                 "{ctx} at {n}"
             );
         }
-        assert_eq!(records(incremental), records(rebuilt), "{ctx}");
+        assert_eq!(incremental.rects(), rebuilt.rects(), "{ctx}");
+        assert_eq!(
+            incremental.disabled_count(),
+            rebuilt.disabled_count(),
+            "{ctx}"
+        );
         assert_eq!(incremental, rebuilt, "{ctx}");
     }
 
-    /// The `(rect, faulty, disabled)` record of every component, in order.
-    fn records(m: &MccMap) -> Vec<(Rect, usize, usize)> {
-        m.components()
-            .iter()
-            .map(|c| (c.rect(), c.faulty_nodes(), c.disabled_nodes()))
-            .collect()
+    /// The number of nodes `m` labels useless or can't-reach, by status.
+    fn labeled(m: &MccMap) -> usize {
+        m.mesh()
+            .nodes()
+            .filter(|&n| matches!(m.status(n), MccStatus::Useless | MccStatus::CantReach))
+            .count()
     }
 
     #[test]
@@ -847,34 +674,31 @@ mod tests {
             MccType::One,
         );
         assert_equivalent(&map, &rebuilt, "L grown around a lone fault");
-        assert_eq!(
-            records(&map),
-            [(Rect::new(2, 6, 2, 5), 8, 3), (Rect::new(2, 2, 5, 5), 1, 0)]
-        );
+        assert_eq!(map.rects(), [Rect::new(2, 6, 2, 5), Rect::new(2, 2, 5, 5)]);
+        assert_eq!(map.disabled_count(), 3);
     }
 
     #[test]
-    fn components_are_built_on_first_read() {
+    fn rects_are_built_on_first_read() {
         let f = figure_1_faults();
         for ty in MccType::ALL {
             let map = MccMap::build(&f, ty);
             let planes = map.mem_bytes();
             let count = map.disabled_count();
-            assert_eq!(map.mem_bytes(), planes, "the counter builds no components");
+            assert_eq!(map.mem_bytes(), planes, "the count builds no rectangles");
             let scalar = MccMap::build_scalar(&f, ty);
             assert_eq!(map.rects(), scalar.rects(), "{ty:?}");
             assert!(
                 map.mem_bytes() > planes,
-                "the first read builds the components"
+                "the first read builds the rectangles"
             );
             assert_eq!(map, scalar, "{ty:?}");
-            let sum: usize = map.components().iter().map(Mcc::disabled_nodes).sum();
-            assert_eq!(count, sum, "{ty:?}");
+            assert_eq!(count, labeled(&map), "{ty:?}");
         }
     }
 
     #[test]
-    fn disabled_count_tracks_inserts_without_building_components() {
+    fn disabled_count_tracks_inserts_without_building_rects() {
         let mesh = Mesh::square(10);
         // (2,2) fails after the first two faults label it useless under
         // type-one; the rest grow and merge components.
@@ -883,13 +707,12 @@ mod tests {
             let mut map = MccMap::build(&FaultSet::new(mesh), ty);
             let planes = map.mem_bytes();
             for &(x, y) in &sequence {
-                map.components();
+                map.rects();
                 map.insert_fault(Coord::new(x, y));
-                assert_eq!(map.mem_bytes(), planes, "an insert drops the components");
+                assert_eq!(map.mem_bytes(), planes, "an insert drops the rectangles");
                 let count = map.disabled_count();
-                assert_eq!(map.mem_bytes(), planes, "the counter builds no components");
-                let sum: usize = map.components().iter().map(Mcc::disabled_nodes).sum();
-                assert_eq!(count, sum, "{ty:?} after ({x}, {y})");
+                assert_eq!(map.mem_bytes(), planes, "the count builds no rectangles");
+                assert_eq!(count, labeled(&map), "{ty:?} after ({x}, {y})");
             }
         }
     }
@@ -900,8 +723,9 @@ mod tests {
         let mut map = MccMap::build(&FaultSet::new(mesh), MccType::One);
         assert!(map.insert_fault(Coord::new(2, 2)).is_some());
         assert_eq!(map.insert_fault(Coord::new(2, 2)), None);
-        assert_eq!(map.components().len(), 1);
-        assert_eq!(map.components()[0].faulty_nodes(), 1);
+        assert_eq!(map.rects(), [Rect::point(Coord::new(2, 2))]);
+        assert_eq!(map.status(Coord::new(2, 2)), MccStatus::Faulty);
+        assert_eq!(map.disabled_count(), 0);
     }
 
     #[test]
@@ -954,8 +778,7 @@ mod tests {
         // with and without a fully-faulty middle row, across the paper's
         // 200×200 mesh, word-boundary-straddling widths (4095/4097 non-×64
         // tails on thin meshes among them) and 1-wide meshes.
-        // Map equality pins all four planes, the disabled-node counter
-        // and the components in order.
+        // Map equality pins all three planes and the rectangles in order.
         let shapes = [
             (16, 16),
             (65, 3),
@@ -1002,16 +825,12 @@ mod tests {
     }
 
     #[test]
-    fn component_counts_match_status() {
+    fn rects_and_counts_match_status() {
         let f = figure_1_faults();
         let one = MccMap::build(&f, MccType::One);
-        let counted: usize = one
-            .components()
-            .iter()
-            .map(|m| m.faulty_nodes() + m.disabled_nodes())
-            .sum();
         let blocked: Vec<Coord> = f.mesh().nodes().filter(|&c| one.is_blocked(c)).collect();
-        assert_eq!(counted, blocked.len());
+        assert_eq!(one.disabled_count() + f.len(), blocked.len());
+        assert_eq!(one.disabled_count(), labeled(&one));
         for c in blocked {
             assert!(one.rects().iter().any(|r| r.contains(c)), "{c}");
         }

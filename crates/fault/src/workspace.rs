@@ -1,7 +1,7 @@
 //! Reusable scratch buffers for the hot decomposition loops.
 //!
 //! Building a [`crate::BlockMap`], an [`crate::MccMap`] or their
-//! records, or a reachability table, needs transient buffers: the
+//! rectangles, or a reachability table, needs transient buffers: the
 //! fix-point worklist queue, a packed visited mask, scratch rows for the
 //! reachability sweeps, and dense grids for the scalar reference
 //! builders. One sweep trial does most of these; a full experiment does
@@ -36,7 +36,8 @@ use emr_mesh::{BitGrid, Coord, Grid, Mesh};
 pub struct Workspace {
     /// BFS / worklist queue for fix-points and component extraction.
     pub queue: VecDeque<Coord>,
-    /// Visited marks for the scalar builders' component extraction.
+    /// Visited marks for the scalar builders' shared component
+    /// extraction.
     pub visited: Grid<bool>,
     /// General boolean node marks (faulty flags, obstacle maps).
     pub mark_a: Grid<bool>,
@@ -46,8 +47,8 @@ pub struct Workspace {
     pub mark_c: Grid<bool>,
     /// Reachability DP table over a normalized route rectangle.
     pub table: Grid<bool>,
-    /// Packed visited mask: the blocks already read by the block-record
-    /// scan, the nodes already reached by the MCC component extraction.
+    /// Packed visited mask: the nodes the component scan behind both
+    /// maps' `rects()` and `BlockMap::insert_fault` has already reached.
     pub visited_mask: BitGrid,
     /// Packed open-mask row for [`crate::reach_bits::reach_row`].
     pub row_open: Vec<u64>,

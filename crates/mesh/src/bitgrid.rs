@@ -30,6 +30,29 @@ pub struct BitGrid {
     words: Vec<u64>,
 }
 
+/// Calls `f(p)` for every set bit position `p` of a packed lane (bit
+/// `p mod 64` of word `p / 64`), ascending. Over [`BitGrid::row`] it
+/// visits a row's set columns west to east.
+///
+/// # Examples
+///
+/// ```
+/// use emr_mesh::for_each_set_bit;
+///
+/// let mut seen = Vec::new();
+/// for_each_set_bit(&[0b1010, 1], |p| seen.push(p));
+/// assert_eq!(seen, [1, 3, 64]);
+/// ```
+pub fn for_each_set_bit(lane: &[u64], mut f: impl FnMut(usize)) {
+    for (wi, &word) in lane.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(wi * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
 /// Words needed for `len` bits.
 fn words_for(len: usize) -> usize {
     len.div_ceil(64)

@@ -14,7 +14,8 @@
 //!   describe faulty blocks,
 //! * [`Grid`] — a dense per-node storage indexed by [`Coord`],
 //! * [`BitGrid`] — one bit per node, packed into `u64` words for the
-//!   word-parallel reachability kernels,
+//!   word-parallel reachability kernels, and [`for_each_set_bit`], which
+//!   decodes the set bits of one packed lane,
 //! * [`MemBytes`] — uniform resident-byte accounting across the map types,
 //! * [`Quadrant`] and [`Frame`] — relative quadrants and the mirroring
 //!   transform that maps any source/destination pair onto the canonical
@@ -47,7 +48,7 @@ mod path;
 mod quadrant;
 mod rect;
 
-pub use bitgrid::BitGrid;
+pub use bitgrid::{for_each_set_bit, BitGrid};
 pub use coord::Coord;
 pub use direction::Direction;
 pub use frame::Frame;

@@ -107,7 +107,7 @@ impl Snapshot {
     /// Approximate heap bytes held by this snapshot (an estimate for
     /// capacity planning, not an allocator measurement): the scenario's
     /// [`MemBytes`] payload accounting — the packed fault, block and MCC
-    /// planes (block and component records only once something reads
+    /// planes (block and component rectangles only once something reads
     /// them), and the three safety maps, whose lane indexes grow with the
     /// obstacles rather than the nodes — plus 40 bytes per memo entry
     /// (key + value).

@@ -25,7 +25,7 @@ fn main() {
         mesh.width(),
         mesh.height(),
         scenario.faults().len(),
-        blocks.blocks().len(),
+        blocks.rects().len(),
         blocks.disabled_count(),
     );
     let rows = affected::affected_rows(blocks);
@@ -98,12 +98,7 @@ fn main() {
         .filter(|&c| !blocked[c])
         .map(|c| knowledge[c].len() as f64)
         .sum::<f64>()
-        / (mesh.node_count()
-            - blocks
-                .blocks()
-                .iter()
-                .map(|b| b.rect().node_count())
-                .sum::<usize>()) as f64;
+        / (mesh.node_count() - blocks.rects().iter().map(Rect::node_count).sum::<usize>()) as f64;
     println!(
         "pivot broadcast (ext 3):  {:>7} messages, {:>3} rounds, {} pivots, avg {:.2} known/node",
         stats.messages,

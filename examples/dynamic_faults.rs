@@ -62,14 +62,14 @@ fn main() {
                 u32::from(matches!(conditions::strategy4(&view, s, d), Some(e) if e.is_minimal()));
         }
         let biggest = blocks
-            .blocks()
+            .rects()
             .iter()
-            .map(|b| b.rect().node_count())
+            .map(Rect::node_count)
             .max()
             .unwrap_or(0);
         println!(
             "{step:>6} {:>8} {:>10} {:>12.1} {:>16.1} {:>14}",
-            blocks.blocks().len(),
+            blocks.rects().len(),
             blocks.disabled_count(),
             100.0 * f64::from(safe) / f64::from(n),
             100.0 * f64::from(s4) / f64::from(n),

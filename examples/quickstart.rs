@@ -26,12 +26,15 @@ fn main() {
     // closes the cluster into rectangles.
     let scenario = Scenario::build(faults);
     println!("faulty blocks:");
-    for block in scenario.blocks().blocks() {
+    for &rect in scenario.blocks().rects() {
+        // A block fills its rectangle: its faults plus disabled nodes.
+        let faulty = rect
+            .iter()
+            .filter(|&c| scenario.faults().is_faulty(c))
+            .count();
         println!(
-            "  {} ({} faulty, {} disabled)",
-            block.rect(),
-            block.faulty_nodes(),
-            block.disabled_nodes()
+            "  {rect} ({faulty} faulty, {} disabled)",
+            rect.node_count() - faulty
         );
     }
 

@@ -37,7 +37,7 @@ fn main() {
 
     println!(
         "seed {seed}: {} blocks, plan {:?}, {} hops\n",
-        scenario.blocks().blocks().len(),
+        scenario.blocks().rects().len(),
         ensured.plan(),
         path.hops()
     );

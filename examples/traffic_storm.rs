@@ -27,7 +27,7 @@ fn main() {
         "{0}x{0} mesh, {1} faults ({2} blocks), {packets} packets @ 4/cycle\n",
         mesh.width(),
         faults,
-        scenario.blocks().blocks().len()
+        scenario.blocks().rects().len()
     );
     println!(
         "{:<22} {:>10} {:>8} {:>12} {:>9} {:>10}",

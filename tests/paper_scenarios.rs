@@ -25,17 +25,20 @@ fn figure_1_block_and_mcc() {
     let scenario = Scenario::build(faults);
 
     // "Eight faults … form a rectangle [2:6, 3:6]."
-    assert_eq!(scenario.blocks().blocks().len(), 1);
-    let block = scenario.blocks().blocks()[0];
-    assert_eq!(block.rect(), Rect::new(2, 6, 3, 6));
-    assert_eq!(block.faulty_nodes(), 8);
-    assert_eq!(block.faulty_nodes() + block.disabled_nodes(), 20);
+    let blocks = scenario.blocks();
+    assert_eq!(blocks.rects(), [Rect::new(2, 6, 3, 6)]);
+    let faulty = blocks.rects()[0]
+        .iter()
+        .filter(|&c| scenario.faults().is_faulty(c))
+        .count();
+    assert_eq!(faulty, 8);
+    assert_eq!(blocks.disabled_count(), 20 - 8);
 
     // The MCC refinement frees some healthy nodes per routing type.
     let one = scenario.mcc(MccType::One);
     let two = scenario.mcc(MccType::Two);
-    assert!(one.disabled_count() < block.disabled_nodes());
-    assert!(two.disabled_count() < block.disabled_nodes());
+    assert!(one.disabled_count() < blocks.disabled_count());
+    assert!(two.disabled_count() < blocks.disabled_count());
     // Statuses quoted in §2 (see `emr-fault` for the (4,3) discussion).
     assert!(!one.is_blocked(Coord::new(2, 6)));
     assert!(two.is_blocked(Coord::new(2, 6)));

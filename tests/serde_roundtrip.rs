@@ -2,15 +2,19 @@
 //! fault-model values must survive serialization so recorded experiment
 //! artifacts and cross-process uses are trustworthy.
 
+use emr2d::fault::{MccStatus, NodeState};
 use emr2d::prelude::*;
 
-fn roundtrip<T>(value: &T)
+/// Serializes and deserializes `value`, checks the two are equal, and
+/// returns the deserialized copy.
+fn roundtrip<T>(value: &T) -> T
 where
     T: serde::Serialize + serde::de::DeserializeOwned + PartialEq + std::fmt::Debug,
 {
     let json = serde_json::to_string(value).expect("serializes");
     let back: T = serde_json::from_str(&json).expect("deserializes");
     assert_eq!(&back, value, "round-trip changed the value");
+    back
 }
 
 #[test]
@@ -32,6 +36,20 @@ fn fault_model_types_roundtrip() {
     roundtrip(&BlockMap::build(&faults));
     roundtrip(&MccMap::build(&faults, MccType::One));
     roundtrip(&MccType::Two);
+
+    // (2,2) is disabled under blocks and useless under type one, then
+    // fails. The maps keep no separate MCC fault plane, so the copy must
+    // read the fault back off its planes alone.
+    let corner = FaultSet::from_coords(mesh, [Coord::new(2, 3), Coord::new(3, 2)]);
+    let pocket = Coord::new(2, 2);
+    let mut blocks = BlockMap::build(&corner);
+    let mut one = MccMap::build(&corner, MccType::One);
+    assert_eq!(blocks.state(pocket), NodeState::Disabled);
+    assert_eq!(one.status(pocket), MccStatus::Useless);
+    blocks.insert_fault(pocket);
+    one.insert_fault(pocket);
+    assert_eq!(roundtrip(&blocks).state(pocket), NodeState::Faulty);
+    assert_eq!(roundtrip(&one).status(pocket), MccStatus::Faulty);
 }
 
 #[test]
