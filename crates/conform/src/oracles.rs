@@ -112,7 +112,8 @@ pub const ORACLES: &[Oracle] = &[
     },
     Oracle {
         name: "safety-bits-matches-scalar",
-        claim: "the lane-index safety maps and their packed lane resweeps \
+        claim: "the safety maps' word scans over each obstacle plane and \
+                its transpose, built fresh and repaired column by column, \
                 equal the scalar ESL sweep for every obstacle map (ground \
                 truth: emr_distsim::protocols::esl::compute_global)",
         check: o_safety_bits_matches_scalar,
@@ -513,10 +514,11 @@ fn o_safety_bits_matches_scalar(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Vio
     let mut out = Vec::new();
     let sc = spec.scenario();
     let mesh = spec.mesh();
-    // From-scratch: every safety map the scenario serves is a lane index
-    // of packed obstacle bits; each must equal the scalar ESL sweep over
-    // the same obstacle predicate.
-    let mut check = |label: String, bit_map: &SafetyMap, blocked: &dyn Fn(Coord) -> bool| {
+    // From-scratch: every safety map the scenario serves scans its
+    // model's packed obstacle plane and the plane's fault-seeded
+    // transpose; each must equal the scalar ESL sweep over the same
+    // obstacle predicate.
+    let mut check = |label: String, bit_map: SafetyMap<'_>, blocked: &dyn Fn(Coord) -> bool| {
         let scalar = esl::compute_global(&Grid::from_fn(mesh, blocked));
         for c in mesh.nodes() {
             let want = SafetyLevel::from_tuple(scalar[c]);
@@ -524,7 +526,7 @@ fn o_safety_bits_matches_scalar(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Vio
                 out.push(violation(
                     "safety-bits-matches-scalar",
                     format!(
-                        "[{label}] level at {c}: lanes {}, scalar {want}",
+                        "[{label}] level at {c}: bits {}, scalar {want}",
                         bit_map.level(c)
                     ),
                 ));
@@ -540,28 +542,33 @@ fn o_safety_bits_matches_scalar(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Vio
             sc.mcc(ty).is_blocked(c)
         });
     }
-    // Incremental: replaying the faults one at a time with the packed
-    // lane resweep must land on the same map as a from-scratch packed
-    // rebuild (and, transitively via the check above, the scalar sweep).
-    let mut blocks = BlockMap::build(&FaultSet::new(mesh));
-    let mut swept = SafetyMap::compute_packed(blocks.packed());
+    // Incremental: replaying the faults one at a time through a warmed
+    // state re-extracts the transposed columns that cross each change;
+    // every repaired map must answer as the from-scratch one above (and,
+    // transitively, as the scalar sweep).
+    let mut state = ScenarioState::new(FaultSet::new(mesh));
     for &f in &spec.faults {
-        let rect = blocks.insert_fault(f);
-        swept.resweep_rect_packed(blocks.packed(), rect);
+        state.insert_fault(f);
     }
-    let rebuilt = SafetyMap::compute_packed(blocks.packed());
-    for c in mesh.nodes() {
-        if swept.level(c) != rebuilt.level(c) {
+    let swept = state.scenario();
+    fn maps(s: &Scenario) -> [(&'static str, SafetyMap<'_>); 3] {
+        [
+            ("blocks", s.block_safety_map()),
+            ("mcc One", s.mcc_safety_map(MccType::One)),
+            ("mcc Two", s.mcc_safety_map(MccType::Two)),
+        ]
+    }
+    for ((label, swept), (_, rebuilt)) in maps(swept).into_iter().zip(maps(&sc)) {
+        if let Some(c) = mesh.nodes().find(|&c| swept.level(c) != rebuilt.level(c)) {
             out.push(violation(
                 "safety-bits-matches-scalar",
                 format!(
-                    "[resweep] level at {c} after {} faults: swept {}, rebuilt {}",
+                    "[incremental {label}] level at {c} after {} faults: repaired {}, rebuilt {}",
                     spec.faults.len(),
                     swept.level(c),
                     rebuilt.level(c)
                 ),
             ));
-            break;
         }
     }
     out
@@ -941,8 +948,7 @@ fn o_netsim_hops(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation> {
     if planned.is_empty() {
         return Vec::new();
     }
-    let boundary = sc.boundary_map(Model::FaultBlock);
-    let mut sim = NetSim::new(spec.mesh(), WuRouter::new(&view, &boundary));
+    let mut sim = NetSim::new(spec.mesh(), WuRouter::new(&view));
     let mut expected_hops = 0u64;
     for (i, packet) in planned.iter().enumerate() {
         expected_hops += u64::from(packet.source().manhattan(packet.dest()));
@@ -1021,9 +1027,8 @@ fn o_event_matches_cycle(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation>
     let offered = 3.0 / mesh.node_count() as f64;
     let load = Workload::offered_load(&sc, TrafficPattern::Uniform, 40, offered, &mut rng);
     let view = sc.view(Model::FaultBlock);
-    let boundary = sc.boundary_map(Model::FaultBlock);
     let raw = load.packets();
-    event_cycle_compare(mesh, raw, &WuRouter::new(&view, &boundary), "wu", &mut out);
+    event_cycle_compare(mesh, raw, &WuRouter::new(&view), "wu", &mut out);
     event_cycle_compare(mesh, raw, &XyRouter::new(mesh, sc.blocks()), "xy", &mut out);
     event_cycle_compare(
         mesh,
@@ -1046,15 +1051,8 @@ fn o_event_matches_cycle(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation>
         if planned.is_empty() {
             continue;
         }
-        let boundary = sc.boundary_map(model);
         let which = format!("wu planned {model:?}");
-        event_cycle_compare(
-            mesh,
-            &planned,
-            &WuRouter::new(&view, &boundary),
-            &which,
-            &mut out,
-        );
+        event_cycle_compare(mesh, &planned, &WuRouter::new(&view), &which, &mut out);
     }
 
     // Dynamic replay: epoched Wu absorbing scheduled mid-flight faults.

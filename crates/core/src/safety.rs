@@ -1,9 +1,9 @@
 use std::fmt;
-use std::mem::size_of;
 
 use serde::{Deserialize, Serialize};
 
 use emr_distsim::protocols::EslTuple;
+use emr_fault::FaultSet;
 use emr_mesh::{
     for_each_set_bit, BitGrid, Coord, Direction, Dist, Frame, MemBytes, Mesh, Rect, UNBOUNDED,
 };
@@ -110,134 +110,83 @@ impl fmt::Display for SafetyLevel {
     }
 }
 
-/// The extended safety levels of every node of a mesh for one obstacle map.
+/// The extended safety levels of one obstacle plane, as a view.
 ///
-/// A safety level is a pure function of the obstacle pattern of the
-/// node's own row and column, so the map stores exactly that: the
-/// ascending obstacle positions of every row and every column, built in
-/// `O(words + obstacles)` from a packed obstacle grid. Each axis is one
-/// offset array over one contiguous position array, so a build makes a
-/// handful of allocations whatever the mesh size, and with `f` obstacles
-/// the map holds `2f` `u32` positions plus `width + height + 2` offsets.
-/// [`SafetyMap::level`] derives a node's four distances with one binary
-/// search per axis. The levels equal the paper's distributed FORMATION
-/// protocol run to quiescence and its centralized sweep,
+/// A level is the distance to the nearest obstacle on either side of the
+/// node along its own row and its own column, so it is four
+/// nearest-set-bit scans: East and West along row `y` of the row-major
+/// obstacle plane, North and South along lane `x` of the plane's
+/// transpose (lane `x` is column `x`, bit `y` row `y`). The view borrows
+/// both: the plane belongs to its model's map
+/// ([`emr_fault::BlockMap::packed`], [`emr_fault::MccMap::packed`]), the
+/// transpose to the [`crate::Scenario`], which keeps one per model. A
+/// scan masks its first word, then reads whole words until it meets a
+/// set bit or the lane's end. The levels equal the paper's distributed
+/// FORMATION protocol run to quiescence and its centralized sweep,
 /// `emr_distsim::protocols::esl::compute_global` — the ground truth of the
 /// `safety-bits-matches-scalar` conform oracle and the differential tests
 /// below.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SafetyMap {
-    mesh: Mesh,
-    /// Row `y`: the columns of its obstacles.
-    rows: Lanes,
-    /// Column `x`: the rows of its obstacles.
-    cols: Lanes,
+#[derive(Debug, Clone, Copy)]
+pub struct SafetyMap<'a> {
+    rows: &'a BitGrid,
+    cols: &'a BitGrid,
 }
 
-/// One axis of a [`SafetyMap`]: lane `i` is `pos[start[i]..start[i + 1]]`,
-/// ascending.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct Lanes {
-    start: Vec<usize>,
-    pos: Vec<u32>,
-}
-
-impl Lanes {
-    // emr-lint: allow(A1, "callers check the lane against the mesh; start has one entry per lane plus one")
-    fn lane(&self, i: usize) -> &[u32] {
-        &self.pos[self.start[i]..self.start[i + 1]]
-    }
-
-    /// Rewrites lanes `first, first + 1, …` from `lanes`, one packed bit
-    /// lane each (bit `p` set ⟺ position `p` is an obstacle): the slot
-    /// range of the rewritten lanes is resized to their new obstacle
-    /// count, moving the positions and offsets of every later lane, and
-    /// refilled in place.
-    // emr-lint: allow(A1, "the rewritten lanes lie inside the mesh, so every offset index is in range and each slot was counted")
-    fn refill<'a>(&mut self, first: usize, lanes: impl Iterator<Item = &'a [u64]> + Clone) {
-        let count: usize = lanes
-            .clone()
-            .flatten()
-            .map(|w| w.count_ones() as usize)
-            .sum();
-        let end = first + lanes.clone().count();
-        let (lo, hi) = (self.start[first], self.start[end]);
-        let new_hi = lo + count;
-        // Grow the slot range by inserting zeros at its end, or shrink it
-        // by removing its tail.
-        self.pos.splice(
-            new_hi.min(hi)..hi,
-            std::iter::repeat_n(0, new_hi.saturating_sub(hi)),
-        );
-        for s in &mut self.start[end..] {
-            *s = *s - hi + new_hi;
-        }
-        let mut at = lo;
-        for (i, bits) in lanes.enumerate() {
-            self.start[first + i] = at;
-            for_each_set_bit(bits, |p| {
-                self.pos[at] = lane_pos(p);
-                at += 1;
-            });
-        }
-    }
-
-    fn mem_bytes(&self) -> u64 {
-        (self.start.len() * size_of::<usize>() + self.pos.len() * size_of::<u32>()) as u64
-    }
-}
-
-impl SafetyMap {
-    /// Computes the safety levels from a packed obstacle grid: one
-    /// row-major pass fills the row lanes and counts the obstacles per
-    /// column, and one pass over the row lanes (ascending rows) fills each
-    /// column lane in order.
-    // emr-lint: allow(A1, "column offsets have one entry per column plus one, and every scanned bit is an in-mesh column")
-    pub fn compute_packed(blocked: &BitGrid) -> SafetyMap {
+impl<'a> SafetyMap<'a> {
+    /// The view over the obstacle plane `blocked` and its transpose, as
+    /// [`SafetyMap::transpose`] builds it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `transposed` does not cover `blocked`'s mesh with its
+    /// axes exchanged.
+    pub(crate) fn new(blocked: &'a BitGrid, transposed: &'a BitGrid) -> SafetyMap<'a> {
         let mesh = blocked.mesh();
-        let width = usize::try_from(mesh.width()).unwrap_or(0);
-        let mut rows = Lanes {
-            start: Vec::with_capacity(usize::try_from(mesh.height()).unwrap_or(0) + 1),
-            pos: Vec::with_capacity(blocked.count_ones()),
-        };
-        let mut col_start = vec![0usize; width + 1];
-        rows.start.push(0);
-        for y in 0..mesh.height() {
-            for_each_set_bit(blocked.row(y), |x| {
-                rows.pos.push(lane_pos(x));
-                col_start[x + 1] += 1;
-            });
-            rows.start.push(rows.pos.len());
+        assert_eq!(
+            transposed.mesh(),
+            Mesh::new(mesh.height(), mesh.width()),
+            "transpose covers another mesh"
+        );
+        SafetyMap {
+            rows: blocked,
+            cols: transposed,
         }
-        // Prefix sums make `col_start[x]` the first slot of column x. The
-        // fill uses it as that column's cursor, which leaves it at the
-        // first slot of column x + 1; shifting by one restores it.
-        for x in 0..width {
-            col_start[x + 1] += col_start[x];
+    }
+
+    /// The transpose of the obstacle plane `blocked`, over the mesh with
+    /// its axes exchanged: row `x` of the result is column `x` of the
+    /// plane. The faults' bits are set first, one each; then each word of
+    /// the plane is read less the fault plane, so only the obstacles the
+    /// model adds to its faults are decoded. Every fault must be an
+    /// obstacle, as under both fault models; a caller that holds only a
+    /// plane passes an empty fault set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `faults` covers another mesh than `blocked`.
+    pub(crate) fn transpose(blocked: &BitGrid, faults: &FaultSet) -> BitGrid {
+        let mesh = blocked.mesh();
+        assert_eq!(faults.mesh(), mesh, "faults cover another mesh");
+        let mut t = BitGrid::new(Mesh::new(mesh.height(), mesh.width()));
+        let mut set = |x: i32, y: i32| t.set(Coord::new(y, x), true);
+        for c in faults.iter() {
+            set(c.x, c.y);
         }
-        let mut col_pos = vec![0u32; rows.pos.len()];
         for y in 0..mesh.height() {
-            for &x in rows.lane(y as usize) {
-                let slot = &mut col_start[x as usize];
-                col_pos[*slot] = lane_pos(y as usize);
-                *slot += 1;
+            let words = blocked.row(y).iter().zip(faults.packed().row(y));
+            for (wi, (&b, &f)) in words.enumerate() {
+                for_each_set_bit(&[b & !f], |p| {
+                    // A column index fits `i32`, as the mesh width does.
+                    set(i32::try_from(wi * 64 + p).unwrap_or(i32::MAX), y);
+                });
             }
         }
-        col_start.copy_within(0..width, 1);
-        col_start[0] = 0;
-        SafetyMap {
-            mesh,
-            rows,
-            cols: Lanes {
-                start: col_start,
-                pos: col_pos,
-            },
-        }
+        t
     }
 
     /// The mesh covered.
     pub fn mesh(&self) -> Mesh {
-        self.mesh
+        self.rows.mesh()
     }
 
     /// The safety level of node `c`: the nearest obstacle on either side
@@ -247,93 +196,85 @@ impl SafetyMap {
     /// # Panics
     ///
     /// Panics if `c` is outside the mesh.
-    // emr-lint: allow(A1, "documented panic contract: lane positions are sorted mesh offsets, and ri/ci are partition points into them")
     pub fn level(&self, c: Coord) -> SafetyLevel {
-        assert!(self.mesh.contains(c), "{c} outside {:?}", self.mesh);
-        let row = self.rows.lane(c.y as usize);
-        let x = u32::try_from(c.x).unwrap_or(u32::MAX);
-        let ri = row.partition_point(|&p| p < x);
-        if row.get(ri) == Some(&x) {
+        let mesh = self.mesh();
+        assert!(mesh.contains(c), "{c} outside {mesh:?}");
+        let (x, y) = (c.x as usize, c.y as usize);
+        let row = self.rows.row(c.y);
+        let east = next_set_bit(row, x);
+        if east == Some(x) {
             return SafetyLevel::UNBOUNDED;
         }
-        let mut dists = [UNBOUNDED; 4];
-        if let Some(&p) = row.get(ri) {
-            dists[Direction::East.index()] = p - x;
+        // `c` is clear in both lanes, so a scan from it finds the nearest
+        // obstacle strictly past it.
+        let col = self.cols.row(c.x);
+        let dist = |p: Option<usize>, from: usize| {
+            p.map_or(UNBOUNDED, |p| {
+                Dist::try_from(p.abs_diff(from)).unwrap_or(UNBOUNDED)
+            })
+        };
+        // In `Direction::index()` order: E, N, W, S.
+        SafetyLevel {
+            dists: [
+                dist(east, x),
+                dist(next_set_bit(col, y), y),
+                dist(prev_set_bit(row, x), x),
+                dist(prev_set_bit(col, y), y),
+            ],
         }
-        if ri > 0 {
-            dists[Direction::West.index()] = x - row[ri - 1];
-        }
-        let col = self.cols.lane(c.x as usize);
-        let y = u32::try_from(c.y).unwrap_or(u32::MAX);
-        let ci = col.partition_point(|&p| p < y);
-        if let Some(&p) = col.get(ci) {
-            dists[Direction::North.index()] = p - y;
-        }
-        if ci > 0 {
-            dists[Direction::South.index()] = y - col[ci - 1];
-        }
-        SafetyLevel { dists }
-    }
-
-    /// Incrementally repairs the map after obstacles changed inside
-    /// `changed`, re-extracting only the lanes that cross it.
-    ///
-    /// A node's East/West entries depend solely on its own row's obstacle
-    /// pattern and its North/South entries on its own column's, so after a
-    /// membership change confined to `changed` it suffices to re-extract
-    /// the row lanes of the changed rows and the column lanes of the
-    /// changed columns from `packed` and rewrite them in place; lanes
-    /// outside the rectangle keep their positions and only their offsets
-    /// move. The result is identical to a from-scratch
-    /// [`SafetyMap::compute_packed`] (property-tested and oracle-checked in
-    /// `emr-conform`).
-    ///
-    /// `packed` must be the *post-change* obstacle grid for the whole
-    /// mesh; `changed` must contain every flipped node (extra area is
-    /// harmless, just slower, and may overhang the mesh edge).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `packed` covers a different mesh than this map.
-    pub fn resweep_rect_packed(&mut self, packed: &BitGrid, changed: Rect) {
-        let mesh = self.mesh;
-        assert_eq!(mesh, packed.mesh(), "packed grid covers another mesh");
-        let x_min = changed.x_min().max(0);
-        let x_max = changed.x_max().min(mesh.width() - 1);
-        let y_min = changed.y_min().max(0);
-        let y_max = changed.y_max().min(mesh.height() - 1);
-        if x_min > x_max || y_min > y_max {
-            return; // the rectangle misses the mesh
-        }
-        self.rows
-            .refill(y_min as usize, (y_min..=y_max).map(|y| packed.row(y)));
-        let words = (mesh.height() as usize).div_ceil(64);
-        let mut cols = vec![0u64; (x_max - x_min + 1) as usize * words];
-        for (x, col) in (x_min..).zip(cols.chunks_mut(words)) {
-            packed.column(x, col);
-        }
-        self.cols.refill(x_min as usize, cols.chunks(words));
     }
 }
 
-impl MemBytes for SafetyMap {
-    /// Two `u32` positions per obstacle plus one offset per lane and axis.
+/// The transpose the view borrows; the plane belongs to its model's map.
+impl MemBytes for SafetyMap<'_> {
     fn mem_bytes(&self) -> u64 {
-        self.rows.mem_bytes() + self.cols.mem_bytes()
+        self.cols.mem_bytes()
     }
 }
 
-/// A lane position as stored: mesh coordinates are `i32`, so every
-/// in-mesh offset fits a `u32`.
-fn lane_pos(i: usize) -> u32 {
-    u32::try_from(i).unwrap_or(u32::MAX)
+/// Re-extracts into `transposed` every column of `blocked` that crosses
+/// `changed`, clipped to the mesh. A node's North/South entries depend on
+/// its own column only, so after obstacles changed inside `changed` the
+/// repaired transpose equals a fresh [`SafetyMap::transpose`]; the
+/// row-major plane is the model map's own, which its `insert_fault`
+/// repairs.
+pub(crate) fn refresh_columns(transposed: &mut BitGrid, blocked: &BitGrid, changed: Rect) {
+    let width = blocked.mesh().width();
+    for x in changed.x_min().max(0)..=changed.x_max().min(width - 1) {
+        blocked.column(x, transposed.row_mut(x));
+    }
+}
+
+/// The position of the first set bit of `lane` at or after `from`, or
+/// `None` when every bit from there to the lane's end is clear.
+fn next_set_bit(lane: &[u64], from: usize) -> Option<usize> {
+    let mut wi = from / 64;
+    let mut word = lane.get(wi)? & u64::MAX << (from % 64);
+    while word == 0 {
+        wi += 1;
+        word = *lane.get(wi)?;
+    }
+    Some(wi * 64 + word.trailing_zeros() as usize)
+}
+
+/// The position of the last set bit of `lane` at or before `to`, or
+/// `None` when every bit from the lane's start to there is clear. `to`
+/// must lie inside the lane.
+fn prev_set_bit(lane: &[u64], to: usize) -> Option<usize> {
+    let mut wi = to / 64;
+    let mut word = lane.get(wi)? & u64::MAX >> (63 - to % 64);
+    while word == 0 {
+        wi = wi.checked_sub(1)?;
+        word = *lane.get(wi)?;
+    }
+    Some(wi * 64 + 63 - word.leading_zeros() as usize)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use emr_distsim::protocols::esl;
-    use emr_fault::{BlockMap, FaultSet, MccMap};
+    use emr_fault::{BlockMap, MccMap};
 
     #[test]
     fn paper_order_constructor_matches_directions() {
@@ -370,13 +311,19 @@ mod tests {
         let _ = SafetyLevel::UNBOUNDED.safe_for(&frame, Coord::new(-1, 0));
     }
 
+    /// The transpose of `blocked` built from the plane alone.
+    fn plane_transpose(blocked: &BitGrid) -> BitGrid {
+        SafetyMap::transpose(blocked, &FaultSet::new(blocked.mesh()))
+    }
+
     #[test]
     fn map_distances_around_a_block() {
         let mesh = Mesh::square(8);
         let faults = FaultSet::from_coords(mesh, [Coord::new(4, 4), Coord::new(5, 5)]);
         let blocks = BlockMap::build(&faults);
         // The two diagonal faults close into the block [4:5, 4:5].
-        let map = SafetyMap::compute_packed(blocks.packed());
+        let transposed = SafetyMap::transpose(blocks.packed(), &faults);
+        let map = SafetyMap::new(blocks.packed(), &transposed);
         let at = |x, y| map.level(Coord::new(x, y));
         assert_eq!(at(0, 4).toward(Direction::East), 4);
         assert_eq!(at(3, 4).toward(Direction::East), 1);
@@ -386,16 +333,71 @@ mod tests {
         // East of the block, W is small and E unbounded.
         assert_eq!(at(7, 5).toward(Direction::West), 2);
         assert_eq!(at(7, 5).toward(Direction::East), UNBOUNDED);
+        // A disabled node of the block answers all-∞ like a fault.
+        assert_eq!(at(4, 5), SafetyLevel::UNBOUNDED);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn level_outside_the_mesh_panics() {
+        let plane = BitGrid::new(Mesh::new(5, 4));
+        let transposed = plane_transpose(&plane);
+        SafetyMap::new(&plane, &transposed).level(Coord::new(5, 0));
+    }
+
+    #[test]
+    fn set_bit_scans_cross_word_boundaries() {
+        // A 130-bit lane: three words, the last one partial.
+        let lane = |bits: &[usize]| {
+            let mut words = vec![0u64; 3];
+            for &p in bits {
+                words[p / 64] |= 1 << (p % 64);
+            }
+            words
+        };
+        let empty = lane(&[]);
+        for p in [0, 63, 64, 129] {
+            assert_eq!(next_set_bit(&empty, p), None, "empty from {p}");
+            assert_eq!(prev_set_bit(&empty, p), None, "empty to {p}");
+        }
+        let full = lane(&(0..130).collect::<Vec<_>>());
+        for p in [0, 63, 64, 129] {
+            assert_eq!(next_set_bit(&full, p), Some(p), "full from {p}");
+            assert_eq!(prev_set_bit(&full, p), Some(p), "full to {p}");
+        }
+        for p in [0, 63, 64, 129] {
+            let one = lane(&[p]);
+            // The bit itself, from either side, across whole words.
+            assert_eq!(next_set_bit(&one, p), Some(p), "{p} from itself");
+            assert_eq!(prev_set_bit(&one, p), Some(p), "{p} to itself");
+            assert_eq!(next_set_bit(&one, 0), Some(p), "{p} from 0");
+            assert_eq!(prev_set_bit(&one, 129), Some(p), "{p} to 129");
+            if p > 0 {
+                assert_eq!(prev_set_bit(&one, p - 1), None, "{p} to below");
+            }
+            assert_eq!(next_set_bit(&one, p + 1), None, "{p} from above");
+        }
+        // The nearest of two bits, seen from between them.
+        let two = lane(&[63, 64]);
+        assert_eq!(prev_set_bit(&two, 63), Some(63));
+        assert_eq!(next_set_bit(&two, 64), Some(64));
+        assert_eq!(prev_set_bit(&lane(&[0, 63]), 62), Some(0));
+        assert_eq!(next_set_bit(&lane(&[64, 129]), 65), Some(129));
     }
 
     /// Shapes of the differential tests: the paper's 200×200 mesh, widths
-    /// around the 64-bit word boundary, and 1-wide meshes.
-    const SHAPES: [(i32, i32); 7] = [
+    /// and heights around the 64-bit word boundary (a row scan or a
+    /// column scan that crosses words), and 1-wide meshes.
+    const SHAPES: [(i32, i32); 11] = [
         (200, 200),
         (63, 9),
         (64, 9),
         (65, 9),
         (130, 5),
+        (9, 63),
+        (9, 64),
+        (9, 65),
+        (5, 130),
         (1, 40),
         (40, 1),
     ];
@@ -414,9 +416,11 @@ mod tests {
         faults
     }
 
-    /// Asserts that `map` equals the scalar ESL sweep over `blocked` at
-    /// every node, obstacle nodes (all-∞) included.
-    fn assert_matches_esl(map: &SafetyMap, blocked: &BitGrid, ctx: &str) {
+    /// Asserts that the map over `blocked` and `transposed` equals the
+    /// scalar ESL sweep over `blocked` at every node, obstacle nodes
+    /// (all-∞) included.
+    fn assert_matches_esl(blocked: &BitGrid, transposed: &BitGrid, ctx: &str) {
+        let map = SafetyMap::new(blocked, transposed);
         let mesh = blocked.mesh();
         assert_eq!(map.mesh(), mesh, "{ctx}");
         let grid = emr_mesh::Grid::from_fn(mesh, |c| blocked.get(c) == Some(true));
@@ -437,16 +441,18 @@ mod tests {
             for (seed, density) in [0.005, 0.05, 0.3].into_iter().enumerate() {
                 let faults = random_faults(mesh, density, 0x5AFE + seed as u64);
                 let blocks = BlockMap::build(&faults);
-                let ctx = format!("{w}x{h} density {density}");
-                assert_matches_esl(
-                    &SafetyMap::compute_packed(blocks.packed()),
-                    blocks.packed(),
-                    &ctx,
-                );
-                for ty in emr_fault::MccType::ALL {
-                    let mcc = MccMap::build(&faults, ty);
-                    let map = SafetyMap::compute_packed(mcc.packed());
-                    assert_matches_esl(&map, mcc.packed(), &format!("{ctx} {ty:?}"));
+                let [one, two] = emr_fault::MccType::ALL.map(|ty| MccMap::build(&faults, ty));
+                for (model, plane) in [
+                    ("blocks", blocks.packed()),
+                    ("type one", one.packed()),
+                    ("type two", two.packed()),
+                ] {
+                    let ctx = format!("{w}x{h} density {density} {model}");
+                    // Seeding with the faults changes how the transpose is
+                    // built, not what it holds.
+                    let transposed = SafetyMap::transpose(plane, &faults);
+                    assert_eq!(transposed, plane_transpose(plane), "{ctx}");
+                    assert_matches_esl(plane, &transposed, &ctx);
                 }
             }
         }
@@ -462,14 +468,13 @@ mod tests {
                 BitGrid::from_blocked(mesh, |_| true),
                 BitGrid::from_blocked(mesh, |c| c.y == h / 2 || c.x == w / 2),
             ] {
-                let map = SafetyMap::compute_packed(&blocked);
-                assert_matches_esl(&map, &blocked, &format!("{w}x{h}"));
+                assert_matches_esl(&blocked, &plane_transpose(&blocked), &format!("{w}x{h}"));
             }
         }
     }
 
     #[test]
-    fn resweep_sequences_match_esl_sweep_and_fresh_builds() {
+    fn column_refresh_sequences_match_esl_sweep_and_fresh_transposes() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         for (w, h) in SHAPES {
@@ -477,31 +482,30 @@ mod tests {
             for (seed, density) in [0.005, 0.05].into_iter().enumerate() {
                 let mut rng = StdRng::seed_from_u64(0x4E5 + seed as u64);
                 let steps = ((f64::from(w * h) * density).ceil() as usize).max(4);
-                let mut blocks = BlockMap::build(&FaultSet::new(mesh));
-                let mut mccs =
-                    emr_fault::MccType::ALL.map(|ty| MccMap::build(&FaultSet::new(mesh), ty));
-                let mut block_map = SafetyMap::compute_packed(blocks.packed());
-                let mut mcc_maps = mccs
-                    .each_ref()
-                    .map(|m| SafetyMap::compute_packed(m.packed()));
+                let mut faults = FaultSet::new(mesh);
+                let mut blocks = BlockMap::build(&faults);
+                let mut mccs = emr_fault::MccType::ALL.map(|ty| MccMap::build(&faults, ty));
+                let mut block_t = plane_transpose(blocks.packed());
+                let mut mcc_ts = mccs.each_ref().map(|m| plane_transpose(m.packed()));
                 for step in 0..steps {
                     let c = Coord::new(rng.gen_range(0..w), rng.gen_range(0..h));
+                    faults.insert(c);
                     let rect = blocks.insert_fault(c);
-                    block_map.resweep_rect_packed(blocks.packed(), rect);
-                    for (mcc, map) in mccs.iter_mut().zip(&mut mcc_maps) {
+                    refresh_columns(&mut block_t, blocks.packed(), rect);
+                    for (mcc, t) in mccs.iter_mut().zip(&mut mcc_ts) {
                         if let Some(rect) = mcc.insert_fault(c) {
-                            map.resweep_rect_packed(mcc.packed(), rect);
+                            refresh_columns(t, mcc.packed(), rect);
                         }
                     }
                     assert_eq!(
-                        block_map,
-                        SafetyMap::compute_packed(blocks.packed()),
+                        block_t,
+                        SafetyMap::transpose(blocks.packed(), &faults),
                         "{w}x{h} after {c}"
                     );
-                    for (mcc, map) in mccs.iter().zip(&mcc_maps) {
+                    for (mcc, t) in mccs.iter().zip(&mcc_ts) {
                         assert_eq!(
-                            *map,
-                            SafetyMap::compute_packed(mcc.packed()),
+                            *t,
+                            SafetyMap::transpose(mcc.packed(), &faults),
                             "{w}x{h} after {c}"
                         );
                     }
@@ -509,9 +513,9 @@ mod tests {
                     // the end and at a few points along the way.
                     if step + 1 == steps || step % 64 == 7 {
                         let ctx = format!("{w}x{h} step {step}");
-                        assert_matches_esl(&block_map, blocks.packed(), &ctx);
-                        for (mcc, map) in mccs.iter().zip(&mcc_maps) {
-                            assert_matches_esl(map, mcc.packed(), &ctx);
+                        assert_matches_esl(blocks.packed(), &block_t, &ctx);
+                        for (mcc, t) in mccs.iter().zip(&mcc_ts) {
+                            assert_matches_esl(mcc.packed(), t, &ctx);
                         }
                     }
                 }
@@ -520,53 +524,68 @@ mod tests {
     }
 
     #[test]
-    fn resweep_accepts_rects_overhanging_the_mesh() {
+    fn column_refresh_accepts_rects_overhanging_the_mesh() {
         let mesh = Mesh::new(70, 3);
         let mut blocks = BlockMap::build(&FaultSet::new(mesh));
-        let mut map = SafetyMap::compute_packed(blocks.packed());
+        let mut transposed = plane_transpose(blocks.packed());
         blocks.insert_fault(Coord::new(69, 0));
-        map.resweep_rect_packed(blocks.packed(), Rect::new(60, 80, -5, 1));
-        assert_eq!(map, SafetyMap::compute_packed(blocks.packed()));
-        map.resweep_rect_packed(blocks.packed(), Rect::new(75, 80, 0, 1));
+        refresh_columns(&mut transposed, blocks.packed(), Rect::new(60, 80, -5, 1));
+        assert_eq!(transposed, plane_transpose(blocks.packed()));
+        refresh_columns(&mut transposed, blocks.packed(), Rect::new(75, 80, 0, 1));
         assert_eq!(
-            map,
-            SafetyMap::compute_packed(blocks.packed()),
+            transposed,
+            plane_transpose(blocks.packed()),
             "rect off the mesh"
         );
     }
 
     #[test]
-    fn resweep_tracks_obstacles_cleared_and_set() {
-        // Flip patches of bits (growing and shrinking lanes, across word
-        // boundaries and at the mesh edges) and resweep only each patch.
-        let mesh = Mesh::new(130, 40);
+    fn column_refresh_tracks_obstacles_cleared_and_set() {
+        // Flip patches of bits (across word boundaries and at the mesh
+        // edges) and refresh only each patch's columns.
+        let mesh = Mesh::new(130, 70);
         let mut packed = BitGrid::from_blocked(mesh, |c| (c.x * 31 + c.y * 17) % 9 < 2);
-        let mut map = SafetyMap::compute_packed(&packed);
+        let mut transposed = plane_transpose(&packed);
         for rect in [
             Rect::new(62, 66, 10, 12),
-            Rect::new(0, 0, 0, 39),
-            Rect::new(0, 129, 39, 39),
+            Rect::new(0, 0, 0, 69),
+            Rect::new(0, 129, 69, 69),
             Rect::new(127, 129, 0, 2),
-            Rect::new(5, 70, 20, 20),
+            Rect::new(5, 70, 63, 64),
         ] {
             for c in rect.iter() {
                 let cur = packed.get(c) == Some(true);
                 packed.set(c, !cur);
             }
-            map.resweep_rect_packed(&packed, rect);
-            assert_eq!(map, SafetyMap::compute_packed(&packed), "{rect:?}");
-            assert_matches_esl(&map, &packed, &format!("{rect:?}"));
+            refresh_columns(&mut transposed, &packed, rect);
+            assert_eq!(transposed, plane_transpose(&packed), "{rect:?}");
+            assert_matches_esl(&packed, &transposed, &format!("{rect:?}"));
         }
     }
 
     #[test]
-    fn mem_bytes_scale_with_obstacles_not_nodes() {
-        let mesh = Mesh::new(64, 64);
-        let packed = BitGrid::from_blocked(mesh, |c| c.x == 10 && c.y == 20);
-        let map = SafetyMap::compute_packed(&packed);
-        // One obstacle: two u32 positions plus the lane offsets.
-        let offsets = (64 + 1) * 2 * std::mem::size_of::<usize>() as u64;
-        assert_eq!(map.mem_bytes(), offsets + 8);
+    fn a_map_costs_one_transposed_plane() {
+        // 130 columns of 70 rows: two words per column, whatever the
+        // obstacles; the row-major plane is its model map's.
+        let mesh = Mesh::new(130, 70);
+        for blocked in [
+            BitGrid::new(mesh),
+            BitGrid::from_blocked(mesh, |c| c.x == 10 && c.y == 20),
+            BitGrid::from_blocked(mesh, |_| true),
+        ] {
+            let transposed = plane_transpose(&blocked);
+            assert_eq!(
+                SafetyMap::new(&blocked, &transposed).mem_bytes(),
+                130 * 2 * 8
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "transpose covers another mesh")]
+    fn a_transpose_of_another_mesh_is_refused() {
+        let plane = BitGrid::new(Mesh::new(6, 4));
+        SafetyMap::new(&plane, &plane);
     }
 
     #[test]
@@ -583,8 +602,12 @@ mod tests {
         );
         let blocks = BlockMap::build(&faults);
         let mcc = MccMap::build(&faults, emr_fault::MccType::One);
-        let bm = SafetyMap::compute_packed(blocks.packed());
-        let mm = SafetyMap::compute_packed(mcc.packed());
+        let (bt, mt) = (
+            SafetyMap::transpose(blocks.packed(), &faults),
+            SafetyMap::transpose(mcc.packed(), &faults),
+        );
+        let bm = SafetyMap::new(blocks.packed(), &bt);
+        let mm = SafetyMap::new(mcc.packed(), &mt);
         for c in mesh.nodes() {
             if blocks.is_blocked(c) || mcc.is_blocked(c) {
                 continue;

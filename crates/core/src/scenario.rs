@@ -3,10 +3,10 @@ use std::sync::OnceLock;
 use serde::{Deserialize, Serialize};
 
 use emr_fault::{BlockMap, FaultSet, MccMap, MccType};
-use emr_mesh::{Coord, MemBytes, Mesh, Rect};
+use emr_mesh::{BitGrid, Coord, MemBytes, Mesh, Rect};
 
 use crate::boundary::BoundaryMap;
-use crate::safety::{SafetyLevel, SafetyMap};
+use crate::safety::{refresh_columns, SafetyLevel, SafetyMap};
 
 /// Which fault model a computation runs under.
 ///
@@ -32,18 +32,19 @@ impl Model {
 /// Building a scenario runs Definition 1 block formation eagerly (every
 /// consumer needs it — trial generation rejects scenarios whose source
 /// lands in a block); the block map's planes are built, its block list
-/// only when read. The MCC labelings and the three safety-level sweeps
-/// (blocks, MCC type-one, MCC type-two) are computed lazily on first use:
-/// most sweep measures touch only one model, and the experiment engine
-/// discards rejected scenarios before any of them is consulted. Boundary
-/// maps are likewise built on demand via [`Scenario::boundary_map`].
+/// only when read. The MCC labelings and the transposes of the three
+/// obstacle planes (blocks, MCC type-one, MCC type-two), the column half
+/// of each safety map, are computed lazily on first use: most sweep
+/// measures touch only one model, and the experiment engine discards
+/// rejected scenarios before any of them is consulted. Boundary maps are
+/// likewise built on demand via [`Scenario::boundary_map`].
 #[derive(Debug, Clone)]
 pub struct Scenario {
     faults: FaultSet,
     blocks: BlockMap,
     mcc: [OnceLock<MccMap>; 2],
-    block_safety: OnceLock<SafetyMap>,
-    mcc_safety: [OnceLock<SafetyMap>; 2],
+    block_safety: OnceLock<BitGrid>,
+    mcc_safety: [OnceLock<BitGrid>; 2],
 }
 
 impl Scenario {
@@ -60,17 +61,24 @@ impl Scenario {
         }
     }
 
-    /// The safety map under the faulty-block model (built on first use).
-    pub fn block_safety_map(&self) -> &SafetyMap {
-        self.block_safety
-            .get_or_init(|| SafetyMap::compute_packed(self.blocks.packed()))
+    /// The safety map under the faulty-block model: the block plane and
+    /// its transpose (built on first use).
+    pub fn block_safety_map(&self) -> SafetyMap<'_> {
+        let plane = self.blocks.packed();
+        let transposed = self
+            .block_safety
+            .get_or_init(|| SafetyMap::transpose(plane, &self.faults));
+        SafetyMap::new(plane, transposed)
     }
 
-    /// The safety map under one MCC labeling (built on first use).
+    /// The safety map under one MCC labeling: the labeling's plane and its
+    /// transpose (both built on first use).
     // emr-lint: allow(A1, "mcc_index maps the two labeling types to 0 and 1, matching the two-slot arrays")
-    pub fn mcc_safety_map(&self, ty: MccType) -> &SafetyMap {
-        self.mcc_safety[mcc_index(ty)]
-            .get_or_init(|| SafetyMap::compute_packed(self.mcc(ty).packed()))
+    pub fn mcc_safety_map(&self, ty: MccType) -> SafetyMap<'_> {
+        let plane = self.mcc(ty).packed();
+        let transposed = self.mcc_safety[mcc_index(ty)]
+            .get_or_init(|| SafetyMap::transpose(plane, &self.faults));
+        SafetyMap::new(plane, transposed)
     }
 
     /// Forces both MCC labelings and all three safety maps so that later
@@ -86,7 +94,8 @@ impl Scenario {
 
     /// Incrementally records a newly failed node across every *already
     /// built* map: the block decomposition (always), the MCC labelings,
-    /// and the safety maps (lane resweep clipped to the changed rects).
+    /// and the safety maps' transposes (the columns crossing the changed
+    /// rects re-extracted).
     /// Maps that are still lazy stay lazy — they will build from the
     /// updated fault set on first use.
     ///
@@ -109,8 +118,8 @@ impl Scenario {
             ..
         } = self;
         let block_rect = blocks.insert_fault(c);
-        if let Some(map) = block_safety.get_mut() {
-            map.resweep_rect_packed(blocks.packed(), block_rect);
+        if let Some(transposed) = block_safety.get_mut() {
+            refresh_columns(transposed, blocks.packed(), block_rect);
         }
         let mut mcc_rects = [None, None];
         for (i, lock) in mcc.iter_mut().enumerate() {
@@ -119,11 +128,11 @@ impl Scenario {
             }
         }
         for (i, lock) in mcc_safety.iter_mut().enumerate() {
-            if let (Some(map), Some(rect)) = (lock.get_mut(), mcc_rects[i]) {
+            if let (Some(transposed), Some(rect)) = (lock.get_mut(), mcc_rects[i]) {
                 let m = mcc[i]
                     .get()
                     .expect("MCC map initialized before its safety map");
-                map.resweep_rect_packed(m.packed(), rect);
+                refresh_columns(transposed, m.packed(), rect);
             }
         }
         Some(FaultDelta {
@@ -315,11 +324,17 @@ mod tests {
     fn mem_bytes_grows_as_lazy_maps_materialize() {
         let sc = scenario();
         let eager = sc.mem_bytes();
-        sc.block_safety_map();
+        // A safety map adds its transpose, counted once: 12 columns of
+        // one word each.
+        let block_safety = sc.block_safety_map().mem_bytes();
+        assert_eq!(block_safety, 12 * 8);
         let with_safety = sc.mem_bytes();
-        assert!(with_safety > eager);
+        assert_eq!(with_safety, eager + block_safety);
         sc.mcc(MccType::One);
-        assert!(sc.mem_bytes() > with_safety);
+        let with_mcc = sc.mem_bytes();
+        assert!(with_mcc > with_safety);
+        sc.mcc_safety_map(MccType::One);
+        assert_eq!(sc.mem_bytes(), with_mcc + 12 * 8);
     }
 
     #[test]
@@ -327,8 +342,10 @@ mod tests {
         use rand::SeedableRng;
         // One fault per side-length unit, so the per-fault lists grow
         // with the side, not the node count. The caps sit about 95% and
-        // 90% above the measured 1.14 and 1.28 B/node: neither map builds
-        // its rectangles here (reading them all would add 0.09 B/node).
+        // 60% above the measured 1.14 and 1.52 B/node: the three safety
+        // transposes are one bit per node each (0.375 B/node), and
+        // neither map builds its rectangles here (reading them all would
+        // add 0.09 B/node).
         let mesh = Mesh::square(512);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5ca1_e000 ^ 512);
         let faults = emr_fault::inject::uniform(mesh, 512, &[], &mut rng);

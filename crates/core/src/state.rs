@@ -10,8 +10,9 @@
 //! * the block/MCC decompositions resume their fix-points from the
 //!   disturbance ([`emr_fault::BlockMap::insert_fault`],
 //!   [`emr_fault::MccMap::insert_fault`]),
-//! * the safety maps resweep only the lanes crossing the changed
-//!   rectangles ([`crate::SafetyMap::resweep_rect_packed`]),
+//! * the safety maps re-extract only the transposed columns crossing the
+//!   changed rectangles (their row-major planes are the model maps'
+//!   own, repaired above),
 //! * per-pair routing decisions are cached under an epoch tag and
 //!   recomputed only when actually invalidated — unaffected `(s, d)`
 //!   work survives an epoch bump ([`DecisionCache`]).

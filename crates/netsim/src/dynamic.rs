@@ -9,15 +9,15 @@
 //!
 //! [`EpochedWuRouter`] is the paper-faithful implementation: it owns an
 //! [`emr_core::ScenarioState`], so each failure is absorbed through the
-//! incremental epoch machinery (clipped block/MCC relabeling, lane
-//! resweeps, one rebuild of the boundary lane runs per accepted failure)
-//! rather than a from-scratch scenario build.
+//! incremental epoch machinery (clipped block/MCC relabeling, transposed
+//! columns re-extracted, one rebuild of the boundary lane runs per
+//! accepted failure) rather than a from-scratch scenario build.
 
 use emr_core::route::{self, RouteError};
-use emr_core::{BoundaryMap, Epoch, Model, ScenarioState};
+use emr_core::{Epoch, Model, ScenarioState};
 use emr_mesh::{Coord, Direction};
 
-use crate::router::Router;
+use crate::router::{LegBoundaries, Router};
 
 /// A per-hop routing function that can absorb node failures mid-run.
 pub trait DynamicRouter: Router {
@@ -39,22 +39,24 @@ pub trait DynamicRouter: Router {
 ///
 /// The router owns its [`ScenarioState`]; each [`DynamicRouter::fail_node`]
 /// bumps the epoch through the incremental path, then rebuilds the
-/// router's [`BoundaryMap`] from scratch: one walk of every block's rays
-/// over the repaired blocked plane, keeping their straight lane runs. A
-/// repeat failure of a node that already failed changes nothing. Per-hop
+/// router's [`emr_core::BoundaryMap`] from scratch: one walk of every
+/// block's rays over the repaired blocked plane, keeping their straight
+/// lane runs. Under MCC there is one map per labeling type, and a leg
+/// reads the one its quadrant picks, as its obstacle test does. A repeat
+/// failure of a node that already failed changes nothing. Per-hop
 /// routing then pays no staleness checks and reads two lanes per hop
 /// ([`route::wu_step`]).
 #[derive(Debug, Clone)]
 pub struct EpochedWuRouter {
     state: ScenarioState,
     model: Model,
-    boundary: BoundaryMap,
+    boundary: LegBoundaries,
 }
 
 impl EpochedWuRouter {
     /// Creates the router over an epoched state under one fault model.
     pub fn new(state: ScenarioState, model: Model) -> EpochedWuRouter {
-        let boundary = state.scenario().boundary_map(model);
+        let boundary = LegBoundaries::build(state.scenario(), model);
         EpochedWuRouter {
             state,
             model,
@@ -86,14 +88,15 @@ impl Router for EpochedWuRouter {
         u: Coord,
     ) -> Result<Direction, RouteError> {
         let view = self.state.scenario().view(self.model);
-        route::wu_step(&view, &self.boundary, leg_source, leg_target, u)
+        let boundary = self.boundary.for_leg(leg_source, leg_target);
+        route::wu_step(&view, boundary, leg_source, leg_target, u)
     }
 }
 
 impl DynamicRouter for EpochedWuRouter {
     fn fail_node(&mut self, c: Coord) {
         if self.state.insert_fault(c).is_some() {
-            self.boundary = self.state.scenario().boundary_map(self.model);
+            self.boundary = LegBoundaries::build(self.state.scenario(), self.model);
         }
     }
 
@@ -162,5 +165,24 @@ mod tests {
             assert!(hops <= 2 * s.manhattan(d), "walk diverged");
         }
         assert_eq!(hops, s.manhattan(d), "single block keeps the route minimal");
+    }
+
+    #[test]
+    fn mcc_legs_read_the_boundary_map_of_their_labeling_type() {
+        // The quadrant-IV leg (0,2) → (2,0) routes round type-two MCCs.
+        // Read through the type-one map it is stuck at (2,2); through its
+        // own map it rounds the west and south edges. The last fault
+        // arrives through `fail_node`, so the rebuild picks by leg too.
+        let mesh = Mesh::square(5);
+        let faults = FaultSet::from_coords(mesh, [Coord::new(3, 0), Coord::new(1, 1)]);
+        let mut r = EpochedWuRouter::new(ScenarioState::new(faults), Model::Mcc);
+        r.fail_node(Coord::new(2, 1));
+        let (s, d) = (Coord::new(0, 2), Coord::new(2, 0));
+        let mut path = vec![s];
+        while let Some(&u) = path.last().filter(|&&u| u != d) {
+            path.push(u.step(r.next_hop(s, d, u).expect("the leg is delivered")));
+        }
+        let via = [(0, 2), (0, 1), (0, 0), (1, 0), (2, 0)].map(Coord::from);
+        assert_eq!(path, via);
     }
 }

@@ -462,10 +462,9 @@ mod tests {
                 &mut rng,
             );
             let view = scenario.view(Model::FaultBlock);
-            let boundary = scenario.boundary_map(Model::FaultBlock);
 
-            let mut stepper = NetSim::new(mesh, WuRouter::new(&view, &boundary));
-            let mut event = EventSim::new(mesh, WuRouter::new(&view, &boundary));
+            let mut stepper = NetSim::new(mesh, WuRouter::new(&view));
+            let mut event = EventSim::new(mesh, WuRouter::new(&view));
             load.inject_into(&mut stepper);
             load.inject_into(&mut event);
             assert_eq!(
@@ -484,9 +483,8 @@ mod tests {
         let mesh = Mesh::square(10);
         let scenario = Scenario::build(FaultSet::new(mesh));
         let view = scenario.view(Model::FaultBlock);
-        let boundary = scenario.boundary_map(Model::FaultBlock);
-        let mut stepper = NetSim::new(mesh, WuRouter::new(&view, &boundary));
-        let mut event = EventSim::new(mesh, WuRouter::new(&view, &boundary));
+        let mut stepper = NetSim::new(mesh, WuRouter::new(&view));
+        let mut event = EventSim::new(mesh, WuRouter::new(&view));
         for cycle in [0u64, 700, 701, 5_000] {
             let p = Packet::direct(Coord::new(0, 0), Coord::new(9, 9));
             stepper.inject(p.clone(), cycle);
@@ -537,9 +535,8 @@ mod tests {
         let mesh = Mesh::square(10);
         let scenario = Scenario::build(FaultSet::new(mesh));
         let view = scenario.view(Model::FaultBlock);
-        let boundary = scenario.boundary_map(Model::FaultBlock);
-        let mut stepper = NetSim::new(mesh, WuRouter::new(&view, &boundary));
-        let mut event = EventSim::new(mesh, WuRouter::new(&view, &boundary));
+        let mut stepper = NetSim::new(mesh, WuRouter::new(&view));
+        let mut event = EventSim::new(mesh, WuRouter::new(&view));
         let calls = [
             (30u64, 0),
             (0, 1),
@@ -568,9 +565,8 @@ mod tests {
         let mesh = Mesh::square(10);
         let scenario = Scenario::build(FaultSet::new(mesh));
         let view = scenario.view(Model::FaultBlock);
-        let boundary = scenario.boundary_map(Model::FaultBlock);
-        let mut stepper = NetSim::new(mesh, WuRouter::new(&view, &boundary));
-        let mut event = EventSim::new(mesh, WuRouter::new(&view, &boundary));
+        let mut stepper = NetSim::new(mesh, WuRouter::new(&view));
+        let mut event = EventSim::new(mesh, WuRouter::new(&view));
         let calls = [
             (Packet::direct(Coord::new(5, 0), Coord::new(6, 0)), 5),
             (Packet::direct(Coord::new(0, 0), Coord::new(9, 0)), 0),
@@ -590,9 +586,8 @@ mod tests {
         let mesh = Mesh::square(10);
         let scenario = Scenario::build(FaultSet::new(mesh));
         let view = scenario.view(Model::FaultBlock);
-        let boundary = scenario.boundary_map(Model::FaultBlock);
-        let mut stepper = NetSim::new(mesh, WuRouter::new(&view, &boundary));
-        let mut event = EventSim::new(mesh, WuRouter::new(&view, &boundary));
+        let mut stepper = NetSim::new(mesh, WuRouter::new(&view));
+        let mut event = EventSim::new(mesh, WuRouter::new(&view));
         for cycle in [0u64, 2, 40] {
             let p = Packet::direct(Coord::new(0, 0), Coord::new(9, 0));
             stepper.inject(p.clone(), cycle);

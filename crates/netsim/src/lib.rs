@@ -47,9 +47,8 @@
 //! # }
 //! let mesh = Mesh::square(12);
 //! let scenario = Scenario::build(FaultSet::from_coords(mesh, [Coord::new(6, 6)]));
-//! let boundary = scenario.boundary_map(Model::FaultBlock);
 //! let view = scenario.view(Model::FaultBlock);
-//! let router = WuRouter::new(&view, &boundary);
+//! let router = WuRouter::new(&view);
 //!
 //! let mut sim = NetSim::new(mesh, router);
 //! sim.inject(Packet::direct(Coord::new(1, 1), Coord::new(10, 10)), 0);

@@ -1,6 +1,6 @@
 use emr_core::route::{self, RouteError};
-use emr_core::{BoundaryMap, ModelView};
-use emr_fault::reach;
+use emr_core::{BoundaryMap, Model, ModelView, Scenario};
+use emr_fault::{reach, MccType};
 use emr_mesh::{Coord, Direction};
 
 /// A per-hop routing function: the logic one mesh router executes for the
@@ -24,19 +24,58 @@ pub trait Router {
     ) -> Result<Direction, RouteError>;
 }
 
+/// The boundary information of every leg under one fault model. Under
+/// the faulty-block model every leg reads the block map's. Under MCC a
+/// leg's obstacle test follows its quadrant ([`MccType::for_route`]), so
+/// a type-two leg reads the type-two map and every other leg the
+/// type-one map, which [`Scenario::boundary_map`] gives under MCC.
+#[derive(Debug, Clone)]
+pub(crate) struct LegBoundaries {
+    main: BoundaryMap,
+    type_two: Option<BoundaryMap>,
+}
+
+impl LegBoundaries {
+    /// The boundary maps of `model` over `sc`.
+    pub(crate) fn build(sc: &Scenario, model: Model) -> LegBoundaries {
+        let type_two = (model == Model::Mcc).then(|| {
+            let mcc = sc.mcc(MccType::Two);
+            BoundaryMap::compute(mcc.rects(), mcc.packed())
+        });
+        LegBoundaries {
+            main: sc.boundary_map(model),
+            type_two,
+        }
+    }
+
+    /// The map the leg from `s` to `d` reads.
+    pub(crate) fn for_leg(&self, s: Coord, d: Coord) -> &BoundaryMap {
+        match &self.type_two {
+            Some(map) if MccType::for_route(s, d) == MccType::Two => map,
+            _ => &self.main,
+        }
+    }
+}
+
 /// Wu's protocol as a per-hop router: adaptive minimal routing with
-/// boundary-information vetoes ([`emr_core::route::wu_step`]).
-#[derive(Debug, Clone, Copy)]
+/// boundary-information vetoes ([`emr_core::route::wu_step`]). Each leg
+/// reads the boundary information of the obstacles its own test uses
+/// (see [`ModelView::is_obstacle`]).
+#[derive(Debug, Clone)]
 pub struct WuRouter<'a> {
     view: &'a ModelView<'a>,
-    boundary: &'a BoundaryMap,
+    boundary: LegBoundaries,
 }
 
 impl<'a> WuRouter<'a> {
-    /// Creates the router over one fault scenario's view and boundary
-    /// information.
-    pub fn new(view: &'a ModelView<'a>, boundary: &'a BoundaryMap) -> Self {
-        WuRouter { view, boundary }
+    /// Creates the router over one fault scenario's view, building the
+    /// boundary information of the view's model: one map under the
+    /// faulty-block model, one per labeling type under MCC.
+    pub fn new(view: &'a ModelView<'a>) -> Self {
+        WuRouter {
+            view,
+            boundary: LegBoundaries::build(view.scenario(), view.model()),
+        }
     }
 }
 
@@ -47,7 +86,8 @@ impl Router for WuRouter<'_> {
         leg_target: Coord,
         u: Coord,
     ) -> Result<Direction, RouteError> {
-        route::wu_step(self.view, self.boundary, leg_source, leg_target, u)
+        let boundary = self.boundary.for_leg(leg_source, leg_target);
+        route::wu_step(self.view, boundary, leg_source, leg_target, u)
     }
 }
 
@@ -139,8 +179,7 @@ mod tests {
         let r = XyRouter::new(sc.mesh(), sc.blocks());
         assert!(walk(&r, Coord::new(1, 2), Coord::new(9, 2), 30).is_err());
         // Wu's protocol shrugs it off.
-        let boundary = sc.boundary_map(Model::FaultBlock);
-        let wu = WuRouter::new(&view, &boundary);
+        let wu = WuRouter::new(&view);
         // The safe condition doesn't hold here (the block is on the row),
         // but the oracle router always finds the path when one exists.
         let oracle = OracleRouter::new(&view);
@@ -152,8 +191,7 @@ mod tests {
     fn wu_and_oracle_routers_deliver_minimally() {
         let sc = scenario(&[(4, 4), (5, 5), (4, 6)]);
         let view = sc.view(Model::FaultBlock);
-        let boundary = sc.boundary_map(Model::FaultBlock);
-        let wu = WuRouter::new(&view, &boundary);
+        let wu = WuRouter::new(&view);
         let oracle = OracleRouter::new(&view);
         let s = Coord::new(0, 0);
         for d in sc.mesh().nodes() {
@@ -172,5 +210,31 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn mcc_legs_read_the_boundary_map_of_their_labeling_type() {
+        // The quadrant-IV leg (0,2) → (2,0) routes round type-two MCCs.
+        // The type-one map's rectangles veto its way round and leave it
+        // stuck; its own map lets it round the west and south edges.
+        let faults = [(3, 0), (1, 1), (2, 1)].map(Coord::from);
+        let sc = Scenario::build(FaultSet::from_coords(Mesh::square(5), faults));
+        let view = sc.view(Model::Mcc);
+        let (s, d) = (Coord::new(0, 2), Coord::new(2, 0));
+        assert_eq!(MccType::for_route(s, d), MccType::Two);
+        let type_one = sc.boundary_map(Model::Mcc);
+        assert_eq!(
+            route::wu_route(&view, &type_one, s, d),
+            Err(RouteError::Stuck(Coord::new(2, 2)))
+        );
+        let wu = WuRouter::new(&view);
+        let mut path = vec![s];
+        while let Some(&u) = path.last().filter(|&&u| u != d) {
+            path.push(u.step(wu.next_hop(s, d, u).expect("the leg is delivered")));
+        }
+        assert_eq!(
+            path,
+            [(0, 2), (0, 1), (0, 0), (1, 0), (2, 0)].map(Coord::from)
+        );
     }
 }

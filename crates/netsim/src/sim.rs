@@ -503,7 +503,6 @@ mod tests {
     fn xy_traffic_fails_on_blocks_wu_survives() {
         let sc = scenario(&[(5, 0), (5, 1), (5, 2)]);
         let view = sc.view(Model::FaultBlock);
-        let boundary = sc.boundary_map(Model::FaultBlock);
         let s = Coord::new(1, 1);
         let d = Coord::new(9, 5);
 
@@ -513,7 +512,7 @@ mod tests {
         assert_eq!(xy_report.failed, 1);
         assert_eq!(xy_report.delivered, 0);
 
-        let mut wu = NetSim::new(sc.mesh(), WuRouter::new(&view, &boundary));
+        let mut wu = NetSim::new(sc.mesh(), WuRouter::new(&view));
         wu.inject(Packet::direct(s, d), 0);
         let wu_report = wu.run_to_completion(100).unwrap();
         assert_eq!(wu_report.delivered, 1);
@@ -524,8 +523,7 @@ mod tests {
     fn two_phase_packet_visits_waypoint() {
         let sc = scenario(&[]);
         let view = sc.view(Model::FaultBlock);
-        let boundary = sc.boundary_map(Model::FaultBlock);
-        let mut sim = NetSim::new(sc.mesh(), WuRouter::new(&view, &boundary));
+        let mut sim = NetSim::new(sc.mesh(), WuRouter::new(&view));
         let s = Coord::new(0, 0);
         let d = Coord::new(6, 6);
         let w = Coord::new(4, 0);

@@ -212,8 +212,7 @@ mod tests {
             .collect();
         assert!(admitted.len() >= 40, "admitted {}", admitted.len());
 
-        let boundary = scenario.boundary_map(Model::FaultBlock);
-        let mut sim = NetSim::new(mesh, WuRouter::new(&view, &boundary));
+        let mut sim = NetSim::new(mesh, WuRouter::new(&view));
         for (cycle, p) in &admitted {
             sim.inject(p.clone(), *cycle);
         }
@@ -238,8 +237,7 @@ mod tests {
         let scenario = Scenario::build(faults);
         let load = Workload::offered_load(&scenario, TrafficPattern::Uniform, 40, 0.01, &mut rng);
         let view = scenario.view(Model::FaultBlock);
-        let boundary = scenario.boundary_map(Model::FaultBlock);
-        let mut sim = NetSim::new(mesh, WuRouter::new(&view, &boundary));
+        let mut sim = NetSim::new(mesh, WuRouter::new(&view));
         load.inject_into(&mut sim);
         let report = sim.run_to_completion(10_000).unwrap();
         assert_eq!(report.delivered + report.failed, 40);

@@ -52,8 +52,7 @@ fn run_once(scenario_seed: u64, workload_seed: u64) -> (SimReport, Vec<Scheduled
         })
         .collect();
 
-    let boundary = scenario.boundary_map(Model::FaultBlock);
-    let mut sim = NetSim::new(mesh, WuRouter::new(&view, &boundary));
+    let mut sim = NetSim::new(mesh, WuRouter::new(&view));
     for (cycle, p) in admitted {
         sim.inject(p, cycle);
     }
@@ -163,8 +162,7 @@ fn static_wu_mcc_report_is_pinned() {
     let scenario = Scenario::build(inject::uniform(mesh, 40, &[], &mut rng));
     let load = Workload::offered_load(&scenario, TrafficPattern::Uniform, 3_000, 0.01, &mut rng);
     let view = scenario.view(Model::Mcc);
-    let boundary = scenario.boundary_map(Model::Mcc);
-    let mut sim = NetSim::new(mesh, WuRouter::new(&view, &boundary));
+    let mut sim = NetSim::new(mesh, WuRouter::new(&view));
     load.inject_into(&mut sim);
     assert_eq!(sim.run_to_completion(1_000_000), Ok(expected));
 }

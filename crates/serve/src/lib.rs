@@ -11,7 +11,7 @@
 //!   retention window of **published** epochs as `Arc`-shared immutable
 //!   [`snapshot::Snapshot`]s. Readers resolve an `Arc` under a shard
 //!   read lock and answer lock-free; a writer repairs epoch *e+1*
-//!   incrementally (`insert_fault` + packed lane resweeps) and publishes
+//!   incrementally (`insert_fault` + transposed-column repairs) and publishes
 //!   it atomically, so epoch *e* keeps serving bit-identically
 //!   throughout — there is no observable half-published state.
 //! * [`api`] — the batched wire types: `Route`/`Safety`/`Reach` reads

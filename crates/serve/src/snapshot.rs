@@ -1,9 +1,10 @@
 //! Epoch-tagged immutable snapshots.
 //!
 //! A [`Snapshot`] freezes one tenant's world at one epoch: the warmed
-//! [`Scenario`] (fault set, the block and MCC planes, the three packed
-//! safety maps) plus a read-only memo of routing decisions that were
-//! provably fresh at publish time. Snapshots are shared behind
+//! [`Scenario`] (fault set, the block and MCC planes, and the transposes
+//! the three safety maps scan beside them) plus a read-only memo of
+//! routing decisions that were provably fresh at publish time.
+//! Snapshots are shared behind
 //! `Arc` and never mutated — readers answer queries against them without
 //! holding any lock, while the writer keeps repairing its *working*
 //! [`emr_core::ScenarioState`] incrementally and publishes the next
@@ -108,9 +109,9 @@ impl Snapshot {
     /// capacity planning, not an allocator measurement): the scenario's
     /// [`MemBytes`] payload accounting — the packed fault, block and MCC
     /// planes (block and component rectangles only once something reads
-    /// them), and the three safety maps, whose lane indexes grow with the
-    /// obstacles rather than the nodes — plus 40 bytes per memo entry
-    /// (key + value).
+    /// them), and the three safety maps' transposes, one bit per node
+    /// each, like the planes they transpose — plus 40 bytes per memo
+    /// entry (key + value).
     pub fn approx_bytes(&self) -> u64 {
         self.scenario.mem_bytes() + self.memo.len() as u64 * 40
     }

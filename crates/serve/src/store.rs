@@ -5,8 +5,8 @@
 //! tenants. Per tenant the store keeps
 //!
 //! * a **working** [`ScenarioState`] + [`DecisionCache`] that the writer
-//!   mutates through the incremental `insert_fault` / packed-resweep
-//!   path, and
+//!   mutates through the incremental `insert_fault` path (relabeling
+//!   and transposed columns repaired inside the changed rectangles), and
 //! * a retention window of **published** epochs: immutable
 //!   [`Snapshot`]s behind `Arc`, built by [`Request::Advance`].
 //!

@@ -21,7 +21,6 @@ fn main() {
     let fault_set = inject::uniform(mesh, faults, &[], &mut rng);
     let scenario = Scenario::build(fault_set);
     let view = scenario.view(Model::FaultBlock);
-    let boundary = scenario.boundary_map(Model::FaultBlock);
 
     println!(
         "{0}x{0} mesh, {1} faults ({2} blocks), {packets} packets @ 4/cycle\n",
@@ -50,7 +49,7 @@ fn main() {
         &mesh,
         XyRouter::new(mesh, scenario.blocks()),
     );
-    run("Wu protocol", raw, &mesh, WuRouter::new(&view, &boundary));
+    run("Wu protocol", raw, &mesh, WuRouter::new(&view));
     run("oracle (global info)", raw, &mesh, OracleRouter::new(&view));
 
     // The strategy-4 admitted subset of the same batch: everything Wu
@@ -63,7 +62,7 @@ fn main() {
         &format!("Wu ({} admitted)", ensured.len()),
         &ensured,
         &mesh,
-        WuRouter::new(&view, &boundary),
+        WuRouter::new(&view),
     );
 
     println!(

@@ -17,7 +17,6 @@ fn admission_controlled_traffic_never_fails() {
         let mut rng = StdRng::seed_from_u64(seed);
         let scenario = Scenario::build(inject::uniform(mesh, k, &[], &mut rng));
         let view = scenario.view(Model::FaultBlock);
-        let boundary = scenario.boundary_map(Model::FaultBlock);
         let offered = Workload::offered_load(
             &scenario,
             TrafficPattern::Uniform,
@@ -25,7 +24,7 @@ fn admission_controlled_traffic_never_fails() {
             4.0 / 1024.0,
             &mut rng,
         );
-        let mut sim = NetSim::new(mesh, WuRouter::new(&view, &boundary));
+        let mut sim = NetSim::new(mesh, WuRouter::new(&view));
         let mut admitted = 0;
         for (cycle, p) in offered.packets() {
             if let Some(packet) = Packet::ensured(&view, p.source(), p.dest()) {
@@ -53,7 +52,6 @@ fn wu_dominates_xy_on_shared_traffic() {
     let mut rng = StdRng::seed_from_u64(11);
     let scenario = Scenario::build(inject::uniform(mesh, 30, &[], &mut rng));
     let view = scenario.view(Model::FaultBlock);
-    let boundary = scenario.boundary_map(Model::FaultBlock);
     let load = Workload::offered_load(
         &scenario,
         TrafficPattern::Uniform,
@@ -66,7 +64,7 @@ fn wu_dominates_xy_on_shared_traffic() {
     load.inject_into(&mut xy);
     let xy_report = xy.run_to_completion(100_000).expect("bounded");
 
-    let mut wu = NetSim::new(mesh, WuRouter::new(&view, &boundary));
+    let mut wu = NetSim::new(mesh, WuRouter::new(&view));
     load.inject_into(&mut wu);
     let wu_report = wu.run_to_completion(100_000).expect("bounded");
 
