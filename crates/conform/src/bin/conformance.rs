@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use emr_conform::report::{self, ConformReport, OracleTally, Repro};
-use emr_conform::{runner, shrink, CheckCtx, RunConfig};
+use emr_conform::{runner, shrink, CheckCtx, RunConfig, ScenarioSpec};
 
 struct Options {
     run: RunConfig,
@@ -165,8 +165,13 @@ fn main() {
         std::process::exit(2);
     }
 
+    let word_crossing = (0..opts.run.seeds)
+        .filter(|&t| {
+            ScenarioSpec::generate(runner::trial_seed(opts.run.master_seed, t)).crosses_word()
+        })
+        .count();
     println!(
-        "conformance: {} scenarios, {} violations in {} failing trials -> {}",
+        "conformance: {} scenarios ({word_crossing} cross a word), {} violations in {} failing trials -> {}",
         report.seeds,
         report.violations,
         report.failing_seeds.len(),

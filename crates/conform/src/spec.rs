@@ -68,12 +68,26 @@ impl ScenarioSpec {
     ///
     /// Dimension draws deliberately include degenerate shapes: roughly one
     /// mesh in seven has a side of length 1 or 2, the rest are 3–18 per
-    /// side. Fault counts go up to a fifth of the mesh; placement is
-    /// uniform or clustered.
+    /// side. One mesh in eight is then redrawn with one side of 63–66 or
+    /// 127–130 nodes, so its rows or its columns (the safety transposes'
+    /// lanes) reach or cross a 64-bit word boundary, and the other side
+    /// of 1–6 nodes, so the spec stays cheap. Fault counts go up to a
+    /// fifth of the mesh; placement is uniform or clustered.
     pub fn generate(seed: u64) -> ScenarioSpec {
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, 0, 0));
-        let width = draw_side(&mut rng);
-        let height = draw_side(&mut rng);
+        let (mut width, mut height) = (draw_side(&mut rng), draw_side(&mut rng));
+        // The wide draw has a seed stream of its own, so a narrow spec is
+        // exactly what the main stream draws (pinned seeds rely on it).
+        let mut wide = StdRng::seed_from_u64(derive_seed(seed, 4, 0));
+        if wide.gen_range(0..8u32) == 0 {
+            (width, height) = (
+                63 + wide.gen_range(0..4) + 64 * wide.gen_range(0..2),
+                wide.gen_range(1..=6),
+            );
+            if wide.gen_bool(0.5) {
+                (width, height) = (height, width);
+            }
+        }
         let mesh = Mesh::new(width, height);
         let nodes = (width as usize) * (height as usize);
         let max_faults = nodes / 5;
@@ -135,6 +149,12 @@ impl ScenarioSpec {
         Scenario::build(self.fault_set())
     }
 
+    /// Whether a row or a column of the mesh is longer than one 64-bit
+    /// word.
+    pub fn crosses_word(&self) -> bool {
+        self.width.max(self.height) > 64
+    }
+
     /// A coarse size measure the shrinker drives toward zero:
     /// nodes + faults + pairs + total pair separation.
     pub fn weight(&self) -> u64 {
@@ -191,6 +211,23 @@ mod tests {
             .filter(|s| s.width.min(s.height) == 1)
             .count();
         assert!(thin > 5, "only {thin} 1×n meshes in 300 seeds");
+    }
+
+    #[test]
+    fn word_crossing_meshes_occur_on_both_axes() {
+        let specs: Vec<ScenarioSpec> = (0..200u64).map(ScenarioSpec::generate).collect();
+        assert!(
+            specs.iter().any(|s| s.width > 64),
+            "no wide mesh in 200 seeds"
+        );
+        assert!(
+            specs.iter().any(|s| s.height > 64),
+            "no tall mesh in 200 seeds"
+        );
+        // The other side stays small, so a wide spec stays cheap.
+        for s in specs.iter().filter(|s| s.crosses_word()) {
+            assert!(s.width.min(s.height) <= 6, "{}x{}", s.width, s.height);
+        }
     }
 
     #[test]

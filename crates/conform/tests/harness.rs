@@ -31,6 +31,9 @@ fn mcc_fold_chirality_pinned_counterexample() {
     let seed = trial_seed(RunConfig::default().master_seed, 12);
     assert_eq!(seed, 8841607203061729842, "seed derivation changed");
     let spec = ScenarioSpec::generate(seed);
+    // The wide-side draw, from a stream of its own, must leave this seed
+    // narrow.
+    assert_eq!((spec.width, spec.height), (17, 16), "pinned seed redrawn");
     let (s, d) = (Coord::new(2, 7), Coord::new(11, 8));
     assert!(
         spec.pairs.contains(&(s, d)),

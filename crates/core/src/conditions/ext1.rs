@@ -57,7 +57,7 @@ pub fn ext1(view: &ModelView<'_>, s: Coord, d: Coord) -> Option<Ensured> {
     }
     for dir in preferred.iter().copied() {
         let w = s.step(dir);
-        if mesh.contains(w) && node_safe_for(view, w, s, d) {
+        if mesh.contains(w) && node_safe_for(view, w, d) {
             return Some(Ensured::Minimal(RoutePlan::ViaNeighbor(w)));
         }
     }
@@ -69,7 +69,7 @@ pub fn ext1(view: &ModelView<'_>, s: Coord, d: Coord) -> Option<Ensured> {
             continue;
         }
         let w = s.step(dir);
-        if mesh.contains(w) && node_safe_for(view, w, s, d) {
+        if mesh.contains(w) && node_safe_for(view, w, d) {
             return Some(Ensured::SubMinimal(RoutePlan::ViaNeighbor(w)));
         }
     }

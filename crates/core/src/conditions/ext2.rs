@@ -2,9 +2,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use emr_mesh::{Coord, Direction, Dist, Frame};
+use emr_mesh::{Coord, Direction, Frame};
 
-use crate::conditions::{safe_source, RoutePlan};
+use crate::conditions::{node_safe_for, RoutePlan};
 use crate::scenario::ModelView;
 
 /// How much extension 2 samples from each block-free region of the
@@ -75,6 +75,12 @@ pub fn ext2(view: &ModelView<'_>, s: Coord, d: Coord, segment: SegmentSize) -> O
 }
 
 /// Extension 2 with an explicit sampling policy; see [`ext2`].
+///
+/// The region along each axis comes from two scans of the source's lane.
+/// A segment whose offsets miss `[1, xd]` is never scored: its
+/// representative lies inside it, so it could never be the witness. Each
+/// representative is tested as soon as it is chosen, so the first witness
+/// in region order wins.
 pub fn ext2_with_policy(
     view: &ModelView<'_>,
     s: Coord,
@@ -85,133 +91,258 @@ pub fn ext2_with_policy(
     if !view.endpoints_usable(s, d) {
         return None;
     }
-    if safe_source(view, s, d).is_some() {
+    let map = view.safety_for(s, d);
+    if map.clear_toward(s, d) {
         return Some(RoutePlan::Direct);
     }
     let frame = Frame::normalizing(s, d);
     let rel_d = frame.to_rel(d);
-    let esl_s = view.level_for(s, s, d);
+    let bounds = frame.bounds_to_rel(&view.mesh());
 
     // Try the x axis (travel relative East first), then the y axis.
-    for (axis_dir, limit) in [(Direction::East, rel_d.x), (Direction::North, rel_d.y)] {
-        let abs_axis = frame.dir_to_abs(axis_dir);
+    for (axis_dir, limit, edges) in [
+        (Direction::East, rel_d.x, (bounds.x_min(), bounds.x_max())),
+        (Direction::North, rel_d.y, (bounds.y_min(), bounds.y_max())),
+    ] {
+        let axis = frame.dir_to_abs(axis_dir);
         // The axis section [0, limit] must be clear: limit < ESL toward it.
-        if limit as Dist >= esl_s.toward(abs_axis) {
+        if limit.unsigned_abs() >= map.toward(s, axis) {
             continue;
         }
-        for w in representatives(view, s, d, abs_axis, segment, policy) {
-            // The candidate's offset along the axis, in the route frame.
-            let rel_w = frame.to_rel(w);
-            let k = if axis_dir == Direction::East {
-                rel_w.x
-            } else {
-                rel_w.y
-            };
-            if k < 1 || k > limit {
-                continue;
+        // The block-free region of the source's lane: the offsets
+        // -behind..=forward, up to the nearest obstacle or the mesh edge.
+        let room = |dir: Direction, edge: i32| {
+            i32::try_from(map.toward(s, dir) - 1).map_or(edge, |r| r.min(edge))
+        };
+        let behind = room(axis.opposite(), -edges.0);
+        let forward = room(axis, edges.1);
+        let len = match segment {
+            SegmentSize::Size(n) => i32::try_from(n.max(1)).unwrap_or(i32::MAX),
+            SegmentSize::Max => behind + forward + 1,
+        };
+        // The crossing direction: the perpendicular safety that phase 2
+        // needs. We pick by the larger of the two perpendicular entries
+        // to stay destination-agnostic, exactly one value per segment.
+        let perp = if axis.is_horizontal() {
+            [Direction::North, Direction::South]
+        } else {
+            [Direction::East, Direction::West]
+        };
+        let scorings: &[&[Direction]] = match policy {
+            SegmentPolicy::SingleBest => &[&perp],
+            SegmentPolicy::PerDirection => &[&perp[..1], &perp[1..]],
+        };
+        // Segments are chunked from the region's back end; the first that
+        // can hold a witness is the one holding offset 1.
+        let mut lo = -behind + (behind + 1) / len * len;
+        while lo <= limit {
+            let hi = lo.saturating_add(len - 1).min(forward);
+            let mut tried = None;
+            for dirs in scorings {
+                // `max_by_key` keeps the last maximum, so walking the
+                // segment back to front keeps the first: ties go toward
+                // the region's back end.
+                let k = (lo..=hi).rev().max_by_key(|&k| {
+                    let c = s.step_by(axis, k);
+                    dirs.iter().map(|&dir| map.toward(c, dir)).max()
+                });
+                // Both directions of `PerDirection` may choose one node.
+                if k == tried {
+                    continue;
+                }
+                tried = k;
+                let Some(k) = k.filter(|k| (1..=limit).contains(k)) else {
+                    continue;
+                };
+                // `node_safe_for` also rejects candidates that are
+                // obstacles for the (w, d) route — under MCC the phase-2
+                // quadrant type can differ from the (s, d) type, so this
+                // matters.
+                let w = s.step_by(axis, k);
+                if node_safe_for(view, w, d) {
+                    return Some(RoutePlan::ViaAxis(w));
+                }
             }
-            // `node_safe_for` also rejects candidates that are obstacles
-            // for the (w, d) route — under MCC the phase-2 quadrant type
-            // can differ from the (s, d) type, so this matters.
-            if crate::conditions::node_safe_for(view, w, w, d) {
-                return Some(RoutePlan::ViaAxis(w));
-            }
+            lo = hi + 1;
         }
     }
     None
 }
 
-/// The safety levels extension 2 makes available to the source along one
-/// axis: the representatives of each segment of the block-free region of
-/// the source's row/column, chosen as the node with the highest safety
-/// level toward the crossing direction (ties broken toward the region
-/// start). The region spans both directions from the source, exactly as
-/// the paper's region exchange delivers it.
-fn representatives(
-    view: &ModelView<'_>,
-    s: Coord,
-    d: Coord,
-    abs_axis: Direction,
-    segment: SegmentSize,
-    policy: SegmentPolicy,
-) -> Vec<Coord> {
-    let mesh = view.mesh();
-    // Collect the region in order from its "backward" end.
-    let back = abs_axis.opposite();
-    let mut start = s;
-    loop {
-        let prev = start.step(back);
-        if !mesh.contains(prev) || view.is_obstacle(prev, s, d) {
-            break;
-        }
-        start = prev;
-    }
-    let mut region = Vec::new();
-    let mut cur = start;
-    loop {
-        region.push(cur);
-        let next = cur.step(abs_axis);
-        if !mesh.contains(next) || view.is_obstacle(next, s, d) {
-            break;
-        }
-        cur = next;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::conditions::safe_source;
+    use crate::{Model, Scenario};
+    use emr_fault::FaultSet;
+    use emr_mesh::{Dist, Mesh};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Definition 3 from the full safety level, as the conditions read it
+    /// before the range tests.
+    fn level_safe(view: &ModelView<'_>, u: Coord, d: Coord) -> bool {
+        let frame = Frame::normalizing(u, d);
+        view.endpoints_usable(u, d) && view.level_for(u, u, d).safe_for(&frame, frame.to_rel(d))
     }
 
-    let seg_len = match segment {
-        SegmentSize::Size(n) => (n.max(1)) as usize,
-        SegmentSize::Max => region.len(),
-    };
-    // The crossing direction: the perpendicular safety that phase 2 needs.
-    // For a row region (axis E/W) that is the column safety toward the
-    // destination's side; symmetric for columns. We pick by the larger of
-    // the two perpendicular entries to stay destination-agnostic, exactly
-    // one value per segment.
-    let (perp_a, perp_b) = if abs_axis.is_horizontal() {
-        (Direction::North, Direction::South)
-    } else {
-        (Direction::East, Direction::West)
-    };
-    let best_by = |seg: &[Coord], score: &dyn Fn(Coord) -> u32| -> Coord {
-        // First-maximum keeps ties toward the region start.
-        let mut best = seg[0];
-        let mut best_score = 0;
-        for &c in seg {
-            let sc = score(c);
-            if sc > best_score {
-                best = c;
-                best_score = sc;
+    /// Extension 2 as a node walk: the region collected node by node
+    /// through `is_obstacle`, every node of every segment scored from its
+    /// full safety level, and each representative kept in region order
+    /// before any is tested. The reference of the differential test
+    /// below.
+    fn ext2_walk(
+        view: &ModelView<'_>,
+        s: Coord,
+        d: Coord,
+        segment: SegmentSize,
+        policy: SegmentPolicy,
+    ) -> Option<RoutePlan> {
+        if !view.endpoints_usable(s, d) {
+            return None;
+        }
+        if level_safe(view, s, d) {
+            return Some(RoutePlan::Direct);
+        }
+        let mesh = view.mesh();
+        let frame = Frame::normalizing(s, d);
+        let rel_d = frame.to_rel(d);
+        let esl_s = view.level_for(s, s, d);
+        for (axis_dir, limit) in [(Direction::East, rel_d.x), (Direction::North, rel_d.y)] {
+            let abs_axis = frame.dir_to_abs(axis_dir);
+            if limit as Dist >= esl_s.toward(abs_axis) {
+                continue;
+            }
+            let back = abs_axis.opposite();
+            let mut start = s;
+            while mesh.contains(start.step(back)) && !view.is_obstacle(start.step(back), s, d) {
+                start = start.step(back);
+            }
+            let mut region = vec![start];
+            let mut cur = start;
+            while mesh.contains(cur.step(abs_axis)) && !view.is_obstacle(cur.step(abs_axis), s, d) {
+                cur = cur.step(abs_axis);
+                region.push(cur);
+            }
+            let seg_len = match segment {
+                SegmentSize::Size(n) => (n.max(1)) as usize,
+                SegmentSize::Max => region.len(),
+            };
+            let (perp_a, perp_b) = if abs_axis.is_horizontal() {
+                (Direction::North, Direction::South)
+            } else {
+                (Direction::East, Direction::West)
+            };
+            let best_by = |seg: &[Coord], score: &dyn Fn(Coord) -> u32| -> Coord {
+                let mut best = seg[0];
+                let mut best_score = 0;
+                for &c in seg {
+                    let sc = score(c);
+                    if sc > best_score {
+                        best = c;
+                        best_score = sc;
+                    }
+                }
+                best
+            };
+            let mut reps = Vec::new();
+            for seg in region.chunks(seg_len) {
+                match policy {
+                    SegmentPolicy::SingleBest => reps.push(best_by(seg, &|c| {
+                        let l = view.level_for(c, s, d);
+                        l.toward(perp_a).max(l.toward(perp_b))
+                    })),
+                    SegmentPolicy::PerDirection => {
+                        for dir in [perp_a, perp_b] {
+                            let w = best_by(seg, &|c| view.level_for(c, s, d).toward(dir));
+                            if !reps.contains(&w) {
+                                reps.push(w);
+                            }
+                        }
+                    }
+                }
+            }
+            for w in reps {
+                let rel_w = frame.to_rel(w);
+                let k = if axis_dir == Direction::East {
+                    rel_w.x
+                } else {
+                    rel_w.y
+                };
+                if (1..=limit).contains(&k) && level_safe(view, w, d) {
+                    return Some(RoutePlan::ViaAxis(w));
+                }
             }
         }
-        best
-    };
-    let mut out = Vec::new();
-    for seg in region.chunks(seg_len) {
-        match policy {
-            SegmentPolicy::SingleBest => {
-                out.push(best_by(seg, &|c| {
-                    let l = view.level_for(c, s, d);
-                    l.toward(perp_a).max(l.toward(perp_b))
-                }));
-            }
-            SegmentPolicy::PerDirection => {
-                for dir in [perp_a, perp_b] {
-                    let w = best_by(seg, &|c| view.level_for(c, s, d).toward(dir));
-                    if !out.contains(&w) {
-                        out.push(w);
+        None
+    }
+
+    #[test]
+    fn range_reads_match_the_node_walk() {
+        // Shapes around the 64-bit word on either axis, the paper's mesh,
+        // and 1-wide lanes; destinations in every quadrant of the source,
+        // on its row and on its column.
+        let shapes = [
+            (200, 200),
+            (130, 70),
+            (65, 9),
+            (9, 65),
+            (64, 64),
+            (1, 40),
+            (40, 1),
+        ];
+        let segments = [
+            SegmentSize::Size(1),
+            SegmentSize::Size(5),
+            SegmentSize::Size(10),
+            SegmentSize::Max,
+        ];
+        let (mut calls, mut via_axis) = (0u32, 0u32);
+        for (w, h) in shapes {
+            let mesh = Mesh::new(w, h);
+            for (i, density) in [0.01, 0.04, 0.12].into_iter().enumerate() {
+                let mut rng =
+                    StdRng::seed_from_u64(0xE2_0000 + (w * 1000 + h) as u64 * 4 + i as u64);
+                let count = (mesh.node_count() as f64 * density) as usize;
+                let sc = Scenario::build(emr_fault::inject::uniform(mesh, count, &[], &mut rng));
+                for _ in 0..100 {
+                    let s = Coord::new(rng.gen_range(0..w), rng.gen_range(0..h));
+                    let ds = [
+                        Coord::new(rng.gen_range(s.x..w), rng.gen_range(s.y..h)),
+                        Coord::new(rng.gen_range(0..=s.x), rng.gen_range(s.y..h)),
+                        Coord::new(rng.gen_range(0..=s.x), rng.gen_range(0..=s.y)),
+                        Coord::new(rng.gen_range(s.x..w), rng.gen_range(0..=s.y)),
+                        Coord::new(rng.gen_range(0..w), s.y),
+                        Coord::new(s.x, rng.gen_range(0..h)),
+                    ];
+                    for d in ds {
+                        for model in Model::ALL {
+                            let view = sc.view(model);
+                            for policy in [SegmentPolicy::SingleBest, SegmentPolicy::PerDirection] {
+                                for seg in segments {
+                                    let got = ext2_with_policy(&view, s, d, seg, policy);
+                                    let want = ext2_walk(&view, s, d, seg, policy);
+                                    assert_eq!(
+                                        got, want,
+                                        "{w}x{h} density {density} {model:?} {policy:?} {seg:?}: {s} -> {d}"
+                                    );
+                                    calls += 1;
+                                    via_axis +=
+                                        u32::from(matches!(got, Some(RoutePlan::ViaAxis(_))));
+                                }
+                            }
+                        }
                     }
                 }
             }
         }
+        // The verdicts must include many axis witnesses, or the test
+        // compares little beyond Definition 3.
+        assert!(
+            via_axis * 25 > calls,
+            "{via_axis} axis witnesses in {calls} calls"
+        );
     }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{Model, Scenario};
-    use emr_fault::FaultSet;
-    use emr_mesh::Mesh;
 
     fn scenario(coords: &[(i32, i32)]) -> Scenario {
         let mesh = Mesh::square(14);

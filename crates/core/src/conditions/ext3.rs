@@ -182,7 +182,7 @@ pub fn ext3(view: &ModelView<'_>, s: Coord, d: Coord, pivots: &[Coord]) -> Optio
         if p == s || p == d {
             continue;
         }
-        if node_safe_for(view, s, s, p) && node_safe_for(view, p, p, d) {
+        if node_safe_for(view, s, p) && node_safe_for(view, p, d) {
             return Some(RoutePlan::ViaPivot(p));
         }
     }

@@ -33,7 +33,7 @@ pub use strategy::{strategy4, strategy_with, StrategyKind, StrategyParams};
 
 use serde::{Deserialize, Serialize};
 
-use emr_mesh::{Coord, Frame};
+use emr_mesh::Coord;
 
 use crate::scenario::ModelView;
 
@@ -104,19 +104,16 @@ impl Ensured {
 /// assert!(conditions::safe_source(&view, s, Coord::new(7, 4)).is_none());
 /// ```
 pub fn safe_source(view: &ModelView<'_>, s: Coord, d: Coord) -> Option<RoutePlan> {
-    node_safe_for(view, s, s, d).then_some(RoutePlan::Direct)
+    node_safe_for(view, s, d).then_some(RoutePlan::Direct)
 }
 
 /// Whether node `u` is safe with respect to destination `d` for a route
 /// whose MCC type is determined by `(u, d)`; used by every condition.
 /// `u` must be usable (not an obstacle) and `d` usable, else `false`.
-pub(crate) fn node_safe_for(view: &ModelView<'_>, u: Coord, _s: Coord, d: Coord) -> bool {
-    if !view.endpoints_usable(u, d) {
-        return false;
-    }
-    let frame = Frame::normalizing(u, d);
-    let rel_d = frame.to_rel(d);
-    view.level_for(u, u, d).safe_for(&frame, rel_d)
+/// Definition 3 reads only the row and column sections between `u` and
+/// `d` (two range tests of the route's [`crate::SafetyMap`]).
+pub(crate) fn node_safe_for(view: &ModelView<'_>, u: Coord, d: Coord) -> bool {
+    view.endpoints_usable(u, d) && view.safety_for(u, d).clear_toward(u, d)
 }
 
 #[cfg(test)]

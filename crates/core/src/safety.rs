@@ -121,7 +121,9 @@ impl fmt::Display for SafetyLevel {
 /// ([`emr_fault::BlockMap::packed`], [`emr_fault::MccMap::packed`]), the
 /// transpose to the [`crate::Scenario`], which keeps one per model. A
 /// scan masks its first word, then reads whole words until it meets a
-/// set bit or the lane's end. The levels equal the paper's distributed
+/// set bit or the lane's end. The conditions read less: Definition 3 is
+/// a masked range test on each lane, over the nodes between the node and
+/// the destination only. The levels equal the paper's distributed
 /// FORMATION protocol run to quiescence and its centralized sweep,
 /// `emr_distsim::protocols::esl::compute_global` — the ground truth of the
 /// `safety-bits-matches-scalar` conform oracle and the differential tests
@@ -208,20 +210,43 @@ impl<'a> SafetyMap<'a> {
         // `c` is clear in both lanes, so a scan from it finds the nearest
         // obstacle strictly past it.
         let col = self.cols.row(c.x);
-        let dist = |p: Option<usize>, from: usize| {
-            p.map_or(UNBOUNDED, |p| {
-                Dist::try_from(p.abs_diff(from)).unwrap_or(UNBOUNDED)
-            })
-        };
         // In `Direction::index()` order: E, N, W, S.
         SafetyLevel {
             dists: [
-                dist(east, x),
-                dist(next_set_bit(col, y), y),
-                dist(prev_set_bit(row, x), x),
-                dist(prev_set_bit(col, y), y),
+                hops(east, x),
+                hops(next_set_bit(col, y), y),
+                hops(prev_set_bit(row, x), x),
+                hops(prev_set_bit(col, y), y),
             ],
         }
+    }
+
+    /// One entry of [`SafetyLevel`] for the clear node `c`: the hops to
+    /// the nearest obstacle toward `dir`, `∞` when the lane is clear to
+    /// the mesh edge. One nearest-set-bit scan of `c`'s row (East, West)
+    /// or of its transposed column (North, South).
+    pub(crate) fn toward(&self, c: Coord, dir: Direction) -> Dist {
+        let (lane, at) = if dir.is_horizontal() {
+            (self.rows.row(c.y), c.x as usize)
+        } else {
+            (self.cols.row(c.x), c.y as usize)
+        };
+        let hit = match dir {
+            Direction::East | Direction::North => next_set_bit(lane, at),
+            Direction::West | Direction::South => prev_set_bit(lane, at),
+        };
+        hops(hit, at)
+    }
+
+    /// Definition 3 for the clear node `u` and destination `d` as two
+    /// masked range tests: no obstacle on `u`'s row strictly past `u.x` up
+    /// to and including `d.x`, nor on its column strictly past `u.y` up to
+    /// and including `d.y` (an empty range is clear). Equals
+    /// `level(u).safe_for(..)` in the frame normalizing `(u, d)`, and
+    /// reads at most ⌈|dx|/64⌉ + 1 words per axis.
+    pub(crate) fn clear_toward(&self, u: Coord, d: Coord) -> bool {
+        clear_past(self.rows.row(u.y), u.x as usize, d.x as usize)
+            && clear_past(self.cols.row(u.x), u.y as usize, d.y as usize)
     }
 }
 
@@ -268,6 +293,33 @@ fn prev_set_bit(lane: &[u64], to: usize) -> Option<usize> {
         word = *lane.get(wi)?;
     }
     Some(wi * 64 + 63 - word.leading_zeros() as usize)
+}
+
+/// The hops from lane position `at` to the set bit a scan from it found,
+/// `∞` when it found none.
+fn hops(hit: Option<usize>, at: usize) -> Dist {
+    hit.map_or(UNBOUNDED, |p| {
+        Dist::try_from(p.abs_diff(at)).unwrap_or(UNBOUNDED)
+    })
+}
+
+/// Whether no bit of `lane` is set strictly past `from` up to and
+/// including `to`, in whichever direction `to` lies: the range's first
+/// and last words masked, the words between read whole.
+fn clear_past(lane: &[u64], from: usize, to: usize) -> bool {
+    // `from + 1 ..= to` upward, `to ..= from - 1` downward.
+    let (lo, hi) = ((from + 1).min(to), from.saturating_sub(1).max(to));
+    to == from
+        || (lo / 64..=hi / 64).all(|wi| {
+            let mut word = lane.get(wi).copied().unwrap_or(0);
+            if wi == lo / 64 {
+                word &= u64::MAX << (lo % 64);
+            }
+            if wi == hi / 64 {
+                word &= u64::MAX >> (63 - hi % 64);
+            }
+            word == 0
+        })
 }
 
 #[cfg(test)]
@@ -434,6 +486,33 @@ mod tests {
         }
     }
 
+    /// Asserts that the map's single scans equal its levels, and its
+    /// range tests equal Definition 3 over those levels, from every clear
+    /// node (a sample of 200×200) toward every node of its row and its
+    /// column (ranges of every length on either side) and toward the four
+    /// mesh corners (one per quadrant).
+    fn assert_reads_match_levels(blocked: &BitGrid, transposed: &BitGrid, ctx: &str) {
+        let map = SafetyMap::new(blocked, transposed);
+        let mesh = blocked.mesh();
+        let (w, h) = (mesh.width(), mesh.height());
+        let stride = if w * h > 10_000 { 37 } else { 1 };
+        let corners = [(0, 0), (w - 1, 0), (0, h - 1), (w - 1, h - 1)].map(Coord::from);
+        let clear = mesh.nodes().filter(|&u| blocked.get(u) == Some(false));
+        for u in clear.step_by(stride) {
+            let level = map.level(u);
+            for dir in Direction::ALL {
+                assert_eq!(map.toward(u, dir), level.toward(dir), "{ctx} {u} {dir}");
+            }
+            let row = (0..w).map(|x| Coord::new(x, u.y));
+            let col = (0..h).map(|y| Coord::new(u.x, y));
+            for d in row.chain(col).chain(corners) {
+                let frame = Frame::normalizing(u, d);
+                let want = level.safe_for(&frame, frame.to_rel(d));
+                assert_eq!(map.clear_toward(u, d), want, "{ctx} {u} -> {d}");
+            }
+        }
+    }
+
     #[test]
     fn levels_match_esl_sweep_on_block_and_mcc_maps() {
         for (w, h) in SHAPES {
@@ -453,6 +532,37 @@ mod tests {
                     let transposed = SafetyMap::transpose(plane, &faults);
                     assert_eq!(transposed, plane_transpose(plane), "{ctx}");
                     assert_matches_esl(plane, &transposed, &ctx);
+                    assert_reads_match_levels(plane, &transposed, &ctx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn range_tests_cross_word_boundaries() {
+        // One obstacle at each position around the word boundaries of a
+        // 130-node row, and of a 130-node column (a transposed lane): a
+        // range from either side sees it exactly when the range reaches
+        // it.
+        let row = |i| Coord::new(i, 0);
+        let col = |i| Coord::new(0, i);
+        for (mesh, at) in [
+            (Mesh::new(130, 1), &row as &dyn Fn(i32) -> Coord),
+            (Mesh::new(1, 130), &col),
+        ] {
+            for p in [0, 1, 62, 63, 64, 65, 127, 128, 129] {
+                let plane = BitGrid::from_blocked(mesh, |c| c == at(p));
+                let transposed = plane_transpose(&plane);
+                let map = SafetyMap::new(&plane, &transposed);
+                for u in (0..130).filter(|&i| i != p) {
+                    for d in 0..130 {
+                        let blocked = (u < p && p <= d) || (d <= p && p < u);
+                        assert_eq!(
+                            map.clear_toward(at(u), at(d)),
+                            !blocked,
+                            "{mesh:?} obstacle {p}: {u} -> {d}"
+                        );
+                    }
                 }
             }
         }
@@ -468,7 +578,9 @@ mod tests {
                 BitGrid::from_blocked(mesh, |_| true),
                 BitGrid::from_blocked(mesh, |c| c.y == h / 2 || c.x == w / 2),
             ] {
-                assert_matches_esl(&blocked, &plane_transpose(&blocked), &format!("{w}x{h}"));
+                let transposed = plane_transpose(&blocked);
+                assert_matches_esl(&blocked, &transposed, &format!("{w}x{h}"));
+                assert_reads_match_levels(&blocked, &transposed, &format!("{w}x{h}"));
             }
         }
     }

@@ -293,12 +293,15 @@ impl<'a> ModelView<'a> {
 
     /// The safety level of `u` for routes from `s` to `d`.
     pub fn level_for(&self, u: Coord, s: Coord, d: Coord) -> SafetyLevel {
+        self.safety_for(s, d).level(u)
+    }
+
+    /// The safety map routes from `s` to `d` read: the block map, or under
+    /// MCC the labeling [`MccType::for_route`] picks.
+    pub(crate) fn safety_for(&self, s: Coord, d: Coord) -> SafetyMap<'a> {
         match self.model {
-            Model::FaultBlock => self.scenario.block_safety_map().level(u),
-            Model::Mcc => self
-                .scenario
-                .mcc_safety_map(MccType::for_route(s, d))
-                .level(u),
+            Model::FaultBlock => self.scenario.block_safety_map(),
+            Model::Mcc => self.scenario.mcc_safety_map(MccType::for_route(s, d)),
         }
     }
 

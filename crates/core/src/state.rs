@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use emr_fault::FaultSet;
 use emr_mesh::{Coord, Mesh, Rect};
 
-use crate::conditions::{ext1, ext3, safe_source, select_pivots, Ensured, PivotPolicy};
+use crate::conditions::{ext1, ext3, select_pivots, Ensured, PivotPolicy};
 use crate::scenario::{Model, ModelView, Scenario};
 
 /// A monotonically increasing fault-arrival counter. Epoch 0 is the
@@ -164,15 +164,17 @@ impl ScenarioState {
     /// Whether a decision for `(s, d)` computed at epoch `since` is still
     /// exact at the current epoch.
     ///
-    /// [`decide_local`] reads only (a) obstacle membership of nodes in
-    /// `Q = bbox(s, d)` inflated by one, and (b) safety levels of nodes in
-    /// `Q`. A node's safety level depends solely on the obstacle pattern
-    /// of its own row and column. So if every delta newer than `since` has
-    /// all its dirty rectangles disjoint from `Q` in *both* the x-range
-    /// and the y-range, none of those reads can have changed — no changed
-    /// node lies in `Q`, and no changed node shares a row or column with
-    /// any node of `Q`. The cached decision is then bit-identical to a
-    /// recompute (no monotonicity argument needed).
+    /// [`decide_local`] reads only obstacle membership: of nodes in
+    /// `Q = bbox(s, d)` inflated by one, and along row and column segments
+    /// inside `Q` (Definition 3's range tests). The argument here covers a
+    /// superset of those reads, the safety levels of nodes in `Q`, each of
+    /// which depends solely on the obstacle pattern of its own row and
+    /// column. So if every delta newer than `since` has all its dirty
+    /// rectangles disjoint from `Q` in *both* the x-range and the y-range,
+    /// none of those reads can have changed — no changed node lies in
+    /// `Q`, and no changed node shares a row or column with any node of
+    /// `Q`. The cached decision is then bit-identical to a recompute (no
+    /// monotonicity argument needed).
     pub fn decision_fresh(&self, model: Model, s: Coord, d: Coord, since: Epoch) -> bool {
         let q = Rect::point(s).expanded_to(d).inflated(1);
         self.deltas_since(since).iter().all(|delta| {
@@ -191,15 +193,15 @@ impl ScenarioState {
 /// sub-minimal rescue is kept as the fallback, mirroring the strategy
 /// preference for minimal guarantees).
 ///
-/// Extension 2 is deliberately *excluded*: its representative-section walk
-/// reads obstacles along the source's whole row/column region, far outside
+/// Extension 2 is deliberately *excluded*: its region and segment scores
+/// read obstacles along the source's whole row/column region, far outside
 /// `bbox(s, d)`, which would defeat the rectangle-disjointness freshness
 /// predicate of [`ScenarioState::decision_fresh`]. Everything here reads
-/// only within `bbox(s, d)` inflated by one.
+/// only obstacle membership of nodes, and along row and column segments,
+/// inside `bbox(s, d)` inflated by one: Definition 3 tests the sections
+/// between a node and its target. Extension 1 answers a safe source and
+/// an unusable endpoint first.
 pub fn decide_local(view: &ModelView<'_>, s: Coord, d: Coord) -> Option<Ensured> {
-    if let Some(plan) = safe_source(view, s, d) {
-        return Some(Ensured::Minimal(plan));
-    }
     let mut sub_minimal = None;
     match ext1(view, s, d) {
         Some(e @ Ensured::Minimal(_)) => return Some(e),

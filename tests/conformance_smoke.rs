@@ -1,6 +1,6 @@
 //! Facade-level smoke of the cross-layer conformance harness: a short
 //! clean sweep finds no violations, and the sweep's determinism holds at
-//! the workspace boundary (the CI job runs the full 200-seed version).
+//! the workspace boundary (the CI job runs the full 1000-seed version).
 //! Goes through the facade re-export on purpose — `emr2d::conform` is the
 //! supported path to the harness.
 
