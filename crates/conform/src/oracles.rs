@@ -25,8 +25,8 @@ use serde::{Deserialize, Serialize};
 
 use emr_core::conditions::{StrategyKind, StrategyParams};
 use emr_core::{
-    conditions, decide_local, route, BoundaryMap, DecisionCache, Ensured, Model, ModelView,
-    RouteError, SafetyLevel, SafetyMap, Scenario, ScenarioState,
+    conditions, decide_local, route, DecisionCache, Ensured, Model, ModelView, RouteError,
+    SafetyLevel, SafetyMap, Scenario, ScenarioState,
 };
 use emr_distsim::protocols::boundary::{self, BoundaryLine, BoundaryMark};
 use emr_distsim::protocols::esl::{self, EslFormation};
@@ -114,8 +114,11 @@ pub const ORACLES: &[Oracle] = &[
         name: "safety-bits-matches-scalar",
         claim: "the safety maps' word scans over each obstacle plane and \
                 its transpose, built fresh and repaired column by column, \
-                equal the scalar ESL sweep for every obstacle map (ground \
-                truth: emr_distsim::protocols::esl::compute_global)",
+                equal the scalar ESL sweep for every obstacle map, and \
+                Definition 3 as the conditions decide it (safe_source) \
+                equals safe_for on the scalar level of the plane each pair \
+                reads, from every node toward each pair's destination \
+                (ground truth: emr_distsim::protocols::esl::compute_global)",
         check: o_safety_bits_matches_scalar,
     },
     Oracle {
@@ -132,11 +135,13 @@ pub const ORACLES: &[Oracle] = &[
     },
     Oracle {
         name: "boundary-segments-match-rays",
-        claim: "after every epoch of a fault replay, under the block model \
-                and both MCC types, BoundaryMap's lane runs carry exactly \
-                the straight steps of the global ray walk at every node, \
-                and wu_step equals the per-mark veto rule over the full \
-                contours on every node of every pair's bounding box \
+        claim: "after every epoch of a fault replay, the replay state's \
+                cached boundary maps of the block plane and both MCC \
+                labelings carry exactly the straight steps of the global \
+                ray walk at every node, and under each model wu_step \
+                equals the per-mark veto rule over the full contours of \
+                the plane the pair's view reads, on every node of every \
+                pair's bounding box \
                 (ground truth: emr_distsim::protocols::boundary::compute_global)",
         check: o_boundary_segments_match_rays,
     },
@@ -310,6 +315,20 @@ fn fired_conditions(view: &ModelView<'_>, s: Coord, d: Coord) -> Vec<(&'static s
         }
     }
     fired
+}
+
+/// The obstacle plane `view` reads for routes from `s` to `d`, as an
+/// index into `[blocks, MCC type one, MCC type two]`: under MCC, read off
+/// the view's obstacle test at `split`, a node where the two labelings
+/// differ (with none, the two planes and every map built from them are
+/// equal).
+fn plane_read(view: &ModelView<'_>, split: Option<Coord>, s: Coord, d: Coord) -> usize {
+    let one = view.scenario().mcc(MccType::One);
+    match (view.model(), split) {
+        (Model::FaultBlock, _) => 0,
+        (Model::Mcc, Some(c)) if view.is_obstacle(c, s, d) != one.is_blocked(c) => 2,
+        (Model::Mcc, _) => 1,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -518,10 +537,11 @@ fn o_safety_bits_matches_scalar(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Vio
     // model's packed obstacle plane and the plane's fault-seeded
     // transpose; each must equal the scalar ESL sweep over the same
     // obstacle predicate.
+    let mut scalar = Vec::new();
     let mut check = |label: String, bit_map: SafetyMap<'_>, blocked: &dyn Fn(Coord) -> bool| {
-        let scalar = esl::compute_global(&Grid::from_fn(mesh, blocked));
+        let levels = esl::compute_global(&Grid::from_fn(mesh, blocked));
         for c in mesh.nodes() {
-            let want = SafetyLevel::from_tuple(scalar[c]);
+            let want = SafetyLevel::from_tuple(levels[c]);
             if bit_map.level(c) != want {
                 out.push(violation(
                     "safety-bits-matches-scalar",
@@ -530,9 +550,10 @@ fn o_safety_bits_matches_scalar(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Vio
                         bit_map.level(c)
                     ),
                 ));
-                return; // first node pinpoints the lane that diverged
+                break; // first node pinpoints the lane that diverged
             }
         }
+        scalar.push(levels);
     };
     check("blocks".to_string(), sc.block_safety_map(), &|c| {
         sc.blocks().is_blocked(c)
@@ -541,6 +562,30 @@ fn o_safety_bits_matches_scalar(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Vio
         check(format!("mcc {ty:?}"), sc.mcc_safety_map(ty), &|c| {
             sc.mcc(ty).is_blocked(c)
         });
+    }
+    // Definition 3 as the conditions decide it (two range tests through
+    // `safe_source`) against `safe_for` on the scalar level of the plane
+    // the pair reads, from every node toward each pair's destination.
+    let (one, two) = (sc.mcc(MccType::One), sc.mcc(MccType::Two));
+    let split = mesh
+        .nodes()
+        .find(|&c| one.is_blocked(c) != two.is_blocked(c));
+    let dests: std::collections::BTreeSet<Coord> = spec.pairs.iter().map(|&(_, d)| d).collect();
+    for model in Model::ALL {
+        let view = sc.view(model);
+        for &d in &dests {
+            let wrong = mesh.nodes().filter(|&u| u != d).find(|&u| {
+                let level = SafetyLevel::from_tuple(scalar[plane_read(&view, split, u, d)][u]);
+                let frame = Frame::normalizing(u, d);
+                let want = view.endpoints_usable(u, d) && level.safe_for(&frame, frame.to_rel(d));
+                conditions::safe_source(&view, u, d).is_some() != want
+            });
+            if let Some(u) = wrong {
+                let model = model_name(model);
+                let detail = format!("[{model}] Definition 3 at {u} toward {d}: safe_source errs");
+                out.push(violation("safety-bits-matches-scalar", detail));
+            }
+        }
     }
     // Incremental: replaying the faults one at a time through a warmed
     // state re-extracts the transposed columns that cross each change;
@@ -751,13 +796,20 @@ fn o_boundary_segments_match_rays(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<V
         state.insert_fault(f);
         let sc = state.scenario();
         let (blocks, one, two) = (sc.blocks(), sc.mcc(MccType::One), sc.mcc(MccType::Two));
-        let planes: [(&str, Model, &[Rect], &BitGrid); 3] = [
-            ("block", Model::FaultBlock, blocks.rects(), blocks.packed()),
-            ("mcc One", Model::Mcc, one.rects(), one.packed()),
-            ("mcc Two", Model::Mcc, two.rects(), two.packed()),
+        // The state's own cached maps: one the fault failed to drop is
+        // stale against this epoch's rays.
+        let runs = [
+            sc.block_boundary_map(),
+            sc.mcc_boundary_map(MccType::One),
+            sc.mcc_boundary_map(MccType::Two),
         ];
-        for (label, model, rects, plane) in planes {
-            let runs = BoundaryMap::compute(rects, plane);
+        let planes = [
+            ("block", blocks.rects(), blocks.packed()),
+            ("mcc One", one.rects(), one.packed()),
+            ("mcc Two", two.rects(), two.packed()),
+        ];
+        let mut contours = Vec::new();
+        for ((label, rects, plane), runs) in planes.into_iter().zip(runs) {
             let blocked = Grid::from_fn(mesh, |c| plane.get(c) == Some(true));
             let marks = boundary::compute_global(&mesh, rects, &blocked);
             for c in mesh.nodes() {
@@ -776,15 +828,23 @@ fn o_boundary_segments_match_rays(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<V
                     break; // one node pinpoints the run that diverged
                 }
             }
+            contours.push((label, marks));
+        }
+        // Each pair against the contours of the plane its view reads.
+        let split = mesh
+            .nodes()
+            .find(|&c| one.is_blocked(c) != two.is_blocked(c));
+        for model in Model::ALL {
             let view = sc.view(model);
             for &(s, d) in &spec.pairs {
+                let (label, marks) = &contours[plane_read(&view, split, s, d)];
                 let bbox = Rect::point(s).expanded_to(d);
                 for u in bbox.iter() {
                     if u == d || view.is_obstacle(u, s, d) {
                         continue;
                     }
-                    let got = route::wu_step(&view, &runs, s, d, u);
-                    let want = wu_step_per_mark(&view, &marks, s, d, u);
+                    let got = route::wu_step(&view, s, d, u);
+                    let want = wu_step_per_mark(&view, marks, s, d, u);
                     if got != want {
                         out.push(violation(
                             NAME,
@@ -813,10 +873,9 @@ fn o_route_delivers(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation> {
             if fired.is_empty() {
                 continue;
             }
-            let boundary = sc.boundary_map_for(model, s, d);
             for (name, ensured) in fired {
                 let plan = ensured.plan();
-                match route::execute(&view, &boundary, s, d, &plan) {
+                match route::execute(&view, s, d, &plan) {
                     Ok(path) => {
                         let max_hops = if ensured.is_minimal() {
                             s.manhattan(d)

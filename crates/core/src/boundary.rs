@@ -121,6 +121,11 @@ const ROW_RAYS: [(BoundaryLine, Direction); 4] = [
 /// read them. A hop of [`crate::route::wu_step`] reads two lanes, not
 /// every contour through its node.
 ///
+/// Only a [`crate::Scenario`] builds maps, one per obstacle plane on
+/// first read ([`crate::Scenario::block_boundary_map`],
+/// [`crate::Scenario::mcc_boundary_map`]), and each new fault drops them.
+/// A route's leg reads the map of the plane its obstacle test reads.
+///
 /// The node-by-node marks, bends included, are what the distributed
 /// propagation protocol in `emr-distsim` delivers
 /// (`emr_distsim::protocols::boundary::compute_global` is its global
@@ -130,14 +135,14 @@ const ROW_RAYS: [(BoundaryLine, Direction); 4] = [
 /// # Examples
 ///
 /// ```
-/// use emr_core::{Model, Scenario};
+/// use emr_core::Scenario;
 /// use emr_fault::FaultSet;
 /// use emr_mesh::{Coord, Mesh};
 ///
 /// let mesh = Mesh::square(10);
 /// let faults = FaultSet::from_coords(mesh, [Coord::new(5, 5)]);
 /// let scenario = Scenario::build(faults);
-/// let boundary = scenario.boundary_map(Model::FaultBlock);
+/// let boundary = scenario.block_boundary_map();
 /// // The node south of the block's SW corner lies on its L3 line.
 /// assert_eq!(boundary.marks_at(Coord::new(4, 3)).count(), 1);
 /// ```
@@ -154,7 +159,7 @@ impl BoundaryMap {
     /// (bending around blocked nodes, ending at the mesh edge) and keeps
     /// its straight runs. A ray whose corner is off the mesh or blocked
     /// does not start.
-    pub fn compute(blocks: &[Rect], blocked: &BitGrid) -> BoundaryMap {
+    pub(crate) fn compute(blocks: &[Rect], blocked: &BitGrid) -> BoundaryMap {
         let mesh = blocked.mesh();
         let open = |c: Coord| blocked.get(c) == Some(false);
         let mut columns: [Vec<(usize, LaneRun)>; 4] = Default::default();
@@ -280,8 +285,8 @@ impl MemBytes for BoundaryMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Model, Scenario};
-    use emr_fault::FaultSet;
+    use crate::Scenario;
+    use emr_fault::{FaultSet, MccType};
     use emr_mesh::Mesh;
 
     #[test]
@@ -289,7 +294,7 @@ mod tests {
         let mesh = Mesh::square(9);
         let faults = FaultSet::from_coords(mesh, [Coord::new(4, 4)]);
         let sc = Scenario::build(faults);
-        let map = sc.boundary_map(Model::FaultBlock);
+        let map = sc.block_boundary_map();
         // L3 column (x=3): south and north sections.
         for y in [0, 1, 2, 3, 5, 6, 7, 8] {
             assert!(
@@ -310,7 +315,7 @@ mod tests {
     fn off_mesh_query_is_empty() {
         let mesh = Mesh::square(5);
         let sc = Scenario::build(FaultSet::from_coords(mesh, [Coord::new(2, 2)]));
-        let map = sc.boundary_map(Model::FaultBlock);
+        let map = sc.block_boundary_map();
         assert_eq!(map.marks_at(Coord::new(-1, -1)).count(), 0);
         assert_eq!(map.marks_at(Coord::new(1, -1)).count(), 0);
         assert_eq!(map.marks_at(Coord::new(5, 1)).count(), 0);
@@ -333,7 +338,7 @@ mod tests {
             sc.blocks().rects(),
             [Rect::new(2, 6, 3, 5), Rect::new(5, 7, 8, 9)]
         );
-        let map = sc.boundary_map(Model::FaultBlock);
+        let map = sc.block_boundary_map();
         // Column x=1 is L3 of the lower block; below the lower block the
         // joined contour of the upper block passes through it too.
         let blocks_here: std::collections::BTreeSet<_> =
@@ -350,7 +355,7 @@ mod tests {
             [Coord::new(10, 10), Coord::new(20, 20)],
         ));
         let total = |sc: &Scenario| -> usize {
-            let map = sc.boundary_map(Model::FaultBlock);
+            let map = sc.block_boundary_map();
             mesh.nodes().map(|c| map.marks_at(c).count()).sum()
         };
         let (m1, m2) = (total(&one), total(&two));
@@ -375,7 +380,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         let sc = Scenario::build(faults);
-        let map = sc.boundary_map(Model::FaultBlock);
+        let map = sc.block_boundary_map();
         let upper = Rect::new(5, 7, 8, 9);
         let identity = Frame::at(Coord::ORIGIN);
         let runs_of = |x: i32| -> Vec<(i32, i32)> {
@@ -412,8 +417,8 @@ mod tests {
             mesh,
             [Coord::new(5, 5), Coord::new(6, 6)],
         ));
-        let fb = sc.boundary_map(Model::FaultBlock);
-        let mcc = sc.boundary_map(Model::Mcc);
+        let fb = sc.block_boundary_map();
+        let mcc = sc.mcc_boundary_map(MccType::One);
         let fb_rects: std::collections::BTreeSet<_> = mesh
             .nodes()
             .flat_map(|c| fb.marks_at(c).map(|m| m.block).collect::<Vec<_>>())
@@ -435,7 +440,7 @@ mod tests {
         let mesh = Mesh::square(128);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x0b0d_0128);
         let sc = Scenario::build(emr_fault::inject::uniform(mesh, 128, &[], &mut rng));
-        let bytes = sc.boundary_map(Model::FaultBlock).mem_bytes();
+        let bytes = sc.block_boundary_map().mem_bytes();
         assert!(bytes <= 128 * 1024, "boundary map holds {bytes} B");
         assert!(bytes > 0);
     }

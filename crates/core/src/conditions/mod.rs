@@ -7,11 +7,11 @@
 //!
 //! * [`safe_source`] — the original sufficient safe condition
 //!   (Definition 3 / Theorem 1): both axis sections clear,
-//! * [`ext1`] — Theorem 1a: the source or one of its neighbors is safe
+//! * [`ext1()`] — Theorem 1a: the source or one of its neighbors is safe
 //!   (preferred neighbor ⇒ minimal, spare neighbor ⇒ sub-minimal),
-//! * [`ext2`] — Theorem 1b: one axis section clear plus a safe node on
+//! * [`ext2()`] — Theorem 1b: one axis section clear plus a safe node on
 //!   that axis, with the paper's segment-sampling variations,
-//! * [`ext3`] — Theorem 1c: a safe-reachable pivot node inside the
+//! * [`ext3()`] — Theorem 1c: a safe-reachable pivot node inside the
 //!   source–destination rectangle, with the paper's recursive pivot
 //!   placement policies,
 //! * [`strategy_with`] — §5's four combinations ([`StrategyKind`]), with

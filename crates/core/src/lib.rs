@@ -17,8 +17,9 @@
 //!   four combined strategies of §5, each returning a routing *plan*
 //!   witnessing why the route is guaranteed,
 //! * [`BoundaryMap`] — faulty-block boundary information (lines L1–L4),
-//! * [`route`] — Wu's protocol (the boundary-information router), the
-//!   two-phase plan executor, and a global-information oracle router,
+//!   one map per obstacle plane, built and owned by the scenario,
+//! * [`route`] — Wu's protocol (the boundary-information router) and the
+//!   two-phase plan executor; each leg reads its own plane's map,
 //! * [`ScenarioState`] / [`DecisionCache`] — the epoched dynamic-fault
 //!   layer: faults arrive one at a time, every derived map is repaired
 //!   incrementally, and per-pair decisions survive epochs that provably
@@ -44,8 +45,7 @@
 //! // The source decides from its safety level that a minimal route exists…
 //! let ensured = conditions::strategy4(&view, s, d).expect("route ensured");
 //! // …and Wu's protocol finds one.
-//! let boundary = scenario.boundary_map(Model::FaultBlock);
-//! let path = route::execute(&view, &boundary, s, d, &ensured.plan()).unwrap();
+//! let path = route::execute(&view, s, d, &ensured.plan()).unwrap();
 //! assert!(path.is_minimal());
 //! ```
 

@@ -1,5 +1,4 @@
-//! Routing: Wu's protocol, the two-phase plan executor, and the
-//! global-information oracle.
+//! Routing: Wu's protocol and the two-phase plan executor.
 //!
 //! Wu's protocol ([`wu_route`]) is the paper's minimal router: adaptive
 //! minimal routing that consults the faulty-block boundary information
@@ -8,27 +7,24 @@
 //! and stays on the boundary line instead. Every move is a preferred move,
 //! so any route it completes is minimal by construction; from a source
 //! satisfying the sufficient safe condition it always completes
-//! (property-tested against the oracle).
+//! (property-tested against the exact DP).
 //!
 //! [`execute`] realizes a [`RoutePlan`] witness from the conditions module
 //! as an actual path: the extensions' two-phase routes hop/travel to the
 //! witness node first and run Wu's protocol per phase.
 //!
-//! [`oracle_route`] is the global-information baseline: it sees every
-//! obstacle and finds a minimal path whenever one exists (Wang's
-//! condition).
+//! Every leg reads the boundary map of its own obstacle plane through the
+//! view (the block plane, or under MCC the labeling of the leg's
+//! quadrant), so a leg is never paired with another plane's map.
 
-mod oracle;
 mod wu;
 
-pub use oracle::oracle_route;
 pub use wu::{wu_route, wu_step};
 
 use std::fmt;
 
 use emr_mesh::{Coord, Path};
 
-use crate::boundary::BoundaryMap;
 use crate::conditions::RoutePlan;
 use crate::scenario::ModelView;
 
@@ -65,7 +61,8 @@ impl fmt::Display for RouteError {
 impl std::error::Error for RouteError {}
 
 /// Executes a [`RoutePlan`] from `s` to `d`: runs Wu's protocol directly or
-/// realizes the two-phase route through the plan's witness node.
+/// realizes the two-phase route through the plan's witness node. Each Wu
+/// leg (`s→d`, `s→p` and `p→d`, or `w→d`) reads its own boundary map.
 ///
 /// # Errors
 ///
@@ -77,27 +74,26 @@ impl std::error::Error for RouteError {}
 /// See the crate-level quickstart.
 pub fn execute(
     view: &ModelView<'_>,
-    boundary: &BoundaryMap,
     s: Coord,
     d: Coord,
     plan: &RoutePlan,
 ) -> Result<Path, RouteError> {
     match *plan {
-        RoutePlan::Direct => wu_route(view, boundary, s, d),
+        RoutePlan::Direct => wu_route(view, s, d),
         RoutePlan::ViaNeighbor(w) => {
             if !s.is_adjacent(w) || view.is_obstacle(w, s, d) {
                 return Err(RouteError::BadPlan);
             }
             let first = Path::new(vec![s, w]);
-            Ok(first.join(wu_route(view, boundary, w, d)?))
+            Ok(first.join(wu_route(view, w, d)?))
         }
         RoutePlan::ViaAxis(w) => {
             let first = axis_leg(view, s, d, w)?;
-            Ok(first.join(wu_route(view, boundary, w, d)?))
+            Ok(first.join(wu_route(view, w, d)?))
         }
         RoutePlan::ViaPivot(p) => {
-            let first = wu_route(view, boundary, s, p)?;
-            Ok(first.join(wu_route(view, boundary, p, d)?))
+            let first = wu_route(view, s, p)?;
+            Ok(first.join(wu_route(view, p, d)?))
         }
     }
 }
@@ -174,11 +170,9 @@ mod tests {
     fn via_neighbor_rejects_distant_witness() {
         let sc = scenario(&[]);
         let view = sc.view(Model::FaultBlock);
-        let boundary = sc.boundary_map(Model::FaultBlock);
         assert_eq!(
             execute(
                 &view,
-                &boundary,
                 Coord::new(2, 2),
                 Coord::new(9, 9),
                 &RoutePlan::ViaNeighbor(Coord::new(5, 5))

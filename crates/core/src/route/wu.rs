@@ -2,7 +2,6 @@
 
 use emr_mesh::{Coord, Direction, Frame, Path, Rect};
 
-use crate::boundary::BoundaryMap;
 use crate::route::RouteError;
 use crate::scenario::ModelView;
 
@@ -29,19 +28,14 @@ use crate::scenario::ModelView;
 /// [`RouteError::Stuck`]/[`RouteError::Conflict`] when no allowed preferred
 /// move remains — possible only from sources whose safety the conditions
 /// did not ensure.
-pub fn wu_route(
-    view: &ModelView<'_>,
-    boundary: &BoundaryMap,
-    s: Coord,
-    d: Coord,
-) -> Result<Path, RouteError> {
+pub fn wu_route(view: &ModelView<'_>, s: Coord, d: Coord) -> Result<Path, RouteError> {
     if !view.endpoints_usable(s, d) {
         return Err(RouteError::BlockedEndpoint);
     }
     let mut path = Path::singleton(s);
     let mut u = s;
     while u != d {
-        let dir = wu_step(view, boundary, s, d, u)?;
+        let dir = wu_step(view, s, d, u)?;
         u = u.step(dir);
         path.push(u);
     }
@@ -54,7 +48,8 @@ pub fn wu_route(
 /// packet-level network simulator (`emr-netsim`) drives it hop by hop with
 /// many packets in flight.
 ///
-/// A hop reads two lanes of the [`BoundaryMap`], picked by the route's
+/// A hop reads two lanes of the leg's [`crate::BoundaryMap`] (the map of
+/// the obstacle plane its own obstacle test reads), picked by the route's
 /// frame mirroring: the straight runs in column `u.x` that lie on a lower
 /// L3 section, and those in row `u.y` that lie on a left L1 section. A run
 /// covering `u` vetoes the preferred East (North) move when `d` lies in
@@ -72,13 +67,13 @@ pub fn wu_route(
 /// Panics if `u == d` (there is no next hop at the destination).
 pub fn wu_step(
     view: &ModelView<'_>,
-    boundary: &BoundaryMap,
     s: Coord,
     d: Coord,
     u: Coord,
 ) -> Result<Direction, RouteError> {
     assert_ne!(u, d, "no next hop at the destination");
     let mesh = view.mesh();
+    let boundary = view.boundary_for(s, d);
     let frame = Frame::normalizing(s, d);
     let rel_d = frame.to_rel(d);
     let rel_u = frame.to_rel(u);
@@ -176,8 +171,7 @@ mod tests {
 
     fn route_ok(sc: &Scenario, s: Coord, d: Coord) -> Path {
         let view = sc.view(Model::FaultBlock);
-        let boundary = sc.boundary_map(Model::FaultBlock);
-        let p = wu_route(&view, &boundary, s, d).expect("route");
+        let p = wu_route(&view, s, d).expect("route");
         assert!(p.is_minimal());
         assert!(p.avoids(|c| view.is_obstacle(c, s, d)));
         assert_eq!(p.source(), Some(s));
@@ -289,14 +283,13 @@ mod tests {
         );
         let s = sc.mesh().center();
         let view = sc.view(Model::FaultBlock);
-        let boundary = sc.boundary_map(Model::FaultBlock);
         for d in sc.mesh().nodes() {
             if view.is_obstacle(d, s, d) {
                 continue;
             }
             // Route whenever the safe condition ensures it.
             if conditions::safe_source(&view, s, d).is_some() {
-                let p = wu_route(&view, &boundary, s, d).expect("ensured route");
+                let p = wu_route(&view, s, d).expect("ensured route");
                 assert!(p.is_minimal(), "non-minimal to {d}");
                 assert!(p.avoids(|c| view.is_obstacle(c, s, d)));
             }
@@ -310,22 +303,20 @@ mod tests {
         let wall: Vec<(i32, i32)> = (0..10).map(|y| (4, y)).collect();
         let sc = scenario(10, &wall);
         let view = sc.view(Model::FaultBlock);
-        let boundary = sc.boundary_map(Model::FaultBlock);
         let s = Coord::new(1, 1);
         let d = Coord::new(8, 8);
         // The full-height wall seals the mesh: the oracle confirms no
         // minimal path exists.
         assert!(!reach::minimal_path_exists(&sc.mesh(), s, d, |c| view.is_obstacle(c, s, d)));
-        assert!(wu_route(&view, &boundary, s, d).is_err());
+        assert!(wu_route(&view, s, d).is_err());
     }
 
     #[test]
     fn blocked_endpoints_error() {
         let sc = scenario(6, &[(3, 3)]);
         let view = sc.view(Model::FaultBlock);
-        let boundary = sc.boundary_map(Model::FaultBlock);
         assert_eq!(
-            wu_route(&view, &boundary, Coord::new(3, 3), Coord::new(5, 5)),
+            wu_route(&view, Coord::new(3, 3), Coord::new(5, 5)),
             Err(RouteError::BlockedEndpoint)
         );
     }
@@ -334,8 +325,7 @@ mod tests {
     fn source_equals_destination() {
         let sc = scenario(6, &[]);
         let view = sc.view(Model::FaultBlock);
-        let boundary = sc.boundary_map(Model::FaultBlock);
-        let p = wu_route(&view, &boundary, Coord::new(2, 2), Coord::new(2, 2)).unwrap();
+        let p = wu_route(&view, Coord::new(2, 2), Coord::new(2, 2)).unwrap();
         assert_eq!(p.hops(), 0);
     }
 

@@ -27,64 +27,125 @@ impl Model {
 }
 
 /// One fault configuration, decomposed under both fault models with the
-/// corresponding safety maps.
+/// corresponding safety and boundary maps.
 ///
 /// Building a scenario runs Definition 1 block formation eagerly (every
 /// consumer needs it — trial generation rejects scenarios whose source
 /// lands in a block); the block map's planes are built, its block list
-/// only when read. The MCC labelings and the transposes of the three
-/// obstacle planes (blocks, MCC type-one, MCC type-two), the column half
-/// of each safety map, are computed lazily on first use: most sweep
-/// measures touch only one model, and the experiment engine discards
-/// rejected scenarios before any of them is consulted. Boundary maps are
-/// likewise built on demand via [`Scenario::boundary_map`].
+/// only when read. The MCC labelings and, for each of the three obstacle
+/// planes (blocks, MCC type-one, MCC type-two), the plane's transpose
+/// (the column half of its safety map) and its [`BoundaryMap`] are
+/// computed lazily on first use: most sweep measures touch only one
+/// model, and the experiment engine discards rejected scenarios before
+/// any of them is consulted.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     faults: FaultSet,
     blocks: BlockMap,
-    mcc: [OnceLock<MccMap>; 2],
-    block_safety: OnceLock<BitGrid>,
-    mcc_safety: [OnceLock<BitGrid>; 2],
+    block_maps: PlaneMaps,
+    mcc: [Labeling; 2],
+}
+
+/// The maps built lazily from one obstacle plane: its transpose and its
+/// boundary map (boxed, so an unbuilt slot costs a pointer, not the map).
+#[derive(Debug, Clone, Default)]
+struct PlaneMaps {
+    transposed: OnceLock<BitGrid>,
+    boundary: OnceLock<Box<BoundaryMap>>,
+}
+
+impl PlaneMaps {
+    /// The safety map over `plane`, transposing it on first use.
+    fn safety<'a>(&'a self, plane: &'a BitGrid, faults: &FaultSet) -> SafetyMap<'a> {
+        let transposed = self
+            .transposed
+            .get_or_init(|| SafetyMap::transpose(plane, faults));
+        SafetyMap::new(plane, transposed)
+    }
+
+    /// Follows a fault that changed the plane's membership inside `rect`
+    /// (`None`: no change): re-extracts the transposed columns crossing
+    /// it and drops the boundary map, which the next read rebuilds.
+    fn repair(&mut self, plane: &BitGrid, rect: Option<Rect>) {
+        if let (Some(transposed), Some(rect)) = (self.transposed.get_mut(), rect) {
+            refresh_columns(transposed, plane, rect);
+        }
+        self.boundary.take();
+    }
+
+    fn mem_bytes(&self) -> u64 {
+        self.transposed.get().map_or(0, MemBytes::mem_bytes)
+            + self.boundary.get().map_or(0, |b| b.mem_bytes())
+    }
+}
+
+/// One MCC labeling and the maps built from its plane, all on first use.
+#[derive(Debug, Clone, Default)]
+struct Labeling {
+    map: OnceLock<MccMap>,
+    maps: PlaneMaps,
 }
 
 impl Scenario {
     /// Decomposes a fault set under both models. The block map is built
-    /// here, the MCC and safety maps on first use; each build runs on the
-    /// thread that triggers it, with that thread's scratch workspace.
+    /// here, every other map on first use; each build runs on the thread
+    /// that triggers it, with that thread's scratch workspace.
     pub fn build(faults: FaultSet) -> Scenario {
         Scenario {
             blocks: BlockMap::build(&faults),
             faults,
-            mcc: [OnceLock::new(), OnceLock::new()],
-            block_safety: OnceLock::new(),
-            mcc_safety: [OnceLock::new(), OnceLock::new()],
+            block_maps: PlaneMaps::default(),
+            mcc: Default::default(),
         }
     }
 
     /// The safety map under the faulty-block model: the block plane and
     /// its transpose (built on first use).
     pub fn block_safety_map(&self) -> SafetyMap<'_> {
-        let plane = self.blocks.packed();
-        let transposed = self
-            .block_safety
-            .get_or_init(|| SafetyMap::transpose(plane, &self.faults));
-        SafetyMap::new(plane, transposed)
+        self.block_maps.safety(self.blocks.packed(), &self.faults)
     }
 
     /// The safety map under one MCC labeling: the labeling's plane and its
     /// transpose (both built on first use).
-    // emr-lint: allow(A1, "mcc_index maps the two labeling types to 0 and 1, matching the two-slot arrays")
     pub fn mcc_safety_map(&self, ty: MccType) -> SafetyMap<'_> {
-        let plane = self.mcc(ty).packed();
-        let transposed = self.mcc_safety[mcc_index(ty)]
-            .get_or_init(|| SafetyMap::transpose(plane, &self.faults));
-        SafetyMap::new(plane, transposed)
+        self.labeling(ty)
+            .maps
+            .safety(self.mcc(ty).packed(), &self.faults)
+    }
+
+    /// The boundary information under the faulty-block model: the lane
+    /// runs of every block's rays over the block plane (built on first
+    /// use, dropped by each new fault).
+    pub fn block_boundary_map(&self) -> &BoundaryMap {
+        let blocks = &self.blocks;
+        self.block_maps
+            .boundary
+            .get_or_init(|| Box::new(BoundaryMap::compute(blocks.rects(), blocks.packed())))
+    }
+
+    /// The boundary information under one MCC labeling: the lane runs of
+    /// every component's rays over the labeling's plane (built on first
+    /// use, dropped by each new fault).
+    ///
+    /// The rays carry *bounding rectangles*, whose veto geometry does not
+    /// always match the staircase components, so MCC routing is sound
+    /// but incomplete: every path produced is minimal, but Wu's router
+    /// can occasionally report `Stuck` for an ensured pair (the paper
+    /// only states that boundary information "is the same" under MCC;
+    /// DESIGN.md § Known deviations).
+    pub fn mcc_boundary_map(&self, ty: MccType) -> &BoundaryMap {
+        let mcc = self.mcc(ty);
+        self.labeling(ty)
+            .maps
+            .boundary
+            .get_or_init(|| Box::new(BoundaryMap::compute(mcc.rects(), mcc.packed())))
     }
 
     /// Forces both MCC labelings and all three safety maps so that later
     /// [`Scenario::apply_fault`] calls repair them incrementally instead
     /// of deferring full rebuilds to first use. Block and component
-    /// rectangles stay lazy: an insert drops them anyway.
+    /// rectangles and the boundary maps stay lazy: an insert drops them
+    /// anyway.
     pub(crate) fn warm(&self) {
         self.block_safety_map();
         for ty in MccType::ALL {
@@ -95,7 +156,7 @@ impl Scenario {
     /// Incrementally records a newly failed node across every *already
     /// built* map: the block decomposition (always), the MCC labelings,
     /// and the safety maps' transposes (the columns crossing the changed
-    /// rects re-extracted).
+    /// rects re-extracted). Every boundary map is dropped.
     /// Maps that are still lazy stay lazy — they will build from the
     /// updated fault set on first use.
     ///
@@ -105,34 +166,18 @@ impl Scenario {
     /// # Panics
     ///
     /// Panics if `c` lies outside the mesh.
-    // emr-lint: allow(A1, "documented panic contract: a safety slot is only initialized after its MCC map (the get_or_init above it)")
     pub(crate) fn apply_fault(&mut self, c: Coord) -> Option<FaultDelta> {
         if !self.faults.insert(c) {
             return None;
         }
-        let Scenario {
-            blocks,
-            mcc,
-            block_safety,
-            mcc_safety,
-            ..
-        } = self;
-        let block_rect = blocks.insert_fault(c);
-        if let Some(transposed) = block_safety.get_mut() {
-            refresh_columns(transposed, blocks.packed(), block_rect);
-        }
+        let block_rect = self.blocks.insert_fault(c);
+        self.block_maps
+            .repair(self.blocks.packed(), Some(block_rect));
         let mut mcc_rects = [None, None];
-        for (i, lock) in mcc.iter_mut().enumerate() {
-            if let Some(m) = lock.get_mut() {
-                mcc_rects[i] = m.insert_fault(c);
-            }
-        }
-        for (i, lock) in mcc_safety.iter_mut().enumerate() {
-            if let (Some(transposed), Some(rect)) = (lock.get_mut(), mcc_rects[i]) {
-                let m = mcc[i]
-                    .get()
-                    .expect("MCC map initialized before its safety map");
-                refresh_columns(transposed, m.packed(), rect);
+        for (rect, labeling) in mcc_rects.iter_mut().zip(&mut self.mcc) {
+            if let Some(m) = labeling.map.get_mut() {
+                *rect = m.insert_fault(c);
+                labeling.maps.repair(m.packed(), *rect);
             }
         }
         Some(FaultDelta {
@@ -157,9 +202,19 @@ impl Scenario {
     }
 
     /// The MCC decomposition for one labeling type (built on first use).
-    // emr-lint: allow(A1, "mcc_index maps the two labeling types to 0 and 1, matching the two-slot arrays")
     pub fn mcc(&self, ty: MccType) -> &MccMap {
-        self.mcc[mcc_index(ty)].get_or_init(|| MccMap::build(&self.faults, ty))
+        self.labeling(ty)
+            .map
+            .get_or_init(|| MccMap::build(&self.faults, ty))
+    }
+
+    /// The slot of one labeling type.
+    fn labeling(&self, ty: MccType) -> &Labeling {
+        let [one, two] = &self.mcc;
+        match ty {
+            MccType::One => one,
+            MccType::Two => two,
+        }
     }
 
     /// A view of this scenario under one fault model; most conditions and
@@ -170,46 +225,6 @@ impl Scenario {
             model,
         }
     }
-
-    /// The boundary-line information for one model, as the straight lane
-    /// runs of every block's rays walked over the model's packed blocked
-    /// plane (see [`BoundaryMap`]). Under the MCC model this uses the
-    /// **type-one** labeling (quadrant I/III routes, the paper's canonical
-    /// case); use [`Scenario::boundary_map_for`] to get the map matching
-    /// an arbitrary route.
-    ///
-    /// Boundary lines always carry *bounding rectangles*; under MCC these
-    /// are the component bounding boxes, whose veto geometry does not
-    /// always match the staircase obstacle shapes. MCC routing is
-    /// therefore *sound but incomplete*: every path produced is minimal,
-    /// but the router can occasionally report `Stuck` for an ensured pair
-    /// (exact staircase boundary information is future work; the paper
-    /// only states that boundary information "is the same" under MCC).
-    pub fn boundary_map(&self, model: Model) -> BoundaryMap {
-        match model {
-            Model::FaultBlock => self.block_boundary_map(),
-            Model::Mcc => self.mcc_boundary_map(MccType::One),
-        }
-    }
-
-    /// The boundary-line information matching routes from `s` to `d` under
-    /// `model`: [`Scenario::boundary_map`], except that under MCC the
-    /// labeling type follows the route's quadrant.
-    pub fn boundary_map_for(&self, model: Model, s: Coord, d: Coord) -> BoundaryMap {
-        match model {
-            Model::FaultBlock => self.block_boundary_map(),
-            Model::Mcc => self.mcc_boundary_map(MccType::for_route(s, d)),
-        }
-    }
-
-    fn block_boundary_map(&self) -> BoundaryMap {
-        BoundaryMap::compute(self.blocks.rects(), self.blocks.packed())
-    }
-
-    fn mcc_boundary_map(&self, ty: MccType) -> BoundaryMap {
-        let mcc = self.mcc(ty);
-        BoundaryMap::compute(mcc.rects(), mcc.packed())
-    }
 }
 
 /// Resident payload bytes of the fault set, the block decomposition, and
@@ -217,28 +232,12 @@ impl Scenario {
 /// a freshly built scenario reports only its eager state).
 impl MemBytes for Scenario {
     fn mem_bytes(&self) -> u64 {
-        let mut total = self.faults.mem_bytes() + self.blocks.mem_bytes();
-        for lock in &self.mcc {
-            if let Some(m) = lock.get() {
-                total += m.mem_bytes();
-            }
-        }
-        if let Some(m) = self.block_safety.get() {
-            total += m.mem_bytes();
-        }
-        for lock in &self.mcc_safety {
-            if let Some(m) = lock.get() {
-                total += m.mem_bytes();
-            }
-        }
-        total
-    }
-}
-
-fn mcc_index(ty: MccType) -> usize {
-    match ty {
-        MccType::One => 0,
-        MccType::Two => 1,
+        let mcc: u64 = self
+            .mcc
+            .iter()
+            .map(|l| l.map.get().map_or(0, MemBytes::mem_bytes) + l.maps.mem_bytes())
+            .sum();
+        self.faults.mem_bytes() + self.blocks.mem_bytes() + self.block_maps.mem_bytes() + mcc
     }
 }
 
@@ -285,9 +284,9 @@ impl<'a> ModelView<'a> {
 
     /// Whether `c` is an obstacle for routes from `s` to `d`.
     pub fn is_obstacle(&self, c: Coord, s: Coord, d: Coord) -> bool {
-        match self.model {
-            Model::FaultBlock => self.scenario.blocks.is_blocked(c),
-            Model::Mcc => self.scenario.mcc(MccType::for_route(s, d)).is_blocked(c),
+        match self.labeling(s, d) {
+            None => self.scenario.blocks.is_blocked(c),
+            Some(ty) => self.scenario.mcc(ty).is_blocked(c),
         }
     }
 
@@ -296,12 +295,32 @@ impl<'a> ModelView<'a> {
         self.safety_for(s, d).level(u)
     }
 
-    /// The safety map routes from `s` to `d` read: the block map, or under
-    /// MCC the labeling [`MccType::for_route`] picks.
+    /// The safety map routes from `s` to `d` read: their obstacle plane's.
     pub(crate) fn safety_for(&self, s: Coord, d: Coord) -> SafetyMap<'a> {
+        match self.labeling(s, d) {
+            None => self.scenario.block_safety_map(),
+            Some(ty) => self.scenario.mcc_safety_map(ty),
+        }
+    }
+
+    /// The boundary map routes from `s` to `d` read: their obstacle
+    /// plane's, so each leg of a route reads the map of the obstacles
+    /// its own test uses.
+    pub(crate) fn boundary_for(&self, s: Coord, d: Coord) -> &'a BoundaryMap {
+        match self.labeling(s, d) {
+            None => self.scenario.block_boundary_map(),
+            Some(ty) => self.scenario.mcc_boundary_map(ty),
+        }
+    }
+
+    /// The obstacle plane routes from `s` to `d` read under this view's
+    /// model: the block plane (`None`), or under MCC the labeling
+    /// [`MccType::for_route`] picks by the route's quadrant. Every
+    /// per-route read of the view goes through this one choice.
+    fn labeling(&self, s: Coord, d: Coord) -> Option<MccType> {
         match self.model {
-            Model::FaultBlock => self.scenario.block_safety_map(),
-            Model::Mcc => self.scenario.mcc_safety_map(MccType::for_route(s, d)),
+            Model::FaultBlock => None,
+            Model::Mcc => Some(MccType::for_route(s, d)),
         }
     }
 
@@ -368,6 +387,68 @@ mod tests {
         let total = sc.mem_bytes() as f64 / nodes;
         assert!(standard <= 2.25, "standard {standard:.4} B/node");
         assert!(total <= 2.42, "warmed total {total:.4} B/node");
+    }
+
+    /// The marks of a boundary map at every node, for comparisons.
+    fn all_marks(map: &BoundaryMap, mesh: Mesh) -> Vec<Vec<crate::boundary::BoundaryMark>> {
+        mesh.nodes().map(|c| map.marks_at(c).collect()).collect()
+    }
+
+    #[test]
+    fn boundary_maps_are_cached_counted_and_dropped_by_each_fault() {
+        let mut sc = scenario();
+        let mesh = sc.mesh();
+        // The maps' inputs first, so that the count below grows by the
+        // maps alone.
+        sc.blocks().rects();
+        for ty in MccType::ALL {
+            sc.mcc(ty).rects();
+        }
+        let before = sc.mem_bytes();
+        let p1: *const BoundaryMap = sc.block_boundary_map();
+        let p2: *const BoundaryMap = sc.block_boundary_map();
+        assert_eq!(p1, p2, "a second read rebuilds the map");
+        let read_all = |sc: &Scenario| {
+            [
+                all_marks(sc.block_boundary_map(), mesh),
+                all_marks(sc.mcc_boundary_map(MccType::One), mesh),
+                all_marks(sc.mcc_boundary_map(MccType::Two), mesh),
+            ]
+        };
+        read_all(&sc);
+        let maps = sc.block_boundary_map().mem_bytes()
+            + MccType::ALL
+                .iter()
+                .map(|&ty| sc.mcc_boundary_map(ty).mem_bytes())
+                .sum::<u64>();
+        assert!(maps > 0);
+        assert_eq!(sc.mem_bytes(), before + maps);
+        // Each accepted fault drops all three maps: the next read equals
+        // a fresh build's, for a fault that merges blocks, one beside
+        // them and one far away.
+        for c in [(4, 6), (7, 4), (10, 1)].map(Coord::from) {
+            assert!(sc.apply_fault(c).is_some());
+            let fresh = Scenario::build(sc.faults().clone());
+            assert!(read_all(&sc) == read_all(&fresh), "stale map after {c}");
+        }
+    }
+
+    #[test]
+    fn boundary_for_reads_the_plane_of_the_obstacle_test() {
+        let sc = scenario();
+        let s = Coord::new(6, 3);
+        let fb = sc.view(Model::FaultBlock);
+        let mc = sc.view(Model::Mcc);
+        for d in sc.mesh().nodes() {
+            assert!(std::ptr::eq(fb.boundary_for(s, d), sc.block_boundary_map()));
+            let ty = MccType::ALL
+                .into_iter()
+                .find(|&ty| std::ptr::eq(mc.boundary_for(s, d), sc.mcc_boundary_map(ty)))
+                .expect("an MCC view reads one labeling's map");
+            for c in sc.mesh().nodes() {
+                assert_eq!(mc.is_obstacle(c, s, d), sc.mcc(ty).is_blocked(c));
+            }
+        }
     }
 
     #[test]

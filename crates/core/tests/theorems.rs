@@ -17,7 +17,7 @@ use rand::SeedableRng;
 use emr_core::conditions::{self, PivotPolicy, SegmentSize, StrategyKind, StrategyParams};
 use emr_core::{route, Ensured, Model, Scenario};
 use emr_fault::{inject, reach, FaultSet};
-use emr_mesh::{Coord, Mesh, Path};
+use emr_mesh::{Coord, Direction, Mesh, Path};
 
 /// One generated case: mesh, fault coordinates, source, destination.
 type Case = (Mesh, Vec<(i32, i32)>, (i32, i32), (i32, i32));
@@ -56,8 +56,7 @@ fn check_plan(
     // even though the guarantee holds — a documented limitation of
     // rectangle-shaped boundary information, not of the condition. When
     // the MCC route does complete, its path must still be fully valid.
-    let boundary = sc.boundary_map_for(model, s, d);
-    let path: Path = match route::execute(&view, &boundary, s, d, &ensured.plan()) {
+    let path: Path = match route::execute(&view, s, d, &ensured.plan()) {
         Ok(p) => p,
         Err(route::RouteError::Stuck(_) | route::RouteError::Conflict(_))
             if model == Model::Mcc =>
@@ -135,8 +134,7 @@ proptest! {
                         check_plan(&sc, model, s, d, &ensured).map_err(TestCaseError::fail)?;
                     }
                     Ensured::SubMinimal(_) => {
-                        let boundary = sc.boundary_map_for(model, s, d);
-                        match route::execute(&view, &boundary, s, d, &ensured.plan()) {
+                        match route::execute(&view, s, d, &ensured.plan()) {
                             Ok(path) => {
                                 prop_assert!(path.is_sub_minimal() || path.is_minimal());
                                 // See check_plan: faulty nodes are the
@@ -265,7 +263,6 @@ fn wu_protocol_exhaustive_seed_sweep() {
         if view.is_obstacle(s, s, s) {
             continue;
         }
-        let boundary = sc.boundary_map(Model::FaultBlock);
         for d in mesh.nodes() {
             if view.is_obstacle(d, s, d) {
                 continue;
@@ -273,7 +270,7 @@ fn wu_protocol_exhaustive_seed_sweep() {
             if conditions::safe_source(&view, s, d).is_none() {
                 continue;
             }
-            match route::wu_route(&view, &boundary, s, d) {
+            match route::wu_route(&view, s, d) {
                 Ok(p) if p.is_minimal() && p.avoids(|c| view.is_obstacle(c, s, d)) => {}
                 Ok(_) => failures.push(format!("seed {seed}: bad path to {d}")),
                 Err(e) => failures.push(format!("seed {seed}: {e} to {d}")),
@@ -305,6 +302,68 @@ fn mcc_refinement_dominates_block_model() {
                     conditions::safe_source(&mc, s, d).is_some(),
                     "seed {seed}: MCC lost safety for d={d}"
                 );
+            }
+        }
+    }
+}
+
+/// A straight leg reads no boundary information: on every leg between
+/// two usable nodes of one row or column, each hop of `wu_step` takes
+/// the leg's own direction while the next node is open and stops with
+/// `Stuck` at the first obstacle, never with a `Conflict` and never
+/// turning. Every run on the leg's lane lies on its block's near side,
+/// so the destination is never in that block's R4 or R6, and no plane's
+/// lane runs can veto a hop. Meshes 65, 127 and 130 nodes long put the
+/// lanes across 64-bit words.
+#[test]
+fn straight_legs_read_no_boundary_information() {
+    let shapes = [
+        (20, 20),
+        (65, 7),
+        (127, 4),
+        (130, 3),
+        (7, 65),
+        (4, 127),
+        (3, 130),
+        (1, 40),
+        (40, 1),
+    ];
+    for (w, h) in shapes {
+        let mesh = Mesh::new(w, h);
+        for (seed, density) in [0.02, 0.1, 0.3].into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(0x57A1_6447 + seed as u64);
+            let count = (f64::from(w * h) * density) as usize;
+            let sc = Scenario::build(inject::uniform(mesh, count, &[], &mut rng));
+            for model in Model::ALL {
+                let view = sc.view(model);
+                for s in mesh.nodes() {
+                    let legs = mesh
+                        .nodes()
+                        .filter(|&t| t != s && (t.x == s.x || t.y == s.y));
+                    for t in legs.filter(|&t| view.endpoints_usable(s, t)) {
+                        let toward = |u: Coord| {
+                            Direction::ALL
+                                .into_iter()
+                                .find(|&dir| u.step(dir).manhattan(t) < u.manhattan(t))
+                        };
+                        let dir = toward(s).expect("a straight leg has one direction");
+                        let mut u = s;
+                        while u != t {
+                            let next = u.step(dir);
+                            let want = if view.is_obstacle(next, s, t) {
+                                Err(route::RouteError::Stuck(u))
+                            } else {
+                                Ok(dir)
+                            };
+                            let got = route::wu_step(&view, s, t, u);
+                            assert_eq!(got, want, "{w}x{h} {model:?} {s}->{t} at {u}");
+                            if got.is_err() {
+                                break;
+                            }
+                            u = next;
+                        }
+                    }
+                }
             }
         }
     }

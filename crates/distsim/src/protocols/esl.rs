@@ -97,19 +97,12 @@ impl Protocol for EslFormation {
 
 /// The global (non-distributed) reference computation: directional sweeps
 /// filling in the distance to the nearest blocked node along each
-/// row/column. Used to validate the protocol and by `emr-core` as the fast
-/// path for large meshes.
+/// row/column. Used to validate the protocol, and as the scalar reference
+/// the safety-map tests and the conformance oracles check `emr-core`'s
+/// word scans against.
 pub fn compute_global(blocked: &Grid<bool>) -> Grid<EslTuple> {
-    let mut out = Grid::new(blocked.mesh(), ESL_DEFAULT);
-    compute_global_into(blocked, &mut out);
-    out
-}
-
-/// [`compute_global`] writing into a caller-provided grid (reset here),
-/// so repeated sweeps reuse one allocation.
-pub fn compute_global_into(blocked: &Grid<bool>, out: &mut Grid<EslTuple>) {
     let mesh = blocked.mesh();
-    out.reset(mesh, ESL_DEFAULT);
+    let mut out = Grid::new(mesh, ESL_DEFAULT);
     for dir in Direction::ALL {
         // Sweep opposite to `dir`: distances toward `dir` grow as we move
         // away from each block.
@@ -150,6 +143,7 @@ pub fn compute_global_into(blocked: &Grid<bool>, out: &mut Grid<EslTuple>) {
             }
         }
     }
+    out
 }
 
 /// The disturbance messages a *newly formed* block injects into an

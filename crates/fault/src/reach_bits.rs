@@ -23,8 +23,8 @@
 //! reach of the row, 64 columns per add. A carry flag extends the ripple
 //! across word boundaries.
 //!
-//! Three oracles sit on top of [`reach_row`], and all three run one row
-//! loop over the rectangle a source and a far corner span:
+//! Three oracles sit on top of this one row step, and all three run one
+//! row loop over the rectangle a source and a far corner span:
 //!
 //! * [`minimal_path_exists_bits`] — drop-in replacement for
 //!   [`crate::reach::minimal_path_exists`], same per-pair O(area) shape
@@ -48,7 +48,7 @@ use crate::workspace::{with_scratch, Workspace};
 /// packed reach bits of the current row. Bit index increases eastward
 /// (away from the source); both slices must have equal length and keep
 /// any tail bits beyond the rectangle width zero.
-pub fn reach_row(open: &[u64], row: &mut [u64]) {
+fn reach_row(open: &[u64], row: &mut [u64]) {
     debug_assert_eq!(open.len(), row.len());
     let mut carry = false;
     for (r, &o) in row.iter_mut().zip(open) {

@@ -50,7 +50,7 @@ pub struct Workspace {
     /// Packed visited mask: the nodes the component scan behind both
     /// maps' `rects()` and `BlockMap::insert_fault` has already reached.
     pub visited_mask: BitGrid,
-    /// Packed open-mask row for [`crate::reach_bits::reach_row`].
+    /// Packed open-mask row for the [`crate::reach_bits`] row step.
     pub row_open: Vec<u64>,
     /// Packed reach-bits row carried between [`crate::reach_bits`] rows.
     pub row_cur: Vec<u64>,

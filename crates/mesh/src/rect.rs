@@ -101,16 +101,6 @@ impl Rect {
             && other.y_min <= self.y_max
     }
 
-    /// Whether the column `x = x_min..=x_max` range covers `x`.
-    pub fn spans_column(&self, x: i32) -> bool {
-        (self.x_min..=self.x_max).contains(&x)
-    }
-
-    /// Whether the row range covers `y`.
-    pub fn spans_row(&self, y: i32) -> bool {
-        (self.y_min..=self.y_max).contains(&y)
-    }
-
     /// Grows the bounding box to cover `c`, returning the enlarged rectangle.
     pub fn expanded_to(&self, c: Coord) -> Rect {
         Rect {
@@ -263,14 +253,5 @@ mod tests {
         sorted.sort();
         sorted.dedup();
         assert_eq!(sorted.len(), nodes.len());
-    }
-
-    #[test]
-    fn span_checks() {
-        let r = Rect::new(2, 6, 3, 6);
-        assert!(r.spans_column(2) && r.spans_column(6));
-        assert!(!r.spans_column(1) && !r.spans_column(7));
-        assert!(r.spans_row(3) && r.spans_row(6));
-        assert!(!r.spans_row(2) && !r.spans_row(7));
     }
 }

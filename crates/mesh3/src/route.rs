@@ -105,10 +105,9 @@ fn layer_route(sc: &Scenario3, plan: &LayeredPlan, d: Coord3) -> Result<Vec<Coor
     );
     let sc2 = Scenario::build(faults2);
     let view = sc2.view(Model::FaultBlock);
-    let boundary = sc2.boundary_map(Model::FaultBlock);
     let s2 = Coord::new(plan.waypoint.along(b), plan.waypoint.along(c));
     let d2 = Coord::new(d.along(b), d.along(c));
-    let path2 = route2::wu_route(&view, &boundary, s2, d2).map_err(Route3Error::LayerPhase)?;
+    let path2 = route2::wu_route(&view, s2, d2).map_err(Route3Error::LayerPhase)?;
     Ok(path2.nodes().iter().map(|&p| to3(p)).collect())
 }
 

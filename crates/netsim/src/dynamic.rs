@@ -10,14 +10,14 @@
 //! [`EpochedWuRouter`] is the paper-faithful implementation: it owns an
 //! [`emr_core::ScenarioState`], so each failure is absorbed through the
 //! incremental epoch machinery (clipped block/MCC relabeling, transposed
-//! columns re-extracted, one rebuild of the boundary lane runs per
-//! accepted failure) rather than a from-scratch scenario build.
+//! columns re-extracted, the boundary maps dropped and rebuilt by the
+//! next hop that reads one) rather than a from-scratch scenario build.
 
 use emr_core::route::{self, RouteError};
 use emr_core::{Epoch, Model, ScenarioState};
 use emr_mesh::{Coord, Direction};
 
-use crate::router::{LegBoundaries, Router};
+use crate::router::Router;
 
 /// A per-hop routing function that can absorb node failures mid-run.
 pub trait DynamicRouter: Router {
@@ -38,30 +38,24 @@ pub trait DynamicRouter: Router {
 /// arrive.
 ///
 /// The router owns its [`ScenarioState`]; each [`DynamicRouter::fail_node`]
-/// bumps the epoch through the incremental path, then rebuilds the
-/// router's [`emr_core::BoundaryMap`] from scratch: one walk of every
-/// block's rays over the repaired blocked plane, keeping their straight
-/// lane runs. Under MCC there is one map per labeling type, and a leg
-/// reads the one its quadrant picks, as its obstacle test does. A repeat
-/// failure of a node that already failed changes nothing. Per-hop
-/// routing then pays no staleness checks and reads two lanes per hop
+/// bumps the epoch through the incremental path, which drops the
+/// scenario's [`emr_core::BoundaryMap`]s. The next hop that reads a map
+/// rebuilds it: one walk of every block's rays over the repaired blocked
+/// plane, keeping their straight lane runs. Under MCC a leg reads the
+/// map of the labeling its quadrant picks, as its obstacle test does. A
+/// repeat failure of a node that already failed changes nothing. Per-hop
+/// routing pays no staleness checks and reads two lanes per hop
 /// ([`route::wu_step`]).
 #[derive(Debug, Clone)]
 pub struct EpochedWuRouter {
     state: ScenarioState,
     model: Model,
-    boundary: LegBoundaries,
 }
 
 impl EpochedWuRouter {
     /// Creates the router over an epoched state under one fault model.
     pub fn new(state: ScenarioState, model: Model) -> EpochedWuRouter {
-        let boundary = LegBoundaries::build(state.scenario(), model);
-        EpochedWuRouter {
-            state,
-            model,
-            boundary,
-        }
+        EpochedWuRouter { state, model }
     }
 
     /// The underlying epoched state.
@@ -88,16 +82,13 @@ impl Router for EpochedWuRouter {
         u: Coord,
     ) -> Result<Direction, RouteError> {
         let view = self.state.scenario().view(self.model);
-        let boundary = self.boundary.for_leg(leg_source, leg_target);
-        route::wu_step(&view, boundary, leg_source, leg_target, u)
+        route::wu_step(&view, leg_source, leg_target, u)
     }
 }
 
 impl DynamicRouter for EpochedWuRouter {
     fn fail_node(&mut self, c: Coord) {
-        if self.state.insert_fault(c).is_some() {
-            self.boundary = LegBoundaries::build(self.state.scenario(), self.model);
-        }
+        self.state.insert_fault(c);
     }
 
     fn is_node_blocked(&self, c: Coord) -> bool {
@@ -124,7 +115,7 @@ mod tests {
         assert_eq!(r.epoch(), 0);
         r.fail_node(Coord::new(2, 2));
         assert_eq!(r.epoch(), 1);
-        // Already-faulty: no epoch bump, no boundary rebuild.
+        // Already-faulty: no epoch bump.
         r.fail_node(Coord::new(2, 2));
         assert_eq!(r.epoch(), 1);
         assert!(r.is_node_blocked(Coord::new(2, 2)));
@@ -169,10 +160,10 @@ mod tests {
 
     #[test]
     fn mcc_legs_read_the_boundary_map_of_their_labeling_type() {
-        // The quadrant-IV leg (0,2) → (2,0) routes round type-two MCCs.
-        // Read through the type-one map it is stuck at (2,2); through its
-        // own map it rounds the west and south edges. The last fault
-        // arrives through `fail_node`, so the rebuild picks by leg too.
+        // The quadrant-IV leg (0,2) → (2,0) routes round type-two MCCs:
+        // through its own map it rounds the west and south edges. The
+        // last fault arrives through `fail_node`, so the map the next hop
+        // rebuilds is the leg's too.
         let mesh = Mesh::square(5);
         let faults = FaultSet::from_coords(mesh, [Coord::new(3, 0), Coord::new(1, 1)]);
         let mut r = EpochedWuRouter::new(ScenarioState::new(faults), Model::Mcc);

@@ -1,6 +1,6 @@
 use emr_core::route::{self, RouteError};
-use emr_core::{BoundaryMap, Model, ModelView, Scenario};
-use emr_fault::{reach, MccType};
+use emr_core::ModelView;
+use emr_fault::reach_bits;
 use emr_mesh::{Coord, Direction};
 
 /// A per-hop routing function: the logic one mesh router executes for the
@@ -24,58 +24,19 @@ pub trait Router {
     ) -> Result<Direction, RouteError>;
 }
 
-/// The boundary information of every leg under one fault model. Under
-/// the faulty-block model every leg reads the block map's. Under MCC a
-/// leg's obstacle test follows its quadrant ([`MccType::for_route`]), so
-/// a type-two leg reads the type-two map and every other leg the
-/// type-one map, which [`Scenario::boundary_map`] gives under MCC.
-#[derive(Debug, Clone)]
-pub(crate) struct LegBoundaries {
-    main: BoundaryMap,
-    type_two: Option<BoundaryMap>,
-}
-
-impl LegBoundaries {
-    /// The boundary maps of `model` over `sc`.
-    pub(crate) fn build(sc: &Scenario, model: Model) -> LegBoundaries {
-        let type_two = (model == Model::Mcc).then(|| {
-            let mcc = sc.mcc(MccType::Two);
-            BoundaryMap::compute(mcc.rects(), mcc.packed())
-        });
-        LegBoundaries {
-            main: sc.boundary_map(model),
-            type_two,
-        }
-    }
-
-    /// The map the leg from `s` to `d` reads.
-    pub(crate) fn for_leg(&self, s: Coord, d: Coord) -> &BoundaryMap {
-        match &self.type_two {
-            Some(map) if MccType::for_route(s, d) == MccType::Two => map,
-            _ => &self.main,
-        }
-    }
-}
-
 /// Wu's protocol as a per-hop router: adaptive minimal routing with
 /// boundary-information vetoes ([`emr_core::route::wu_step`]). Each leg
-/// reads the boundary information of the obstacles its own test uses
+/// reads the scenario's boundary map of the obstacles its own test uses
 /// (see [`ModelView::is_obstacle`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct WuRouter<'a> {
     view: &'a ModelView<'a>,
-    boundary: LegBoundaries,
 }
 
 impl<'a> WuRouter<'a> {
-    /// Creates the router over one fault scenario's view, building the
-    /// boundary information of the view's model: one map under the
-    /// faulty-block model, one per labeling type under MCC.
+    /// Creates the router over one fault scenario's view.
     pub fn new(view: &'a ModelView<'a>) -> Self {
-        WuRouter {
-            view,
-            boundary: LegBoundaries::build(view.scenario(), view.model()),
-        }
+        WuRouter { view }
     }
 }
 
@@ -86,14 +47,15 @@ impl Router for WuRouter<'_> {
         leg_target: Coord,
         u: Coord,
     ) -> Result<Direction, RouteError> {
-        let boundary = self.boundary.for_leg(leg_source, leg_target);
-        route::wu_step(self.view, boundary, leg_source, leg_target, u)
+        route::wu_step(self.view, leg_source, leg_target, u)
     }
 }
 
 /// Global-information routing: at each hop, move to a preferred neighbor
-/// from which the destination is still monotonically reachable (one oracle
-/// DP per hop — expensive, exact; the comparison baseline).
+/// from which the destination is still monotonically reachable (one
+/// word-parallel reachability sweep per hop, see
+/// [`reach_bits::minimal_path_exists_bits`] — expensive, exact; the
+/// comparison baseline).
 #[derive(Debug, Clone, Copy)]
 pub struct OracleRouter<'a> {
     view: &'a ModelView<'a>,
@@ -123,7 +85,7 @@ impl Router for OracleRouter<'_> {
             {
                 continue; // not a preferred move
             }
-            if reach::minimal_path_exists(&mesh, v, leg_target, |c| {
+            if reach_bits::minimal_path_exists_bits(&mesh, v, leg_target, |c| {
                 self.view.is_obstacle(c, leg_source, leg_target)
             }) {
                 return Ok(abs);
@@ -138,7 +100,7 @@ mod tests {
     use super::*;
     use crate::adaptive::XyRouter;
     use emr_core::{Model, Scenario};
-    use emr_fault::FaultSet;
+    use emr_fault::{reach, FaultSet, MccType};
     use emr_mesh::Mesh;
 
     fn scenario(coords: &[(i32, i32)]) -> Scenario {
@@ -215,18 +177,14 @@ mod tests {
     #[test]
     fn mcc_legs_read_the_boundary_map_of_their_labeling_type() {
         // The quadrant-IV leg (0,2) → (2,0) routes round type-two MCCs.
-        // The type-one map's rectangles veto its way round and leave it
-        // stuck; its own map lets it round the west and south edges.
+        // The two labelings' maps differ at its source; its own map lets
+        // it round the west and south edges.
         let faults = [(3, 0), (1, 1), (2, 1)].map(Coord::from);
         let sc = Scenario::build(FaultSet::from_coords(Mesh::square(5), faults));
         let view = sc.view(Model::Mcc);
         let (s, d) = (Coord::new(0, 2), Coord::new(2, 0));
-        assert_eq!(MccType::for_route(s, d), MccType::Two);
-        let type_one = sc.boundary_map(Model::Mcc);
-        assert_eq!(
-            route::wu_route(&view, &type_one, s, d),
-            Err(RouteError::Stuck(Coord::new(2, 2)))
-        );
+        let marks = |ty| sc.mcc_boundary_map(ty).marks_at(s).collect::<Vec<_>>();
+        assert_ne!(marks(MccType::One), marks(MccType::Two));
         let wu = WuRouter::new(&view);
         let mut path = vec![s];
         while let Some(&u) = path.last().filter(|&&u| u != d) {

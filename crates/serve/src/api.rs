@@ -57,8 +57,8 @@ pub struct RouteQuery {
 }
 
 /// Asks for one node's extended safety level under one model (the MCC
-/// model answers from the type-one labeling, mirroring
-/// `Scenario::boundary_map`'s canonical-case convention).
+/// model answers from the type-one labeling, the canonical
+/// quadrant-I/III case: a query names a node, not a route).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SafetyQuery {
     /// Tenant name.

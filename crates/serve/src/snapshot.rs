@@ -83,7 +83,7 @@ impl Snapshot {
 
     /// The extended safety level of `at` under `model`. The MCC model
     /// answers from the type-one labeling (the canonical quadrant-I/III
-    /// case, mirroring `Scenario::boundary_map`).
+    /// case: a query names a node, not a route).
     pub fn safety(&self, model: Model, at: Coord) -> Result<SafetyLevel, ServeError> {
         self.check_on_mesh(at)?;
         Ok(match model {

@@ -50,9 +50,7 @@ fn main() {
     println!("strategy 4 ensures: {ensured:?}");
 
     // Execute the witnessed plan with Wu's protocol.
-    let boundary = scenario.boundary_map(Model::FaultBlock);
-    let path =
-        emr2d::core::route::execute(&view, &boundary, s, d, &ensured.plan()).expect("routes");
+    let path = emr2d::core::route::execute(&view, s, d, &ensured.plan()).expect("routes");
     assert!(path.is_minimal());
     println!(
         "\nrouted {s} -> {d} in {} hops (minimal = {}):\n{path}",

@@ -23,7 +23,6 @@ fn main() {
     let faults = inject::clustered(mesh, 26, 3, 2.0, &[s], &mut rng);
     let scenario = Scenario::build(faults);
     let view = scenario.view(Model::FaultBlock);
-    let boundary = scenario.boundary_map(Model::FaultBlock);
 
     // Find a far destination with a guaranteed route.
     let d = mesh
@@ -32,8 +31,8 @@ fn main() {
         .find(|&d| conditions::strategy4(&view, s, d).is_some())
         .expect("some guaranteed destination");
     let ensured = conditions::strategy4(&view, s, d).expect("checked above");
-    let path = emr2d::core::route::execute(&view, &boundary, s, d, &ensured.plan())
-        .expect("ensured routes succeed");
+    let path =
+        emr2d::core::route::execute(&view, s, d, &ensured.plan()).expect("ensured routes succeed");
 
     println!(
         "seed {seed}: {} blocks, plan {:?}, {} hops\n",

@@ -63,7 +63,7 @@ fn distributed_boundary_matches_boundary_map() {
         let scenario = Scenario::build(faults);
         let blocked = emr2d::mesh::Grid::from_fn(mesh, |c| scenario.blocks().is_blocked(c));
         let global = boundary::compute_global(&mesh, scenario.blocks().rects(), &blocked);
-        let runs = scenario.boundary_map(Model::FaultBlock);
+        let runs = scenario.block_boundary_map();
         let proto = boundary::BoundaryPropagation::new(scenario.blocks().rects().to_vec(), blocked);
         let (dist, _) = Engine::new(mesh).run(&proto);
         for c in mesh.nodes() {
@@ -103,7 +103,6 @@ fn ensured_decisions_route_minimally() {
         if view.is_obstacle(s, s, s) {
             continue;
         }
-        let boundary = scenario.boundary_map(Model::FaultBlock);
         for d in [
             Coord::new(37, 35),
             Coord::new(5, 36),
@@ -119,8 +118,8 @@ fn ensured_decisions_route_minimally() {
                 conditions::ext2(&view, s, d, SegmentSize::Size(5)),
             ];
             for plan in candidates.into_iter().flatten() {
-                let path = emr2d::core::route::execute(&view, &boundary, s, d, &plan)
-                    .expect("ensured plans route");
+                let path =
+                    emr2d::core::route::execute(&view, s, d, &plan).expect("ensured plans route");
                 assert!(path.is_minimal());
                 assert!(path.avoids(|c| view.is_obstacle(c, s, d)));
                 routed += 1;

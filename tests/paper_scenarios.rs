@@ -64,7 +64,6 @@ fn figure_3_critical_routing() {
     );
     let scenario = Scenario::build(faults);
     let view = scenario.view(Model::FaultBlock);
-    let boundary = scenario.boundary_map(Model::FaultBlock);
     let s = Coord::new(0, 0);
 
     for d in mesh.nodes() {
@@ -74,7 +73,7 @@ fn figure_3_critical_routing() {
         if conditions::safe_source(&view, s, d).is_none() {
             continue;
         }
-        let path = emr2d::core::route::wu_route(&view, &boundary, s, d)
+        let path = emr2d::core::route::wu_route(&view, s, d)
             .unwrap_or_else(|e| panic!("ensured route to {d} failed: {e}"));
         assert!(path.is_minimal(), "non-minimal to {d}");
         assert!(path.avoids(|c| view.is_obstacle(c, s, d)));
@@ -98,14 +97,13 @@ fn figure_5_two_phase_routes() {
     let faults = FaultSet::from_coords(mesh, [Coord::new(2, 7), Coord::new(2, 8)]);
     let scenario = Scenario::build(faults);
     let view = scenario.view(Model::FaultBlock);
-    let boundary = scenario.boundary_map(Model::FaultBlock);
     let s = Coord::new(2, 2);
     let d = Coord::new(12, 12);
 
     assert!(conditions::safe_source(&view, s, d).is_none());
     let plan = conditions::ext2(&view, s, d, conditions::SegmentSize::Size(1))
         .expect("extension 2 applies");
-    let path = emr2d::core::route::execute(&view, &boundary, s, d, &plan).expect("routes");
+    let path = emr2d::core::route::execute(&view, s, d, &plan).expect("routes");
     assert!(path.is_minimal());
     // The witness is on the source's row, east of it.
     match plan {
