@@ -1,83 +1,136 @@
 use std::mem::size_of;
+use std::ops::Range;
 
 use emr_mesh::{BitGrid, Coord, Direction, Frame, MemBytes, Rect};
 
 pub use emr_distsim::protocols::boundary::{BoundaryLine, BoundaryMark};
 
-/// One straight run of a boundary ray: nodes `lo..=hi` of the lane (a
-/// column for L3/L4 rays, a row for L1/L2 rays) the ray travels along its
-/// own line, all on a contour of `block`.
+/// The veto fields of one straight run of a boundary ray, as the frame
+/// mirroring of its table reads them. The run covers nodes `lo..=hi` of
+/// its lane (a column for L3/L4 rays, a row for L1/L2 rays), and its
+/// block's two far edges are stored mirrored into that frame: an axis the
+/// frame mirrors is negated, so `d` lies strictly past the block along an
+/// axis exactly when its mirrored coordinate exceeds the stored edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LaneRun {
+struct VetoRun {
     /// The run's first node along its lane (least y in a column, least
     /// x in a row).
-    pub lo: i32,
+    lo: i32,
     /// The run's last node along its lane.
-    pub hi: i32,
-    /// The block whose contour the run belongs to.
-    pub block: Rect,
+    hi: i32,
+    /// The block's far edge along the lane's axis, mirrored.
+    along: i32,
+    /// The block's far edge across the lane, mirrored.
+    across: i32,
 }
 
-impl LaneRun {
-    /// Whether the run covers position `at` of its lane.
-    pub(crate) fn covers(&self, at: i32) -> bool {
-        self.lo <= at && at <= self.hi
+impl VetoRun {
+    /// Whether the run covers position `at` of its lane with `d` in its
+    /// block's R4 (a column run) or R6 (a row run), given `d`'s mirrored
+    /// coordinates along and across the lane: four comparisons, no branch.
+    // `&` instead of `&&` keeps the four comparisons free of branches.
+    #[allow(clippy::needless_bitwise_bool)]
+    fn vetoes(&self, at: i32, along: i32, across: i32) -> bool {
+        (self.lo <= at) & (at <= self.hi) & (along > self.along) & (across <= self.across)
     }
 }
 
 /// The runs of one ray family grouped by lane (CSR): lane `i` holds
-/// `runs[starts[i]..starts[i + 1]]`, in walk order.
+/// `runs[starts[i]..starts[i + 1]]`, in walk order, and `blocks` holds
+/// each run's block as an index into [`BoundaryMap::blocks`], kept apart
+/// from the veto fields a hop reads.
 #[derive(Debug, Clone)]
 struct LaneTable {
-    starts: Vec<usize>,
-    runs: Vec<LaneRun>,
+    starts: Vec<u32>,
+    runs: Vec<VetoRun>,
+    blocks: Vec<u32>,
 }
 
 impl LaneTable {
-    /// Groups `(lane, run)` pairs over `lanes` lanes, keeping walk order
-    /// within a lane (the sort is stable).
-    fn grouped(lanes: usize, mut pairs: Vec<(usize, LaneRun)>) -> LaneTable {
-        pairs.sort_by_key(|&(lane, _)| lane);
+    /// Groups `(lane, run, block)` triples over `lanes` lanes, keeping
+    /// walk order within a lane (the sort is stable).
+    fn grouped(lanes: usize, mut triples: Vec<(usize, VetoRun, u32)>) -> LaneTable {
+        triples.sort_by_key(|&(lane, ..)| lane);
         LaneTable {
             starts: (0..=lanes)
-                .map(|l| pairs.partition_point(|&(lane, _)| lane < l))
+                .map(|l| {
+                    let start = triples.partition_point(|&(lane, ..)| lane < l);
+                    u32::try_from(start).unwrap_or(u32::MAX)
+                })
                 .collect(),
-            runs: pairs.into_iter().map(|(_, run)| run).collect(),
+            runs: triples.iter().map(|&(_, run, _)| run).collect(),
+            blocks: triples.iter().map(|&(.., block)| block).collect(),
         }
     }
 
-    /// The runs in lane `lane` (empty off the mesh).
-    fn lane(&self, lane: i32) -> &[LaneRun] {
-        let Ok(i) = usize::try_from(lane) else {
-            return &[];
-        };
-        match (self.starts.get(i), self.starts.get(i + 1)) {
-            (Some(&a), Some(&b)) => self.runs.get(a..b).unwrap_or(&[]),
-            _ => &[],
+    /// The index range of lane `lane`'s runs (empty off the mesh).
+    fn lane(&self, lane: i32) -> Range<usize> {
+        let start = |i: usize| self.starts.get(i).map(|&s| s as usize);
+        match usize::try_from(lane).map(|i| (start(i), start(i + 1))) {
+            Ok((Some(a), Some(b))) => a..b,
+            _ => 0..0,
         }
+    }
+
+    /// Whether a run of lane `lane` vetoes (see [`VetoRun::vetoes`]): a
+    /// fold over the whole lane, without an early exit.
+    fn vetoes(&self, lane: i32, at: i32, along: i32, across: i32) -> bool {
+        self.runs
+            .get(self.lane(lane))
+            .unwrap_or(&[])
+            .iter()
+            .fold(false, |v, r| v | r.vetoes(at, along, across))
     }
 
     fn mem_bytes(&self) -> u64 {
-        (self.starts.len() * size_of::<usize>() + self.runs.len() * size_of::<LaneRun>()) as u64
+        (self.starts.len() * size_of::<u32>()
+            + self.runs.len() * size_of::<VetoRun>()
+            + self.blocks.len() * size_of::<u32>()) as u64
     }
 }
 
-/// The lane and run of the straight stretch from `first` to `last`, along
-/// a column when `vertical`, else along a row.
-fn lane_run(first: Coord, last: Coord, vertical: bool, block: Rect) -> (usize, LaneRun) {
-    let (lane, a, b) = if vertical {
-        (first.x, first.y, last.y)
+/// `v` as a frame that mirrors its axis when `flip` sees it (up to the
+/// frame's translation, which every comparison here cancels).
+fn mirror(v: i32, flip: bool) -> i32 {
+    if flip {
+        -v
     } else {
-        (first.y, first.x, last.x)
+        v
+    }
+}
+
+/// The far edge of `lo..=hi` as a frame that mirrors the axis when `flip`
+/// sees it: the mirrored bound the frame puts last.
+fn far_edge(lo: i32, hi: i32, flip: bool) -> i32 {
+    mirror(lo, flip).max(mirror(hi, flip))
+}
+
+/// The lane and veto fields of the straight stretch from `first` to
+/// `last` of a ray of `block`, along a column when `vertical`, else along
+/// a row, for the table of frame flips `(flips_x, flips_y)`.
+fn veto_run(
+    first: Coord,
+    last: Coord,
+    vertical: bool,
+    block: &Rect,
+    (flips_x, flips_y): (bool, bool),
+) -> (usize, VetoRun) {
+    let far_x = far_edge(block.x_min(), block.x_max(), flips_x);
+    let far_y = far_edge(block.y_min(), block.y_max(), flips_y);
+    let (lane, a, b, along, across) = if vertical {
+        (first.x, first.y, last.y, far_y, far_x)
+    } else {
+        (first.y, first.x, last.x, far_x, far_y)
     };
     // Runs lie on mesh lanes, so the lane is non-negative.
     let lane = usize::try_from(lane).unwrap_or(0);
     (
         lane,
-        LaneRun {
+        VetoRun {
             lo: a.min(b),
             hi: a.max(b),
-            block,
+            along,
+            across,
         },
     )
 }
@@ -115,10 +168,13 @@ const ROW_RAYS: [(BoundaryLine, Direction); 4] = [
 /// travel along the line and bend around any block they meet to join that
 /// block's same line (the paper's Figure 6; [`BoundaryLine::rays`]). A ray
 /// is a staircase of *straight runs* along its own line joined by *bend
-/// steps*. Only straight runs can veto a Wu hop, so only they are kept,
-/// as `(lo, hi, block)`: the L3/L4 rays' runs per column, the L1/L2 rays'
-/// runs per row, one table for each of the four frame mirrorings that
-/// read them. A hop of [`crate::route::wu_step`] reads two lanes, not
+/// steps*. Only straight runs can veto a Wu hop, so only they are kept:
+/// the L3/L4 rays' runs per column, the L1/L2 rays' runs per row, one
+/// table for each of the four frame mirrorings that read them. A run
+/// keeps its veto fields, four `i32`s mirrored into its table's frame,
+/// contiguous per lane; its block's rectangle, which only
+/// [`BoundaryMap::marks_at`] reports, is stored apart. A hop of
+/// [`crate::route::wu_step`] reads the one lane of the move it takes, not
 /// every contour through its node.
 ///
 /// Only a [`crate::Scenario`] builds maps, one per obstacle plane on
@@ -152,6 +208,8 @@ pub struct BoundaryMap {
     columns: [LaneTable; 4],
     /// The L1/L2 rays' runs per row, one table per [`ROW_RAYS`] slot.
     rows: [LaneTable; 4],
+    /// The blocks the runs' block indices name.
+    blocks: Vec<Rect>,
 }
 
 impl BoundaryMap {
@@ -162,9 +220,10 @@ impl BoundaryMap {
     pub(crate) fn compute(blocks: &[Rect], blocked: &BitGrid) -> BoundaryMap {
         let mesh = blocked.mesh();
         let open = |c: Coord| blocked.get(c) == Some(false);
-        let mut columns: [Vec<(usize, LaneRun)>; 4] = Default::default();
-        let mut rows: [Vec<(usize, LaneRun)>; 4] = Default::default();
-        for block in blocks {
+        let mut columns: [Vec<(usize, VetoRun, u32)>; 4] = Default::default();
+        let mut rows: [Vec<(usize, VetoRun, u32)>; 4] = Default::default();
+        for (index, block) in blocks.iter().enumerate() {
+            let index = u32::try_from(index).unwrap_or(u32::MAX);
             for line in BoundaryLine::ALL {
                 let bend = line.bend_direction();
                 for (start, travel) in line.rays(block) {
@@ -181,7 +240,12 @@ impl BoundaryMap {
                     let Some(slot) = rays.iter().position(|&r| r == (line, travel)) else {
                         continue;
                     };
+                    let flips = (slot & 2 != 0, slot & 1 != 0);
                     let out = &mut tables[slot];
+                    let mut push = |first: Coord, last: Coord| {
+                        let (lane, run) = veto_run(first, last, vertical, block, flips);
+                        out.push((lane, run, index));
+                    };
                     // The first node of the straight run in progress; a
                     // bend step ends the run, the next straight step
                     // starts one.
@@ -201,12 +265,12 @@ impl BoundaryMap {
                             break;
                         }
                         if let Some(f) = first.take() {
-                            out.push(lane_run(f, cur, vertical, *block));
+                            push(f, cur);
                         }
                         cur = around;
                     }
                     if let Some(f) = first {
-                        out.push(lane_run(f, cur, vertical, *block));
+                        push(f, cur);
                     }
                 }
             }
@@ -214,27 +278,55 @@ impl BoundaryMap {
         let width = usize::try_from(mesh.width()).unwrap_or(0);
         let height = usize::try_from(mesh.height()).unwrap_or(0);
         BoundaryMap {
-            columns: columns.map(|pairs| LaneTable::grouped(width, pairs)),
-            rows: rows.map(|pairs| LaneTable::grouped(height, pairs)),
+            columns: columns.map(|triples| LaneTable::grouped(width, triples)),
+            rows: rows.map(|triples| LaneTable::grouped(height, triples)),
+            blocks: blocks.to_vec(),
         }
     }
 
-    /// The straight runs in column `x` that lie on the *lower section of
-    /// a block's L3 line* as `frame` sees it: the absolute L3 (or, when
-    /// the frame mirrors X, L4) line's south (or, mirroring Y, north)
-    /// ray. These are the only contours that can veto a relative East
-    /// move (Wu's R4 rule).
-    pub(crate) fn lower_l3_runs(&self, frame: &Frame, x: i32) -> &[LaneRun] {
-        self.columns[flip_slot(frame.flips_x(), frame.flips_y())].lane(x)
+    /// Whether a straight run through `u` on the *lower section of a
+    /// block's L3 line*, as `frame` sees it, has `d` in its block's
+    /// region R4: Wu's veto of the relative East move. Those runs are the
+    /// absolute L3 (or, when the frame mirrors X, L4) line's south (or,
+    /// mirroring Y, north) ray in column `u.x`, the only contours that
+    /// can veto that move.
+    pub(crate) fn vetoes_east(&self, frame: &Frame, u: Coord, d: Coord) -> bool {
+        let (flips_x, flips_y) = (frame.flips_x(), frame.flips_y());
+        self.columns[flip_slot(flips_x, flips_y)].vetoes(
+            u.x,
+            u.y,
+            mirror(d.y, flips_y),
+            mirror(d.x, flips_x),
+        )
     }
 
-    /// The straight runs in row `y` that lie on the *left section of a
-    /// block's L1 line* as `frame` sees it: the absolute L1 (or, when the
-    /// frame mirrors Y, L2) line's west (or, mirroring X, east) ray. These
-    /// are the only contours that can veto a relative North move (Wu's R6
-    /// rule).
-    pub(crate) fn left_l1_runs(&self, frame: &Frame, y: i32) -> &[LaneRun] {
-        self.rows[flip_slot(frame.flips_x(), frame.flips_y())].lane(y)
+    /// Whether a straight run through `u` on the *left section of a
+    /// block's L1 line*, as `frame` sees it, has `d` in its block's region
+    /// R6: Wu's veto of the relative North move. Those runs are the
+    /// absolute L1 (or, when the frame mirrors Y, L2) line's west (or,
+    /// mirroring X, east) ray in row `u.y`.
+    pub(crate) fn vetoes_north(&self, frame: &Frame, u: Coord, d: Coord) -> bool {
+        let (flips_x, flips_y) = (frame.flips_x(), frame.flips_y());
+        self.rows[flip_slot(flips_x, flips_y)].vetoes(
+            u.y,
+            u.x,
+            mirror(d.x, flips_x),
+            mirror(d.y, flips_y),
+        )
+    }
+
+    /// The runs of `table` in lane `lane`, each with its block.
+    fn lane_runs<'a>(
+        &'a self,
+        table: &'a LaneTable,
+        lane: i32,
+    ) -> impl Iterator<Item = (&'a VetoRun, Rect)> + 'a {
+        let range = table.lane(lane);
+        let runs = table.runs.get(range.clone()).unwrap_or(&[]);
+        let blocks = table.blocks.get(range).unwrap_or(&[]);
+        runs.iter()
+            .zip(blocks)
+            .filter_map(|(run, &b)| Some((run, *self.blocks.get(b as usize)?)))
     }
 
     /// The marks of the straight runs through `c`: one per run, with the
@@ -242,43 +334,66 @@ impl BoundaryMap {
     /// toward the block. Bend steps carry no mark here (none can veto a
     /// hop); off the lines, and off the mesh, there are none.
     pub fn marks_at(&self, c: Coord) -> impl Iterator<Item = BoundaryMark> + '_ {
-        family_marks(&self.columns, &COLUMN_RAYS, c.x, c.y)
-            .chain(family_marks(&self.rows, &ROW_RAYS, c.y, c.x))
+        self.family_marks(&self.columns, &COLUMN_RAYS, c.x, c.y)
+            .chain(self.family_marks(&self.rows, &ROW_RAYS, c.y, c.x))
+    }
+
+    /// The marks of one table family's runs in lane `lane` that cover
+    /// position `at`; `rays` names each table's ray.
+    fn family_marks<'a>(
+        &'a self,
+        tables: &'a [LaneTable; 4],
+        rays: &'a [(BoundaryLine, Direction); 4],
+        lane: i32,
+        at: i32,
+    ) -> impl Iterator<Item = BoundaryMark> + 'a {
+        tables
+            .iter()
+            .zip(rays)
+            .flat_map(move |(table, &(line, travel))| {
+                self.lane_runs(table, lane)
+                    .filter(move |(r, _)| r.lo <= at && at <= r.hi)
+                    .map(move |(_, block)| BoundaryMark {
+                        block,
+                        line,
+                        toward_block: travel.opposite(),
+                    })
+            })
     }
 }
 
-/// The marks of one table family's runs in lane `lane` that cover
-/// position `at`; `rays` names each table's ray.
-fn family_marks<'a>(
-    tables: &'a [LaneTable; 4],
-    rays: &'a [(BoundaryLine, Direction); 4],
-    lane: i32,
-    at: i32,
-) -> impl Iterator<Item = BoundaryMark> + 'a {
-    tables
-        .iter()
-        .zip(rays)
-        .flat_map(move |(table, &(line, travel))| {
-            table
-                .lane(lane)
-                .iter()
-                .filter(move |r| r.covers(at))
-                .map(move |r| BoundaryMark {
-                    block: r.block,
-                    line,
-                    toward_block: travel.opposite(),
-                })
-        })
-}
-
-/// Payload bytes of the eight lane tables: their lane offsets and runs.
+/// Payload bytes of the eight lane tables (lane offsets, veto fields and
+/// block indices) and of the block list.
 impl MemBytes for BoundaryMap {
     fn mem_bytes(&self) -> u64 {
-        self.columns
+        let tables: u64 = self
+            .columns
             .iter()
             .chain(&self.rows)
             .map(LaneTable::mem_bytes)
-            .sum()
+            .sum();
+        tables + (self.blocks.len() * size_of::<Rect>()) as u64
+    }
+}
+
+#[cfg(test)]
+impl BoundaryMap {
+    /// The lower-L3 runs in column `x` as `frame` sees them (the runs
+    /// [`BoundaryMap::vetoes_east`] folds), as `(lo, hi, block)`.
+    pub(crate) fn lower_l3_runs(&self, frame: &Frame, x: i32) -> Vec<(i32, i32, Rect)> {
+        let table = &self.columns[flip_slot(frame.flips_x(), frame.flips_y())];
+        self.lane_runs(table, x)
+            .map(|(r, block)| (r.lo, r.hi, block))
+            .collect()
+    }
+
+    /// The left-L1 runs in row `y` as `frame` sees them (the runs
+    /// [`BoundaryMap::vetoes_north`] folds), as `(lo, hi, block)`.
+    pub(crate) fn left_l1_runs(&self, frame: &Frame, y: i32) -> Vec<(i32, i32, Rect)> {
+        let table = &self.rows[flip_slot(frame.flips_x(), frame.flips_y())];
+        self.lane_runs(table, y)
+            .map(|(r, block)| (r.lo, r.hi, block))
+            .collect()
     }
 }
 
@@ -385,9 +500,9 @@ mod tests {
         let identity = Frame::at(Coord::ORIGIN);
         let runs_of = |x: i32| -> Vec<(i32, i32)> {
             map.lower_l3_runs(&identity, x)
-                .iter()
-                .filter(|r| r.block == upper)
-                .map(|r| (r.lo, r.hi))
+                .into_iter()
+                .filter(|&(.., block)| block == upper)
+                .map(|(lo, hi, _)| (lo, hi))
                 .collect()
         };
         assert_eq!(runs_of(4), [(6, 7)]);
@@ -401,9 +516,9 @@ mod tests {
         assert!(flipped.flips_y() && !flipped.flips_x());
         let north: Vec<(i32, i32)> = map
             .lower_l3_runs(&flipped, 4)
-            .iter()
-            .filter(|r| r.block == upper)
-            .map(|r| (r.lo, r.hi))
+            .into_iter()
+            .filter(|&(.., block)| block == upper)
+            .map(|(lo, hi, _)| (lo, hi))
             .collect();
         assert_eq!(north, [(10, 13)]);
     }
@@ -435,8 +550,9 @@ mod tests {
     fn map_at_netsim_scale_stays_within_byte_budget() {
         use rand::SeedableRng;
         // The netsim-wu shape: 128×128 with 128 uniform faults. The runs
-        // take 42.7 KB at this seed; a per-node mark grid held about 63k
-        // marks here, over 1.2 MB of payload.
+        // take 34.9 KB at this seed (42.7 KB when each run carried its
+        // block's rectangle and the offsets were `usize`); a per-node mark
+        // grid held about 63k marks here, over 1.2 MB of payload.
         let mesh = Mesh::square(128);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x0b0d_0128);
         let sc = Scenario::build(emr_fault::inject::uniform(mesh, 128, &[], &mut rng));

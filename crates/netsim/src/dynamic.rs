@@ -44,8 +44,8 @@ pub trait DynamicRouter: Router {
 /// plane, keeping their straight lane runs. Under MCC a leg reads the
 /// map of the labeling its quadrant picks, as its obstacle test does. A
 /// repeat failure of a node that already failed changes nothing. Per-hop
-/// routing pays no staleness checks and reads two lanes per hop
-/// ([`route::wu_step`]).
+/// routing pays no staleness checks and reads one lane per hop, the veto
+/// of the move it takes ([`route::wu_step`]).
 #[derive(Debug, Clone)]
 pub struct EpochedWuRouter {
     state: ScenarioState,

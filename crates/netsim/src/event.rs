@@ -21,7 +21,12 @@
 //!   planes are empty again at cycle end with no reset pass,
 //! * queue-depth peaks are maintained **incrementally**: only nodes
 //!   whose occupancy *rose* since the last sample (arrivals,
-//!   injections) can set a new peak, so sampling is `O(increments)`.
+//!   injections) can set a new peak, so sampling is `O(increments)`,
+//! * a flight that lost its link **keeps its hop**: a router answers
+//!   from its state and the question alone ([`Router`]), so the flight
+//!   claims again next cycle without asking where the stepper asks
+//!   again. Moving, starting a leg, or a failure landing drops the hop,
+//!   so every answer the event core uses is one the stepper gets too.
 //!
 //! Winners move in age order rather than the stepper's link order. That
 //! cannot show in a report: each flight moves at most once per cycle,
@@ -49,6 +54,10 @@ struct EvFlight {
     leg_source: Coord,
     injected_at: u64,
     hops: u64,
+    /// The hop the router returned for this position and leg, kept while
+    /// the flight waits on a lost link; dropped when it moves, starts a
+    /// leg, or a failure lands.
+    hop: Option<Direction>,
     /// Resolved this cycle (delivered or failed); reaped at cycle end.
     dead: bool,
 }
@@ -207,6 +216,7 @@ impl<R: Router> EventSim<R> {
                     leg_source: at,
                     injected_at: self.cycle,
                     hops: 0,
+                    hop: None,
                     packet,
                     dead: false,
                 });
@@ -225,11 +235,15 @@ impl<R: Router> EventSim<R> {
         self.touched.clear();
     }
 
-    /// Every alive flight asks its router for a hop, in admission (age)
-    /// order; the first flight to claim a link wins it.
+    /// Every alive flight claims the link of its hop, in admission (age)
+    /// order; the first flight to claim a link wins it. A flight asks its
+    /// router only when it keeps no hop: a router's answer depends on its
+    /// state and the question alone (see [`Router`]), so a flight that
+    /// lost its link last cycle reuses the answer the stepper asks for
+    /// again.
     fn route_and_claim(&mut self) {
         for i in 0..self.active.len() {
-            let f = &self.active[i];
+            let f = &mut self.active[i];
             if f.dead {
                 continue;
             }
@@ -239,13 +253,21 @@ impl<R: Router> EventSim<R> {
                 self.fail_flight(i);
                 continue;
             };
-            match self.router.next_hop(f.leg_source, target, f.at) {
+            let hop = match f.hop {
+                Some(dir) => Ok(dir),
+                None => self.router.next_hop(f.leg_source, target, f.at),
+            };
+            match hop {
                 Ok(dir) => {
+                    f.hop = Some(dir);
                     if !self.claims[dir.index()].test_and_set(f.at) {
                         self.winners.push((i, dir));
                     }
                 }
-                Err(_) => self.fail_flight(i),
+                Err(e) => {
+                    self.report.count_error(e);
+                    self.fail_flight(i);
+                }
             }
         }
     }
@@ -264,6 +286,7 @@ impl<R: Router> EventSim<R> {
             let f = &mut self.active[i];
             f.at = to;
             f.hops += 1;
+            f.hop = None;
             self.try_deliver(i);
         }
         winners.clear();
@@ -301,6 +324,7 @@ impl<R: Router> EventSim<R> {
         } else {
             // Start the next leg from here.
             f.leg_source = f.at;
+            f.hop = None;
         }
     }
 
@@ -377,16 +401,21 @@ impl<R: DynamicRouter> EventSim<R> {
         if due.is_empty() {
             return;
         }
-        // Snapshot each alive flight's pre-fault hop choice.
+        // Snapshot each alive flight's pre-fault hop choice: the hop it
+        // keeps, else a fresh answer. The failure drops every kept hop.
         let mut before: Vec<(usize, Direction)> = Vec::new();
-        for (i, f) in self.active.iter().enumerate() {
+        for (i, f) in self.active.iter_mut().enumerate() {
             if f.dead {
                 continue;
             }
             let Some(target) = f.packet.current_target() else {
                 continue;
             };
-            if let Ok(dir) = self.router.next_hop(f.leg_source, target, f.at) {
+            let hop = f
+                .hop
+                .take()
+                .or_else(|| self.router.next_hop(f.leg_source, target, f.at).ok());
+            if let Some(dir) = hop {
                 before.push((i, dir));
             }
         }
@@ -416,9 +445,10 @@ impl<R: DynamicRouter> EventSim<R> {
         }
         self.calendar
             .retain(|_, s| !s.inject.is_empty() || !s.faults.is_empty());
-        // Survivors re-evaluate against the repaired information.
+        // Survivors re-evaluate against the repaired information and keep
+        // the new hop: nothing changes the router again before they route.
         for (i, old) in before {
-            let f = &self.active[i];
+            let f = &mut self.active[i];
             if f.dead {
                 continue;
             }
@@ -429,6 +459,7 @@ impl<R: DynamicRouter> EventSim<R> {
                 if new != old {
                     self.report.rerouted += 1;
                 }
+                f.hop = Some(new);
             }
         }
     }
@@ -442,10 +473,13 @@ mod tests {
     use crate::router::WuRouter;
     use crate::sim::NetSim;
     use crate::workload::{TrafficPattern, Workload};
+    use emr_core::route::RouteError;
     use emr_core::{Model, Scenario, ScenarioState};
     use emr_fault::{inject, BlockMap, FaultSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn event_core_matches_stepper_on_seeded_traffic() {
@@ -615,5 +649,111 @@ mod tests {
             sim.claims.iter().all(|plane| plane.count_ones() == 0),
             "moving the winners releases every claim"
         );
+    }
+
+    /// A router that logs every question it answers as `(leg target,
+    /// position)`.
+    struct Counting<R> {
+        inner: R,
+        asked: Rc<RefCell<Vec<(Coord, Coord)>>>,
+    }
+
+    impl<R: Router> Router for Counting<R> {
+        fn next_hop(&self, s: Coord, t: Coord, u: Coord) -> Result<Direction, RouteError> {
+            self.asked.borrow_mut().push((t, u));
+            self.inner.next_hop(s, t, u)
+        }
+    }
+
+    impl<R: DynamicRouter> DynamicRouter for Counting<R> {
+        fn fail_node(&mut self, c: Coord) {
+            self.inner.fail_node(c);
+        }
+
+        fn is_node_blocked(&self, c: Coord) -> bool {
+            self.inner.is_node_blocked(c)
+        }
+    }
+
+    /// How often `log` holds the question `(target, at)`.
+    fn asked(log: &RefCell<Vec<(Coord, Coord)>>, target: (i32, i32), at: (i32, i32)) -> usize {
+        let question = (Coord::from(target), Coord::from(at));
+        log.borrow().iter().filter(|&&q| q == question).count()
+    }
+
+    #[test]
+    fn a_link_loser_asks_once_per_position() {
+        // Four flights leave (0,0) East in cycle 0 and serialize on its
+        // East link: flight k waits k cycles there. The stepper asks a
+        // waiting flight again every cycle; the event core reuses the hop
+        // it was given, so it asks each question once.
+        let mesh = Mesh::square(10);
+        let scenario = Scenario::build(FaultSet::new(mesh));
+        let view = scenario.view(Model::FaultBlock);
+        let (stepper_log, event_log) = (Rc::default(), Rc::default());
+        let counting = |asked: &Rc<_>| Counting {
+            inner: WuRouter::new(&view),
+            asked: Rc::clone(asked),
+        };
+        let mut stepper = NetSim::new(mesh, counting(&stepper_log));
+        let mut event = EventSim::new(mesh, counting(&event_log));
+        for x in 5..9 {
+            let p = Packet::direct(Coord::new(0, 0), Coord::new(x, 0));
+            stepper.inject(p.clone(), 0);
+            event.inject(p, 0);
+        }
+        let report = stepper.run_to_completion(100);
+        assert_eq!(report, event.run_to_completion(100));
+        assert_eq!(report.map(|r| r.delivered), Ok(4));
+        let questions: std::collections::BTreeSet<_> = event_log.borrow().iter().copied().collect();
+        assert_eq!(
+            event_log.borrow().len(),
+            questions.len(),
+            "a question asked twice"
+        );
+        assert_eq!(questions.len(), 5 + 6 + 7 + 8, "one question per position");
+        for (k, x) in (5..9).enumerate() {
+            assert_eq!(asked(&event_log, (x, 0), (0, 0)), 1);
+            assert_eq!(asked(&stepper_log, (x, 0), (0, 0)), k + 1);
+        }
+    }
+
+    #[test]
+    fn a_failure_makes_a_waiting_flight_ask_again() {
+        // Three flights leave (2,0) East in cycle 0. The one for (9,0)
+        // wins the link; the ones for (9,3) and (6,0) wait on the hop they
+        // keep. Node (3,0) fails at the start of cycle 1 and swallows the
+        // winner. The waiting flights must ask again: the one for (9,3)
+        // reroutes North, and the one for (6,0), whose only preferred move
+        // is now closed, is `Stuck`.
+        let mesh = Mesh::square(10);
+        let (stepper_log, event_log) = (Rc::default(), Rc::default());
+        let counting = |asked: &Rc<_>| Counting {
+            inner: EpochedWuRouter::new(ScenarioState::new(FaultSet::new(mesh)), Model::FaultBlock),
+            asked: Rc::clone(asked),
+        };
+        let mut stepper = NetSim::new(mesh, counting(&stepper_log));
+        let mut event = EventSim::new(mesh, counting(&event_log));
+        for dest in [(9, 0), (9, 3), (6, 0)] {
+            let p = Packet::direct(Coord::new(2, 0), Coord::from(dest));
+            stepper.inject(p.clone(), 0);
+            event.inject(p, 0);
+        }
+        stepper.schedule_fault(Coord::new(3, 0), 1);
+        event.schedule_fault(Coord::new(3, 0), 1);
+        let report = stepper.run_dynamic_to_completion(100);
+        assert_eq!(report, event.run_dynamic_to_completion(100));
+        let r = report.expect("the run completes");
+        assert_eq!(
+            (r.delivered, r.fault_drops, r.rerouted, r.stuck, r.failed),
+            (1, 1, 1, 1, 2)
+        );
+        // The event core asked in cycle 0 and after the failure; the
+        // `Stuck` answer is not kept, so that flight asks once more when
+        // it routes. The stepper also asks for its snapshot and in cycle 1.
+        assert_eq!(asked(&event_log, (9, 3), (2, 0)), 2);
+        assert_eq!(asked(&event_log, (6, 0), (2, 0)), 3);
+        assert_eq!(asked(&stepper_log, (9, 3), (2, 0)), 4);
+        assert_eq!(asked(&stepper_log, (6, 0), (2, 0)), 4);
     }
 }

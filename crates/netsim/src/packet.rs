@@ -1,5 +1,3 @@
-use std::collections::VecDeque;
-
 use serde::{Deserialize, Serialize};
 
 use emr_core::{conditions, ModelView, RoutePlan};
@@ -26,8 +24,11 @@ use emr_mesh::Coord;
 pub struct Packet {
     source: Coord,
     dest: Coord,
-    /// Remaining waypoints, ending with `dest`.
-    legs: VecDeque<Coord>,
+    /// The witness node still to visit before `dest`, if any.
+    waypoint: Option<Coord>,
+    /// The legs still to travel: 2 before the waypoint, 1 on the final
+    /// leg, 0 once delivered.
+    legs: u8,
 }
 
 impl Packet {
@@ -36,24 +37,26 @@ impl Packet {
         Packet {
             source,
             dest,
-            legs: VecDeque::from([dest]),
+            waypoint: None,
+            legs: 1,
         }
     }
 
     /// A packet following a [`RoutePlan`] witness: two-phase plans insert
     /// the witness node as an intermediate waypoint.
     pub fn with_plan(source: Coord, dest: Coord, plan: &RoutePlan) -> Packet {
-        let legs = match *plan {
-            RoutePlan::Direct => VecDeque::from([dest]),
+        let waypoint = match *plan {
+            RoutePlan::Direct => None,
             RoutePlan::ViaNeighbor(w) | RoutePlan::ViaAxis(w) | RoutePlan::ViaPivot(w) => {
-                if w == source || w == dest {
-                    VecDeque::from([dest])
-                } else {
-                    VecDeque::from([w, dest])
-                }
+                Some(w).filter(|&w| w != source && w != dest)
             }
         };
-        Packet { source, dest, legs }
+        Packet {
+            source,
+            dest,
+            waypoint,
+            legs: 1 + u8::from(waypoint.is_some()),
+        }
     }
 
     /// Strategy-4 admission: the packet following the witness plan when
@@ -81,21 +84,22 @@ impl Packet {
     /// The waypoint the packet is currently heading for (`None` once every
     /// leg is consumed).
     pub fn current_target(&self) -> Option<Coord> {
-        self.legs.front().copied()
+        (self.legs > 0).then(|| self.waypoint.unwrap_or(self.dest))
     }
 
     /// Marks arrival at the current waypoint; returns `true` when that was
     /// the final destination.
     pub fn arrive_at_target(&mut self) -> bool {
-        self.legs.pop_front();
-        self.legs.is_empty()
+        self.waypoint = None;
+        self.legs = self.legs.saturating_sub(1);
+        self.legs == 0
     }
 
     /// The legs still to travel, counting the current one: 2 for a
     /// two-phase packet before its waypoint, 1 on its final leg, 0 once
     /// delivered.
     pub fn leg_count(&self) -> usize {
-        self.legs.len()
+        usize::from(self.legs)
     }
 }
 

@@ -9,6 +9,13 @@ use emr_mesh::{Coord, Direction};
 /// `leg_source` and `leg_target` are the endpoints of the packet's current
 /// leg (for two-phase plans the leg target is the witness node first); `u`
 /// is the router's own position, never equal to `leg_target`.
+///
+/// A hop is a function of the router's state and these three arguments,
+/// never of the packet's history or of how often the question was asked;
+/// every router here meets that contract. [`crate::EventSim`] relies on
+/// it: a flight waiting on a lost link reuses the hop it was given until
+/// it moves or a failure changes the router's state, where
+/// [`crate::NetSim`] asks again every cycle.
 pub trait Router {
     /// The direction the packet must leave `u` by.
     ///

@@ -61,6 +61,12 @@ pub struct SimReport {
     pub fault_drops: u64,
     /// In-flight packets whose next hop changed when a failure landed.
     pub rerouted: u64,
+    /// Packets dropped because their router returned
+    /// [`RouteError::Stuck`]. Included in `failed`.
+    pub stuck: u64,
+    /// Packets dropped because their router returned
+    /// [`RouteError::Conflict`]. Included in `failed`.
+    pub conflict: u64,
 }
 
 impl SimReport {
@@ -70,6 +76,16 @@ impl SimReport {
             0.0
         } else {
             self.total_latency as f64 / self.delivered as f64
+        }
+    }
+
+    /// Counts a router error that drops a packet by its variant (the
+    /// caller counts the drop in `failed`).
+    pub(crate) fn count_error(&mut self, e: RouteError) {
+        match e {
+            RouteError::Stuck(_) => self.stuck += 1,
+            RouteError::Conflict(_) => self.conflict += 1,
+            RouteError::BlockedEndpoint | RouteError::BadPlan => {}
         }
     }
 
@@ -236,8 +252,10 @@ impl<R: Router> NetSim<R> {
                     // requester of a link is the oldest.
                     grants.entry(link).or_insert(id);
                 }
-                Err(RouteError::Stuck(_) | RouteError::Conflict(_)) => drops.push(id),
-                Err(_) => drops.push(id),
+                Err(e) => {
+                    self.report.count_error(e);
+                    drops.push(id);
+                }
             }
         }
         for id in drops {

@@ -111,7 +111,8 @@ fn wu_episode() -> (Workload, Vec<(Coord, u64)>, EpochedWuRouter) {
 
 /// The reduced episode's full report, pinned on both cores. The
 /// stepper/event agreement checks cannot see a change to Wu's vetoes
-/// that both cores share; this can.
+/// that both cores share; this can. Every failure the faults did not
+/// cause is a `Stuck`.
 #[test]
 fn epoched_wu_episode_report_is_pinned() {
     let expected = SimReport {
@@ -125,6 +126,8 @@ fn epoched_wu_episode_report_is_pinned() {
         fault_events: 6,
         fault_drops: 9,
         rerouted: 4,
+        stuck: 60,
+        conflict: 0,
     };
     let (load, faults, router) = wu_episode();
     let mesh = Mesh::square(48);
@@ -156,6 +159,8 @@ fn static_wu_mcc_report_is_pinned() {
         fault_events: 0,
         fault_drops: 0,
         rerouted: 0,
+        stuck: 32,
+        conflict: 0,
     };
     let mesh = Mesh::square(48);
     let mut rng = StdRng::seed_from_u64(0x5eed_0049);
