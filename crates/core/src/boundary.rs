@@ -1,7 +1,7 @@
 use std::mem::size_of;
 use std::ops::Range;
 
-use emr_mesh::{BitGrid, Coord, Direction, Frame, MemBytes, Rect};
+use emr_mesh::{BitGrid, Coord, Direction, MemBytes, Rect};
 
 pub use emr_distsim::protocols::boundary::{BoundaryLine, BoundaryMark};
 
@@ -25,6 +25,15 @@ struct VetoRun {
 }
 
 impl VetoRun {
+    /// The run that pads a lane's last chunk: it covers no position and
+    /// no `d` lies past its edge, so it never vetoes.
+    const PAD: VetoRun = VetoRun {
+        lo: i32::MAX,
+        hi: i32::MIN,
+        along: i32::MAX,
+        across: i32::MIN,
+    };
+
     /// Whether the run covers position `at` of its lane with `d` in its
     /// block's R4 (a column run) or R6 (a row run), given `d`'s mirrored
     /// coordinates along and across the lane: four comparisons, no branch.
@@ -35,15 +44,26 @@ impl VetoRun {
     }
 }
 
-/// The runs of one ray family grouped by lane (CSR): lane `i` holds
-/// `runs[starts[i]..starts[i + 1]]`, in walk order, and `blocks` holds
-/// each run's block as an index into [`BoundaryMap::blocks`], kept apart
-/// from the veto fields a hop reads.
+/// Runs per chunk: a lane's runs are stored in chunks of this many (64
+/// bytes of veto fields), its last chunk padded with [`VetoRun::PAD`].
+const CHUNK: usize = 4;
+
+/// The block index of a padding run (no block).
+const NO_BLOCK: u32 = u32::MAX;
+
+/// The runs of one ray family grouped by lane in chunks (CSR): lane `i`
+/// holds `chunks[starts[i]..starts[i + 1]]`, its runs in walk order and
+/// its last chunk padded. Every lane on the mesh holds at least one
+/// chunk (an empty lane one chunk of padding), so a lane's fold reads
+/// one chunk unless the lane holds more than [`CHUNK`] runs. `blocks`
+/// holds each run's block as an index into [`BoundaryMap::blocks`]
+/// ([`NO_BLOCK`] for padding), kept apart from the veto fields a hop
+/// reads.
 #[derive(Debug, Clone)]
 struct LaneTable {
     starts: Vec<u32>,
-    runs: Vec<VetoRun>,
-    blocks: Vec<u32>,
+    chunks: Vec<[VetoRun; CHUNK]>,
+    blocks: Vec<[u32; CHUNK]>,
 }
 
 impl LaneTable {
@@ -51,19 +71,41 @@ impl LaneTable {
     /// walk order within a lane (the sort is stable).
     fn grouped(lanes: usize, mut triples: Vec<(usize, VetoRun, u32)>) -> LaneTable {
         triples.sort_by_key(|&(lane, ..)| lane);
-        LaneTable {
-            starts: (0..=lanes)
-                .map(|l| {
-                    let start = triples.partition_point(|&(lane, ..)| lane < l);
-                    u32::try_from(start).unwrap_or(u32::MAX)
-                })
-                .collect(),
-            runs: triples.iter().map(|&(_, run, _)| run).collect(),
-            blocks: triples.iter().map(|&(.., block)| block).collect(),
+        let mut table = LaneTable {
+            starts: Vec::with_capacity(lanes + 1),
+            chunks: Vec::new(),
+            blocks: Vec::new(),
+        };
+        let mut rest = triples.as_slice();
+        for lane in 0..lanes {
+            table.push_start();
+            let count = rest.partition_point(|&(l, ..)| l == lane);
+            let (runs, tail) = rest.split_at(count);
+            rest = tail;
+            // An empty lane still takes one chunk, all padding.
+            let parts = runs.chunks(CHUNK).chain(runs.is_empty().then_some(&[][..]));
+            for part in parts {
+                let mut chunk = [VetoRun::PAD; CHUNK];
+                let mut blocks = [NO_BLOCK; CHUNK];
+                for (k, &(_, run, block)) in part.iter().enumerate() {
+                    chunk[k] = run;
+                    blocks[k] = block;
+                }
+                table.chunks.push(chunk);
+                table.blocks.push(blocks);
+            }
         }
+        table.push_start();
+        table
     }
 
-    /// The index range of lane `lane`'s runs (empty off the mesh).
+    /// Opens the next lane at the current chunk count.
+    fn push_start(&mut self) {
+        self.starts
+            .push(u32::try_from(self.chunks.len()).unwrap_or(u32::MAX));
+    }
+
+    /// The chunk index range of lane `lane` (empty off the mesh).
     fn lane(&self, lane: i32) -> Range<usize> {
         let start = |i: usize| self.starts.get(i).map(|&s| s as usize);
         match usize::try_from(lane).map(|i| (start(i), start(i + 1))) {
@@ -73,19 +115,19 @@ impl LaneTable {
     }
 
     /// Whether a run of lane `lane` vetoes (see [`VetoRun::vetoes`]): a
-    /// fold over the whole lane, without an early exit.
+    /// fold over all four runs of each of the lane's chunks, padding
+    /// included, without an early exit.
     fn vetoes(&self, lane: i32, at: i32, along: i32, across: i32) -> bool {
-        self.runs
-            .get(self.lane(lane))
-            .unwrap_or(&[])
-            .iter()
-            .fold(false, |v, r| v | r.vetoes(at, along, across))
+        let chunks = self.chunks.get(self.lane(lane)).unwrap_or(&[]);
+        chunks.iter().fold(false, |v, chunk| {
+            chunk.iter().fold(v, |v, r| v | r.vetoes(at, along, across))
+        })
     }
 
     fn mem_bytes(&self) -> u64 {
         (self.starts.len() * size_of::<u32>()
-            + self.runs.len() * size_of::<VetoRun>()
-            + self.blocks.len() * size_of::<u32>()) as u64
+            + self.chunks.len() * size_of::<[VetoRun; CHUNK]>()
+            + self.blocks.len() * size_of::<[u32; CHUNK]>()) as u64
     }
 }
 
@@ -171,11 +213,13 @@ const ROW_RAYS: [(BoundaryLine, Direction); 4] = [
 /// steps*. Only straight runs can veto a Wu hop, so only they are kept:
 /// the L3/L4 rays' runs per column, the L1/L2 rays' runs per row, one
 /// table for each of the four frame mirrorings that read them. A run
-/// keeps its veto fields, four `i32`s mirrored into its table's frame,
-/// contiguous per lane; its block's rectangle, which only
-/// [`BoundaryMap::marks_at`] reports, is stored apart. A hop of
-/// [`crate::route::wu_step`] reads the one lane of the move it takes, not
-/// every contour through its node.
+/// keeps its veto fields, four `i32`s mirrored into its table's frame; a
+/// lane keeps its runs in chunks of four (64 bytes), the last padded
+/// with runs that never veto, and at least one chunk.
+/// Its block's rectangle, which only [`BoundaryMap::marks_at`] reports,
+/// is stored apart. A hop of [`crate::route::wu_step`] reads the one
+/// lane of the move it takes, not every contour through its node, and
+/// at netsim-wu's shape nearly every lane is one chunk.
 ///
 /// Only a [`crate::Scenario`] builds maps, one per obstacle plane on
 /// first read ([`crate::Scenario::block_boundary_map`],
@@ -284,48 +328,49 @@ impl BoundaryMap {
         }
     }
 
-    /// Whether a straight run through `u` on the *lower section of a
-    /// block's L3 line*, as `frame` sees it, has `d` in its block's
-    /// region R4: Wu's veto of the relative East move. Those runs are the
-    /// absolute L3 (or, when the frame mirrors X, L4) line's south (or,
-    /// mirroring Y, north) ray in column `u.x`, the only contours that
-    /// can veto that move.
-    pub(crate) fn vetoes_east(&self, frame: &Frame, u: Coord, d: Coord) -> bool {
-        let (flips_x, flips_y) = (frame.flips_x(), frame.flips_y());
-        self.columns[flip_slot(flips_x, flips_y)].vetoes(
-            u.x,
-            u.y,
-            mirror(d.y, flips_y),
-            mirror(d.x, flips_x),
-        )
+    /// Wu's veto of the relative East move (`east`) or North move at `u`
+    /// for a route to `d` whose frame mirrors the axes `(flips_x,
+    /// flips_y)`: whether a straight run through `u` on the *lower
+    /// section of a block's L3 line* has `d` in its block's region R4
+    /// (East), or one on the *left section of a block's L1 line* has `d`
+    /// in its block's R6 (North). The East move's runs are the absolute
+    /// L3 (or, when the frame mirrors X, L4) line's south (or, mirroring
+    /// Y, north) ray in column `u.x`, the only contours that can veto
+    /// it; the North move's are the absolute L1 (mirroring Y, L2) line's
+    /// west (mirroring X, east) ray in row `u.y`. The move picks the
+    /// table, the lane and the order of `d`'s mirrored coordinates by
+    /// select, with no branch per move or frame.
+    pub(crate) fn vetoes(
+        &self,
+        east: bool,
+        (flips_x, flips_y): (bool, bool),
+        u: Coord,
+        d: Coord,
+    ) -> bool {
+        let tables = if east { &self.columns } else { &self.rows };
+        let (x, y) = (mirror(d.x, flips_x), mirror(d.y, flips_y));
+        let (lane, at, along, across) = if east {
+            (u.x, u.y, y, x)
+        } else {
+            (u.y, u.x, x, y)
+        };
+        tables[flip_slot(flips_x, flips_y)].vetoes(lane, at, along, across)
     }
 
-    /// Whether a straight run through `u` on the *left section of a
-    /// block's L1 line*, as `frame` sees it, has `d` in its block's region
-    /// R6: Wu's veto of the relative North move. Those runs are the
-    /// absolute L1 (or, when the frame mirrors Y, L2) line's west (or,
-    /// mirroring X, east) ray in row `u.y`.
-    pub(crate) fn vetoes_north(&self, frame: &Frame, u: Coord, d: Coord) -> bool {
-        let (flips_x, flips_y) = (frame.flips_x(), frame.flips_y());
-        self.rows[flip_slot(flips_x, flips_y)].vetoes(
-            u.y,
-            u.x,
-            mirror(d.x, flips_x),
-            mirror(d.y, flips_y),
-        )
-    }
-
-    /// The runs of `table` in lane `lane`, each with its block.
+    /// The runs of `table` in lane `lane`, each with its block; padding
+    /// runs name no block and are skipped.
     fn lane_runs<'a>(
         &'a self,
         table: &'a LaneTable,
         lane: i32,
     ) -> impl Iterator<Item = (&'a VetoRun, Rect)> + 'a {
         let range = table.lane(lane);
-        let runs = table.runs.get(range.clone()).unwrap_or(&[]);
+        let runs = table.chunks.get(range.clone()).unwrap_or(&[]);
         let blocks = table.blocks.get(range).unwrap_or(&[]);
         runs.iter()
-            .zip(blocks)
+            .flatten()
+            .zip(blocks.iter().flatten())
+            .filter(|&(_, &b)| b != NO_BLOCK)
             .filter_map(|(run, &b)| Some((run, *self.blocks.get(b as usize)?)))
     }
 
@@ -379,8 +424,9 @@ impl MemBytes for BoundaryMap {
 #[cfg(test)]
 impl BoundaryMap {
     /// The lower-L3 runs in column `x` as `frame` sees them (the runs
-    /// [`BoundaryMap::vetoes_east`] folds), as `(lo, hi, block)`.
-    pub(crate) fn lower_l3_runs(&self, frame: &Frame, x: i32) -> Vec<(i32, i32, Rect)> {
+    /// [`BoundaryMap::vetoes`] folds for the East move), as `(lo, hi,
+    /// block)`.
+    pub(crate) fn lower_l3_runs(&self, frame: &emr_mesh::Frame, x: i32) -> Vec<(i32, i32, Rect)> {
         let table = &self.columns[flip_slot(frame.flips_x(), frame.flips_y())];
         self.lane_runs(table, x)
             .map(|(r, block)| (r.lo, r.hi, block))
@@ -388,8 +434,9 @@ impl BoundaryMap {
     }
 
     /// The left-L1 runs in row `y` as `frame` sees them (the runs
-    /// [`BoundaryMap::vetoes_north`] folds), as `(lo, hi, block)`.
-    pub(crate) fn left_l1_runs(&self, frame: &Frame, y: i32) -> Vec<(i32, i32, Rect)> {
+    /// [`BoundaryMap::vetoes`] folds for the North move), as `(lo, hi,
+    /// block)`.
+    pub(crate) fn left_l1_runs(&self, frame: &emr_mesh::Frame, y: i32) -> Vec<(i32, i32, Rect)> {
         let table = &self.rows[flip_slot(frame.flips_x(), frame.flips_y())];
         self.lane_runs(table, y)
             .map(|(r, block)| (r.lo, r.hi, block))
@@ -402,7 +449,7 @@ mod tests {
     use super::*;
     use crate::Scenario;
     use emr_fault::{FaultSet, MccType};
-    use emr_mesh::Mesh;
+    use emr_mesh::{Frame, Mesh};
 
     #[test]
     fn lines_of_a_single_block() {
@@ -550,14 +597,121 @@ mod tests {
     fn map_at_netsim_scale_stays_within_byte_budget() {
         use rand::SeedableRng;
         // The netsim-wu shape: 128×128 with 128 uniform faults. The runs
-        // take 34.9 KB at this seed (42.7 KB when each run carried its
-        // block's rectangle and the offsets were `usize`); a per-node mark
-        // grid held about 63k marks here, over 1.2 MB of payload.
+        // take 92.8 KB at this seed in four-run chunks, each lane at
+        // least one (401 of the 1,024 lanes hold no run and 57 more than
+        // four). Unchunked they took 34.9 KB, and 42.7 KB when each run
+        // carried its block's rectangle and the offsets were `usize`; a
+        // per-node mark grid held about 63k marks here, over 1.2 MB of
+        // payload.
         let mesh = Mesh::square(128);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x0b0d_0128);
         let sc = Scenario::build(emr_fault::inject::uniform(mesh, 128, &[], &mut rng));
         let bytes = sc.block_boundary_map().mem_bytes();
         assert!(bytes <= 128 * 1024, "boundary map holds {bytes} B");
         assert!(bytes > 0);
+    }
+
+    /// How many of the map's lanes hold no run, a padded chunk (runs
+    /// that do not fill their last chunk), and more than one chunk.
+    fn lane_shapes(map: &BoundaryMap) -> [usize; 3] {
+        let mut shapes = [0; 3];
+        for table in map.columns.iter().chain(&map.rows) {
+            let lanes = i32::try_from(table.starts.len() - 1).expect("lane count fits i32");
+            for lane in 0..lanes {
+                let runs = map.lane_runs(table, lane).count();
+                shapes[0] += usize::from(runs == 0);
+                shapes[1] += usize::from(!runs.is_multiple_of(CHUNK));
+                shapes[2] += usize::from(runs > CHUNK);
+            }
+        }
+        shapes
+    }
+
+    /// A dense 24x24 map: 60 uniform faults form 34 blocks. Of its 192
+    /// lanes, 49 hold no run, 130 end in a padded chunk and 40 take more
+    /// than one chunk.
+    fn dense_map() -> (Scenario, Mesh) {
+        use rand::SeedableRng;
+        let mesh = Mesh::square(24);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xc4a2_0024);
+        let sc = Scenario::build(emr_fault::inject::uniform(mesh, 60, &[], &mut rng));
+        (sc, mesh)
+    }
+
+    #[test]
+    fn chunked_lanes_veto_as_the_unpadded_fold() {
+        let (sc, mesh) = dense_map();
+        let map = sc.block_boundary_map();
+        let [empty, padded, two_chunks] = lane_shapes(map);
+        println!("{empty} empty, {padded} padded, {two_chunks} two-chunk lanes");
+        assert!(
+            empty > 0 && padded > 0 && two_chunks > 0,
+            "a lane shape is missing"
+        );
+        // Every lane of every table, every position and every `d`, with
+        // `d` mirrored as the table's frame reads it.
+        let n = mesh.width();
+        for (slot, (columns, rows)) in map.columns.iter().zip(&map.rows).enumerate() {
+            let (flips_x, flips_y) = (slot & 2 != 0, slot & 1 != 0);
+            for d in mesh.nodes() {
+                let (x, y) = (mirror(d.x, flips_x), mirror(d.y, flips_y));
+                for (table, along, across) in [(columns, y, x), (rows, x, y)] {
+                    for lane in -1..=n {
+                        for at in -1..=n {
+                            let unpadded = map
+                                .lane_runs(table, lane)
+                                .any(|(r, _)| r.vetoes(at, along, across));
+                            assert_eq!(
+                                table.vetoes(lane, at, along, across),
+                                unpadded,
+                                "slot {slot}, lane {lane}, at {at}, d {d}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn padding_runs_stay_out_of_every_listing() {
+        let (sc, mesh) = dense_map();
+        let map = sc.block_boundary_map();
+        let mut real = 0;
+        let mut covered = 0;
+        for table in map.columns.iter().chain(&map.rows) {
+            let slots = table.blocks.iter().flatten();
+            let padding = slots.clone().filter(|&&b| b == NO_BLOCK).count();
+            assert!(padding > 0, "a table without padding");
+            let listed: Vec<_> = (0..mesh.width().max(mesh.height()))
+                .flat_map(|lane| map.lane_runs(table, lane))
+                .collect();
+            assert!(listed.iter().all(|(r, _)| **r != VetoRun::PAD));
+            assert_eq!(listed.len(), slots.count() - padding);
+            real += listed.len();
+            covered += listed.iter().map(|(r, _)| r.hi - r.lo + 1).sum::<i32>();
+        }
+        assert!(real > 0);
+        // The frame listings the eager reference reads, and the marks.
+        for slot in 0..4 {
+            let s = Coord::new(12, 12);
+            let d = Coord::new(
+                if slot & 2 != 0 { 0 } else { 23 },
+                if slot & 1 != 0 { 0 } else { 23 },
+            );
+            let frame = Frame::normalizing(s, d);
+            for lane in 0..24 {
+                let runs = map
+                    .lower_l3_runs(&frame, lane)
+                    .into_iter()
+                    .chain(map.left_l1_runs(&frame, lane));
+                for (lo, hi, block) in runs {
+                    assert!(lo <= hi, "a padding run in slot {slot}, lane {lane}");
+                    assert!(map.blocks.contains(&block));
+                }
+            }
+        }
+        let marks: usize = mesh.nodes().map(|c| map.marks_at(c).count()).sum();
+        assert_eq!(marks, covered as usize, "marks beyond the real runs");
     }
 }

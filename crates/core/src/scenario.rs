@@ -284,9 +284,15 @@ impl<'a> ModelView<'a> {
 
     /// Whether `c` is an obstacle for routes from `s` to `d`.
     pub fn is_obstacle(&self, c: Coord, s: Coord, d: Coord) -> bool {
+        self.plane_for(s, d).get(c) == Some(true)
+    }
+
+    /// The obstacle plane routes from `s` to `d` read: the blocked plane
+    /// of the blocks, or of the MCC labeling their quadrant picks.
+    pub(crate) fn plane_for(&self, s: Coord, d: Coord) -> &'a BitGrid {
         match self.labeling(s, d) {
-            None => self.scenario.blocks.is_blocked(c),
-            Some(ty) => self.scenario.mcc(ty).is_blocked(c),
+            None => self.scenario.blocks.packed(),
+            Some(ty) => self.scenario.mcc(ty).packed(),
         }
     }
 
@@ -441,10 +447,12 @@ mod tests {
         let mc = sc.view(Model::Mcc);
         for d in sc.mesh().nodes() {
             assert!(std::ptr::eq(fb.boundary_for(s, d), sc.block_boundary_map()));
+            assert!(std::ptr::eq(fb.plane_for(s, d), sc.blocks().packed()));
             let ty = MccType::ALL
                 .into_iter()
                 .find(|&ty| std::ptr::eq(mc.boundary_for(s, d), sc.mcc_boundary_map(ty)))
                 .expect("an MCC view reads one labeling's map");
+            assert!(std::ptr::eq(mc.plane_for(s, d), sc.mcc(ty).packed()));
             for c in sc.mesh().nodes() {
                 assert_eq!(mc.is_obstacle(c, s, d), sc.mcc(ty).is_blocked(c));
             }

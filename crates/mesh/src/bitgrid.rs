@@ -125,6 +125,7 @@ impl BitGrid {
     }
 
     /// The bit at `c`, or `None` when `c` is outside the mesh.
+    #[inline]
     // emr-lint: allow(A1, "the word offset is derived from a coordinate already checked by contains")
     pub fn get(&self, c: Coord) -> Option<bool> {
         self.mesh.contains(c).then(|| {
@@ -139,6 +140,7 @@ impl BitGrid {
     ///
     /// Panics if `c` is outside the mesh; use [`BitGrid::get`] for checked
     /// reads.
+    #[inline]
     // emr-lint: allow(A1, "documented panic contract: asserts `c` is inside the grid before computing the word offset")
     pub fn set(&mut self, c: Coord, value: bool) {
         assert!(self.mesh.contains(c), "{c} outside {:?}", self.mesh);
@@ -158,6 +160,7 @@ impl BitGrid {
     /// # Panics
     ///
     /// Panics if `c` is outside the mesh.
+    #[inline]
     // emr-lint: allow(A1, "documented panic contract: asserts `c` is inside the grid before computing the word offset")
     pub fn test_and_set(&mut self, c: Coord) -> bool {
         assert!(self.mesh.contains(c), "{c} outside {:?}", self.mesh);
@@ -191,6 +194,7 @@ impl BitGrid {
     /// # Panics
     ///
     /// Panics if `y` is outside the mesh.
+    #[inline]
     // emr-lint: allow(A1, "documented panic contract: asserts the row is in range before slicing its words")
     pub fn row(&self, y: i32) -> &[u64] {
         let start = self.row_start(y);
@@ -325,6 +329,7 @@ impl BitGrid {
         }
     }
 
+    #[inline]
     fn row_start(&self, y: i32) -> usize {
         assert!(
             (0..self.mesh.height()).contains(&y),
@@ -334,6 +339,7 @@ impl BitGrid {
         y as usize * self.words_per_row
     }
 
+    #[inline]
     fn word_index(&self, c: Coord) -> (usize, i32) {
         (self.row_start(c.y) + c.x as usize / 64, c.x.rem_euclid(64))
     }

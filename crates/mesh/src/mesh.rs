@@ -58,6 +58,7 @@ impl Mesh {
     }
 
     /// Whether `c` addresses a node of this mesh.
+    #[inline]
     pub fn contains(&self, c: Coord) -> bool {
         (0..self.width).contains(&c.x) && (0..self.height).contains(&c.y)
     }
@@ -101,6 +102,7 @@ impl Mesh {
     /// # Panics
     ///
     /// Panics if `c` is outside the mesh.
+    #[inline]
     pub fn index_of(&self, c: Coord) -> usize {
         assert!(self.contains(c), "{c} outside {self:?}");
         (c.y as usize) * (self.width as usize) + (c.x as usize)

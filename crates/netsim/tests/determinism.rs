@@ -3,16 +3,23 @@
 //! a bit-identical [`SimReport`]. The conformance harness's `netsim-hops`
 //! oracle and the benchmark sweeps both lean on this. Two reduced Wu runs
 //! also pin their full reports as literals, so a change to what the
-//! router decides shows even when both simulator cores change alike.
+//! router decides shows even when both simulator cores change alike. A
+//! congested replay checks the two cores agree when failures land on
+//! flights waiting on lost links.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use emr_core::route::RouteError;
 use emr_core::{Model, Scenario, ScenarioState};
 use emr_fault::inject;
-use emr_mesh::{Coord, Mesh};
+use emr_mesh::{Coord, Direction, Mesh};
 use emr_netsim::{
-    EpochedWuRouter, EventSim, NetSim, Packet, SimReport, TrafficPattern, Workload, WuRouter,
+    DynamicRouter, EpochedWuRouter, EventSim, NetSim, Packet, Router, SimReport, TrafficPattern,
+    Workload, WuRouter,
 };
 
 /// One scheduled packet, flattened for comparison: injection cycle,
@@ -170,4 +177,106 @@ fn static_wu_mcc_report_is_pinned() {
     let mut sim = NetSim::new(mesh, WuRouter::new(&view));
     load.inject_into(&mut sim);
     assert_eq!(sim.run_to_completion(1_000_000), Ok(expected));
+}
+
+/// The questions a router answered, and how many it had answered when
+/// each failure reached it.
+#[derive(Debug, Default)]
+struct Questions {
+    asked: usize,
+    at_failure: Vec<usize>,
+}
+
+/// A dynamic router that logs into [`Questions`].
+struct Logged<R> {
+    inner: R,
+    log: Rc<RefCell<Questions>>,
+}
+
+impl<R: Router> Router for Logged<R> {
+    fn next_hop(&self, s: Coord, t: Coord, u: Coord) -> Result<Direction, RouteError> {
+        self.log.borrow_mut().asked += 1;
+        self.inner.next_hop(s, t, u)
+    }
+}
+
+impl<R: DynamicRouter> DynamicRouter for Logged<R> {
+    fn fail_node(&mut self, c: Coord) {
+        let mut log = self.log.borrow_mut();
+        let asked = log.asked;
+        log.at_failure.push(asked);
+        self.inner.fail_node(c);
+    }
+
+    fn is_node_blocked(&self, c: Coord) -> bool {
+        self.inner.is_node_blocked(c)
+    }
+}
+
+/// A congested episode whose failures land on flights waiting on lost
+/// links: 20×20 with 8 static faults, 4,000 hotspot packets at 0.1
+/// packets per node per cycle, and 24 failures over the injection
+/// window. The event core keeps a waiting flight's hop, and a failure
+/// must make the flight ask again; the stepper asks every flight every
+/// cycle. The reports must agree, and the replay must hold such waits.
+#[test]
+fn failures_landing_on_waiting_flights_match_the_stepper() {
+    let mesh = Mesh::square(20);
+    let mut rng = StdRng::seed_from_u64(0x5eed_0020);
+    let state = ScenarioState::new(inject::uniform(mesh, 8, &[], &mut rng));
+    let pattern = TrafficPattern::Hotspot {
+        spots: 4,
+        fraction: 0.3,
+    };
+    let load = Workload::offered_load(state.scenario(), pattern, 4_000, 0.1, &mut rng);
+    let window = load.packets().last().map_or(1, |&(c, _)| c.max(1));
+    let faults: Vec<(Coord, u64)> = (1..=24u64)
+        .map(|j| {
+            let c = Coord::new(rng.gen_range(0..20), rng.gen_range(0..20));
+            (c, window * j / 25)
+        })
+        .collect();
+    let router = EpochedWuRouter::new(state, Model::FaultBlock);
+    let log = Rc::new(RefCell::new(Questions::default()));
+    let mut stepper = NetSim::new(mesh, router.clone());
+    let mut event = EventSim::new(
+        mesh,
+        Logged {
+            inner: router,
+            log: Rc::clone(&log),
+        },
+    );
+    load.inject_into(&mut stepper);
+    load.inject_into(&mut event);
+    for &(c, at) in &faults {
+        stepper.schedule_fault(c, at);
+        event.schedule_fault(c, at);
+    }
+    // Step the event core through the last failure. Before a failure
+    // lands, the event core asks every alive flight that keeps no hop;
+    // the alive flights it did not ask are waiting on a lost link.
+    let last = faults.iter().map(|&(_, at)| at).max().unwrap_or(0);
+    let mut waiting = 0;
+    while event.cycle() <= last {
+        let alive = event.in_flight();
+        let (asked, failures) = {
+            let log = log.borrow();
+            (log.asked, log.at_failure.len())
+        };
+        event.step_dynamic();
+        if let Some(&at) = log.borrow().at_failure.get(failures) {
+            waiting += alive - (at - asked);
+        }
+    }
+    let evented = event.run_dynamic_to_completion(1_000_000);
+    let stepped = stepper.run_dynamic_to_completion(1_000_000);
+    assert_eq!(evented, stepped);
+    // 10,004 waits over the 24 failures. An event core that keeps a
+    // waiting flight's hop across a failure reports 17 reroutes instead
+    // of 45 here, and 6 fewer deliveries.
+    assert!(
+        waiting >= 5_000,
+        "{waiting} flights waiting as failures landed"
+    );
+    assert_eq!(stepped.map(|r| r.fault_events), Ok(24));
 }
