@@ -23,9 +23,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// own indices rather than by the worker that runs it.
 ///
 /// Each worker is its own thread, so the thread-local scratch of the
-/// construction kernels is shared by every chunk that worker runs. A
-/// panic in `run_chunk` resumes on the caller with its original payload
-/// once every worker has stopped.
+/// construction kernels is shared by every chunk that worker runs. One
+/// worker runs the chunks in order on the calling thread, with no spawn:
+/// a spawn and join is a visible share of a short sweep, and its
+/// scheduling jitter swings the sweep's time. A panic in `run_chunk`
+/// resumes on the caller with its original payload once every worker
+/// has stopped.
 pub fn pool<T, F>(
     points: usize,
     trials: u32,
@@ -50,6 +53,12 @@ where
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
         .max(1)
         .min(chunks.len());
+    if workers <= 1 {
+        return chunks
+            .into_iter()
+            .map(|(point, trials)| (point, run_chunk(point, trials)))
+            .collect();
+    }
 
     // emr-lint: allow(A2, "work-stealing cursor: claim order is nondeterministic, but every result carries its chunk index and is sorted by it before returning")
     let next = AtomicUsize::new(0);
@@ -100,6 +109,24 @@ mod tests {
                 .collect();
             assert_eq!(out, expected, "threads {threads}");
         }
+    }
+
+    #[test]
+    fn one_worker_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        // Each chunk's result, and whether it ran on the calling thread.
+        let run = |threads| -> (Vec<_>, Vec<bool>) {
+            pool(3, 70, 32, Some(threads), |point, trials| {
+                ((point, trials), std::thread::current().id() == caller)
+            })
+            .into_iter()
+            .map(|(point, (result, on_caller))| ((point, result), on_caller))
+            .unzip()
+        };
+        let (inline, threaded) = (run(1), run(2));
+        assert_eq!(inline.0, threaded.0);
+        assert!(inline.1.iter().all(|&on_caller| on_caller));
+        assert!(threaded.1.iter().all(|&on_caller| !on_caller));
     }
 
     #[test]

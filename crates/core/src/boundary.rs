@@ -256,6 +256,43 @@ pub struct BoundaryMap {
     blocks: Vec<Rect>,
 }
 
+/// One route's view of a [`BoundaryMap`]: the two tables of its frame
+/// and its destination's mirrored coordinates, so a hop reads a lane
+/// without resolving the frame again.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LegVetoes<'a> {
+    /// The column table of the route's frame (East-move vetoes).
+    columns: &'a LaneTable,
+    /// The row table of the route's frame (North-move vetoes).
+    rows: &'a LaneTable,
+    /// `d.x`, mirrored as the frame reads it.
+    x: i32,
+    /// `d.y`, mirrored as the frame reads it.
+    y: i32,
+}
+
+impl LegVetoes<'_> {
+    /// Wu's veto of the relative East move (`east`) or North move at `u`:
+    /// whether a straight run through `u` on the *lower section of a
+    /// block's L3 line* has `d` in its block's region R4 (East), or one
+    /// on the *left section of a block's L1 line* has `d` in its block's
+    /// R6 (North). The East move's runs are the absolute L3 (or, when
+    /// the frame mirrors X, L4) line's south (or, mirroring Y, north) ray
+    /// in column `u.x`, the only contours that can veto it; the North
+    /// move's are the absolute L1 (mirroring Y, L2) line's west
+    /// (mirroring X, east) ray in row `u.y`. The move picks the table,
+    /// the lane and the order of `d`'s mirrored coordinates by select,
+    /// with no branch per move.
+    pub(crate) fn vetoes(&self, east: bool, u: Coord) -> bool {
+        let (table, lane, at, along, across) = if east {
+            (self.columns, u.x, u.y, self.y, self.x)
+        } else {
+            (self.rows, u.y, u.x, self.x, self.y)
+        };
+        table.vetoes(lane, at, along, across)
+    }
+}
+
 impl BoundaryMap {
     /// Walks every ray of every block once over the packed blocked plane
     /// (bending around blocked nodes, ending at the mesh edge) and keeps
@@ -328,33 +365,18 @@ impl BoundaryMap {
         }
     }
 
-    /// Wu's veto of the relative East move (`east`) or North move at `u`
-    /// for a route to `d` whose frame mirrors the axes `(flips_x,
-    /// flips_y)`: whether a straight run through `u` on the *lower
-    /// section of a block's L3 line* has `d` in its block's region R4
-    /// (East), or one on the *left section of a block's L1 line* has `d`
-    /// in its block's R6 (North). The East move's runs are the absolute
-    /// L3 (or, when the frame mirrors X, L4) line's south (or, mirroring
-    /// Y, north) ray in column `u.x`, the only contours that can veto
-    /// it; the North move's are the absolute L1 (mirroring Y, L2) line's
-    /// west (mirroring X, east) ray in row `u.y`. The move picks the
-    /// table, the lane and the order of `d`'s mirrored coordinates by
-    /// select, with no branch per move or frame.
-    pub(crate) fn vetoes(
-        &self,
-        east: bool,
-        (flips_x, flips_y): (bool, bool),
-        u: Coord,
-        d: Coord,
-    ) -> bool {
-        let tables = if east { &self.columns } else { &self.rows };
-        let (x, y) = (mirror(d.x, flips_x), mirror(d.y, flips_y));
-        let (lane, at, along, across) = if east {
-            (u.x, u.y, y, x)
-        } else {
-            (u.y, u.x, x, y)
-        };
-        tables[flip_slot(flips_x, flips_y)].vetoes(lane, at, along, across)
+    /// The veto tables a route to `d` reads, resolved once for its leg:
+    /// the column and row tables of the frame that mirrors the axes
+    /// `(flips_x, flips_y)`, and `d`'s coordinates mirrored as they read
+    /// them (see [`LegVetoes::vetoes`]).
+    pub(crate) fn leg(&self, (flips_x, flips_y): (bool, bool), d: Coord) -> LegVetoes<'_> {
+        let slot = flip_slot(flips_x, flips_y);
+        LegVetoes {
+            columns: &self.columns[slot],
+            rows: &self.rows[slot],
+            x: mirror(d.x, flips_x),
+            y: mirror(d.y, flips_y),
+        }
     }
 
     /// The runs of `table` in lane `lane`, each with its block; padding
@@ -424,7 +446,7 @@ impl MemBytes for BoundaryMap {
 #[cfg(test)]
 impl BoundaryMap {
     /// The lower-L3 runs in column `x` as `frame` sees them (the runs
-    /// [`BoundaryMap::vetoes`] folds for the East move), as `(lo, hi,
+    /// [`LegVetoes::vetoes`] folds for the East move), as `(lo, hi,
     /// block)`.
     pub(crate) fn lower_l3_runs(&self, frame: &emr_mesh::Frame, x: i32) -> Vec<(i32, i32, Rect)> {
         let table = &self.columns[flip_slot(frame.flips_x(), frame.flips_y())];
@@ -434,7 +456,7 @@ impl BoundaryMap {
     }
 
     /// The left-L1 runs in row `y` as `frame` sees them (the runs
-    /// [`BoundaryMap::vetoes`] folds for the North move), as `(lo, hi,
+    /// [`LegVetoes::vetoes`] folds for the North move), as `(lo, hi,
     /// block)`.
     pub(crate) fn left_l1_runs(&self, frame: &emr_mesh::Frame, y: i32) -> Vec<(i32, i32, Rect)> {
         let table = &self.rows[flip_slot(frame.flips_x(), frame.flips_y())];

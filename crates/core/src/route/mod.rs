@@ -19,7 +19,7 @@
 
 mod wu;
 
-pub use wu::{wu_route, wu_step};
+pub use wu::{wu_route, wu_step, wu_walk};
 
 use std::fmt;
 

@@ -1,7 +1,8 @@
 //! Wu's boundary-information routing protocol.
 
-use emr_mesh::{Coord, Direction, Path};
+use emr_mesh::{BitGrid, Coord, Direction, Path};
 
+use crate::boundary::LegVetoes;
 use crate::route::RouteError;
 use crate::scenario::ModelView;
 
@@ -32,11 +33,11 @@ pub fn wu_route(view: &ModelView<'_>, s: Coord, d: Coord) -> Result<Path, RouteE
     if !view.endpoints_usable(s, d) {
         return Err(RouteError::BlockedEndpoint);
     }
+    let leg = Leg::new(view, s, d);
     let mut path = Path::singleton(s);
     let mut u = s;
     while u != d {
-        let dir = wu_step(view, s, d, u)?;
-        u = u.step(dir);
+        u = u.step(leg.hop(u)?);
         path.push(u);
     }
     Ok(path)
@@ -45,8 +46,8 @@ pub fn wu_route(view: &ModelView<'_>, s: Coord, d: Coord) -> Result<Path, RouteE
 /// One hop of Wu's protocol: the direction a packet at `u`, en route from
 /// `s` to `d`, must take next. This is the per-node routing function a
 /// mesh router implements; [`wu_route`] is simply its fix-point, and the
-/// packet-level network simulator (`emr-netsim`) drives it hop by hop with
-/// many packets in flight.
+/// packet-level network simulator (`emr-netsim`) drives it with many
+/// packets in flight, a stretch of hops at a time through [`wu_walk`].
 ///
 /// A hop works in the route's frame without branching on its quadrant.
 /// The frame's mirrorings are two signs; the remaining offsets and the
@@ -80,52 +81,113 @@ pub fn wu_step(
     u: Coord,
 ) -> Result<Direction, RouteError> {
     assert_ne!(u, d, "no next hop at the destination");
-    // The route's frame (`Frame::normalizing(s, d)`) as the axes it
-    // mirrors and their signs: +1 along an axis it keeps, -1 along one
-    // it mirrors.
-    let flips = (d.x < s.x, d.y < s.y);
-    let (sx, sy) = (sign(flips.0), sign(flips.1));
-    // The remaining offsets in the relative frame. A move is preferred
-    // while its offset is positive, and open when its neighbour is a
-    // usable node of the plane (off the mesh, the plane reads `None`).
-    // `&` reads the bit of a move that is not preferred too, so the test
-    // does not branch.
-    let (rx, ry) = ((d.x - u.x) * sx, (d.y - u.y) * sy);
-    let plane = view.plane_for(s, d);
-    let usable = |v: Coord| plane.get(v) == Some(false);
-    let east_open = (rx > 0) & usable(Coord::new(u.x + sx, u.y));
-    let north_open = (ry > 0) & usable(Coord::new(u.x, u.y + sy));
+    Leg::new(view, s, d).hop(u)
+}
 
-    // Boundary constraints: a veto forbids one preferred direction.
-    // Lower L3 contour, destination in R4: crossing east of the contour
-    // makes the block uncrossable within the destination's column. Left
-    // L1 contour, destination in R6: symmetric.
-    let boundary = view.boundary_for(s, d);
-    let vetoed = |east: bool| boundary.vetoes(east, flips, u, d);
-    // Wu's adaptive choice: the move with the larger remaining offset
-    // first (East on a tie), the other when the first is closed or
-    // vetoed. The offsets never put a move that is not preferred first.
-    let east_first = rx >= ry;
-    let (first_open, second_open) = if east_first {
-        (east_open, north_open)
-    } else {
-        (north_open, east_open)
-    };
-    if first_open && !vetoed(east_first) {
-        return Ok(absolute(east_first, flips));
+/// Walks Wu's protocol along the leg from `s` to `d`, starting at `u`:
+/// writes into `hops` what [`wu_step`] answers at `u`, then at the node
+/// that hop reaches, and so on, and returns how many it wrote. The walk
+/// stops at `d`, at the first error (returned beside the count, at the
+/// node the written hops reach) or when `hops` is full. The leg's
+/// frame, obstacle plane and boundary tables are resolved once for the
+/// whole walk, where [`wu_step`] resolves them per hop.
+pub fn wu_walk(
+    view: &ModelView<'_>,
+    s: Coord,
+    d: Coord,
+    u: Coord,
+    hops: &mut [Direction],
+) -> (usize, Option<RouteError>) {
+    let leg = Leg::new(view, s, d);
+    let mut at = u;
+    for (n, slot) in hops.iter_mut().enumerate() {
+        if at == d {
+            return (n, None);
+        }
+        match leg.hop(at) {
+            Ok(dir) => {
+                *slot = dir;
+                at = at.step(dir);
+            }
+            Err(e) => return (n, Some(e)),
+        }
     }
-    if second_open && !vetoed(!east_first) {
-        return Ok(absolute(!east_first, flips));
+    (hops.len(), None)
+}
+
+/// One leg of Wu's protocol, resolved once: the route's frame as two
+/// flips and their signs, its destination, and the obstacle plane and
+/// boundary tables it reads. [`Leg::hop`] is Wu's per-hop rule, the one
+/// [`wu_step`], [`wu_route`] and [`wu_walk`] all run.
+struct Leg<'a> {
+    d: Coord,
+    /// The route's frame (`Frame::normalizing(s, d)`) as the axes it
+    /// mirrors.
+    flips: (bool, bool),
+    /// The flips' signs: +1 along an axis the frame keeps, -1 along one
+    /// it mirrors.
+    signs: (i32, i32),
+    plane: &'a BitGrid,
+    vetoes: LegVetoes<'a>,
+}
+
+impl<'a> Leg<'a> {
+    fn new(view: &ModelView<'a>, s: Coord, d: Coord) -> Leg<'a> {
+        let flips = (d.x < s.x, d.y < s.y);
+        Leg {
+            d,
+            flips,
+            signs: (sign(flips.0), sign(flips.1)),
+            plane: view.plane_for(s, d),
+            vetoes: view.boundary_for(s, d).leg(flips, d),
+        }
     }
-    // Every open preferred move is vetoed. A genuine conflict vetoes
-    // both preferred moves, closed ones included; anything else is a
-    // dead end.
-    let conflict = rx > 0 && ry > 0 && (east_open || vetoed(true)) && (north_open || vetoed(false));
-    Err(if conflict {
-        RouteError::Conflict(u)
-    } else {
-        RouteError::Stuck(u)
-    })
+
+    /// The hop at `u` (not `d`); see [`wu_step`].
+    fn hop(&self, u: Coord) -> Result<Direction, RouteError> {
+        let (d, flips, (sx, sy)) = (self.d, self.flips, self.signs);
+        // The remaining offsets in the relative frame. A move is
+        // preferred while its offset is positive, and open when its
+        // neighbour is a usable node of the plane (off the mesh, the
+        // plane reads `None`). `&` reads the bit of a move that is not
+        // preferred too, so the test does not branch.
+        let (rx, ry) = ((d.x - u.x) * sx, (d.y - u.y) * sy);
+        let usable = |v: Coord| self.plane.get(v) == Some(false);
+        let east_open = (rx > 0) & usable(Coord::new(u.x + sx, u.y));
+        let north_open = (ry > 0) & usable(Coord::new(u.x, u.y + sy));
+
+        // Boundary constraints: a veto forbids one preferred direction.
+        // Lower L3 contour, destination in R4: crossing east of the
+        // contour makes the block uncrossable within the destination's
+        // column. Left L1 contour, destination in R6: symmetric.
+        let vetoed = |east: bool| self.vetoes.vetoes(east, u);
+        // Wu's adaptive choice: the move with the larger remaining offset
+        // first (East on a tie), the other when the first is closed or
+        // vetoed. The offsets never put a move that is not preferred
+        // first.
+        let east_first = rx >= ry;
+        let (first_open, second_open) = if east_first {
+            (east_open, north_open)
+        } else {
+            (north_open, east_open)
+        };
+        if first_open && !vetoed(east_first) {
+            return Ok(absolute(east_first, flips));
+        }
+        if second_open && !vetoed(!east_first) {
+            return Ok(absolute(!east_first, flips));
+        }
+        // Every open preferred move is vetoed. A genuine conflict vetoes
+        // both preferred moves, closed ones included; anything else is a
+        // dead end.
+        let conflict =
+            rx > 0 && ry > 0 && (east_open || vetoed(true)) && (north_open || vetoed(false));
+        Err(if conflict {
+            RouteError::Conflict(u)
+        } else {
+            RouteError::Stuck(u)
+        })
+    }
 }
 
 /// The sign of an axis the route's frame mirrors when `flip`.
@@ -503,6 +565,174 @@ mod tests {
         assert!(hops >= 500_000, "{hops} hops compared");
         assert!(vetoed >= 10_000, "{vetoed} vetoed hops");
         assert!(stuck >= 1_000, "{stuck} stuck hops");
+    }
+
+    /// What one start's walks met: the hops they wrote over every
+    /// buffer length, the hops iterated [`wu_step`] takes from the start
+    /// (up to the longest buffer), and the error that ends those.
+    #[derive(Clone, Copy)]
+    struct Walked {
+        written: usize,
+        steps: usize,
+        error: Option<RouteError>,
+    }
+
+    /// Walks from `u` with every buffer length `1..=longest` and checks
+    /// each walk against iterated [`wu_step`]: the same hops, the same
+    /// stop, and an error only where the steps meet one within the
+    /// buffer, at the same node with the same variant.
+    fn walks_match_steps(
+        view: &ModelView<'_>,
+        s: Coord,
+        d: Coord,
+        u: Coord,
+        longest: usize,
+        at: &dyn Fn() -> String,
+    ) -> Walked {
+        let (mut steps, mut error, mut node) = (Vec::new(), None, u);
+        while steps.len() < longest && node != d {
+            match wu_step(view, s, d, node) {
+                Ok(dir) => {
+                    steps.push(dir);
+                    node = node.step(dir);
+                }
+                Err(e) => {
+                    error = Some(e);
+                    break;
+                }
+            }
+        }
+        let mut buffer = [Direction::East; 32];
+        let mut written = 0;
+        for len in 1..=longest {
+            let (n, walk_error) = wu_walk(view, s, d, u, &mut buffer[..len]);
+            let want = steps.len().min(len);
+            assert_eq!(&buffer[..n], &steps[..want], "{}, buffer {len}", at());
+            let want_error = error.filter(|_| steps.len() < len);
+            assert_eq!(walk_error, want_error, "{}, buffer {len}", at());
+            written += n;
+        }
+        Walked {
+            written,
+            steps: steps.len(),
+            error,
+        }
+    }
+
+    /// Starts walked, hops the walks wrote, and the errors met at a start
+    /// and after at least one hop.
+    #[derive(Debug, Default)]
+    struct Tally {
+        starts: u64,
+        hops: u64,
+        at_start: u64,
+        mid_walk: u64,
+    }
+
+    impl Tally {
+        fn add(&mut self, walked: Walked) {
+            self.starts += 1;
+            self.hops += walked.written as u64;
+            if walked.error.is_some() {
+                if walked.steps == 0 {
+                    self.at_start += 1;
+                } else {
+                    self.mid_walk += 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn walks_match_iterated_steps() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x3a1c_5eed);
+        let mut boxes = Tally::default();
+        for (w, h) in [(128, 128), (65, 9), (9, 65), (1, 40), (40, 1)] {
+            let mesh = Mesh::new(w, h);
+            for percent in [1, 5, 15] {
+                let count = mesh.node_count() * percent / 100;
+                let sc = Scenario::build(emr_fault::inject::uniform(mesh, count, &[], &mut rng));
+                for model in Model::ALL {
+                    let view = sc.view(model);
+                    for _ in 0..16 {
+                        let (x1, x2) = (rng.gen_range(0..w), rng.gen_range(0..w));
+                        let (y1, y2) = (rng.gen_range(0..h), rng.gen_range(0..h));
+                        let routes = [
+                            ((x1, y1), (x2, y2)),
+                            ((x2, y2), (x1, y1)),
+                            ((x1, y2), (x2, y1)),
+                            ((x2, y1), (x1, y2)),
+                        ];
+                        for (s, d) in routes.map(|(s, d)| (Coord::from(s), Coord::from(d))) {
+                            if s == d || !view.endpoints_usable(s, d) {
+                                continue;
+                            }
+                            // The leg source and three random usable
+                            // nodes of the box.
+                            let usable: Vec<Coord> = Rect::point(s)
+                                .expanded_to(d)
+                                .iter()
+                                .filter(|&u| u != d && !view.is_obstacle(u, s, d))
+                                .collect();
+                            let picks = (0..3).map(|_| usable[rng.gen_range(0..usable.len())]);
+                            for u in std::iter::once(s).chain(picks) {
+                                let at = || {
+                                    format!("{model:?} on {w}x{h} at {percent}%: {s}->{d} from {u}")
+                                };
+                                boxes.add(walks_match_steps(&view, s, d, u, 32, &at));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Every fault set of up to three faults on 4x4, both models, every
+        // usable (s, d) and every usable u in their box. Every hop is
+        // preferred, so a walk from u takes at most |u d| hops, and a
+        // buffer one longer stands for every longer one.
+        let mut small = Tally::default();
+        let mesh = Mesh::square(4);
+        let nodes: Vec<Coord> = mesh.nodes().collect();
+        for mask in (0u32..1 << nodes.len()).filter(|m| m.count_ones() <= 3) {
+            let faults = nodes
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| mask >> i & 1 == 1)
+                .map(|(_, &c)| c);
+            let sc = Scenario::build(FaultSet::from_coords(mesh, faults));
+            for model in Model::ALL {
+                let view = sc.view(model);
+                for (&s, &d) in nodes.iter().flat_map(|s| nodes.iter().map(move |d| (s, d))) {
+                    if s == d || !view.endpoints_usable(s, d) {
+                        continue;
+                    }
+                    for u in Rect::point(s).expanded_to(d).iter() {
+                        if u == d || view.is_obstacle(u, s, d) {
+                            continue;
+                        }
+                        let at = || format!("{model:?} with faults {mask:#06x}: {s}->{d} from {u}");
+                        let longest = u.manhattan(d) as usize + 1;
+                        small.add(walks_match_steps(&view, s, d, u, longest, &at));
+                    }
+                }
+            }
+        }
+        // Random boxes: 6,272 starts, 1,618,155 hops written, errors at
+        // 183 starts and from 1,002 after at least one hop. On 4x4:
+        // 745,976 starts, 4,179,080 hops, errors at 30,472 and from
+        // 12,040. The floors keep the check from passing on walks that
+        // never meet an error.
+        println!("random boxes: {boxes:?}\n4x4: {small:?}");
+        assert!(boxes.hops >= 1_000_000, "{boxes:?}");
+        assert!(boxes.at_start >= 100 && boxes.mid_walk >= 500, "{boxes:?}");
+        assert!(small.hops >= 3_000_000, "{small:?}");
+        assert!(
+            small.at_start >= 20_000 && small.mid_walk >= 8_000,
+            "{small:?}"
+        );
     }
 
     #[test]

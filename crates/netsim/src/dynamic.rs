@@ -45,7 +45,8 @@ pub trait DynamicRouter: Router {
 /// map of the labeling its quadrant picks, as its obstacle test does. A
 /// repeat failure of a node that already failed changes nothing. Per-hop
 /// routing pays no staleness checks and reads one lane per hop, the veto
-/// of the move it takes ([`route::wu_step`]).
+/// of the move it takes ([`route::wu_step`]); a walk resolves the leg's
+/// view, frame, plane and map once for all its hops ([`route::wu_walk`]).
 #[derive(Debug, Clone)]
 pub struct EpochedWuRouter {
     state: ScenarioState,
@@ -83,6 +84,17 @@ impl Router for EpochedWuRouter {
     ) -> Result<Direction, RouteError> {
         let view = self.state.scenario().view(self.model);
         route::wu_step(&view, leg_source, leg_target, u)
+    }
+
+    fn next_hops(
+        &self,
+        leg_source: Coord,
+        leg_target: Coord,
+        u: Coord,
+        hops: &mut [Direction],
+    ) -> (usize, Option<RouteError>) {
+        let view = self.state.scenario().view(self.model);
+        route::wu_walk(&view, leg_source, leg_target, u, hops)
     }
 }
 

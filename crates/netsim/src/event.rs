@@ -4,71 +4,218 @@
 //! [`crate::NetSim`] stepper — same injection, arbitration, movement,
 //! delivery, and fault ordering, bit-identical [`SimReport`]s (pinned by
 //! the `netsim-event-matches-cycle` conform oracle) — but organizes the
-//! work around *events* instead of scanning every node every cycle:
+//! work around *events* and *routes* instead of scanning every node and
+//! asking every packet's router every cycle:
 //!
-//! * a deterministic BTree-keyed **event calendar** holds scheduled
-//!   injections and scheduled faults; when nothing is in flight the
-//!   clock jumps straight to the next calendar entry instead of
-//!   stepping through idle cycles,
-//! * the only per-cycle work is over the **active flight list** (kept in
-//!   admission order, which is age order) — `O(active)` per cycle where
-//!   the stepper pays `O(nodes)` for its queue scan plus per-cycle
-//!   B-tree churn for grants,
-//! * each directed link is arbitrated by **one claim bit** in one of
-//!   four per-direction [`BitGrid`] planes, indexed by the link's source
-//!   node: routing walks the flights in age order and the first flight
-//!   to claim a link wins it; moving a winner clears its bit, so the
-//!   planes are empty again at cycle end with no reset pass,
-//! * queue-depth peaks are maintained **incrementally**: only nodes
-//!   whose occupancy *rose* since the last sample (arrivals,
-//!   injections) can set a new peak, so sampling is `O(increments)`,
-//! * a flight that lost its link **keeps its hop**: a router answers
-//!   from its state and the question alone ([`Router`]), so the flight
-//!   claims again next cycle without asking where the stepper asks
-//!   again. Moving, starting a leg, or a failure landing drops the hop,
-//!   so every answer the event core uses is one the stepper gets too.
+//! * a deterministic BTree-keyed **event calendar**, one map of
+//!   scheduled injections and one of scheduled failures; when nothing is
+//!   in flight the clock jumps straight to the earlier of their first
+//!   entries instead of stepping through idle cycles,
+//! * a flight **walks its route** ahead: [`Router::next_hops`] writes
+//!   what `next_hop` would answer at each node along the leg, and the
+//!   flight keeps up to [`ROUTE_HOPS`] of those hops, two bits each. A
+//!   hop depends on the router's state and the question alone
+//!   ([`Router`]), and only a landing failure changes that state, so the
+//!   flight claims its route's front each cycle, drops the front when it
+//!   wins the link, and walks again only when the route runs out. A walk
+//!   stops at the leg target, at an error, at [`ROUTE_HOPS`] hops, or at
+//!   the hop for the cycle the next scheduled failure lands in: that last
+//!   hop is the "before" answer the failure's snapshot reads, so a
+//!   landing failure asks no question of a flight that holds a route,
+//! * the only per-cycle work is **one pass** over the active flight list
+//!   (kept in admission order, which is age order): each flight takes its
+//!   route's front (or walks), claims the link and, on a win, moves,
+//!   updates the node counts and is delivered at once — `O(active)` per
+//!   cycle where the stepper pays `O(nodes)` for its queue scan plus
+//!   per-cycle B-tree churn for grants. The pass is one `retain_mut`, so
+//!   a flight delivered or failed in it leaves the list in place,
+//! * each directed link is arbitrated by **one claim bit**, bit
+//!   [`Direction::index`] of a byte per node, the link's source: the
+//!   first flight to claim a link in age order wins it, and the nodes a
+//!   pass claimed at are cleared from a list after it, so every byte is
+//!   zero again at cycle end. Flights carry their node's mesh index
+//!   beside their coordinate, so a move updates claims and counts by
+//!   index arithmetic,
+//! * queue-depth peaks are maintained **incrementally**: a node becomes
+//!   a peak candidate only when an increment lifts its count above the
+//!   peak so far, and a sample reads the candidates alone. That is exact:
+//!   a count can beat the peak at a sample only if it beat it right after
+//!   its last increment, and the peak changes only at samples.
 //!
-//! Winners move in age order rather than the stepper's link order. That
-//! cannot show in a report: each flight moves at most once per cycle,
-//! the report only sums and takes maxima, and the queue peak is sampled
-//! at the start of the next cycle.
+//! Winners move in age order within the pass rather than the stepper's
+//! link order. That cannot show in a report: each flight moves at most
+//! once per cycle, its hop depends on its own position alone, each link
+//! still goes to its oldest claimant, the report only sums and takes
+//! maxima, and the queue peak is sampled at the start of the next cycle.
 //!
-//! Faults scheduled through [`EventSim::schedule_fault`] ride the same
-//! calendar and land with the stepper's ordering: at the start of their
-//! cycle, before injection and routing.
+//! Faults scheduled through [`EventSim::schedule_fault`] land with the
+//! stepper's ordering: at the start of their cycle, before injection and
+//! routing. A landing failure drops every route; the survivors walk
+//! again, and `rerouted` compares the old and new route fronts.
 
 use std::collections::BTreeMap;
 
-use emr_mesh::{BitGrid, Coord, Direction, Mesh};
+use emr_core::route::RouteError;
+use emr_mesh::{Coord, Direction, Mesh};
 
 use crate::dynamic::DynamicRouter;
 use crate::packet::Packet;
 use crate::router::Router;
 use crate::sim::{PacketSink, SimError, SimReport};
 
+/// The most hops a flight's route holds: two bits each in a `u64`.
+const ROUTE_HOPS: usize = 32;
+
+/// The hops a flight's router walked for it that it has not taken yet,
+/// front first, packed two bits each ([`Direction::index`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct Route {
+    hops: u64,
+    len: u8,
+}
+
+impl Route {
+    /// The route of the hops a walk wrote (at most [`ROUTE_HOPS`]).
+    fn of(walked: &[Direction]) -> Route {
+        Route {
+            hops: walked
+                .iter()
+                .rev()
+                .fold(0, |hops, dir| hops << 2 | dir.index() as u64),
+            len: u8::try_from(walked.len()).unwrap_or(u8::MAX),
+        }
+    }
+
+    /// The next hop, `None` once the route is spent.
+    fn front(self) -> Option<Direction> {
+        (self.len > 0).then(|| Direction::ALL[(self.hops & 3) as usize])
+    }
+
+    /// Drops the front hop, taken.
+    fn pop(&mut self) {
+        self.hops >>= 2;
+        self.len = self.len.saturating_sub(1);
+    }
+}
+
+/// Resident-packet counts per node, and the nodes that may hold a new
+/// queue peak. Nodes are mesh indices.
+#[derive(Debug)]
+struct Occupancy {
+    mesh: Mesh,
+    /// The mesh-index offset of one hop, by [`Direction::index`].
+    offsets: [isize; 4],
+    /// Resident packets per node.
+    counts: Vec<u32>,
+    /// Nodes an increment lifted above the peak since the last sample.
+    candidates: Vec<usize>,
+}
+
+impl Occupancy {
+    fn new(mesh: Mesh) -> Occupancy {
+        let width = mesh.width() as isize;
+        Occupancy {
+            mesh,
+            offsets: [1, width, -1, -width],
+            counts: vec![0; mesh.node_count()],
+            candidates: Vec::new(),
+        }
+    }
+
+    /// A packet arrives at node `n`, with `peak` the peak so far.
+    fn enter(&mut self, n: usize, peak: usize) {
+        self.counts[n] += 1;
+        if self.counts[n] as usize > peak {
+            self.candidates.push(n);
+        }
+    }
+
+    /// A packet leaves node `n`.
+    fn leave(&mut self, n: usize) {
+        self.counts[n] -= 1;
+    }
+
+    /// The node one hop `dir` from node `n`.
+    fn next_node(&self, n: usize, dir: Direction) -> usize {
+        n.wrapping_add_signed(self.offsets[dir.index()])
+    }
+
+    /// Folds the candidates' counts into `peak`.
+    fn sample(&mut self, peak: &mut usize) {
+        for n in self.candidates.drain(..) {
+            *peak = (*peak).max(self.counts[n] as usize);
+        }
+    }
+}
+
 /// One in-flight packet in the event core's flight slab.
 #[derive(Debug)]
 struct EvFlight {
     packet: Packet,
     at: Coord,
+    /// The mesh index of `at`.
+    node: usize,
     leg_source: Coord,
+    /// The current leg's target ([`Packet::current_target`]).
+    target: Option<Coord>,
     injected_at: u64,
     hops: u64,
-    /// The hop the router returned for this position and leg, kept while
-    /// the flight waits on a lost link; dropped when it moves, starts a
-    /// leg, or a failure lands.
-    hop: Option<Direction>,
-    /// Resolved this cycle (delivered or failed); reaped at cycle end.
-    dead: bool,
+    /// The hops walked from `at` and not taken yet, dropped when a
+    /// failure lands. A walk ends at the leg target, so a new leg starts
+    /// with an empty route.
+    route: Route,
 }
 
-/// Everything scheduled for one future cycle.
-#[derive(Debug, Default)]
-struct CalSlot {
-    /// Packets injected this cycle, in schedule-call order.
-    inject: Vec<Packet>,
-    /// Node failures landing this cycle, in schedule-call order.
-    faults: Vec<Coord>,
+impl EvFlight {
+    /// Walks the leg from `at` into `walked` and keeps what the walk
+    /// wrote as the route. Returns the error of a walk that wrote no hop.
+    fn walk(
+        &mut self,
+        router: &impl Router,
+        target: Coord,
+        walked: &mut [Direction],
+    ) -> Option<RouteError> {
+        let (n, error) = router.next_hops(self.leg_source, target, self.at, walked);
+        self.route = Route::of(walked.get(..n).unwrap_or(&[]));
+        error.filter(|_| n == 0)
+    }
+
+    /// Counts the flight as failed and takes it off its node; the caller
+    /// drops it.
+    fn fail(&self, report: &mut SimReport, nodes: &mut Occupancy) {
+        report.failed += 1;
+        nodes.leave(self.node);
+    }
+
+    /// Checks whether the flight has reached its current waypoint or
+    /// destination in `cycle` (same accounting as the stepper's
+    /// `try_deliver`). Returns whether the packet was delivered, which
+    /// takes it off its node; the caller drops it.
+    fn try_deliver(&mut self, cycle: u64, report: &mut SimReport, nodes: &mut Occupancy) -> bool {
+        if self.target != Some(self.at) {
+            return false;
+        }
+        if self.packet.arrive_at_target() {
+            // Final destination: a packet that moved arrives at the end
+            // of the current cycle; one delivered at its source costs 0.
+            let arrival = if self.hops == 0 {
+                self.injected_at
+            } else {
+                cycle + 1
+            };
+            report.delivered += 1;
+            report.total_hops += self.hops;
+            report.total_latency += arrival - self.injected_at;
+            report.total_manhattan += u64::from(self.packet.source().manhattan(self.packet.dest()));
+            nodes.leave(self.node);
+            true
+        } else {
+            // Start the next leg from here.
+            self.leg_source = self.at;
+            self.target = self.packet.current_target();
+            false
+        }
+    }
 }
 
 /// The event-driven simulator core. Drop-in for [`crate::NetSim`]
@@ -76,21 +223,20 @@ struct CalSlot {
 /// identical reports.
 #[derive(Debug)]
 pub struct EventSim<R: Router> {
-    mesh: Mesh,
     router: R,
-    calendar: BTreeMap<u64, CalSlot>,
-    /// Alive flights in admission order (injections append, reaping
-    /// preserves order).
+    /// Packets to inject, per cycle in schedule-call order.
+    injections: BTreeMap<u64, Vec<Packet>>,
+    /// Node failures to land, per cycle in schedule-call order.
+    failures: BTreeMap<u64, Vec<Coord>>,
+    /// Alive flights in admission order (injections append, the pass
+    /// drops resolved flights in place).
     active: Vec<EvFlight>,
-    /// Resident-packet count per node (mesh index).
-    counts: Vec<u32>,
-    /// Nodes whose count rose since the last peak sample.
-    touched: Vec<usize>,
-    /// One claim bit per directed link, one plane per direction
-    /// (`Direction::index`), set at the link's source node.
-    claims: [BitGrid; 4],
-    /// This cycle's link winners: `(flight index, direction)`.
-    winners: Vec<(usize, Direction)>,
+    nodes: Occupancy,
+    /// One claim bit per directed link, bit [`Direction::index`] of the
+    /// link's source node.
+    claims: Vec<u8>,
+    /// The nodes whose links this cycle's pass claimed.
+    claimed: Vec<usize>,
     cycle: u64,
     report: SimReport,
 }
@@ -99,14 +245,13 @@ impl<R: Router> EventSim<R> {
     /// Creates an idle network.
     pub fn new(mesh: Mesh, router: R) -> EventSim<R> {
         EventSim {
-            mesh,
             router,
-            calendar: BTreeMap::new(),
+            injections: BTreeMap::new(),
+            failures: BTreeMap::new(),
             active: Vec::new(),
-            counts: vec![0; mesh.node_count()],
-            touched: Vec::new(),
-            claims: std::array::from_fn(|_| BitGrid::new(mesh)),
-            winners: Vec::new(),
+            nodes: Occupancy::new(mesh),
+            claims: vec![0; mesh.node_count()],
+            claimed: Vec::new(),
             cycle: 0,
             report: SimReport::default(),
         }
@@ -134,23 +279,21 @@ impl<R: Router> EventSim<R> {
     /// Panics if the packet's source is outside the mesh.
     pub fn inject(&mut self, packet: Packet, cycle: u64) {
         assert!(
-            self.mesh.contains(packet.source()),
+            self.nodes.mesh.contains(packet.source()),
             "source {} outside mesh",
             packet.source()
         );
         let at = cycle.max(self.cycle);
-        self.calendar.entry(at).or_default().inject.push(packet);
+        self.injections.entry(at).or_default().push(packet);
     }
 
-    /// Advances one cycle: inject due packets, sample queue peaks, route
-    /// all flights and claim their links, move the winners, deliver
-    /// arrivals.
+    /// Advances one cycle: inject due packets, sample queue peaks, then
+    /// one pass routes every flight, claims its link, and moves and
+    /// delivers the winners.
     pub fn step(&mut self) {
         self.inject_due();
-        self.sample_peak();
-        self.route_and_claim();
-        self.move_winners();
-        self.active.retain(|f| !f.dead);
+        self.nodes.sample(&mut self.report.peak_queue);
+        self.pass();
         self.cycle += 1;
         self.report.cycles = self.cycle;
     }
@@ -169,12 +312,14 @@ impl<R: Router> EventSim<R> {
 
     /// The shared run loop (see `NetSim::run_with`), plus the event-core
     /// speedup: when nothing is in flight the clock jumps straight to
-    /// the next calendar entry — the skipped cycles are exactly the
-    /// stepper's no-op cycles, so the final report is unchanged.
+    /// the earlier of the next injection and the next failure — the
+    /// skipped cycles are exactly the stepper's no-op cycles, so the
+    /// final report is unchanged.
     fn run_with(&mut self, max_cycles: u64, step: fn(&mut Self)) -> Result<SimReport, SimError> {
-        while !self.active.is_empty() || !self.calendar.is_empty() {
+        while !self.active.is_empty() || !self.injections.is_empty() || !self.failures.is_empty() {
             if self.active.is_empty() {
-                if let Some((&next, _)) = self.calendar.iter().next() {
+                let next_injection = self.injections.keys().next();
+                if let Some(&next) = next_injection.into_iter().chain(self.failures.keys()).min() {
                     if next > self.cycle {
                         self.cycle = next.min(max_cycles);
                         self.report.cycles = self.cycle;
@@ -192,150 +337,98 @@ impl<R: Router> EventSim<R> {
     }
 
     fn pending_packets(&self) -> usize {
-        self.calendar.values().map(|s| s.inject.len()).sum()
+        self.injections.values().map(Vec::len).sum()
     }
 
-    /// Pops every calendar entry due this cycle and places its packets.
+    /// How many hops a walk this cycle may take: up to the hop for the
+    /// cycle the next scheduled failure lands in (the one its snapshot
+    /// reads), at least one and at most [`ROUTE_HOPS`].
+    fn walk_limit(&self) -> usize {
+        self.failures.keys().next().map_or(ROUTE_HOPS, |&at| {
+            let cycles = at.saturating_sub(self.cycle).saturating_add(1);
+            usize::try_from(cycles).map_or(ROUTE_HOPS, |n| n.min(ROUTE_HOPS))
+        })
+    }
+
+    /// Pops every injection due this cycle and places its packets.
     fn inject_due(&mut self) {
-        while let Some(entry) = self.calendar.first_entry() {
+        while let Some(entry) = self.injections.first_entry() {
             if *entry.key() > self.cycle {
                 break;
             }
-            let slot = entry.remove();
-            debug_assert!(
-                slot.faults.is_empty(),
-                "due faults must be applied before injection"
-            );
-            for packet in slot.inject {
+            for packet in entry.remove() {
                 let at = packet.source();
-                let n = self.mesh.index_of(at);
-                self.counts[n] += 1;
-                self.touched.push(n);
-                self.active.push(EvFlight {
+                let node = self.nodes.mesh.index_of(at);
+                self.nodes.enter(node, self.report.peak_queue);
+                let mut flight = EvFlight {
                     at,
+                    node,
                     leg_source: at,
+                    target: packet.current_target(),
                     injected_at: self.cycle,
                     hops: 0,
-                    hop: None,
+                    route: Route::default(),
                     packet,
-                    dead: false,
-                });
+                };
                 // Source == destination delivers instantly.
-                self.try_deliver(self.active.len() - 1);
-            }
-        }
-    }
-
-    /// Occupancy peaks right after injection; only nodes whose count
-    /// rose since the previous sample can set a new maximum.
-    fn sample_peak(&mut self) {
-        for &n in &self.touched {
-            self.report.peak_queue = self.report.peak_queue.max(self.counts[n] as usize);
-        }
-        self.touched.clear();
-    }
-
-    /// Every alive flight claims the link of its hop, in admission (age)
-    /// order; the first flight to claim a link wins it. A flight asks its
-    /// router only when it keeps no hop: a router's answer depends on its
-    /// state and the question alone (see [`Router`]), so a flight that
-    /// lost its link last cycle reuses the answer the stepper asks for
-    /// again.
-    fn route_and_claim(&mut self) {
-        for i in 0..self.active.len() {
-            let f = &mut self.active[i];
-            if f.dead {
-                continue;
-            }
-            let Some(target) = f.packet.current_target() else {
-                // A target-less flight is already delivered; dropping it
-                // keeps the slab finite (mirrors the stepper).
-                self.fail_flight(i);
-                continue;
-            };
-            let hop = match f.hop {
-                Some(dir) => Ok(dir),
-                None => self.router.next_hop(f.leg_source, target, f.at),
-            };
-            match hop {
-                Ok(dir) => {
-                    f.hop = Some(dir);
-                    if !self.claims[dir.index()].test_and_set(f.at) {
-                        self.winners.push((i, dir));
-                    }
-                }
-                Err(e) => {
-                    self.report.count_error(e);
-                    self.fail_flight(i);
+                if !flight.try_deliver(self.cycle, &mut self.report, &mut self.nodes) {
+                    self.active.push(flight);
                 }
             }
         }
     }
 
-    /// Moves each link winner one hop and releases its claim bit.
-    fn move_winners(&mut self) {
-        let mut winners = std::mem::take(&mut self.winners);
-        for &(i, dir) in &winners {
-            let from = self.active[i].at;
-            self.claims[dir.index()].set(from, false);
-            let to = from.step(dir);
-            self.counts[self.mesh.index_of(from)] -= 1;
-            let nt = self.mesh.index_of(to);
-            self.counts[nt] += 1;
-            self.touched.push(nt);
-            let f = &mut self.active[i];
-            f.at = to;
+    /// The cycle's one pass over the alive flights, in admission (age)
+    /// order: each flight takes its route's front, walking first when it
+    /// holds none, and claims that link; the first flight to claim a link
+    /// wins it, moves at once and is delivered if it arrived. A router
+    /// answers from its state and the question alone (see [`Router`]), so
+    /// the hops a flight walked ahead are the answers the stepper gets
+    /// when it asks at each node.
+    fn pass(&mut self) {
+        let limit = self.walk_limit();
+        let mut walked = [Direction::East; ROUTE_HOPS];
+        let walked = &mut walked[..limit];
+        let EventSim {
+            router,
+            active,
+            nodes,
+            claims,
+            claimed,
+            cycle,
+            report,
+            ..
+        } = self;
+        active.retain_mut(|f| {
+            if f.route.front().is_none() {
+                // A target-less flight is already delivered: it walks
+                // nowhere and is dropped below, which keeps the slab
+                // finite (mirrors the stepper).
+                if let Some(e) = f.target.and_then(|target| f.walk(router, target, walked)) {
+                    report.count_error(e);
+                }
+            }
+            let Some(dir) = f.route.front() else {
+                f.fail(report, nodes);
+                return false;
+            };
+            let (claim, link) = (&mut claims[f.node], 1 << dir.index());
+            if *claim & link != 0 {
+                return true; // an older flight won the link
+            }
+            *claim |= link;
+            claimed.push(f.node);
+            f.route.pop();
+            nodes.leave(f.node);
+            f.at = f.at.step(dir);
+            f.node = nodes.next_node(f.node, dir);
             f.hops += 1;
-            f.hop = None;
-            self.try_deliver(i);
+            nodes.enter(f.node, report.peak_queue);
+            !f.try_deliver(*cycle, report, nodes)
+        });
+        for n in claimed.drain(..) {
+            claims[n] = 0;
         }
-        winners.clear();
-        self.winners = winners;
-    }
-
-    /// Checks whether flight `i` has reached its current waypoint or
-    /// destination (same accounting as the stepper's `try_deliver`).
-    fn try_deliver(&mut self, i: usize) {
-        let f = &mut self.active[i];
-        if f.dead {
-            return;
-        }
-        let Some(target) = f.packet.current_target() else {
-            return;
-        };
-        if f.at != target {
-            return;
-        }
-        if f.packet.arrive_at_target() {
-            // Final destination: a packet that moved arrives at the end
-            // of the current cycle; one delivered at its source costs 0.
-            let arrival = if f.hops == 0 {
-                f.injected_at
-            } else {
-                self.cycle + 1
-            };
-            self.report.delivered += 1;
-            self.report.total_hops += f.hops;
-            self.report.total_latency += arrival - f.injected_at;
-            self.report.total_manhattan += u64::from(f.packet.source().manhattan(f.packet.dest()));
-            f.dead = true;
-            let n = self.mesh.index_of(f.at);
-            self.counts[n] -= 1;
-        } else {
-            // Start the next leg from here.
-            f.leg_source = f.at;
-            f.hop = None;
-        }
-    }
-
-    /// Drops flight `i` as failed: off the node count now, reaped at
-    /// cycle end.
-    fn fail_flight(&mut self, i: usize) {
-        let f = &mut self.active[i];
-        f.dead = true;
-        self.report.failed += 1;
-        let n = self.mesh.index_of(f.at);
-        self.counts[n] -= 1;
     }
 }
 
@@ -354,9 +447,9 @@ impl<R: DynamicRouter> EventSim<R> {
     ///
     /// Panics if `c` lies outside the mesh.
     pub fn schedule_fault(&mut self, c: Coord, cycle: u64) {
-        assert!(self.mesh.contains(c), "fault {c} outside mesh");
+        assert!(self.nodes.mesh.contains(c), "fault {c} outside mesh");
         let at = cycle.max(self.cycle);
-        self.calendar.entry(at).or_default().faults.push(c);
+        self.failures.entry(at).or_default().push(c);
     }
 
     /// One cycle with dynamic faults: failures due this cycle land
@@ -377,15 +470,14 @@ impl<R: DynamicRouter> EventSim<R> {
         self.run_with(max_cycles, Self::step_dynamic)
     }
 
-    /// Takes every fault due this cycle out of the calendar, in
-    /// schedule order (calendar entries due now keep their injections).
+    /// Pops every failure due this cycle, in schedule order.
     fn take_due_faults(&mut self) -> Vec<Coord> {
         let mut due = Vec::new();
-        for (&when, slot) in &mut self.calendar {
-            if when > self.cycle {
+        while let Some(entry) = self.failures.first_entry() {
+            if *entry.key() > self.cycle {
                 break;
             }
-            due.append(&mut slot.faults);
+            due.append(&mut entry.remove());
         }
         due
     }
@@ -394,46 +486,35 @@ impl<R: DynamicRouter> EventSim<R> {
     /// accounting: routers absorb the faults, packets caught on
     /// swallowed nodes are dropped (`failed` + `fault_drops`),
     /// not-yet-injected packets whose source was swallowed likewise,
-    /// and surviving flights re-evaluate their next hop (`rerouted`
-    /// counts the ones whose hop actually changed).
+    /// and surviving flights walk again (`rerouted` counts the ones whose
+    /// next hop actually changed).
     fn apply_due_faults(&mut self) {
         let due = self.take_due_faults();
         if due.is_empty() {
             return;
         }
-        // Snapshot each alive flight's pre-fault hop choice: the hop it
-        // keeps, else a fresh answer. The failure drops every kept hop.
-        let mut before: Vec<(usize, Direction)> = Vec::new();
-        for (i, f) in self.active.iter_mut().enumerate() {
-            if f.dead {
-                continue;
-            }
-            let Some(target) = f.packet.current_target() else {
-                continue;
-            };
-            let hop = f
-                .hop
-                .take()
-                .or_else(|| self.router.next_hop(f.leg_source, target, f.at).ok());
-            if let Some(dir) = hop {
-                before.push((i, dir));
-            }
-        }
+        // Snapshot each flight's pre-fault hop: its route's front, else a
+        // fresh answer. The failure drops every route.
+        let router = &self.router;
+        let before: Vec<Option<Direction>> = self
+            .active
+            .iter_mut()
+            .map(|f| {
+                let route = std::mem::take(&mut f.route);
+                let target = f.target?;
+                route
+                    .front()
+                    .or_else(|| router.next_hop(f.leg_source, target, f.at).ok())
+            })
+            .collect();
         for c in due {
             self.router.fail_node(c);
             self.report.fault_events += 1;
         }
-        // Packets caught on nodes the fault swallowed are lost.
-        for i in 0..self.active.len() {
-            if !self.active[i].dead && self.router.is_node_blocked(self.active[i].at) {
-                self.fail_flight(i);
-                self.report.fault_drops += 1;
-            }
-        }
-        // Scheduled packets whose source was swallowed are lost too.
+        // Scheduled packets whose source was swallowed are lost.
         let (router, report) = (&self.router, &mut self.report);
-        for slot in self.calendar.values_mut() {
-            slot.inject.retain(|p| {
+        for packets in self.injections.values_mut() {
+            packets.retain(|p| {
                 if router.is_node_blocked(p.source()) {
                     report.failed += 1;
                     report.fault_drops += 1;
@@ -443,25 +524,35 @@ impl<R: DynamicRouter> EventSim<R> {
                 }
             });
         }
-        self.calendar
-            .retain(|_, s| !s.inject.is_empty() || !s.faults.is_empty());
-        // Survivors re-evaluate against the repaired information and keep
-        // the new hop: nothing changes the router again before they route.
-        for (i, old) in before {
-            let f = &mut self.active[i];
-            if f.dead {
-                continue;
+        self.injections.retain(|_, packets| !packets.is_empty());
+        // Packets caught on nodes the fault swallowed are lost too. The
+        // survivors walk again against the repaired information: nothing
+        // changes the router again before the next scheduled failure.
+        let mut walked = [Direction::East; ROUTE_HOPS];
+        let walked = &mut walked[..self.walk_limit()];
+        let EventSim {
+            router,
+            active,
+            nodes,
+            report,
+            ..
+        } = self;
+        let mut before = before.into_iter();
+        active.retain_mut(|f| {
+            let old = before.next().flatten();
+            if router.is_node_blocked(f.at) {
+                f.fail(report, nodes);
+                report.fault_drops += 1;
+                return false;
             }
-            let Some(target) = f.packet.current_target() else {
-                continue;
-            };
-            if let Ok(new) = self.router.next_hop(f.leg_source, target, f.at) {
-                if new != old {
-                    self.report.rerouted += 1;
+            if let (Some(old), Some(target)) = (old, f.target) {
+                f.walk(router, target, walked);
+                if f.route.front().is_some_and(|new| new != old) {
+                    report.rerouted += 1;
                 }
-                f.hop = Some(new);
             }
-        }
+            true
+        });
     }
 }
 
@@ -646,8 +737,8 @@ mod tests {
         let at: Vec<Coord> = sim.active.iter().map(|f| f.at).collect();
         assert_eq!(at, [Coord::new(3, 2), from, Coord::new(2, 3)]);
         assert!(
-            sim.claims.iter().all(|plane| plane.count_ones() == 0),
-            "moving the winners releases every claim"
+            sim.claims.iter().all(|&links| links == 0),
+            "the pass releases every claim"
         );
     }
 
@@ -685,8 +776,9 @@ mod tests {
     fn a_link_loser_asks_once_per_position() {
         // Four flights leave (0,0) East in cycle 0 and serialize on its
         // East link: flight k waits k cycles there. The stepper asks a
-        // waiting flight again every cycle; the event core reuses the hop
-        // it was given, so it asks each question once.
+        // waiting flight again every cycle; the event core walks each leg
+        // once and takes the hops it was given, so it asks each question
+        // once.
         let mesh = Mesh::square(10);
         let scenario = Scenario::build(FaultSet::new(mesh));
         let view = scenario.view(Model::FaultBlock);
@@ -721,11 +813,11 @@ mod tests {
     #[test]
     fn a_failure_makes_a_waiting_flight_ask_again() {
         // Three flights leave (2,0) East in cycle 0. The one for (9,0)
-        // wins the link; the ones for (9,3) and (6,0) wait on the hop they
-        // keep. Node (3,0) fails at the start of cycle 1 and swallows the
-        // winner. The waiting flights must ask again: the one for (9,3)
-        // reroutes North, and the one for (6,0), whose only preferred move
-        // is now closed, is `Stuck`.
+        // wins the link; the ones for (9,3) and (6,0) wait on the routes
+        // they walked. Node (3,0) fails at the start of cycle 1 and
+        // swallows the winner. The waiting flights must walk again: the
+        // one for (9,3) reroutes North, and the one for (6,0), whose only
+        // preferred move is now closed, is `Stuck`.
         let mesh = Mesh::square(10);
         let (stepper_log, event_log) = (Rc::default(), Rc::default());
         let counting = |asked: &Rc<_>| Counting {
@@ -748,9 +840,11 @@ mod tests {
             (r.delivered, r.fault_drops, r.rerouted, r.stuck, r.failed),
             (1, 1, 1, 1, 2)
         );
-        // The event core asked in cycle 0 and after the failure; the
-        // `Stuck` answer is not kept, so that flight asks once more when
-        // it routes. The stepper also asks for its snapshot and in cycle 1.
+        // The event core asked in its cycle-0 walks and in the walks after
+        // the failure; the snapshot read the routes' fronts. A walk that
+        // meets `Stuck` at once keeps nothing, so that flight asks once
+        // more when it routes. The stepper also asks for its snapshot and
+        // in cycle 1.
         assert_eq!(asked(&event_log, (9, 3), (2, 0)), 2);
         assert_eq!(asked(&event_log, (6, 0), (2, 0)), 3);
         assert_eq!(asked(&stepper_log, (9, 3), (2, 0)), 4);

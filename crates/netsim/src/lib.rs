@@ -9,8 +9,9 @@
 //!
 //! * [`Router`] — the per-hop routing function interface, implemented
 //!   by [`WuRouter`] (the paper's protocol, driven by boundary
-//!   information via [`emr_core::route::wu_step`]), [`OracleRouter`]
-//!   (global information), and the baselines below,
+//!   information via [`emr_core::route::wu_step`] and walked a leg at a
+//!   time via [`emr_core::route::wu_walk`]), [`OracleRouter`] (global
+//!   information), and the baselines below,
 //! * [`Workload`] — generated traffic, from one generator,
 //!   [`Workload::offered_load`]: a [`TrafficPattern`] (uniform /
 //!   transpose / hotspot) under an offered-load injection schedule,
@@ -19,10 +20,12 @@
 //!   minimal route, so an admitted subset of a batch never fails,
 //! * [`NetSim`] — the cycle-driven stepper: the pinned, cycle-accurate
 //!   ground truth,
-//! * [`EventSim`] — the event-driven core: a BTree-keyed event calendar
-//!   and one claim bit per directed link; report-identical to
-//!   [`NetSim`] (the `netsim-event-matches-cycle` oracle), and the core
-//!   that makes million-packet saturation runs finish in seconds,
+//! * [`EventSim`] — the event-driven core: BTree-keyed calendars of
+//!   injections and failures, routes each flight walks ahead to the next
+//!   failure, and one pass per cycle with one claim bit per directed
+//!   link; report-identical to [`NetSim`] (the
+//!   `netsim-event-matches-cycle` oracle), and the core that makes
+//!   million-packet saturation runs finish in seconds,
 //! * [`AdaptiveRouter`] — a Stroobant-style adaptive fault-tolerant
 //!   baseline (adaptive minimal hops + forced dimension-order detours
 //!   around fault rectangles), with [`XyRouter`] — classic

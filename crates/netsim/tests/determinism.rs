@@ -1,11 +1,12 @@
 //! The simulator must be a pure function of `(scenario seed, workload
 //! seed)`: rebuilding everything from the same seeds and re-running yields
 //! a bit-identical [`SimReport`]. The conformance harness's `netsim-hops`
-//! oracle and the benchmark sweeps both lean on this. Two reduced Wu runs
-//! also pin their full reports as literals, so a change to what the
-//! router decides shows even when both simulator cores change alike. A
-//! congested replay checks the two cores agree when failures land on
-//! flights waiting on lost links.
+//! oracle and the benchmark sweeps both lean on this. Three Wu runs also
+//! pin their full reports as literals, so a change to what the router
+//! decides shows even when both simulator cores change alike. Two
+//! replays check the cores agree when failures land on flights that
+//! hold walked routes: a congested one, and one whose failures are
+//! scheduled mid-run, inside routes already walked past them.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -152,6 +153,48 @@ fn epoched_wu_episode_report_is_pinned() {
     assert_eq!(evented, Ok(expected), "event core");
 }
 
+/// A netsim-wu-shaped episode on the event core alone: 128×128, 128
+/// static faults, 16 failures spread over the injection window, 30,000
+/// uniform packets at 0.01 packets per node per cycle, routed by
+/// `EpochedWuRouter` under the block model. Its legs run up to 254 hops,
+/// many routes' worth, and its failures land on thousands of flights in
+/// flight, a shape the 48×48 episode above does not reach.
+#[test]
+fn netsim_wu_episode_report_is_pinned() {
+    let expected = SimReport {
+        delivered: 29732,
+        failed: 268,
+        total_hops: 2540391,
+        total_latency: 2805873,
+        total_manhattan: 2540391,
+        peak_queue: 41,
+        cycles: 430,
+        fault_events: 16,
+        fault_drops: 37,
+        rerouted: 8,
+        stuck: 231,
+        conflict: 0,
+    };
+    let mesh = Mesh::square(128);
+    let mut rng = StdRng::seed_from_u64(0x5eed_0128);
+    let state = ScenarioState::new(inject::uniform(mesh, 128, &[], &mut rng));
+    let load = Workload::offered_load(
+        state.scenario(),
+        TrafficPattern::Uniform,
+        30_000,
+        0.01,
+        &mut rng,
+    );
+    let window = load.packets().last().map_or(1, |&(c, _)| c.max(1));
+    let mut event = EventSim::new(mesh, EpochedWuRouter::new(state, Model::FaultBlock));
+    load.inject_into(&mut event);
+    for j in 1..=16u64 {
+        let c = Coord::new(rng.gen_range(0..128), rng.gen_range(0..128));
+        event.schedule_fault(c, window * j / 17);
+    }
+    assert_eq!(event.run_dynamic_to_completion(10_000_000), Ok(expected));
+}
+
 /// A static `WuRouter` run under the MCC model on the same shape, pinned.
 #[test]
 fn static_wu_mcc_report_is_pinned() {
@@ -179,12 +222,13 @@ fn static_wu_mcc_report_is_pinned() {
     assert_eq!(sim.run_to_completion(1_000_000), Ok(expected));
 }
 
-/// The questions a router answered, and how many it had answered when
-/// each failure reached it.
+/// The single questions a router answered, how many it had answered
+/// when each failure reached it, and the buffer length of each walk.
 #[derive(Debug, Default)]
 struct Questions {
     asked: usize,
     at_failure: Vec<usize>,
+    walks: Vec<usize>,
 }
 
 /// A dynamic router that logs into [`Questions`].
@@ -197,6 +241,17 @@ impl<R: Router> Router for Logged<R> {
     fn next_hop(&self, s: Coord, t: Coord, u: Coord) -> Result<Direction, RouteError> {
         self.log.borrow_mut().asked += 1;
         self.inner.next_hop(s, t, u)
+    }
+
+    fn next_hops(
+        &self,
+        s: Coord,
+        t: Coord,
+        u: Coord,
+        hops: &mut [Direction],
+    ) -> (usize, Option<RouteError>) {
+        self.log.borrow_mut().walks.push(hops.len());
+        self.inner.next_hops(s, t, u, hops)
     }
 }
 
@@ -213,12 +268,14 @@ impl<R: DynamicRouter> DynamicRouter for Logged<R> {
     }
 }
 
-/// A congested episode whose failures land on flights waiting on lost
-/// links: 20×20 with 8 static faults, 4,000 hotspot packets at 0.1
-/// packets per node per cycle, and 24 failures over the injection
-/// window. The event core keeps a waiting flight's hop, and a failure
-/// must make the flight ask again; the stepper asks every flight every
-/// cycle. The reports must agree, and the replay must hold such waits.
+/// A congested episode whose failures land on flights that hold walked
+/// routes, many of them waiting on lost links: 20×20 with 8 static
+/// faults, 4,000 hotspot packets at 0.1 packets per node per cycle, and
+/// 24 failures over the injection window. The event core keeps the hops
+/// a flight walked ahead until it takes them, and a failure must drop
+/// them and make the flight walk again; the stepper asks every flight
+/// every cycle. The reports must agree, and the failures must land on
+/// such routes.
 #[test]
 fn failures_landing_on_waiting_flights_match_the_stepper() {
     let mesh = Mesh::square(20);
@@ -253,10 +310,10 @@ fn failures_landing_on_waiting_flights_match_the_stepper() {
         event.schedule_fault(c, at);
     }
     // Step the event core through the last failure. Before a failure
-    // lands, the event core asks every alive flight that keeps no hop;
-    // the alive flights it did not ask are waiting on a lost link.
+    // lands, the event core asks a single question of every alive flight
+    // whose route is spent; the alive flights it did not ask hold one.
     let last = faults.iter().map(|&(_, at)| at).max().unwrap_or(0);
-    let mut waiting = 0;
+    let mut held = 0;
     while event.cycle() <= last {
         let alive = event.in_flight();
         let (asked, failures) = {
@@ -265,18 +322,105 @@ fn failures_landing_on_waiting_flights_match_the_stepper() {
         };
         event.step_dynamic();
         if let Some(&at) = log.borrow().at_failure.get(failures) {
-            waiting += alive - (at - asked);
+            held += alive - (at - asked);
         }
     }
     let evented = event.run_dynamic_to_completion(1_000_000);
     let stepped = stepper.run_dynamic_to_completion(1_000_000);
     assert_eq!(evented, stepped);
-    // 10,004 waits over the 24 failures. An event core that keeps a
-    // waiting flight's hop across a failure reports 17 reroutes instead
-    // of 45 here, and 6 fewer deliveries.
-    assert!(
-        waiting >= 5_000,
-        "{waiting} flights waiting as failures landed"
-    );
+    // 19,420 routes held over the 24 failures. An event core that keeps
+    // routes across a failure reports no reroutes instead of 45 here.
+    assert!(held >= 15_000, "{held} routes held as failures landed");
     assert_eq!(stepped.map(|r| r.fault_events), Ok(24));
+}
+
+/// Failures scheduled between `step_dynamic` calls, each a few cycles
+/// ahead, land inside routes flights walked before the failure was
+/// known: 32×32 with 16 static faults and 4,000 uniform packets at 0.02
+/// packets per node per cycle, and a failure scheduled every 12 cycles of
+/// the injection window. The reports must equal the stepper's after
+/// every cycle. The walks show the limit at work: 32 hops while no
+/// failure is pending, and with one pending, up to the hop for the cycle
+/// it lands in.
+#[test]
+fn failures_scheduled_mid_run_match_the_stepper() {
+    const AHEAD: u64 = 3;
+    let mesh = Mesh::square(32);
+    let mut rng = StdRng::seed_from_u64(0x5eed_0032);
+    let state = ScenarioState::new(inject::uniform(mesh, 16, &[], &mut rng));
+    let load = Workload::offered_load(
+        state.scenario(),
+        TrafficPattern::Uniform,
+        4_000,
+        0.02,
+        &mut rng,
+    );
+    let window = load.packets().last().map_or(1, |&(c, _)| c.max(1));
+    let router = EpochedWuRouter::new(state, Model::FaultBlock);
+    let log = Rc::new(RefCell::new(Questions::default()));
+    let mut stepper = NetSim::new(mesh, router.clone());
+    let mut event = EventSim::new(
+        mesh,
+        Logged {
+            inner: router,
+            log: Rc::clone(&log),
+        },
+    );
+    load.inject_into(&mut stepper);
+    load.inject_into(&mut event);
+    // Routes held as failures landed, failures scheduled, and walks seen
+    // with no failure pending.
+    let (mut held, mut scheduled, mut open_walks) = (0, 0u64, 0);
+    let mut pending: Option<u64> = None;
+    while event.cycle() < window {
+        let cycle = event.cycle();
+        if pending.is_none() && cycle % 12 == 5 {
+            let c = Coord::new(rng.gen_range(0..32), rng.gen_range(0..32));
+            stepper.schedule_fault(c, cycle + AHEAD);
+            event.schedule_fault(c, cycle + AHEAD);
+            pending = Some(cycle + AHEAD);
+            scheduled += 1;
+        }
+        let alive = event.in_flight();
+        let (asked, failures, walks) = {
+            let log = log.borrow();
+            (log.asked, log.at_failure.len(), log.walks.len())
+        };
+        stepper.step_dynamic();
+        event.step_dynamic();
+        assert_eq!(stepper.report(), event.report(), "cycle {cycle}");
+        let log = log.borrow();
+        if let Some(&at) = log.at_failure.get(failures) {
+            held += alive - (at - asked);
+        }
+        match pending {
+            // The cycle the failure lands in: the survivors and the pass
+            // walk with no failure pending.
+            Some(at) if at == cycle => pending = None,
+            Some(at) => {
+                let limit = usize::try_from(at - cycle + 1).unwrap_or(usize::MAX);
+                let walked = &log.walks[walks..];
+                assert!(walked.iter().all(|&len| len == limit), "cycle {cycle}");
+            }
+            None => {
+                let walked = &log.walks[walks..];
+                assert!(walked.iter().all(|&len| len == 32), "cycle {cycle}");
+                open_walks += walked.len();
+            }
+        }
+    }
+    let evented = event.run_dynamic_to_completion(1_000_000);
+    let stepped = stepper.run_dynamic_to_completion(1_000_000);
+    assert_eq!(evented, stepped);
+    let r = stepped.expect("the run completes");
+    // 16 failures landed on 6,560 held routes and rerouted 8 flights;
+    // 2,715 walks took 32 hops with no failure pending.
+    println!("{held} routes held, {open_walks} open walks, {r:?}");
+    assert_eq!(r.fault_events, scheduled);
+    assert!(r.rerouted >= 4, "{} reroutes", r.rerouted);
+    assert!(held >= 5_000, "{held} routes held as failures landed");
+    assert!(
+        open_walks >= 2_000,
+        "{open_walks} walks with no failure pending"
+    );
 }
