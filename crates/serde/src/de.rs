@@ -1,4 +1,12 @@
 //! The JSON pull parser every [`Deserialize`] impl reads from.
+//!
+//! The per-token methods are `#[inline]`: the derived impls live in the
+//! crates that derive them, so without it each token would be an
+//! out-of-line call across a crate boundary. [`Deserializer::number`]
+//! sums an integer's digits while it scans them, and a derived struct
+//! first tries its keys in declared order with
+//! [`MapAccess::key_literal`], the order the writer emits them in,
+//! before it matches the rest by name.
 
 pub use crate::{Deserialize, Error};
 
@@ -26,6 +34,7 @@ pub struct Deserializer<'a> {
 
 impl<'a> Deserializer<'a> {
     /// A parser positioned at the start of `src`.
+    #[inline]
     pub fn new(src: &'a str) -> Deserializer<'a> {
         Deserializer {
             src,
@@ -35,6 +44,7 @@ impl<'a> Deserializer<'a> {
     }
 
     /// Checks that only whitespace follows the parsed value.
+    #[inline]
     pub fn end(&mut self) -> Result<(), Error> {
         self.skip_ws();
         if self.pos == self.src.len() {
@@ -44,13 +54,13 @@ impl<'a> Deserializer<'a> {
         }
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.src.as_bytes().get(self.pos) {
-            self.pos += 1;
-        }
+        self.pos = skip_ws_from(self.src.as_bytes(), self.pos);
     }
 
     /// The next non-whitespace byte, without consuming it.
+    #[inline]
     pub fn peek(&mut self) -> Result<u8, Error> {
         self.skip_ws();
         self.src
@@ -60,6 +70,7 @@ impl<'a> Deserializer<'a> {
             .ok_or_else(|| Error::custom("unexpected end of JSON input"))
     }
 
+    #[inline]
     fn expect(&mut self, b: u8) -> Result<(), Error> {
         if self.peek()? == b {
             self.pos += 1;
@@ -72,6 +83,7 @@ impl<'a> Deserializer<'a> {
         }
     }
 
+    #[inline]
     fn keyword(&mut self, word: &str) -> Result<(), Error> {
         if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
@@ -85,6 +97,7 @@ impl<'a> Deserializer<'a> {
     }
 
     /// Consumes a `null` if one comes next, and says whether it did.
+    #[inline]
     pub fn null(&mut self) -> Result<bool, Error> {
         if self.peek()? == b'n' {
             self.keyword("null")?;
@@ -95,6 +108,7 @@ impl<'a> Deserializer<'a> {
     }
 
     /// Reads a boolean.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, Error> {
         match self.peek()? {
             b't' => self.keyword("true").map(|()| true),
@@ -105,17 +119,31 @@ impl<'a> Deserializer<'a> {
 
     /// Reads a number as [`Value::Int`] when it is integral and fits,
     /// else [`Value::UInt`], else [`Value::Float`].
+    ///
+    /// An integer's digits are summed with checked arithmetic while they
+    /// are scanned. A fraction, an exponent, a sign inside the number,
+    /// and a magnitude above `u64::MAX` or below −2^63 go to
+    /// `str::parse::<f64>`, so the answers and errors are those of
+    /// parsing the text as `i64`, then `u64`, then `f64`.
+    #[inline]
     pub fn number(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         let bytes = self.src.as_bytes();
         let start = self.pos;
-        if bytes.get(self.pos) == Some(&b'-') {
+        let negative = bytes.get(self.pos) == Some(&b'-');
+        if negative {
             self.pos += 1;
         }
         let mut is_float = false;
+        // The digits read so far; `None` once they pass `u64::MAX`.
+        let mut magnitude = Some(0u64);
         while let Some(&b) = bytes.get(self.pos) {
             match b {
-                b'0'..=b'9' => {}
+                b'0'..=b'9' => {
+                    magnitude = magnitude
+                        .and_then(|m| m.checked_mul(10))
+                        .and_then(|m| m.checked_add(u64::from(b - b'0')));
+                }
                 b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
                 _ => break,
             }
@@ -125,12 +153,14 @@ impl<'a> Deserializer<'a> {
         if text.is_empty() || text == "-" {
             return Err(Error::custom(format!("expected number at byte {start}")));
         }
-        if !is_float {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Int(i));
-            }
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::UInt(u));
+        if let (false, Some(m)) = (is_float, magnitude) {
+            let int = if negative {
+                0i64.checked_sub_unsigned(m).map(Value::Int)
+            } else {
+                Some(i64::try_from(m).map_or(Value::UInt(m), Value::Int))
+            };
+            if let Some(int) = int {
+                return Ok(int);
             }
         }
         text.parse::<f64>()
@@ -139,6 +169,7 @@ impl<'a> Deserializer<'a> {
     }
 
     /// Reads a string: borrowed from the input unless it holds escapes.
+    #[inline]
     pub fn str(&mut self) -> Result<Cow<'a, str>, Error> {
         self.expect(b'"')?;
         let bytes = self.src.as_bytes();
@@ -199,6 +230,7 @@ impl<'a> Deserializer<'a> {
     }
 
     /// Opens a sequence; read its elements through the returned handle.
+    #[inline]
     pub fn seq(&mut self) -> Result<SeqAccess<'_, 'a>, Error> {
         self.open(b'[')?;
         Ok(SeqAccess {
@@ -208,6 +240,7 @@ impl<'a> Deserializer<'a> {
     }
 
     /// Opens a map; read its entries through the returned handle.
+    #[inline]
     pub fn map(&mut self) -> Result<MapAccess<'_, 'a>, Error> {
         self.open(b'{')?;
         Ok(MapAccess {
@@ -216,6 +249,7 @@ impl<'a> Deserializer<'a> {
         })
     }
 
+    #[inline]
     fn open(&mut self, bracket: u8) -> Result<(), Error> {
         self.expect(bracket)?;
         self.depth += 1;
@@ -231,6 +265,7 @@ impl<'a> Deserializer<'a> {
     /// Steps past the separator before an element or entry. Returns
     /// `false`, having consumed the closing `bracket`, when the
     /// container ends instead.
+    #[inline]
     fn item(&mut self, first: &mut bool, bracket: u8) -> Result<bool, Error> {
         let b = self.peek()?;
         if b == bracket {
@@ -252,6 +287,15 @@ impl<'a> Deserializer<'a> {
     }
 }
 
+/// The position of the first non-whitespace byte at or after `at`.
+#[inline]
+fn skip_ws_from(bytes: &[u8], mut at: usize) -> usize {
+    while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(at) {
+        at += 1;
+    }
+    at
+}
+
 /// An open sequence (see [`Deserializer::seq`]).
 pub struct SeqAccess<'d, 'a> {
     de: &'d mut Deserializer<'a>,
@@ -260,6 +304,7 @@ pub struct SeqAccess<'d, 'a> {
 
 impl SeqAccess<'_, '_> {
     /// The next element, or `None` once the sequence has closed.
+    #[inline]
     pub fn element<T: Deserialize>(&mut self) -> Result<Option<T>, Error> {
         if self.de.item(&mut self.first, b']')? {
             T::deserialize(self.de).map(Some)
@@ -269,6 +314,7 @@ impl SeqAccess<'_, '_> {
     }
 
     /// Closes a sequence whose elements have all been read.
+    #[inline]
     pub fn end(mut self) -> Result<(), Error> {
         if self.de.item(&mut self.first, b']')? {
             Err(Error::custom("sequence has too many elements"))
@@ -287,6 +333,7 @@ pub struct MapAccess<'d, 'a> {
 impl<'a> MapAccess<'_, 'a> {
     /// The next key, or `None` once the map has closed. Read or skip its
     /// value before asking for the next key.
+    #[inline]
     pub fn key(&mut self) -> Result<Option<Cow<'a, str>>, Error> {
         if !self.de.item(&mut self.first, b'}')? {
             return Ok(None);
@@ -296,12 +343,51 @@ impl<'a> MapAccess<'_, 'a> {
         Ok(Some(key))
     }
 
+    /// Consumes the next key if its bytes equal `quoted`, and says
+    /// whether it did. A hit consumes the `,` before the key (unless it
+    /// is the first), the key and its `:`; a miss consumes nothing, so
+    /// [`Self::key`] then reads the same key, or reports the same error,
+    /// as it would have without this call.
+    ///
+    /// For the derive, which tries a struct's keys in declared order,
+    /// the order its writer emits them in, before it matches the rest of
+    /// the map by name. The caller guarantees that `quoted` is one JSON
+    /// string token: a `"`, a key with nothing to escape, and a closing
+    /// `"`. So byte equality is key equality, and an escaped spelling of
+    /// the same key is a miss that [`Self::key`] reads.
+    #[inline]
+    pub fn key_literal(&mut self, quoted: &'static str) -> bool {
+        let bytes = self.de.src.as_bytes();
+        let mut at = skip_ws_from(bytes, self.de.pos);
+        if !self.first {
+            if bytes.get(at) != Some(&b',') {
+                return false;
+            }
+            at = skip_ws_from(bytes, at + 1);
+        }
+        if !bytes
+            .get(at..)
+            .is_some_and(|rest| rest.starts_with(quoted.as_bytes()))
+        {
+            return false;
+        }
+        at = skip_ws_from(bytes, at + quoted.len());
+        if bytes.get(at) != Some(&b':') {
+            return false;
+        }
+        self.de.pos = at + 1;
+        self.first = false;
+        true
+    }
+
     /// The value of the key just read.
+    #[inline]
     pub fn value<T: Deserialize>(&mut self) -> Result<T, Error> {
         T::deserialize(self.de)
     }
 
     /// Parses and discards the value of the key just read.
+    #[inline]
     pub fn skip_value(&mut self) -> Result<(), Error> {
         Value::deserialize(self.de).map(drop)
     }

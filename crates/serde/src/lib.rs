@@ -13,6 +13,15 @@
 //! serde's externally-tagged default (`"Variant"` for unit variants,
 //! `{"Variant": payload}` otherwise), so the JSON artifacts look like
 //! upstream serde's.
+//!
+//! The codec is fast on the layout it writes itself, without a byte of
+//! that layout depending on it. The writer's and parser's per-token
+//! methods are `#[inline]`, so the derived impls in other crates compile
+//! them in place; integers are written and read digit by digit, without
+//! `fmt` or `str::parse`; the derive writes keys and unit-variant tags as
+//! literals it has already quoted; and a derived struct reads its keys in
+//! declared order before it falls back to matching them by name, so any
+//! other key order still reads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -243,10 +243,18 @@ fn binders(arity: usize) -> String {
     (0..arity).map(|i| format!("f{i}, ")).collect()
 }
 
+/// `name` as the Rust literal of its JSON string token, quotes included:
+/// `mesh` becomes `"\"mesh\""`. Field and variant names are
+/// identifiers, so they hold nothing JSON escapes.
+fn quoted(name: &str) -> String {
+    format!("{:?}", format!("\"{name}\""))
+}
+
 /// Structs write a map keyed by field name, tuple structs a sequence (a
 /// one-field tuple struct writes its field alone), and enum variants are
 /// externally tagged: `"Unit"` or `{"Variant": payload}`, where a payload
-/// of several fields is a sequence. Keys and tags are string literals.
+/// of several fields is a sequence. Keys and tags are written as
+/// literals with their quotes already in place ([`quoted`]).
 fn gen_serialize(item: &Item) -> String {
     let (impl_generics, ty) = impl_header(item, "::serde::Serialize");
     let name = &item.name;
@@ -254,7 +262,7 @@ fn gen_serialize(item: &Item) -> String {
         Kind::NamedStruct(fields) => {
             let writes: String = fields
                 .iter()
-                .map(|f| format!("map.field({f:?}, &self.{f});\n"))
+                .map(|f| format!("map.field_literal({}, &self.{f});\n", quoted(f)))
                 .collect();
             format!("let mut map = out.map();\n{writes}map.end();")
         }
@@ -274,12 +282,13 @@ fn gen_serialize(item: &Item) -> String {
                     } else {
                         format!("&({b})")
                     };
+                    let tag = quoted(vn);
                     if v.arity == 0 {
-                        format!("{name}::{vn} => out.str({vn:?}),\n")
+                        format!("{name}::{vn} => out.str_literal({tag}),\n")
                     } else {
                         format!(
                             "{name}::{vn}({b}) => {{\nlet mut map = out.map();\n\
-                             map.field({vn:?}, {payload});\nmap.end();\n}}\n"
+                             map.field_literal({tag}, {payload});\nmap.end();\n}}\n"
                         )
                     }
                 })
@@ -294,9 +303,14 @@ fn gen_serialize(item: &Item) -> String {
     )
 }
 
-/// The reader for [`gen_serialize`]'s layout. Struct fields match by name
-/// in any order: unknown keys are skipped, the first occurrence of a key
-/// wins, and a missing field is an error.
+/// The reader for [`gen_serialize`]'s layout. A struct first reads its
+/// keys in declared order, the order [`gen_serialize`] writes them in,
+/// for as long as each next key's bytes equal its quoted name. At the
+/// first miss, which consumes nothing, it matches the rest of the map by
+/// name, in any order: unknown keys are skipped, the first occurrence of
+/// a key wins, and a missing field is an error. So the text this
+/// workspace writes never reaches the by-name loop, and any other text
+/// reads as it would by name alone.
 fn gen_deserialize(item: &Item) -> String {
     let (impl_generics, ty) = impl_header(item, "::serde::Deserialize");
     let name = &item.name;
@@ -318,8 +332,24 @@ fn gen_deserialize(item: &Item) -> String {
                     format!("{f}: f{i}.ok_or_else(|| ::serde::Error::custom({missing:?}))?,\n")
                 })
                 .collect();
+            let in_order: String = fields
+                .iter()
+                .enumerate()
+                .map(|(i, f)| {
+                    format!(
+                        "if !map.key_literal({}) {{\nbreak 'declared;\n}}\nf{i} = Some(map.value()?);\n",
+                        quoted(f)
+                    )
+                })
+                .collect();
+            let in_order = if fields.is_empty() {
+                String::new()
+            } else {
+                format!("'declared: {{\n{in_order}}}\n")
+            };
             format!(
                 "{slots}let mut map = de.map()?;\n\
+                 {in_order}\
                  while let Some(key) = map.key()? {{\n\
                      match &*key {{\n{arms}_ => map.skip_value()?,\n}}\n\
                  }}\n\

@@ -242,6 +242,9 @@ pub enum ServeError {
     EpochNotRetained(EpochWindow),
     /// A coordinate outside the tenant's mesh.
     OffMesh(Coord),
+    /// A request batch that does not decode, with the parser's message.
+    /// It answers the whole batch as a one-element batch.
+    Malformed(String),
 }
 
 /// The retention window reported with [`ServeError::EpochNotRetained`].
@@ -271,6 +274,7 @@ impl std::fmt::Display for ServeError {
                 w.requested, w.oldest, w.latest
             ),
             ServeError::OffMesh(c) => write!(f, "coordinate {c} outside the mesh"),
+            ServeError::Malformed(msg) => write!(f, "malformed request batch: {msg}"),
         }
     }
 }

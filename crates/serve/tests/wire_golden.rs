@@ -313,3 +313,20 @@ fn pretty_record_bytes_are_pinned() {
     let pretty = serde_json::to_string_pretty(&record).unwrap();
     assert_eq!(pretty, RECORD_PRETTY);
 }
+
+#[test]
+fn malformed_batch_answer_bytes_are_pinned() {
+    let store = emr_serve::Store::new(emr_serve::StoreConfig::default());
+    let client = emr_serve::LoopbackClient::new(std::sync::Arc::new(store));
+    let wire = client.send_encoded(r#"[{"Advance":{"mesh":"m"}} {"Stats":{"mesh":"m"}}]"#);
+    assert_eq!(
+        wire,
+        r#"[{"Error":{"Malformed":"expected `,` or `]` at byte 26"}}]"#
+    );
+    let error = ServeError::Malformed("expected `,` or `]` at byte 26".to_string());
+    assert_eq!(
+        error.to_string(),
+        "malformed request batch: expected `,` or `]` at byte 26"
+    );
+    assert_eq!(loopback::decode(&wire), vec![Response::Error(error)]);
+}

@@ -156,3 +156,29 @@ fn nesting_past_the_depth_cap_is_a_typed_error() {
         })]
     );
 }
+
+#[test]
+fn undecodable_request_wires_are_answered_malformed() {
+    let store = emr_serve::Store::new(emr_serve::StoreConfig::default());
+    let client = emr_serve::LoopbackClient::new(std::sync::Arc::new(store));
+    let wire = request_wire();
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let truncations = (0..wire.len()).map(|end| wire.as_bytes()[..end].to_vec());
+    let mutations = (0..6000).map(|_| mutate(&mut rng, wire.as_bytes()));
+    let mut malformed = 0;
+    for bytes in truncations.chain(mutations) {
+        let text = String::from_utf8_lossy(&bytes);
+        let answer = catch_unwind(AssertUnwindSafe(|| client.send_encoded(&text)))
+            .unwrap_or_else(|_| panic!("send_encoded panicked on {text:?}"));
+        let answer: Vec<Response> = serde_json::from_str(&answer).unwrap();
+        match serde_json::from_str::<Vec<Request>>(&text) {
+            Ok(batch) => assert_eq!(answer.len(), batch.len(), "{text:?}"),
+            Err(e) => {
+                malformed += 1;
+                let expected = Response::Error(ServeError::Malformed(e.to_string()));
+                assert_eq!(answer, vec![expected], "{text:?}");
+            }
+        }
+    }
+    assert!(malformed > wire.len(), "{malformed} texts failed to decode");
+}
