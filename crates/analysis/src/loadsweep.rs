@@ -15,7 +15,11 @@
 //!
 //! Trials optionally inject node failures *mid-flight*
 //! ([`LoadSweepConfig::midflight_faults`]), staggered across the
-//! injection window, through each core's fault calendar.
+//! injection window, through each core's fault calendar. The routers
+//! absorb a failure differently ([`DynamicRouter::is_node_blocked`]):
+//! Wu re-forms the faulty blocks, XY and adaptive mark the failed node
+//! alone, so after a failure that merges blocks they route over
+//! different networks.
 //!
 //! Parallelism and determinism follow [`crate::sweep`] exactly: the
 //! trials run on the trial pool ([`crate::pool()`]) in fixed chunks of
@@ -29,8 +33,7 @@ use emr_core::{Model, Scenario, ScenarioState};
 use emr_fault::inject;
 use emr_mesh::{Coord, Mesh};
 use emr_netsim::{
-    AdaptiveRouter, DynamicRouter, EpochedWuRouter, EventSim, Router, TrafficPattern, Workload,
-    XyRouter,
+    AdaptiveRouter, DynamicRouter, EpochedWuRouter, EventSim, TrafficPattern, Workload, XyRouter,
 };
 
 use crate::stats::Summary;
@@ -205,7 +208,7 @@ fn run_trial(cfg: &LoadSweepConfig, point: usize, trial: u32) -> Vec<RouterSampl
 /// Replays one workload (and one mid-flight fault schedule) through one
 /// router on the event core. Budget-exceeded runs report what resolved
 /// before the budget; the unresolved remainder counts as failed.
-fn replay<R: Router + DynamicRouter>(
+fn replay<R: DynamicRouter>(
     cfg: &LoadSweepConfig,
     scenario: &Scenario,
     load: &Workload,

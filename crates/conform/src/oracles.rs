@@ -37,8 +37,8 @@ use emr_fault::{
 };
 use emr_mesh::{BitGrid, Coord, Direction, Frame, Grid, Mesh, Rect};
 use emr_netsim::{
-    AdaptiveRouter, EpochedWuRouter, EventSim, NetSim, Packet, Router, TrafficPattern, Workload,
-    WuRouter, XyRouter,
+    AdaptiveRouter, DynamicRouter, EpochedWuRouter, EventSim, NetSim, OracleRouter, Packet,
+    TrafficPattern, Workload, XyRouter,
 };
 use emr_serve::api::{
     AdvanceEpoch, InjectFault, ReachQuery, RegisterMesh, Request, Response, RouteQuery,
@@ -168,8 +168,9 @@ pub const ORACLES: &[Oracle] = &[
         claim: "the event-driven network core produces bit-identical \
                 reports (delivered, failed, hops, latency, peaks, cycles, \
                 fault accounting) to the cycle-accurate stepper on seeded \
-                direct workloads, on strategy-4 two-phase packets under \
-                both fault models, and with scheduled mid-flight faults \
+                direct workloads through every router, through Wu and \
+                the oracle also with scheduled mid-flight faults, and on \
+                strategy-4 two-phase packets under both fault models \
                 (ground truth: NetSim)",
         check: o_event_matches_cycle,
     },
@@ -997,8 +998,8 @@ fn o_distsim_matches(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation> {
 }
 
 fn o_netsim_hops(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation> {
-    let sc = spec.scenario();
-    let view = sc.view(Model::FaultBlock);
+    let state = ScenarioState::new(spec.fault_set());
+    let view = state.scenario().view(Model::FaultBlock);
     let planned: Vec<Packet> = spec
         .pairs
         .iter()
@@ -1007,13 +1008,13 @@ fn o_netsim_hops(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation> {
     if planned.is_empty() {
         return Vec::new();
     }
-    let mut sim = NetSim::new(spec.mesh(), WuRouter::new(&view));
+    let mut sim = NetSim::new(spec.mesh(), EpochedWuRouter::new(state, Model::FaultBlock));
     let mut expected_hops = 0u64;
     for (i, packet) in planned.iter().enumerate() {
         expected_hops += u64::from(packet.source().manhattan(packet.dest()));
         sim.inject(packet.clone(), i as u64);
     }
-    let report = match sim.run_to_completion(100_000) {
+    let report = match sim.run_dynamic_to_completion(100_000) {
         Ok(r) => r,
         Err(e) => {
             return vec![violation(
@@ -1046,11 +1047,13 @@ fn o_netsim_hops(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation> {
     out
 }
 
-/// Replays `(cycle, packet)` traffic through both execution cores and
-/// compares the full run outcome (`Result<SimReport, SimError>`).
-fn event_cycle_compare<R: Router + Clone>(
+/// Replays `(cycle, packet)` traffic and a failure calendar of
+/// `(node, cycle)` through both execution cores and compares the full run
+/// outcome (`Result<SimReport, SimError>`).
+fn event_cycle_compare<R: DynamicRouter + Clone>(
     mesh: Mesh,
     traffic: &[(u64, Packet)],
+    faults: &[(Coord, u64)],
     router: &R,
     which: &str,
     out: &mut Vec<Violation>,
@@ -1061,8 +1064,12 @@ fn event_cycle_compare<R: Router + Clone>(
         stepper.inject(packet.clone(), *cycle);
         event.inject(packet.clone(), *cycle);
     }
-    let a = stepper.run_to_completion(200_000);
-    let b = event.run_to_completion(200_000);
+    for &(c, at) in faults {
+        stepper.schedule_fault(c, at);
+        event.schedule_fault(c, at);
+    }
+    let a = stepper.run_dynamic_to_completion(200_000);
+    let b = event.run_dynamic_to_completion(200_000);
     if a != b {
         out.push(violation(
             "netsim-event-matches-cycle",
@@ -1073,29 +1080,44 @@ fn event_cycle_compare<R: Router + Clone>(
 
 fn o_event_matches_cycle(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation> {
     let mut out = Vec::new();
-    let sc = spec.scenario();
+    let state = ScenarioState::new(spec.fault_set());
+    let sc = state.scenario();
     let mesh = spec.mesh();
     let open = mesh.nodes().filter(|&c| !sc.blocks().is_blocked(c)).count();
     if open < 2 {
         return out; // no legal traffic endpoints
     }
 
-    // Static replay: raw uniform traffic (failures included) through the
-    // three per-hop routers.
+    // Raw uniform traffic (failures included) through the four per-hop
+    // routers. Wu and the oracle replay it twice, with no failure
+    // scheduled and with three failures landing mid-flight on one
+    // calendar: both cores must agree down to the drop/reroute
+    // accounting.
     let mut rng = StdRng::seed_from_u64(derive_seed(spec.seed, 97, 0));
     let offered = 3.0 / mesh.node_count() as f64;
-    let load = Workload::offered_load(&sc, TrafficPattern::Uniform, 40, offered, &mut rng);
-    let view = sc.view(Model::FaultBlock);
+    let load = Workload::offered_load(sc, TrafficPattern::Uniform, 40, offered, &mut rng);
     let raw = load.packets();
-    event_cycle_compare(mesh, raw, &WuRouter::new(&view), "wu", &mut out);
-    event_cycle_compare(mesh, raw, &XyRouter::new(mesh, sc.blocks()), "xy", &mut out);
-    event_cycle_compare(
-        mesh,
-        raw,
-        &AdaptiveRouter::new(mesh, sc.blocks()),
-        "adaptive",
-        &mut out,
-    );
+    let window = raw.last().map_or(0, |(c, _)| *c).max(4);
+    let calendar: Vec<(Coord, u64)> = (1..=3u64)
+        .map(|j| {
+            let c = Coord::new(
+                rng.gen_range(0..mesh.width()),
+                rng.gen_range(0..mesh.height()),
+            );
+            (c, window * j / 4)
+        })
+        .collect();
+    let wu = EpochedWuRouter::new(state.clone(), Model::FaultBlock);
+    let oracle = OracleRouter::new(state.clone(), Model::FaultBlock);
+    for (faults, when) in [(&[][..], "static"), (&calendar[..], "dynamic")] {
+        let label = |router: &str| format!("{router} {when}");
+        event_cycle_compare(mesh, raw, faults, &wu, &label("wu"), &mut out);
+        event_cycle_compare(mesh, raw, faults, &oracle, &label("oracle"), &mut out);
+    }
+    let xy = XyRouter::new(mesh, sc.blocks());
+    event_cycle_compare(mesh, raw, &[], &xy, "xy", &mut out);
+    let adaptive = AdaptiveRouter::new(mesh, sc.blocks());
+    event_cycle_compare(mesh, raw, &[], &adaptive, "adaptive", &mut out);
 
     // Two-phase replay: the strategy-4 planned packets of netsim-hops,
     // all injected at cycle 0 so they contend, under each fault model.
@@ -1110,38 +1132,9 @@ fn o_event_matches_cycle(spec: &ScenarioSpec, _ctx: &CheckCtx) -> Vec<Violation>
         if planned.is_empty() {
             continue;
         }
+        let wu = EpochedWuRouter::new(state.clone(), model);
         let which = format!("wu planned {model:?}");
-        event_cycle_compare(mesh, &planned, &WuRouter::new(&view), &which, &mut out);
-    }
-
-    // Dynamic replay: epoched Wu absorbing scheduled mid-flight faults.
-    // Both cores see the same fault calendar; everything down to the
-    // drop/reroute accounting must agree.
-    let window = load.packets().last().map_or(0, |(c, _)| *c).max(4);
-    let mut faults = Vec::new();
-    for j in 1..=3u64 {
-        let c = Coord::new(
-            rng.gen_range(0..mesh.width()),
-            rng.gen_range(0..mesh.height()),
-        );
-        faults.push((c, window * j / 4));
-    }
-    let mk = || EpochedWuRouter::new(ScenarioState::new(spec.fault_set()), Model::FaultBlock);
-    let mut stepper = NetSim::new(mesh, mk());
-    let mut event = EventSim::new(mesh, mk());
-    load.inject_into(&mut stepper);
-    load.inject_into(&mut event);
-    for &(c, at) in &faults {
-        stepper.schedule_fault(c, at);
-        event.schedule_fault(c, at);
-    }
-    let a = stepper.run_dynamic_to_completion(200_000);
-    let b = event.run_dynamic_to_completion(200_000);
-    if a != b {
-        out.push(violation(
-            "netsim-event-matches-cycle",
-            format!("epoched-wu dynamic: stepper {a:?} != event core {b:?}"),
-        ));
+        event_cycle_compare(mesh, &planned, &[], &wu, &which, &mut out);
     }
     out
 }

@@ -169,12 +169,6 @@ impl Engine {
         }
     }
 
-    /// Overrides the round bound.
-    pub fn with_max_rounds(mut self, max_rounds: u32) -> Self {
-        self.max_rounds = max_rounds;
-        self
-    }
-
     /// The mesh this engine simulates.
     pub fn mesh(&self) -> Mesh {
         self.mesh
@@ -427,9 +421,8 @@ mod tests {
                 Ok(vec![(from, ())])
             }
         }
-        let _ = Engine::new(Mesh::square(2))
-            .with_max_rounds(10)
-            .run(&PingPong);
+        // The default bound on a 2×2 mesh: 16·(2+2)+64 = 128 rounds.
+        let _ = Engine::new(Mesh::square(2)).run(&PingPong);
     }
 
     #[test]

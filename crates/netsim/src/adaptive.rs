@@ -335,7 +335,7 @@ mod tests {
         let xy = XyRouter::new(Mesh::square(12), sc.blocks());
         let mut sim = NetSim::new(Mesh::square(12), xy);
         sim.inject(Packet::direct(s, d), 0);
-        let report = sim.run_to_completion(200).unwrap();
+        let report = sim.run_dynamic_to_completion(200).unwrap();
         assert_eq!(report.failed, 1);
     }
 
@@ -377,5 +377,23 @@ mod tests {
         // the band: the hop is a forced detour, North or South.
         let dir = r.next_hop(s, d, s).unwrap();
         assert!(matches!(dir, Direction::North | Direction::South));
+    }
+
+    #[test]
+    fn xy_and_adaptive_block_only_the_failed_node() {
+        // (4,1) then (3,0) would convexify into a 2×2 block; the two
+        // baselines do not re-form blocks, so the healthy corners stay
+        // open (the Wu and oracle routers block them).
+        let sc = Scenario::build(FaultSet::from_coords(Mesh::square(10), [Coord::new(4, 1)]));
+        let mut adaptive = AdaptiveRouter::new(sc.mesh(), sc.blocks());
+        let mut xy = XyRouter::new(sc.mesh(), sc.blocks());
+        adaptive.fail_node(Coord::new(3, 0));
+        xy.fail_node(Coord::new(3, 0));
+        let blocked = |r: &dyn DynamicRouter| {
+            [(3, 0), (4, 0), (3, 1), (4, 1)].map(|c| r.is_node_blocked(Coord::from(c)))
+        };
+        assert_eq!(blocked(&adaptive), [true, false, false, true]);
+        assert_eq!(blocked(&xy), [true, false, false, true]);
+        assert_eq!(adaptive.rects.last(), Some(&Rect::point(Coord::new(3, 0))));
     }
 }

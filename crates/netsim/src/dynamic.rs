@@ -1,17 +1,19 @@
 //! Routers that absorb node failures while traffic is in flight.
 //!
-//! The static [`Router`] implementations freeze one fault scenario for a
-//! whole run. A [`DynamicRouter`] additionally accepts node failures
-//! *during* the run: the simulator applies each scheduled failure at its
-//! cycle, drops the packets caught on nodes swallowed by the fault, and
-//! lets every surviving packet re-evaluate its next hop against the
-//! repaired information (see `NetSim::schedule_fault`).
+//! Every router in this crate is a [`DynamicRouter`]: besides answering
+//! [`Router`] questions it accepts node failures *during* a run. The
+//! simulator applies each scheduled failure at its cycle, drops the
+//! packets caught on nodes swallowed by the fault, and lets every
+//! surviving packet re-evaluate its next hop against the repaired
+//! information (see `NetSim::schedule_fault`). A run with no failure
+//! scheduled routes over the fault set the router was built with.
 //!
 //! [`EpochedWuRouter`] is the paper-faithful implementation: it owns an
 //! [`emr_core::ScenarioState`], so each failure is absorbed through the
 //! incremental epoch machinery (clipped block/MCC relabeling, transposed
 //! columns re-extracted, the boundary maps dropped and rebuilt by the
 //! next hop that reads one) rather than a from-scratch scenario build.
+//! [`crate::OracleRouter`] absorbs failures the same way.
 
 use emr_core::route::{self, RouteError};
 use emr_core::{Epoch, Model, ScenarioState};
@@ -28,8 +30,22 @@ pub trait DynamicRouter: Router {
     /// Panics if `c` lies outside the mesh.
     fn fail_node(&mut self, c: Coord);
 
-    /// Whether `c` is currently unusable as a packet location — failed, or
-    /// deactivated by the fault model's convexification.
+    /// Whether `c` is currently unusable as a packet location. What that
+    /// covers differs per router, a known deviation (DESIGN.md § Traffic
+    /// simulation):
+    ///
+    /// * [`EpochedWuRouter`] and [`crate::OracleRouter`]: failed, or
+    ///   inside a faulty block (Definition 1) of the current fault set,
+    ///   whichever model routes. A failure re-forms the blocks, so the
+    ///   healthy nodes a merge deactivates are blocked too.
+    /// * [`crate::XyRouter`] and [`crate::AdaptiveRouter`]: inside a
+    ///   faulty block of the fault set the router was built with, or
+    ///   failed since. A failure marks only the failed node (the adaptive
+    ///   router also records it as a point rectangle to detour around);
+    ///   blocks are not re-formed.
+    ///
+    /// So after a mid-flight failure that merges blocks, the routers
+    /// disagree on which nodes a packet can occupy.
     fn is_node_blocked(&self, c: Coord) -> bool;
 }
 
@@ -114,7 +130,7 @@ impl DynamicRouter for EpochedWuRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emr_fault::FaultSet;
+    use emr_fault::{FaultSet, MccType};
     use emr_mesh::Mesh;
 
     #[test]
@@ -172,20 +188,33 @@ mod tests {
 
     #[test]
     fn mcc_legs_read_the_boundary_map_of_their_labeling_type() {
-        // The quadrant-IV leg (0,2) → (2,0) routes round type-two MCCs:
-        // through its own map it rounds the west and south edges. The
-        // last fault arrives through `fail_node`, so the map the next hop
-        // rebuilds is the leg's too.
+        // The quadrant-IV leg (0,2) → (2,0) routes round type-two MCCs.
+        // The two labelings' maps differ at its source; through its own
+        // map the leg rounds the west and south edges. One router is
+        // built with all three faults; the other absorbs the last through
+        // `fail_node`, so the map its next hop rebuilds is the leg's too.
         let mesh = Mesh::square(5);
-        let faults = FaultSet::from_coords(mesh, [Coord::new(3, 0), Coord::new(1, 1)]);
-        let mut r = EpochedWuRouter::new(ScenarioState::new(faults), Model::Mcc);
-        r.fail_node(Coord::new(2, 1));
+        let faults = [(3, 0), (1, 1), (2, 1)].map(Coord::from);
+        let built = FaultSet::from_coords(mesh, faults);
+        let mut absorbed = EpochedWuRouter::new(
+            ScenarioState::new(FaultSet::from_coords(mesh, faults[..2].iter().copied())),
+            Model::Mcc,
+        );
+        absorbed.fail_node(faults[2]);
         let (s, d) = (Coord::new(0, 2), Coord::new(2, 0));
-        let mut path = vec![s];
-        while let Some(&u) = path.last().filter(|&&u| u != d) {
-            path.push(u.step(r.next_hop(s, d, u).expect("the leg is delivered")));
-        }
         let via = [(0, 2), (0, 1), (0, 0), (1, 0), (2, 0)].map(Coord::from);
-        assert_eq!(path, via);
+        for r in [
+            EpochedWuRouter::new(ScenarioState::new(built), Model::Mcc),
+            absorbed,
+        ] {
+            let mut path = vec![s];
+            while let Some(&u) = path.last().filter(|&&u| u != d) {
+                path.push(u.step(r.next_hop(s, d, u).expect("the leg is delivered")));
+            }
+            assert_eq!(path, via);
+            let sc = r.state().scenario();
+            let marks = |ty| sc.mcc_boundary_map(ty).marks_at(s).collect::<Vec<_>>();
+            assert_ne!(marks(MccType::One), marks(MccType::Two));
+        }
     }
 }

@@ -222,7 +222,7 @@ impl EvFlight {
 /// (same construction, injection, fault-scheduling, and run API) with
 /// identical reports.
 #[derive(Debug)]
-pub struct EventSim<R: Router> {
+pub struct EventSim<R: DynamicRouter> {
     router: R,
     /// Packets to inject, per cycle in schedule-call order.
     injections: BTreeMap<u64, Vec<Packet>>,
@@ -241,7 +241,7 @@ pub struct EventSim<R: Router> {
     report: SimReport,
 }
 
-impl<R: Router> EventSim<R> {
+impl<R: DynamicRouter> EventSim<R> {
     /// Creates an idle network.
     pub fn new(mesh: Mesh, router: R) -> EventSim<R> {
         EventSim {
@@ -287,53 +287,15 @@ impl<R: Router> EventSim<R> {
         self.injections.entry(at).or_default().push(packet);
     }
 
-    /// Advances one cycle: inject due packets, sample queue peaks, then
-    /// one pass routes every flight, claims its link, and moves and
-    /// delivers the winners.
-    pub fn step(&mut self) {
+    /// The cycle body after the failures land: inject due packets,
+    /// sample queue peaks, then one pass routes every flight, claims its
+    /// link, and moves and delivers the winners.
+    fn step(&mut self) {
         self.inject_due();
         self.nodes.sample(&mut self.report.peak_queue);
         self.pass();
         self.cycle += 1;
         self.report.cycles = self.cycle;
-    }
-
-    /// Runs until every packet (scheduled and in flight) is resolved or
-    /// the cycle budget is exhausted. Idle gaps between calendar events
-    /// are skipped in O(1).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::CycleBudgetExceeded`] if traffic remains after
-    /// `max_cycles`.
-    pub fn run_to_completion(&mut self, max_cycles: u64) -> Result<SimReport, SimError> {
-        self.run_with(max_cycles, Self::step)
-    }
-
-    /// The shared run loop (see `NetSim::run_with`), plus the event-core
-    /// speedup: when nothing is in flight the clock jumps straight to
-    /// the earlier of the next injection and the next failure — the
-    /// skipped cycles are exactly the stepper's no-op cycles, so the
-    /// final report is unchanged.
-    fn run_with(&mut self, max_cycles: u64, step: fn(&mut Self)) -> Result<SimReport, SimError> {
-        while !self.active.is_empty() || !self.injections.is_empty() || !self.failures.is_empty() {
-            if self.active.is_empty() {
-                let next_injection = self.injections.keys().next();
-                if let Some(&next) = next_injection.into_iter().chain(self.failures.keys()).min() {
-                    if next > self.cycle {
-                        self.cycle = next.min(max_cycles);
-                        self.report.cycles = self.cycle;
-                    }
-                }
-            }
-            if self.cycle >= max_cycles {
-                return Err(SimError::CycleBudgetExceeded {
-                    in_flight: self.active.len() + self.pending_packets(),
-                });
-            }
-            step(self);
-        }
-        Ok(self.report)
     }
 
     fn pending_packets(&self) -> usize {
@@ -430,15 +392,7 @@ impl<R: Router> EventSim<R> {
             claims[n] = 0;
         }
     }
-}
 
-impl<R: Router> PacketSink for EventSim<R> {
-    fn inject(&mut self, packet: Packet, cycle: u64) {
-        EventSim::inject(self, packet, cycle);
-    }
-}
-
-impl<R: DynamicRouter> EventSim<R> {
     /// Schedules node `c` to fail at `cycle` (clamped to now). Failures
     /// land at the *start* of their cycle, before injection and routing
     /// — identical ordering to `NetSim::schedule_fault`.
@@ -452,22 +406,44 @@ impl<R: DynamicRouter> EventSim<R> {
         self.failures.entry(at).or_default().push(c);
     }
 
-    /// One cycle with dynamic faults: failures due this cycle land
-    /// first, then the ordinary [`EventSim::step`] runs.
+    /// Advances one cycle: failures due this cycle land first, then the
+    /// cycle injects due packets, samples queue peaks, and one pass
+    /// routes every flight, claims its link, and moves and delivers the
+    /// winners.
     pub fn step_dynamic(&mut self) {
         self.apply_due_faults();
         self.step();
     }
 
     /// Runs until all traffic *and* all scheduled failures are resolved,
-    /// or the cycle budget is exhausted.
+    /// or the cycle budget is exhausted. When nothing is in flight the
+    /// clock jumps straight to the earlier of the next injection and the
+    /// next failure: the skipped cycles are exactly the stepper's no-op
+    /// cycles, so the final report is unchanged.
     ///
     /// # Errors
     ///
     /// [`SimError::CycleBudgetExceeded`] if traffic remains after
     /// `max_cycles`.
     pub fn run_dynamic_to_completion(&mut self, max_cycles: u64) -> Result<SimReport, SimError> {
-        self.run_with(max_cycles, Self::step_dynamic)
+        while !self.active.is_empty() || !self.injections.is_empty() || !self.failures.is_empty() {
+            if self.active.is_empty() {
+                let next_injection = self.injections.keys().next();
+                if let Some(&next) = next_injection.into_iter().chain(self.failures.keys()).min() {
+                    if next > self.cycle {
+                        self.cycle = next.min(max_cycles);
+                        self.report.cycles = self.cycle;
+                    }
+                }
+            }
+            if self.cycle >= max_cycles {
+                return Err(SimError::CycleBudgetExceeded {
+                    in_flight: self.active.len() + self.pending_packets(),
+                });
+            }
+            self.step_dynamic();
+        }
+        Ok(self.report)
     }
 
     /// Pops every failure due this cycle, in schedule order.
@@ -556,45 +532,54 @@ impl<R: DynamicRouter> EventSim<R> {
     }
 }
 
+impl<R: DynamicRouter> PacketSink for EventSim<R> {
+    fn inject(&mut self, packet: Packet, cycle: u64) {
+        EventSim::inject(self, packet, cycle);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adaptive::XyRouter;
     use crate::dynamic::EpochedWuRouter;
-    use crate::router::WuRouter;
     use crate::sim::NetSim;
     use crate::workload::{TrafficPattern, Workload};
     use emr_core::route::RouteError;
-    use emr_core::{Model, Scenario, ScenarioState};
+    use emr_core::{Model, ScenarioState};
     use emr_fault::{inject, BlockMap, FaultSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    /// Wu's router over a fault-free `mesh`.
+    fn wu(mesh: Mesh) -> EpochedWuRouter {
+        EpochedWuRouter::new(ScenarioState::new(FaultSet::new(mesh)), Model::FaultBlock)
+    }
+
     #[test]
     fn event_core_matches_stepper_on_seeded_traffic() {
         for seed in 0..8u64 {
             let mesh = Mesh::square(16);
             let mut rng = StdRng::seed_from_u64(seed);
-            let faults = inject::uniform(mesh, 12, &[], &mut rng);
-            let scenario = Scenario::build(faults);
+            let state = ScenarioState::new(inject::uniform(mesh, 12, &[], &mut rng));
             let load = Workload::offered_load(
-                &scenario,
+                state.scenario(),
                 TrafficPattern::Uniform,
                 60,
                 3.0 / 256.0,
                 &mut rng,
             );
-            let view = scenario.view(Model::FaultBlock);
+            let router = EpochedWuRouter::new(state, Model::FaultBlock);
 
-            let mut stepper = NetSim::new(mesh, WuRouter::new(&view));
-            let mut event = EventSim::new(mesh, WuRouter::new(&view));
+            let mut stepper = NetSim::new(mesh, router.clone());
+            let mut event = EventSim::new(mesh, router);
             load.inject_into(&mut stepper);
             load.inject_into(&mut event);
             assert_eq!(
-                stepper.run_to_completion(50_000),
-                event.run_to_completion(50_000),
+                stepper.run_dynamic_to_completion(50_000),
+                event.run_dynamic_to_completion(50_000),
                 "seed {seed}"
             );
         }
@@ -606,17 +591,15 @@ mod tests {
         // the gaps, the stepper grinds through them — reports (including
         // `cycles`) must still agree bit for bit.
         let mesh = Mesh::square(10);
-        let scenario = Scenario::build(FaultSet::new(mesh));
-        let view = scenario.view(Model::FaultBlock);
-        let mut stepper = NetSim::new(mesh, WuRouter::new(&view));
-        let mut event = EventSim::new(mesh, WuRouter::new(&view));
+        let mut stepper = NetSim::new(mesh, wu(mesh));
+        let mut event = EventSim::new(mesh, wu(mesh));
         for cycle in [0u64, 700, 701, 5_000] {
             let p = Packet::direct(Coord::new(0, 0), Coord::new(9, 9));
             stepper.inject(p.clone(), cycle);
             EventSim::inject(&mut event, p, cycle);
         }
-        let a = stepper.run_to_completion(100_000).unwrap();
-        let b = event.run_to_completion(100_000).unwrap();
+        let a = stepper.run_dynamic_to_completion(100_000).unwrap();
+        let b = event.run_dynamic_to_completion(100_000).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.cycles, 5_000 + 18);
     }
@@ -626,13 +609,15 @@ mod tests {
         for seed in 0..6u64 {
             let mesh = Mesh::square(14);
             let mut rng = StdRng::seed_from_u64(1000 + seed);
-            let scenario = Scenario::build(FaultSet::new(mesh));
-            let load =
-                Workload::offered_load(&scenario, TrafficPattern::Uniform, 50, 0.02, &mut rng);
-            let mk =
-                || EpochedWuRouter::new(ScenarioState::new(FaultSet::new(mesh)), Model::FaultBlock);
-            let mut stepper = NetSim::new(mesh, mk());
-            let mut event = EventSim::new(mesh, mk());
+            let load = Workload::offered_load(
+                wu(mesh).state().scenario(),
+                TrafficPattern::Uniform,
+                50,
+                0.02,
+                &mut rng,
+            );
+            let mut stepper = NetSim::new(mesh, wu(mesh));
+            let mut event = EventSim::new(mesh, wu(mesh));
             load.inject_into(&mut stepper);
             load.inject_into(&mut event);
             for (i, c) in [
@@ -658,10 +643,8 @@ mod tests {
         // stepper's sorted pending queue must release them in the same
         // (cycle, call) order as the event calendar.
         let mesh = Mesh::square(10);
-        let scenario = Scenario::build(FaultSet::new(mesh));
-        let view = scenario.view(Model::FaultBlock);
-        let mut stepper = NetSim::new(mesh, WuRouter::new(&view));
-        let mut event = EventSim::new(mesh, WuRouter::new(&view));
+        let mut stepper = NetSim::new(mesh, wu(mesh));
+        let mut event = EventSim::new(mesh, wu(mesh));
         let calls = [
             (30u64, 0),
             (0, 1),
@@ -676,8 +659,8 @@ mod tests {
             stepper.inject(p.clone(), cycle);
             EventSim::inject(&mut event, p, cycle);
         }
-        let a = stepper.run_to_completion(1_000).unwrap();
-        assert_eq!(a, event.run_to_completion(1_000).unwrap());
+        let a = stepper.run_dynamic_to_completion(1_000).unwrap();
+        assert_eq!(a, event.run_dynamic_to_completion(1_000).unwrap());
         assert_eq!(a.delivered, 7);
     }
 
@@ -688,10 +671,8 @@ mod tests {
         // East. Age is admission order, so B wins on both cores: A
         // waits one cycle, and B, never delayed, arrives after cycle 8.
         let mesh = Mesh::square(10);
-        let scenario = Scenario::build(FaultSet::new(mesh));
-        let view = scenario.view(Model::FaultBlock);
-        let mut stepper = NetSim::new(mesh, WuRouter::new(&view));
-        let mut event = EventSim::new(mesh, WuRouter::new(&view));
+        let mut stepper = NetSim::new(mesh, wu(mesh));
+        let mut event = EventSim::new(mesh, wu(mesh));
         let calls = [
             (Packet::direct(Coord::new(5, 0), Coord::new(6, 0)), 5),
             (Packet::direct(Coord::new(0, 0), Coord::new(9, 0)), 0),
@@ -700,8 +681,8 @@ mod tests {
             stepper.inject(p.clone(), cycle);
             event.inject(p, cycle);
         }
-        let a = stepper.run_to_completion(100).unwrap();
-        let b = event.run_to_completion(100).unwrap();
+        let a = stepper.run_dynamic_to_completion(100).unwrap();
+        let b = event.run_dynamic_to_completion(100).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.cycles, 9);
     }
@@ -709,16 +690,17 @@ mod tests {
     #[test]
     fn budget_error_matches_stepper() {
         let mesh = Mesh::square(10);
-        let scenario = Scenario::build(FaultSet::new(mesh));
-        let view = scenario.view(Model::FaultBlock);
-        let mut stepper = NetSim::new(mesh, WuRouter::new(&view));
-        let mut event = EventSim::new(mesh, WuRouter::new(&view));
+        let mut stepper = NetSim::new(mesh, wu(mesh));
+        let mut event = EventSim::new(mesh, wu(mesh));
         for cycle in [0u64, 2, 40] {
             let p = Packet::direct(Coord::new(0, 0), Coord::new(9, 0));
             stepper.inject(p.clone(), cycle);
             EventSim::inject(&mut event, p, cycle);
         }
-        assert_eq!(stepper.run_to_completion(20), event.run_to_completion(20));
+        assert_eq!(
+            stepper.run_dynamic_to_completion(20),
+            event.run_dynamic_to_completion(20)
+        );
     }
 
     #[test]
@@ -733,7 +715,7 @@ mod tests {
         for dest in [Coord::new(6, 2), Coord::new(7, 2), Coord::new(2, 7)] {
             sim.inject(Packet::direct(from, dest), 0);
         }
-        sim.step();
+        sim.step_dynamic();
         let at: Vec<Coord> = sim.active.iter().map(|f| f.at).collect();
         assert_eq!(at, [Coord::new(3, 2), from, Coord::new(2, 3)]);
         assert!(
@@ -780,11 +762,9 @@ mod tests {
         // once and takes the hops it was given, so it asks each question
         // once.
         let mesh = Mesh::square(10);
-        let scenario = Scenario::build(FaultSet::new(mesh));
-        let view = scenario.view(Model::FaultBlock);
         let (stepper_log, event_log) = (Rc::default(), Rc::default());
         let counting = |asked: &Rc<_>| Counting {
-            inner: WuRouter::new(&view),
+            inner: wu(mesh),
             asked: Rc::clone(asked),
         };
         let mut stepper = NetSim::new(mesh, counting(&stepper_log));
@@ -794,8 +774,8 @@ mod tests {
             stepper.inject(p.clone(), 0);
             event.inject(p, 0);
         }
-        let report = stepper.run_to_completion(100);
-        assert_eq!(report, event.run_to_completion(100));
+        let report = stepper.run_dynamic_to_completion(100);
+        assert_eq!(report, event.run_dynamic_to_completion(100));
         assert_eq!(report.map(|r| r.delivered), Ok(4));
         let questions: std::collections::BTreeSet<_> = event_log.borrow().iter().copied().collect();
         assert_eq!(
@@ -821,7 +801,7 @@ mod tests {
         let mesh = Mesh::square(10);
         let (stepper_log, event_log) = (Rc::default(), Rc::default());
         let counting = |asked: &Rc<_>| Counting {
-            inner: EpochedWuRouter::new(ScenarioState::new(FaultSet::new(mesh)), Model::FaultBlock),
+            inner: wu(mesh),
             asked: Rc::clone(asked),
         };
         let mut stepper = NetSim::new(mesh, counting(&stepper_log));

@@ -7,11 +7,17 @@
 //! function, and directed links carry one packet per cycle (virtual
 //! output queues, oldest-packet-first arbitration).
 //!
-//! * [`Router`] — the per-hop routing function interface, implemented
-//!   by [`WuRouter`] (the paper's protocol, driven by boundary
+//! * [`Router`] / [`DynamicRouter`] — the per-hop routing function
+//!   interface, and the failures every router absorbs mid-run: scheduled
+//!   node failures land while traffic is in flight, the router repairs
+//!   its fault knowledge, and surviving packets re-evaluate their next
+//!   hop (delivered / rerouted / dropped accounting in [`SimReport`]),
+//! * [`EpochedWuRouter`] — the paper's protocol, driven by boundary
 //!   information via [`emr_core::route::wu_step`] and walked a leg at a
-//!   time via [`emr_core::route::wu_walk`]), [`OracleRouter`] (global
-//!   information), and the baselines below,
+//!   time via [`emr_core::route::wu_walk`], over an owned
+//!   [`emr_core::ScenarioState`] that absorbs each failure through the
+//!   incremental epoch machinery; [`OracleRouter`] (global information)
+//!   absorbs failures the same way,
 //! * [`Workload`] — generated traffic, from one generator,
 //!   [`Workload::offered_load`]: a [`TrafficPattern`] (uniform /
 //!   transpose / hotspot) under an offered-load injection schedule,
@@ -30,32 +36,29 @@
 //!   baseline (adaptive minimal hops + forced dimension-order detours
 //!   around fault rectangles), with [`XyRouter`] — classic
 //!   dimension-order routing that drops every packet whose L-path
-//!   crosses a faulty block — as its sibling,
-//! * [`DynamicRouter`] / [`EpochedWuRouter`] — mid-flight fault
-//!   injection: scheduled node failures land while traffic is in flight,
-//!   the router absorbs them through the incremental epoch machinery of
-//!   [`emr_core::ScenarioState`], and surviving packets re-evaluate their
-//!   next hop (delivered / rerouted / dropped accounting in
-//!   [`SimReport`]).
+//!   crosses a faulty block — as its sibling.
+//!
+//! Each core has one per-cycle entry point, `step_dynamic`, and one run
+//! loop, `run_dynamic_to_completion`; a run with no failure scheduled
+//! routes over the fault set its router was built with.
 //!
 //! # Examples
 //!
 //! ```
 //! use emr2d_netsim_doctest::*;
 //! # mod emr2d_netsim_doctest {
-//! #     pub use emr_core::{Model, Scenario};
+//! #     pub use emr_core::{Model, ScenarioState};
 //! #     pub use emr_fault::FaultSet;
 //! #     pub use emr_mesh::{Coord, Mesh};
-//! #     pub use emr_netsim::{NetSim, Packet, WuRouter};
+//! #     pub use emr_netsim::{EpochedWuRouter, NetSim, Packet};
 //! # }
 //! let mesh = Mesh::square(12);
-//! let scenario = Scenario::build(FaultSet::from_coords(mesh, [Coord::new(6, 6)]));
-//! let view = scenario.view(Model::FaultBlock);
-//! let router = WuRouter::new(&view);
+//! let state = ScenarioState::new(FaultSet::from_coords(mesh, [Coord::new(6, 6)]));
+//! let router = EpochedWuRouter::new(state, Model::FaultBlock);
 //!
 //! let mut sim = NetSim::new(mesh, router);
 //! sim.inject(Packet::direct(Coord::new(1, 1), Coord::new(10, 10)), 0);
-//! let report = sim.run_to_completion(1000).unwrap();
+//! let report = sim.run_dynamic_to_completion(1000).unwrap();
 //! assert_eq!(report.delivered, 1);
 //! assert_eq!(report.total_hops, 18); // minimal
 //! ```
@@ -75,6 +78,6 @@ pub use adaptive::{AdaptiveRouter, XyRouter};
 pub use dynamic::{DynamicRouter, EpochedWuRouter};
 pub use event::EventSim;
 pub use packet::Packet;
-pub use router::{OracleRouter, Router, WuRouter};
+pub use router::{OracleRouter, Router};
 pub use sim::{NetSim, PacketSink, SimError, SimReport};
 pub use workload::{TrafficPattern, Workload};

@@ -1,7 +1,9 @@
-use emr_core::route::{self, RouteError};
-use emr_core::ModelView;
+use emr_core::route::RouteError;
+use emr_core::{Model, ScenarioState};
 use emr_fault::reach_bits;
 use emr_mesh::{Coord, Direction};
+
+use crate::dynamic::DynamicRouter;
 
 /// A per-hop routing function: the logic one mesh router executes for the
 /// packet at its head-of-line.
@@ -66,69 +68,37 @@ pub trait Router {
     }
 }
 
-/// Wu's protocol as a per-hop router: adaptive minimal routing with
-/// boundary-information vetoes ([`emr_core::route::wu_step`], walked a
-/// leg at a time by [`emr_core::route::wu_walk`]). Each leg reads the
-/// scenario's boundary map of the obstacles its own test uses (see
-/// [`ModelView::is_obstacle`]).
-#[derive(Debug, Clone, Copy)]
-pub struct WuRouter<'a> {
-    view: &'a ModelView<'a>,
-}
-
-impl<'a> WuRouter<'a> {
-    /// Creates the router over one fault scenario's view.
-    pub fn new(view: &'a ModelView<'a>) -> Self {
-        WuRouter { view }
-    }
-}
-
-impl Router for WuRouter<'_> {
-    fn next_hop(
-        &self,
-        leg_source: Coord,
-        leg_target: Coord,
-        u: Coord,
-    ) -> Result<Direction, RouteError> {
-        route::wu_step(self.view, leg_source, leg_target, u)
-    }
-
-    fn next_hops(
-        &self,
-        leg_source: Coord,
-        leg_target: Coord,
-        u: Coord,
-        hops: &mut [Direction],
-    ) -> (usize, Option<RouteError>) {
-        route::wu_walk(self.view, leg_source, leg_target, u, hops)
-    }
-}
-
 /// Global-information routing: at each hop, move to a preferred neighbor
 /// from which the destination is still monotonically reachable (one
 /// word-parallel reachability sweep per hop, see
 /// [`reach_bits::minimal_path_exists_bits`] — expensive, exact; the
 /// comparison baseline).
-#[derive(Debug, Clone, Copy)]
-pub struct OracleRouter<'a> {
-    view: &'a ModelView<'a>,
+///
+/// Like [`crate::EpochedWuRouter`] it owns a [`ScenarioState`] and
+/// absorbs each failure through [`ScenarioState::insert_fault`], so its
+/// hops read the repaired scenario's obstacles.
+#[derive(Debug, Clone)]
+pub struct OracleRouter {
+    state: ScenarioState,
+    model: Model,
 }
 
-impl<'a> OracleRouter<'a> {
-    /// Creates the router over a scenario view.
-    pub fn new(view: &'a ModelView<'a>) -> Self {
-        OracleRouter { view }
+impl OracleRouter {
+    /// Creates the router over an epoched state under one fault model.
+    pub fn new(state: ScenarioState, model: Model) -> OracleRouter {
+        OracleRouter { state, model }
     }
 }
 
-impl Router for OracleRouter<'_> {
+impl Router for OracleRouter {
     fn next_hop(
         &self,
         leg_source: Coord,
         leg_target: Coord,
         u: Coord,
     ) -> Result<Direction, RouteError> {
-        let mesh = self.view.mesh();
+        let view = self.state.scenario().view(self.model);
+        let mesh = view.mesh();
         let frame = emr_mesh::Frame::normalizing(u, leg_target);
         for rel in [Direction::East, Direction::North] {
             let abs = frame.dir_to_abs(rel);
@@ -139,7 +109,7 @@ impl Router for OracleRouter<'_> {
                 continue; // not a preferred move
             }
             if reach_bits::minimal_path_exists_bits(&mesh, v, leg_target, |c| {
-                self.view.is_obstacle(c, leg_source, leg_target)
+                view.is_obstacle(c, leg_source, leg_target)
             }) {
                 return Ok(abs);
             }
@@ -148,17 +118,27 @@ impl Router for OracleRouter<'_> {
     }
 }
 
+impl DynamicRouter for OracleRouter {
+    fn fail_node(&mut self, c: Coord) {
+        self.state.insert_fault(c);
+    }
+
+    fn is_node_blocked(&self, c: Coord) -> bool {
+        self.state.scenario().blocks().is_blocked(c)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adaptive::XyRouter;
-    use emr_core::{Model, Scenario};
-    use emr_fault::{reach, FaultSet, MccType};
+    use crate::dynamic::EpochedWuRouter;
+    use emr_fault::{reach, FaultSet};
     use emr_mesh::Mesh;
 
-    fn scenario(coords: &[(i32, i32)]) -> Scenario {
+    fn state(coords: &[(i32, i32)]) -> ScenarioState {
         let mesh = Mesh::square(10);
-        Scenario::build(FaultSet::from_coords(
+        ScenarioState::new(FaultSet::from_coords(
             mesh,
             coords.iter().map(|&c| Coord::from(c)),
         ))
@@ -180,8 +160,8 @@ mod tests {
 
     #[test]
     fn xy_router_walks_the_l() {
-        let sc = scenario(&[]);
-        let r = XyRouter::new(sc.mesh(), sc.blocks());
+        let st = state(&[]);
+        let r = XyRouter::new(st.mesh(), st.scenario().blocks());
         assert_eq!(walk(&r, Coord::new(1, 1), Coord::new(7, 4), 20), Ok(9));
         assert_eq!(walk(&r, Coord::new(7, 4), Coord::new(1, 1), 20), Ok(9));
     }
@@ -189,25 +169,22 @@ mod tests {
     #[test]
     fn xy_router_dies_on_blocks() {
         // A block exactly on the XY path's corner column.
-        let sc = scenario(&[(7, 2), (7, 3)]);
-        let view = sc.view(Model::FaultBlock);
-        let r = XyRouter::new(sc.mesh(), sc.blocks());
+        let st = state(&[(7, 2), (7, 3)]);
+        let r = XyRouter::new(st.mesh(), st.scenario().blocks());
         assert!(walk(&r, Coord::new(1, 2), Coord::new(9, 2), 30).is_err());
-        // Wu's protocol shrugs it off.
-        let wu = WuRouter::new(&view);
         // The safe condition doesn't hold here (the block is on the row),
         // but the oracle router always finds the path when one exists.
-        let oracle = OracleRouter::new(&view);
+        let oracle = OracleRouter::new(st, Model::FaultBlock);
         assert!(walk(&oracle, Coord::new(1, 1), Coord::new(9, 2), 30).is_ok());
-        let _ = wu;
     }
 
     #[test]
     fn wu_and_oracle_routers_deliver_minimally() {
-        let sc = scenario(&[(4, 4), (5, 5), (4, 6)]);
+        let st = state(&[(4, 4), (5, 5), (4, 6)]);
+        let sc = st.scenario();
         let view = sc.view(Model::FaultBlock);
-        let wu = WuRouter::new(&view);
-        let oracle = OracleRouter::new(&view);
+        let wu = EpochedWuRouter::new(st.clone(), Model::FaultBlock);
+        let oracle = OracleRouter::new(st.clone(), Model::FaultBlock);
         let s = Coord::new(0, 0);
         for d in sc.mesh().nodes() {
             if view.is_obstacle(d, s, d) || d == s {
@@ -225,6 +202,23 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn oracle_router_absorbs_a_merging_failure() {
+        // (4,1) then (3,0) convexify into the 2×2 block at (3..=4,0..=1):
+        // the oracle re-forms blocks, so the healthy corners are blocked
+        // too, and a leg that ran East along row 0 now rounds the block
+        // on a minimal path.
+        let mut oracle = OracleRouter::new(state(&[(4, 1)]), Model::FaultBlock);
+        let (s, d) = (Coord::new(2, 0), Coord::new(9, 3));
+        assert_eq!(oracle.next_hop(s, d, s), Ok(Direction::East));
+        oracle.fail_node(Coord::new(3, 0));
+        for c in [(3, 0), (4, 0), (3, 1), (4, 1)] {
+            assert!(oracle.is_node_blocked(Coord::from(c)), "{c:?}");
+        }
+        assert_eq!(oracle.next_hop(s, d, s), Ok(Direction::North));
+        assert_eq!(walk(&oracle, s, d, 20), Ok(s.manhattan(d)));
     }
 
     /// Forwards `next_hop` alone, so it walks with the provided
@@ -251,8 +245,6 @@ mod tests {
 
     #[test]
     fn provided_walk_agrees_with_the_wu_overrides() {
-        use crate::dynamic::{DynamicRouter, EpochedWuRouter};
-        use emr_core::ScenarioState;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
@@ -263,12 +255,9 @@ mod tests {
         let (mut walks, mut hops, mut errors) = (0u64, 0u64, 0u64);
         for _ in 0..4 {
             let faults = emr_fault::inject::uniform(mesh, 40, &[], &mut rng);
-            let sc = Scenario::build(faults.clone());
             for model in Model::ALL {
-                let view = sc.view(model);
-                let wu = WuRouter::new(&view);
-                let mut epoched = EpochedWuRouter::new(ScenarioState::new(faults.clone()), model);
-                for failures in 0..3 {
+                let mut wu = EpochedWuRouter::new(ScenarioState::new(faults.clone()), model);
+                for _ in 0..3 {
                     for _ in 0..200 {
                         let (s, d) = (node(&mut rng), node(&mut rng));
                         let u = Coord::new(
@@ -277,19 +266,15 @@ mod tests {
                         );
                         for len in [1, 2, 7, 32] {
                             let leg = (s, d, u);
-                            let want = walk_of(&PerHop(&epoched), leg, len);
-                            assert_eq!(walk_of(&epoched, leg, len), want, "{leg:?}, buffer {len}");
-                            if failures == 0 {
-                                assert_eq!(walk_of(&PerHop(&wu), leg, len), want);
-                                assert_eq!(walk_of(&wu, leg, len), want);
-                            }
+                            let want = walk_of(&PerHop(&wu), leg, len);
+                            assert_eq!(walk_of(&wu, leg, len), want, "{leg:?}, buffer {len}");
                             walks += 1;
                             hops += want.0.len() as u64;
                             errors += u64::from(want.1.is_some());
                         }
                     }
                     // Later rounds read the repaired maps.
-                    epoched.fail_node(node(&mut rng));
+                    wu.fail_node(node(&mut rng));
                 }
             }
         }
@@ -298,28 +283,6 @@ mod tests {
         assert!(
             hops >= 50_000 && errors >= 1_000,
             "{hops} hops, {errors} errors"
-        );
-    }
-
-    #[test]
-    fn mcc_legs_read_the_boundary_map_of_their_labeling_type() {
-        // The quadrant-IV leg (0,2) → (2,0) routes round type-two MCCs.
-        // The two labelings' maps differ at its source; its own map lets
-        // it round the west and south edges.
-        let faults = [(3, 0), (1, 1), (2, 1)].map(Coord::from);
-        let sc = Scenario::build(FaultSet::from_coords(Mesh::square(5), faults));
-        let view = sc.view(Model::Mcc);
-        let (s, d) = (Coord::new(0, 2), Coord::new(2, 0));
-        let marks = |ty| sc.mcc_boundary_map(ty).marks_at(s).collect::<Vec<_>>();
-        assert_ne!(marks(MccType::One), marks(MccType::Two));
-        let wu = WuRouter::new(&view);
-        let mut path = vec![s];
-        while let Some(&u) = path.last().filter(|&&u| u != d) {
-            path.push(u.step(wu.next_hop(s, d, u).expect("the leg is delivered")));
-        }
-        assert_eq!(
-            path,
-            [(0, 2), (0, 1), (0, 0), (1, 0), (2, 0)].map(Coord::from)
         );
     }
 }

@@ -6,7 +6,6 @@ use emr_mesh::{Coord, Direction, Grid, Mesh};
 
 use crate::dynamic::DynamicRouter;
 use crate::packet::Packet;
-use crate::router::Router;
 
 /// Why a simulation run could not complete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,7 +128,7 @@ struct Flight {
 /// routing plus store-and-forward means no deadlock, so every run either
 /// delivers or fails packets in bounded time.
 #[derive(Debug)]
-pub struct NetSim<R: Router> {
+pub struct NetSim<R: DynamicRouter> {
     mesh: Mesh,
     router: R,
     /// Resident packets per node by admission rank, oldest first.
@@ -146,7 +145,7 @@ pub struct NetSim<R: Router> {
     report: SimReport,
 }
 
-impl<R: Router> NetSim<R> {
+impl<R: DynamicRouter> NetSim<R> {
     /// Creates an idle network.
     pub fn new(mesh: Mesh, router: R) -> NetSim<R> {
         NetSim {
@@ -196,9 +195,9 @@ impl<R: Router> NetSim<R> {
         self.pending.insert(pos, (at, packet));
     }
 
-    /// Advances one cycle: inject due packets, route, arbitrate links,
-    /// move granted packets, deliver arrivals.
-    pub fn step(&mut self) {
+    /// The cycle body after the failures land: inject due packets,
+    /// route, arbitrate links, move granted packets, deliver arrivals.
+    fn step(&mut self) {
         // Inject packets due this cycle.
         while let Some(&(when, _)) = self.pending.front() {
             if when > self.cycle {
@@ -283,38 +282,6 @@ impl<R: Router> NetSim<R> {
         self.report.cycles = self.cycle;
     }
 
-    /// The single run loop both completion drivers share, parameterized
-    /// over the per-cycle step (plain [`NetSim::step`] or the
-    /// fault-absorbing [`NetSim::step_dynamic`]). The loop also waits on
-    /// `pending_faults`, which is always empty for static routers
-    /// (scheduling faults requires [`DynamicRouter`]), so the static
-    /// path is unchanged — pinned by `static_run_is_unchanged_by_dynamic_fields`.
-    fn run_with(&mut self, max_cycles: u64, step: fn(&mut Self)) -> Result<SimReport, SimError> {
-        while !self.flights.is_empty()
-            || !self.pending.is_empty()
-            || !self.pending_faults.is_empty()
-        {
-            if self.cycle >= max_cycles {
-                return Err(SimError::CycleBudgetExceeded {
-                    in_flight: self.flights.len() + self.pending.len(),
-                });
-            }
-            step(self);
-        }
-        Ok(self.report)
-    }
-
-    /// Runs until every packet (scheduled and in flight) is resolved or
-    /// the cycle budget is exhausted.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::CycleBudgetExceeded`] if traffic remains after
-    /// `max_cycles`.
-    pub fn run_to_completion(&mut self, max_cycles: u64) -> Result<SimReport, SimError> {
-        self.run_with(max_cycles, Self::step)
-    }
-
     /// The statistics so far.
     pub fn report(&self) -> SimReport {
         self.report
@@ -356,9 +323,7 @@ impl<R: Router> NetSim<R> {
             self.resident[flight.at].retain(|&p| p != id);
         }
     }
-}
 
-impl<R: DynamicRouter> NetSim<R> {
     /// Schedules node `c` to fail at `cycle` (clamped to now). Failures
     /// take effect at the *start* of their cycle, before injection and
     /// routing — see [`NetSim::step_dynamic`].
@@ -445,9 +410,9 @@ impl<R: DynamicRouter> NetSim<R> {
         }
     }
 
-    /// One cycle with dynamic faults: failures due this cycle land first,
-    /// then the ordinary [`NetSim::step`] runs (injection, routing,
-    /// arbitration, movement).
+    /// Advances one cycle: failures due this cycle land first, then the
+    /// cycle injects due packets, routes, arbitrates links, moves granted
+    /// packets and delivers arrivals.
     pub fn step_dynamic(&mut self) {
         self.apply_due_faults();
         self.step();
@@ -461,11 +426,22 @@ impl<R: DynamicRouter> NetSim<R> {
     /// [`SimError::CycleBudgetExceeded`] if traffic remains after
     /// `max_cycles`.
     pub fn run_dynamic_to_completion(&mut self, max_cycles: u64) -> Result<SimReport, SimError> {
-        self.run_with(max_cycles, Self::step_dynamic)
+        while !self.flights.is_empty()
+            || !self.pending.is_empty()
+            || !self.pending_faults.is_empty()
+        {
+            if self.cycle >= max_cycles {
+                return Err(SimError::CycleBudgetExceeded {
+                    in_flight: self.flights.len() + self.pending.len(),
+                });
+            }
+            self.step_dynamic();
+        }
+        Ok(self.report)
     }
 }
 
-impl<R: Router> PacketSink for NetSim<R> {
+impl<R: DynamicRouter> PacketSink for NetSim<R> {
     fn inject(&mut self, packet: Packet, cycle: u64) {
         NetSim::inject(self, packet, cycle);
     }
@@ -475,8 +451,9 @@ impl<R: Router> PacketSink for NetSim<R> {
 mod tests {
     use super::*;
     use crate::adaptive::XyRouter;
-    use crate::router::WuRouter;
-    use emr_core::{Model, Scenario};
+    use crate::dynamic::EpochedWuRouter;
+    use crate::router::{OracleRouter, Router};
+    use emr_core::{Model, Scenario, ScenarioState};
     use emr_fault::FaultSet;
 
     fn scenario(coords: &[(i32, i32)]) -> Scenario {
@@ -487,17 +464,23 @@ mod tests {
         ))
     }
 
+    /// Wu's router over the faults of `sc`.
+    fn wu(sc: &Scenario) -> EpochedWuRouter {
+        EpochedWuRouter::new(ScenarioState::new(sc.faults().clone()), Model::FaultBlock)
+    }
+
     #[test]
     fn single_packet_takes_zero_load_latency() {
         let sc = scenario(&[]);
         let r = XyRouter::new(sc.mesh(), sc.blocks());
         let mut sim = NetSim::new(sc.mesh(), r);
         sim.inject(Packet::direct(Coord::new(1, 1), Coord::new(6, 4)), 0);
-        let report = sim.run_to_completion(100).unwrap();
+        let report = sim.run_dynamic_to_completion(100).unwrap();
         assert_eq!(report.delivered, 1);
         assert_eq!(report.total_hops, 8);
         assert_eq!(report.total_latency, 8);
         assert_eq!(report.hop_stretch(), 1.0);
+        assert_eq!((report.fault_events, report.rerouted), (0, 0));
     }
 
     #[test]
@@ -509,7 +492,7 @@ mod tests {
         let mut sim = NetSim::new(sc.mesh(), r);
         sim.inject(Packet::direct(Coord::new(0, 0), Coord::new(4, 0)), 0);
         sim.inject(Packet::direct(Coord::new(0, 0), Coord::new(4, 0)), 0);
-        let report = sim.run_to_completion(100).unwrap();
+        let report = sim.run_dynamic_to_completion(100).unwrap();
         assert_eq!(report.delivered, 2);
         assert_eq!(report.total_hops, 8);
         // One packet: 4 cycles; the other waits once behind it: 5.
@@ -520,19 +503,18 @@ mod tests {
     #[test]
     fn xy_traffic_fails_on_blocks_wu_survives() {
         let sc = scenario(&[(5, 0), (5, 1), (5, 2)]);
-        let view = sc.view(Model::FaultBlock);
         let s = Coord::new(1, 1);
         let d = Coord::new(9, 5);
 
         let mut xy = NetSim::new(sc.mesh(), XyRouter::new(sc.mesh(), sc.blocks()));
         xy.inject(Packet::direct(s, d), 0);
-        let xy_report = xy.run_to_completion(100).unwrap();
+        let xy_report = xy.run_dynamic_to_completion(100).unwrap();
         assert_eq!(xy_report.failed, 1);
         assert_eq!(xy_report.delivered, 0);
 
-        let mut wu = NetSim::new(sc.mesh(), WuRouter::new(&view));
+        let mut wu = NetSim::new(sc.mesh(), wu(&sc));
         wu.inject(Packet::direct(s, d), 0);
-        let wu_report = wu.run_to_completion(100).unwrap();
+        let wu_report = wu.run_dynamic_to_completion(100).unwrap();
         assert_eq!(wu_report.delivered, 1);
         assert_eq!(wu_report.hop_stretch(), 1.0);
     }
@@ -540,13 +522,12 @@ mod tests {
     #[test]
     fn two_phase_packet_visits_waypoint() {
         let sc = scenario(&[]);
-        let view = sc.view(Model::FaultBlock);
-        let mut sim = NetSim::new(sc.mesh(), WuRouter::new(&view));
+        let mut sim = NetSim::new(sc.mesh(), wu(&sc));
         let s = Coord::new(0, 0);
         let d = Coord::new(6, 6);
         let w = Coord::new(4, 0);
         sim.inject(Packet::with_plan(s, d, &emr_core::RoutePlan::ViaAxis(w)), 0);
-        let report = sim.run_to_completion(100).unwrap();
+        let report = sim.run_dynamic_to_completion(100).unwrap();
         assert_eq!(report.delivered, 1);
         // Axis waypoint is on a minimal path: stretch stays 1.
         assert_eq!(report.total_hops, u64::from(s.manhattan(d)));
@@ -561,10 +542,10 @@ mod tests {
             sim.inject(Packet::direct(Coord::new(0, 0), Coord::new(9, 9)), i * 2);
         }
         assert!(matches!(
-            sim.run_to_completion(3),
+            sim.run_dynamic_to_completion(3),
             Err(SimError::CycleBudgetExceeded { .. })
         ));
-        let report = sim.run_to_completion(1000).unwrap();
+        let report = sim.run_dynamic_to_completion(1000).unwrap();
         assert_eq!(report.delivered + report.failed, 5);
         assert_eq!(report.failed, 0);
     }
@@ -574,14 +555,10 @@ mod tests {
         let sc = scenario(&[]);
         let mut sim = NetSim::new(sc.mesh(), XyRouter::new(sc.mesh(), sc.blocks()));
         sim.inject(Packet::direct(Coord::new(3, 3), Coord::new(3, 3)), 0);
-        let report = sim.run_to_completion(10).unwrap();
+        let report = sim.run_dynamic_to_completion(10).unwrap();
         assert_eq!(report.delivered, 1);
         assert_eq!(report.total_hops, 0);
     }
-
-    use crate::dynamic::EpochedWuRouter;
-    use emr_core::ScenarioState;
-    use emr_fault::FaultSet as FS;
 
     /// Deterministic adaptive-XY dynamic router for fault-timing tests:
     /// prefers the X hop, falls back to the Y hop when X is blocked.
@@ -681,20 +658,6 @@ mod tests {
         assert_eq!(report.delivered, 0);
     }
 
-    #[test]
-    fn static_run_is_unchanged_by_dynamic_fields() {
-        // A dynamic-capable sim with no scheduled faults must report
-        // exactly what the static path reports.
-        let mesh = Mesh::square(10);
-        let mut sim = NetSim::new(mesh, AdaptiveXy::new(mesh));
-        sim.inject(Packet::direct(Coord::new(1, 1), Coord::new(6, 4)), 0);
-        let report = sim.run_dynamic_to_completion(100).unwrap();
-        assert_eq!(report.delivered, 1);
-        assert_eq!(report.total_hops, 8);
-        assert_eq!(report.fault_events, 0);
-        assert_eq!(report.rerouted, 0);
-    }
-
     /// `EpochedWuRouter` recording its epoch after every `fail_node`.
     struct EpochProbe {
         inner: EpochedWuRouter,
@@ -726,7 +689,10 @@ mod tests {
         let probe = || {
             let epochs = std::rc::Rc::default();
             let router = EpochProbe {
-                inner: EpochedWuRouter::new(ScenarioState::new(FS::new(mesh)), Model::FaultBlock),
+                inner: EpochedWuRouter::new(
+                    ScenarioState::new(FaultSet::new(mesh)),
+                    Model::FaultBlock,
+                ),
                 epochs: std::rc::Rc::clone(&epochs),
             };
             (router, epochs)
@@ -755,7 +721,8 @@ mod tests {
         // A node on the packet's band fails mid-flight; the router repairs
         // its epoch state and the packet still delivers.
         let mesh = Mesh::square(12);
-        let router = EpochedWuRouter::new(ScenarioState::new(FS::new(mesh)), Model::FaultBlock);
+        let router =
+            EpochedWuRouter::new(ScenarioState::new(FaultSet::new(mesh)), Model::FaultBlock);
         let mut sim = NetSim::new(mesh, router);
         let (s, d) = (Coord::new(1, 4), Coord::new(9, 8));
         sim.inject(Packet::direct(s, d), 0);
@@ -769,5 +736,28 @@ mod tests {
             report.total_hops >= u64::from(s.manhattan(d)),
             "hops below the Manhattan bound"
         );
+    }
+
+    #[test]
+    fn oracle_router_reroutes_round_a_midflight_failure() {
+        // The oracle sends the packet East along row 0. At the start of
+        // cycle 2 it sits at (2,0), and (3,0) fails that instant, merging
+        // with (4,1) into a 2×2 block: it reroutes North and still
+        // delivers on a minimal path, on both cores alike.
+        let sc = scenario(&[(4, 1)]);
+        let oracle = OracleRouter::new(ScenarioState::new(sc.faults().clone()), Model::FaultBlock);
+        let (s, d) = (Coord::new(0, 0), Coord::new(9, 3));
+        assert_eq!(oracle.next_hop(s, d, Coord::new(2, 0)), Ok(Direction::East));
+        let mut stepper = NetSim::new(sc.mesh(), oracle.clone());
+        let mut event = crate::EventSim::new(sc.mesh(), oracle);
+        stepper.inject(Packet::direct(s, d), 0);
+        event.inject(Packet::direct(s, d), 0);
+        stepper.schedule_fault(Coord::new(3, 0), 2);
+        event.schedule_fault(Coord::new(3, 0), 2);
+        let report = stepper.run_dynamic_to_completion(100).unwrap();
+        assert_eq!(Ok(report), event.run_dynamic_to_completion(100));
+        assert_eq!((report.fault_events, report.rerouted), (1, 1));
+        assert_eq!((report.delivered, report.failed), (1, 0));
+        assert_eq!(report.total_hops, u64::from(s.manhattan(d)));
     }
 }

@@ -183,9 +183,9 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::WuRouter;
+    use crate::dynamic::EpochedWuRouter;
     use crate::sim::NetSim;
-    use emr_core::Model;
+    use emr_core::{Model, ScenarioState};
     use emr_fault::{inject, FaultSet};
     use emr_mesh::Mesh;
     use rand::rngs::StdRng;
@@ -195,15 +195,10 @@ mod tests {
     fn ensured_workload_all_delivers_minimally() {
         let mesh = Mesh::square(24);
         let mut rng = StdRng::seed_from_u64(5);
-        let faults = inject::uniform(mesh, 20, &[], &mut rng);
-        let scenario = Scenario::build(faults);
-        let offered = Workload::offered_load(
-            &scenario,
-            TrafficPattern::Uniform,
-            80,
-            3.0 / 576.0,
-            &mut rng,
-        );
+        let state = ScenarioState::new(inject::uniform(mesh, 20, &[], &mut rng));
+        let scenario = state.scenario();
+        let offered =
+            Workload::offered_load(scenario, TrafficPattern::Uniform, 80, 3.0 / 576.0, &mut rng);
         let view = scenario.view(Model::FaultBlock);
         let admitted: Vec<(u64, Packet)> = offered
             .packets()
@@ -212,11 +207,11 @@ mod tests {
             .collect();
         assert!(admitted.len() >= 40, "admitted {}", admitted.len());
 
-        let mut sim = NetSim::new(mesh, WuRouter::new(&view));
+        let mut sim = NetSim::new(mesh, EpochedWuRouter::new(state, Model::FaultBlock));
         for (cycle, p) in &admitted {
             sim.inject(p.clone(), *cycle);
         }
-        let report = sim.run_to_completion(10_000).unwrap();
+        let report = sim.run_dynamic_to_completion(10_000).unwrap();
         assert_eq!(
             report.delivered,
             admitted.len() as u64,
@@ -233,13 +228,17 @@ mod tests {
     fn raw_workload_counts_failures_honestly() {
         let mesh = Mesh::square(20);
         let mut rng = StdRng::seed_from_u64(9);
-        let faults = inject::uniform(mesh, 30, &[], &mut rng);
-        let scenario = Scenario::build(faults);
-        let load = Workload::offered_load(&scenario, TrafficPattern::Uniform, 40, 0.01, &mut rng);
-        let view = scenario.view(Model::FaultBlock);
-        let mut sim = NetSim::new(mesh, WuRouter::new(&view));
+        let state = ScenarioState::new(inject::uniform(mesh, 30, &[], &mut rng));
+        let load = Workload::offered_load(
+            state.scenario(),
+            TrafficPattern::Uniform,
+            40,
+            0.01,
+            &mut rng,
+        );
+        let mut sim = NetSim::new(mesh, EpochedWuRouter::new(state, Model::FaultBlock));
         load.inject_into(&mut sim);
-        let report = sim.run_to_completion(10_000).unwrap();
+        let report = sim.run_dynamic_to_completion(10_000).unwrap();
         assert_eq!(report.delivered + report.failed, 40);
         // Whatever was delivered was delivered minimally (Wu only makes
         // preferred moves).

@@ -15,12 +15,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use emr_core::route::RouteError;
-use emr_core::{Model, Scenario, ScenarioState};
+use emr_core::{Model, ScenarioState};
 use emr_fault::inject;
 use emr_mesh::{Coord, Direction, Mesh};
 use emr_netsim::{
     DynamicRouter, EpochedWuRouter, EventSim, NetSim, Packet, Router, SimReport, TrafficPattern,
-    Workload, WuRouter,
+    Workload,
 };
 
 /// One scheduled packet, flattened for comparison: injection cycle,
@@ -32,14 +32,14 @@ type Scheduled = (u64, (i32, i32), (i32, i32));
 fn run_once(scenario_seed: u64, workload_seed: u64) -> (SimReport, Vec<Scheduled>) {
     let mesh = Mesh::square(14);
     let mut inj_rng = StdRng::seed_from_u64(scenario_seed);
-    let faults = inject::uniform(mesh, 10, &[], &mut inj_rng);
-    let scenario = Scenario::build(faults);
+    let state = ScenarioState::new(inject::uniform(mesh, 10, &[], &mut inj_rng));
+    let scenario = state.scenario();
 
     // Strategy-4 admitted traffic: the ensured subset of 40 uniform
     // packets offered at 2 per cycle.
     let mut load_rng = StdRng::seed_from_u64(workload_seed);
     let offered = Workload::offered_load(
-        &scenario,
+        scenario,
         TrafficPattern::Uniform,
         40,
         2.0 / 196.0,
@@ -60,12 +60,12 @@ fn run_once(scenario_seed: u64, workload_seed: u64) -> (SimReport, Vec<Scheduled
         })
         .collect();
 
-    let mut sim = NetSim::new(mesh, WuRouter::new(&view));
+    let mut sim = NetSim::new(mesh, EpochedWuRouter::new(state, Model::FaultBlock));
     for (cycle, p) in admitted {
         sim.inject(p, cycle);
     }
     let report = sim
-        .run_to_completion(100_000)
+        .run_dynamic_to_completion(100_000)
         .expect("simulation completes");
     (report, schedule)
 }
@@ -195,7 +195,8 @@ fn netsim_wu_episode_report_is_pinned() {
     assert_eq!(event.run_dynamic_to_completion(10_000_000), Ok(expected));
 }
 
-/// A static `WuRouter` run under the MCC model on the same shape, pinned.
+/// A Wu run under the MCC model on the same shape with no failure
+/// scheduled, pinned.
 #[test]
 fn static_wu_mcc_report_is_pinned() {
     let expected = SimReport {
@@ -214,12 +215,17 @@ fn static_wu_mcc_report_is_pinned() {
     };
     let mesh = Mesh::square(48);
     let mut rng = StdRng::seed_from_u64(0x5eed_0049);
-    let scenario = Scenario::build(inject::uniform(mesh, 40, &[], &mut rng));
-    let load = Workload::offered_load(&scenario, TrafficPattern::Uniform, 3_000, 0.01, &mut rng);
-    let view = scenario.view(Model::Mcc);
-    let mut sim = NetSim::new(mesh, WuRouter::new(&view));
+    let state = ScenarioState::new(inject::uniform(mesh, 40, &[], &mut rng));
+    let load = Workload::offered_load(
+        state.scenario(),
+        TrafficPattern::Uniform,
+        3_000,
+        0.01,
+        &mut rng,
+    );
+    let mut sim = NetSim::new(mesh, EpochedWuRouter::new(state, Model::Mcc));
     load.inject_into(&mut sim);
-    assert_eq!(sim.run_to_completion(1_000_000), Ok(expected));
+    assert_eq!(sim.run_dynamic_to_completion(1_000_000), Ok(expected));
 }
 
 /// The single questions a router answered, how many it had answered

@@ -4,8 +4,10 @@
 //!
 //! Run with `cargo run --release --example traffic_storm [faults] [packets]`.
 
+use emr2d::core::ScenarioState;
 use emr2d::netsim::{
-    NetSim, OracleRouter, Packet, Router, TrafficPattern, Workload, WuRouter, XyRouter,
+    DynamicRouter, EpochedWuRouter, NetSim, OracleRouter, Packet, TrafficPattern, Workload,
+    XyRouter,
 };
 use emr2d::prelude::*;
 use rand::rngs::StdRng;
@@ -18,9 +20,10 @@ fn main() {
 
     let mesh = Mesh::square(48);
     let mut rng = StdRng::seed_from_u64(2002);
-    let fault_set = inject::uniform(mesh, faults, &[], &mut rng);
-    let scenario = Scenario::build(fault_set);
+    let state = ScenarioState::new(inject::uniform(mesh, faults, &[], &mut rng));
+    let scenario = state.scenario();
     let view = scenario.view(Model::FaultBlock);
+    let wu = || EpochedWuRouter::new(state.clone(), Model::FaultBlock);
 
     println!(
         "{0}x{0} mesh, {1} faults ({2} blocks), {packets} packets @ 4/cycle\n",
@@ -36,7 +39,7 @@ fn main() {
     // Raw uniform traffic (no plan filtering): shows failure behavior.
     let offered = 4.0 / mesh.node_count() as f64;
     let load = Workload::offered_load(
-        &scenario,
+        scenario,
         TrafficPattern::Uniform,
         packets,
         offered,
@@ -49,8 +52,13 @@ fn main() {
         &mesh,
         XyRouter::new(mesh, scenario.blocks()),
     );
-    run("Wu protocol", raw, &mesh, WuRouter::new(&view));
-    run("oracle (global info)", raw, &mesh, OracleRouter::new(&view));
+    run("Wu protocol", raw, &mesh, wu());
+    run(
+        "oracle (global info)",
+        raw,
+        &mesh,
+        OracleRouter::new(state.clone(), Model::FaultBlock),
+    );
 
     // The strategy-4 admitted subset of the same batch: everything Wu
     // routes is guaranteed.
@@ -62,7 +70,7 @@ fn main() {
         &format!("Wu ({} admitted)", ensured.len()),
         &ensured,
         &mesh,
-        WuRouter::new(&view),
+        wu(),
     );
 
     println!(
@@ -72,12 +80,14 @@ fn main() {
     );
 }
 
-fn run(label: &str, traffic: &[(u64, Packet)], mesh: &Mesh, router: impl Router) {
+fn run(label: &str, traffic: &[(u64, Packet)], mesh: &Mesh, router: impl DynamicRouter) {
     let mut sim = NetSim::new(*mesh, router);
     for (cycle, packet) in traffic {
         sim.inject(packet.clone(), *cycle);
     }
-    let report = sim.run_to_completion(1_000_000).expect("bounded traffic");
+    let report = sim
+        .run_dynamic_to_completion(1_000_000)
+        .expect("bounded traffic");
     println!(
         "{label:<22} {:>10} {:>8} {:>12.2} {:>9.3} {:>10}",
         report.delivered,

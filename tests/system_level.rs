@@ -3,7 +3,8 @@
 //! end to end; the 3-D extension composes with the 2-D machinery.
 
 use emr2d::core::conditions;
-use emr2d::netsim::{NetSim, Packet, TrafficPattern, Workload, WuRouter, XyRouter};
+use emr2d::core::ScenarioState;
+use emr2d::netsim::{EpochedWuRouter, NetSim, Packet, TrafficPattern, Workload, XyRouter};
 use emr2d::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,16 +16,16 @@ fn admission_controlled_traffic_never_fails() {
     let mesh = Mesh::square(32);
     for (seed, k) in [(1u64, 0usize), (2, 15), (3, 30), (4, 45)] {
         let mut rng = StdRng::seed_from_u64(seed);
-        let scenario = Scenario::build(inject::uniform(mesh, k, &[], &mut rng));
-        let view = scenario.view(Model::FaultBlock);
+        let state = ScenarioState::new(inject::uniform(mesh, k, &[], &mut rng));
+        let view = state.scenario().view(Model::FaultBlock);
         let offered = Workload::offered_load(
-            &scenario,
+            state.scenario(),
             TrafficPattern::Uniform,
             100,
             4.0 / 1024.0,
             &mut rng,
         );
-        let mut sim = NetSim::new(mesh, WuRouter::new(&view));
+        let mut sim = NetSim::new(mesh, EpochedWuRouter::new(state.clone(), Model::FaultBlock));
         let mut admitted = 0;
         for (cycle, p) in offered.packets() {
             if let Some(packet) = Packet::ensured(&view, p.source(), p.dest()) {
@@ -33,7 +34,7 @@ fn admission_controlled_traffic_never_fails() {
             }
         }
         assert!(admitted >= 50, "k={k}: only {admitted} of 100 admitted");
-        let report = sim.run_to_completion(100_000).expect("bounded");
+        let report = sim.run_dynamic_to_completion(100_000).expect("bounded");
         assert_eq!(
             report.delivered, admitted,
             "k={k}: {} failed",
@@ -50,23 +51,22 @@ fn admission_controlled_traffic_never_fails() {
 fn wu_dominates_xy_on_shared_traffic() {
     let mesh = Mesh::square(32);
     let mut rng = StdRng::seed_from_u64(11);
-    let scenario = Scenario::build(inject::uniform(mesh, 30, &[], &mut rng));
-    let view = scenario.view(Model::FaultBlock);
+    let state = ScenarioState::new(inject::uniform(mesh, 30, &[], &mut rng));
     let load = Workload::offered_load(
-        &scenario,
+        state.scenario(),
         TrafficPattern::Uniform,
         120,
         4.0 / 1024.0,
         &mut rng,
     );
 
-    let mut xy = NetSim::new(mesh, XyRouter::new(mesh, scenario.blocks()));
+    let mut xy = NetSim::new(mesh, XyRouter::new(mesh, state.scenario().blocks()));
     load.inject_into(&mut xy);
-    let xy_report = xy.run_to_completion(100_000).expect("bounded");
+    let xy_report = xy.run_dynamic_to_completion(100_000).expect("bounded");
 
-    let mut wu = NetSim::new(mesh, WuRouter::new(&view));
+    let mut wu = NetSim::new(mesh, EpochedWuRouter::new(state, Model::FaultBlock));
     load.inject_into(&mut wu);
-    let wu_report = wu.run_to_completion(100_000).expect("bounded");
+    let wu_report = wu.run_dynamic_to_completion(100_000).expect("bounded");
 
     assert!(wu_report.delivered >= xy_report.delivered);
     assert!((wu_report.hop_stretch() - 1.0).abs() < 1e-12);
